@@ -1,17 +1,14 @@
-// Ablation: the static PUL analyzer (src/analysis/) as a pre-pass.
+// Ablation: the static PUL analyzer (src/analysis/) next to the dynamic
+// engines it describes.
 //
-// Three questions, Figure-6-style framing (cost as a function of the
-// conflict/reduction density of the workload):
-//   1. What does AnalyzeIndependence cost next to the dynamic detector
-//      it can spare? (BM_AnalyzeIndependence vs BM_IntegrateBaseline)
-//   2. What does the integrate fast path save end-to-end on independent
-//      workloads, and what does a losing bet cost on conflicting ones?
-//      (BM_IntegrateStaticAnalysis at density 0 vs > 0)
-//   3. Same for the reduce identity skip. (BM_ReduceStaticAnalysis)
+// Figure-6-style framing (cost as a function of the conflict/reduction
+// density of the workload):
+//   1. What does AnalyzeIndependence cost next to the dynamic detector?
+//      (BM_AnalyzeIndependence vs BM_IntegrateBaseline)
+//   2. What do lint and reduction prediction cost next to Reduce?
+//      (BM_LintPul, BM_PredictReduction vs BM_ReduceBaseline)
 // Density is percent of ops planted into cross-PUL conflicts
-// (integration) resp. reducible clusters (reduction); density 0 is where
-// the analyzer pays off, the positive densities price the wasted
-// analysis.
+// (integration) resp. reducible clusters (reduction).
 
 #include <benchmark/benchmark.h>
 
@@ -103,13 +100,10 @@ void BM_PredictReduction(benchmark::State& state) {
   state.counters["ops"] = static_cast<double>(pul.size());
 }
 
-void IntegrateLoop(benchmark::State& state, bool use_static_analysis) {
+void BM_IntegrateBaseline(benchmark::State& state) {
   const std::vector<pul::Pul>& puls = PulPair(static_cast<int>(state.range(0)));
   std::vector<const pul::Pul*> refs{&puls[0], &puls[1]};
   core::IntegrateOptions options;
-  options.use_static_analysis = use_static_analysis;
-  Metrics metrics;
-  options.metrics = &metrics;
   size_t conflicts = 0;
   for (auto _ : state) {
     auto result = core::Integrate(refs, options);
@@ -121,25 +115,12 @@ void IntegrateLoop(benchmark::State& state, bool use_static_analysis) {
     benchmark::DoNotOptimize(*result);
   }
   state.counters["conflicts"] = static_cast<double>(conflicts);
-  state.counters["static_skips"] =
-      static_cast<double>(metrics.counter("integrate.static.skips"));
 }
 
-void BM_IntegrateBaseline(benchmark::State& state) {
-  IntegrateLoop(state, false);
-}
-
-void BM_IntegrateStaticAnalysis(benchmark::State& state) {
-  IntegrateLoop(state, true);
-}
-
-void ReduceLoop(benchmark::State& state, bool use_static_analysis) {
+void BM_ReduceBaseline(benchmark::State& state) {
   const pul::Pul& pul = ReduceInput(static_cast<int>(state.range(0)));
   core::ReduceOptions options;
   options.mode = core::ReduceMode::kPlain;
-  options.use_static_analysis = use_static_analysis;
-  Metrics metrics;
-  options.metrics = &metrics;
   core::ReduceStats stats;
   for (auto _ : state) {
     auto reduced = core::Reduce(pul, options, &stats);
@@ -150,23 +131,13 @@ void ReduceLoop(benchmark::State& state, bool use_static_analysis) {
     benchmark::DoNotOptimize(*reduced);
   }
   state.counters["surviving"] = static_cast<double>(stats.output_ops);
-  state.counters["static_skips"] =
-      static_cast<double>(metrics.counter("reduce.static.identity_skips"));
-}
-
-void BM_ReduceBaseline(benchmark::State& state) { ReduceLoop(state, false); }
-
-void BM_ReduceStaticAnalysis(benchmark::State& state) {
-  ReduceLoop(state, true);
 }
 
 BENCHMARK(BM_AnalyzeIndependence)->Arg(0)->Arg(5)->Arg(20);
 BENCHMARK(BM_LintPul)->Arg(0)->Arg(20);
 BENCHMARK(BM_PredictReduction)->Arg(0)->Arg(20);
 BENCHMARK(BM_IntegrateBaseline)->Arg(0)->Arg(5)->Arg(20);
-BENCHMARK(BM_IntegrateStaticAnalysis)->Arg(0)->Arg(5)->Arg(20);
 BENCHMARK(BM_ReduceBaseline)->Arg(0)->Arg(20);
-BENCHMARK(BM_ReduceStaticAnalysis)->Arg(0)->Arg(20);
 
 }  // namespace
 }  // namespace xupdate

@@ -1,16 +1,16 @@
-// Ablation: the schema tier (src/schema/) in front of the engines.
+// Ablation: the type-level summaries of src/schema/ next to the exact
+// label-based analyzer and the dynamic detector.
 //
-// Three questions:
-//   1. What does a touched-type summary cost next to the exact analyzer
-//      and the dynamic detector? (BM_SchemaSummaryInfer vs
-//      BM_SchemaExactAnalyze / BM_SchemaDynamicDetector)
-//   2. What does the tier-0 short-circuit save on an indep-heavy
-//      workload the tier can actually prove — typed edits against
-//      structurally disjoint regions? (BM_SchemaIntegrateIndependent,
-//      tier on/off; the `tier0_rate` counter is the hit rate)
-//   3. What does a losing bet cost on a conflict-heavy workload where
-//      the tier abstains and the full detector runs anyway?
-//      (BM_SchemaIntegrateConflicting, tier on/off)
+// What does a touched-type summary cost next to the exact analyzer and
+// the dynamic detector? (BM_SchemaSummaryInfer vs BM_SchemaExactAnalyze
+// / BM_SchemaDynamicDetector). The detector runs on an indep-heavy pair
+// the type level can prove — typed edits against structurally disjoint
+// regions — and on a conflict-heavy pair where it cannot
+// (BM_SchemaIntegrateIndependent / BM_SchemaIntegrateConflicting).
+//
+// These numbers are why no engine consults the summaries: the exact
+// analyzer already answers the independent pair faster than the
+// summaries and their decision together.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "analysis/independence.h"
-#include "analysis/schema_tier.h"
 #include "bench_util.h"
 #include "core/integrate.h"
 #include "schema/schema.h"
@@ -42,7 +41,7 @@ const schema::Schema& Xdtd() {
 // Indep-heavy pair the type tier can prove: one PUL edits person/@*
 // attributes (Attr atoms at level 2), the other deletes item subtrees
 // (element atoms at level 3 plus their descendant closure) — disjoint
-// under the XMark DTD, so tier 0 fires on every pair.
+// under the XMark DTD, so DecideIndependence proves every pair.
 const std::vector<pul::Pul>& IndependentPair() {
   static std::vector<pul::Pul>* cache = nullptr;
   if (cache != nullptr) return *cache;
@@ -92,7 +91,7 @@ const std::vector<pul::Pul>& IndependentPair() {
 }
 
 // Conflict-heavy pair: the generator plants cross-PUL conflicts of all
-// five types, which the tier cannot (and must not) prove away.
+// five types, which the type level cannot (and must not) prove away.
 const std::vector<pul::Pul>& ConflictingPair() {
   static std::vector<pul::Pul>* cache = nullptr;
   if (cache != nullptr) return *cache;
@@ -133,37 +132,12 @@ void BM_SchemaExactAnalyze(benchmark::State& state) {
   }
 }
 
-// Tiered analysis end-to-end: summaries + decide + (on a hit) report
-// synthesis. On the independent pair this never reaches the sweep.
-void BM_SchemaTieredAnalyze(benchmark::State& state) {
-  const std::vector<pul::Pul>& puls = IndependentPair();
-  size_t hits = 0;
-  for (auto _ : state) {
-    schema::TypeSummary a = schema::InferTouchedTypes(Xdtd(), puls[0]);
-    schema::TypeSummary b = schema::InferTouchedTypes(Xdtd(), puls[1]);
-    analysis::TieredIndependence t =
-        analysis::AnalyzeIndependenceTiered(a, b, puls[0], puls[1]);
-    hits += t.resolved_at_tier0 ? 1 : 0;
-    benchmark::DoNotOptimize(t);
-  }
-  state.counters["tier0_rate"] =
-      state.iterations() > 0
-          ? static_cast<double>(hits) / static_cast<double>(state.iterations())
-          : 0.0;
-}
-
 void SchemaIntegrateLoop(benchmark::State& state,
-                         const std::vector<pul::Pul>& puls,
-                         bool use_schema) {
+                         const std::vector<pul::Pul>& puls) {
   std::vector<const pul::Pul*> refs{&puls[0], &puls[1]};
-  core::IntegrateOptions options;
-  options.use_schema_analysis = use_schema;
-  options.schema = use_schema ? &Xdtd() : nullptr;
-  Metrics metrics;
-  options.metrics = &metrics;
   size_t conflicts = 0;
   for (auto _ : state) {
-    auto result = core::Integrate(refs, options);
+    auto result = core::Integrate(refs);
     if (!result.ok()) {
       state.SkipWithError(result.status().ToString().c_str());
       return;
@@ -172,37 +146,28 @@ void SchemaIntegrateLoop(benchmark::State& state,
     benchmark::DoNotOptimize(*result);
   }
   state.counters["conflicts"] = static_cast<double>(conflicts);
-  double pairs = static_cast<double>(metrics.counter("integrate.schema.pairs"));
-  state.counters["tier0_rate"] =
-      pairs > 0
-          ? static_cast<double>(metrics.counter("integrate.schema.proven")) /
-                pairs
-          : 0.0;
-  state.counters["schema_skips"] =
-      static_cast<double>(metrics.counter("integrate.schema.skips"));
 }
 
 void BM_SchemaIntegrateIndependent(benchmark::State& state) {
-  SchemaIntegrateLoop(state, IndependentPair(), state.range(0) != 0);
+  SchemaIntegrateLoop(state, IndependentPair());
 }
 
 void BM_SchemaIntegrateConflicting(benchmark::State& state) {
-  SchemaIntegrateLoop(state, ConflictingPair(), state.range(0) != 0);
+  SchemaIntegrateLoop(state, ConflictingPair());
 }
 
-// The dynamic detector alone on the independent pair — the cost the
-// tier spares (identical to BM_SchemaIntegrateIndependent/0; kept as an
-// explicitly named anchor for the trajectory plots).
+// The dynamic detector alone on the independent pair (identical to
+// BM_SchemaIntegrateIndependent/0; kept as an explicitly named anchor
+// for the trajectory plots).
 void BM_SchemaDynamicDetector(benchmark::State& state) {
-  SchemaIntegrateLoop(state, IndependentPair(), false);
+  SchemaIntegrateLoop(state, IndependentPair());
 }
 
 BENCHMARK(BM_SchemaSummaryInfer);
 BENCHMARK(BM_SchemaExactAnalyze);
-BENCHMARK(BM_SchemaTieredAnalyze);
-// Arg 0: tier off (baseline); arg 1: tier on.
-BENCHMARK(BM_SchemaIntegrateIndependent)->Arg(0)->Arg(1);
-BENCHMARK(BM_SchemaIntegrateConflicting)->Arg(0)->Arg(1);
+// Arg 0 keeps the names of the earlier trajectory points.
+BENCHMARK(BM_SchemaIntegrateIndependent)->Arg(0);
+BENCHMARK(BM_SchemaIntegrateConflicting)->Arg(0);
 BENCHMARK(BM_SchemaDynamicDetector);
 
 }  // namespace

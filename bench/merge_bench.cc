@@ -4,9 +4,6 @@
 //     commits; the merge folds each suffix, reconciles, and commits
 //     under the sync protocol (fold + reconcile + 2x journal append);
 //   * fast-forward latency — one side diverged, no reconciliation;
-//   * the schema tier on the merge path — type-disjoint suffixes skip
-//     conflict detection (byte-identically), measured against the
-//     default path on the same stores;
 //   * rebase replay — a branch of Arg commits replayed onto a new
 //     mainline base, rewind verification included;
 //   * one full simulator schedule — the end-to-end convergence unit
@@ -113,14 +110,11 @@ const std::string& DivergentStoreFixture(size_t per_side) {
 }
 
 // Clones the fixture (untimed) and merges main with w (timed).
-void RunMerge(benchmark::State& state, size_t per_side, bool use_schema) {
+void RunMerge(benchmark::State& state, size_t per_side) {
   const std::string& source = DivergentStoreFixture(per_side);
   std::string dir = BenchRoot() + "/merge_scratch";
   store::StoreOptions options = BenchStoreOptions();
-  schema::Schema xmark_schema = schema::Schema::BuiltinXmark();
   branch::MergeOptions merge_options;
-  merge_options.use_schema_analysis = use_schema;
-  merge_options.schema = use_schema ? &xmark_schema : nullptr;
   branch::MergeStats stats;
   uint64_t merges = 0;
   for (auto _ : state) {
@@ -149,17 +143,12 @@ void RunMerge(benchmark::State& state, size_t per_side, bool use_schema) {
 
 // Full merge at increasing divergence.
 void BM_MergeFull(benchmark::State& state) {
-  RunMerge(state, static_cast<size_t>(state.range(0)), false);
+  RunMerge(state, static_cast<size_t>(state.range(0)));
 }
 
 // One side at the base: commit-only, no reconciliation.
 void BM_MergeFastForward(benchmark::State& state) {
-  RunMerge(state, 0, false);
-}
-
-// The schema tier in front of the same merges (XMark schema).
-void BM_MergeFullSchemaTier(benchmark::State& state) {
-  RunMerge(state, static_cast<size_t>(state.range(0)), true);
+  RunMerge(state, 0);
 }
 
 // Rebase: w's Arg commits replayed onto the mainline head.
@@ -228,8 +217,6 @@ void BM_SimSchedule(benchmark::State& state) {
 BENCHMARK(BM_MergeFull)->Arg(1)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MergeFastForward)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MergeFullSchemaTier)->Arg(4)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RebaseReplay)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimSchedule)->Arg(2)->Arg(5)

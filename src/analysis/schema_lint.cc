@@ -1,4 +1,4 @@
-#include "analysis/schema_tier.h"
+#include "analysis/schema_lint.h"
 
 #include <algorithm>
 #include <string>
@@ -212,21 +212,6 @@ DiagnosticReport LintPulWithSchema(const Schema& schema, const Pul& pul) {
               return a.code < b.code;
             });
   return report;
-}
-
-TieredIndependence AnalyzeIndependenceTiered(
-    const schema::TypeSummary& summary_a,
-    const schema::TypeSummary& summary_b, const Pul& a, const Pul& b) {
-  TieredIndependence result;
-  if (schema::DecideIndependence(summary_a, summary_b) ==
-      schema::SchemaVerdict::kProvenIndependent) {
-    result.resolved_at_tier0 = true;
-    result.report.verdict = IndependenceVerdict::kIndependent;
-    result.report.reason = "disjoint";
-    return result;
-  }
-  result.report = AnalyzeIndependence(a, b);
-  return result;
 }
 
 }  // namespace xupdate::analysis

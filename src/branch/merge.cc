@@ -186,8 +186,6 @@ Result<store::MergeCommitResult> Merge(store::VersionStore* store,
   }
   core::ReconcileOptions reconcile_options;
   reconcile_options.parallelism = options.parallelism;
-  reconcile_options.use_schema_analysis = options.use_schema_analysis;
-  reconcile_options.schema = options.schema;
   reconcile_options.metrics = options.metrics;
   reconcile_options.tracer = options.tracer;
   core::ReconcileStats reconcile_stats;

@@ -7,7 +7,6 @@
 #include "common/result.h"
 #include "core/reconcile.h"
 #include "obs/trace.h"
-#include "schema/schema.h"
 #include "store/version.h"
 
 namespace xupdate::branch {
@@ -41,11 +40,6 @@ namespace xupdate::branch {
 struct MergeOptions {
   // Reduce/Integrate parallelism (byte-deterministic across levels).
   int parallelism = 1;
-  // Schema tier 0 in front of the reconciliation's conflict detection:
-  // provably type-disjoint suffixes skip it with a byte-identical
-  // result (see core::IntegrateOptions). Requires `schema`.
-  bool use_schema_analysis = false;
-  const schema::Schema* schema = nullptr;
   Metrics* metrics = nullptr;
   obs::Tracer* tracer = nullptr;
 };

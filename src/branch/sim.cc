@@ -49,11 +49,7 @@ Status RunScheduleImpl(uint64_t seed, const SimOptions& options,
       store::VersionStore::Init(dir, base_xml, store_options));
   XUPDATE_ASSIGN_OR_RETURN(store::VersionStore store,
                            store::VersionStore::Open(dir, store_options));
-  schema::Schema xmark_schema = schema::Schema::BuiltinXmark();
   MergeOptions merge_options;
-  merge_options.use_schema_analysis = options.use_schema_analysis;
-  merge_options.schema =
-      options.use_schema_analysis ? &xmark_schema : nullptr;
   merge_options.metrics = options.metrics;
   std::vector<Replica> writers;
   for (int w = 0; w < options.writers; ++w) {

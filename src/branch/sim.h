@@ -7,7 +7,6 @@
 
 #include "common/metrics.h"
 #include "common/result.h"
-#include "schema/schema.h"
 
 namespace xupdate::branch {
 
@@ -37,10 +36,6 @@ struct SimOptions {
   uint64_t seed = 1;
   // Approximate plain-serialization size of the generated base document.
   size_t xmark_bytes = 4096;
-  // Schema tier 0 on the merge path (schema/summary.h): provably
-  // type-disjoint merges skip conflict detection, byte-identically.
-  // Uses the builtin XMark schema when enabled.
-  bool use_schema_analysis = false;
   // Run VersionStore::Verify on every schedule's store before teardown
   // (slower; the sweep test enables it on a sample).
   bool verify_stores = false;
@@ -72,8 +67,7 @@ struct SimReport {
   size_t full_merges = 0;
   size_t conflicts_auto_solved = 0;
   // FNV-1a fold of every schedule's final digest, in order — one number
-  // that pins the whole sweep (the schema on/off byte-identity check
-  // compares it across modes).
+  // that pins the whole sweep.
   uint64_t digest = 0;
   // Schedules that failed to converge (empty on a clean sweep).
   std::vector<ScheduleResult> failures;

@@ -8,12 +8,10 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/independence.h"
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "obs/trace.h"
 #include "pul/pul_view.h"
-#include "schema/summary.h"
 #include "pul/update_op.h"
 
 namespace xupdate::core {
@@ -339,9 +337,9 @@ Result<IntegrationResult> Integrator::Run() {
 
   obs::Tracer* tracer = options_.tracer;
   const bool tracing = tracer != nullptr;
-  obs::TraceLane input_lane;
   if (tracing) {
-    input_lane = tracer->Lane(tracer->NextPhase(), 0, "integrate");
+    obs::TraceLane input_lane =
+        tracer->Lane(tracer->NextPhase(), 0, "integrate");
     size_t cursor = 0;
     for (size_t p = 0; p < puls_.size(); ++p) {
       std::vector<std::string> ids;
@@ -352,91 +350,6 @@ Result<IntegrationResult> Integrator::Run() {
       cursor += puls_[p]->size();
       input_lane.Emit(obs::EventKind::kNote, "input", std::move(ids), {},
                       "P" + std::to_string(p));
-    }
-  }
-
-  // Fast-path body shared by the schema and static tiers: when every
-  // PUL pair is provably independent no conflict rule can fire, and
-  // Delta is simply the union of all operations — identical to what the
-  // detection path below produces with an empty conflict list, at a
-  // fraction of the cost.
-  auto merge_all = [this, tracing,
-                    &input_lane](const char* label,
-                                 const char* note) -> Result<IntegrationResult> {
-    if (tracing) {
-      input_lane.Emit(obs::EventKind::kFastPathTaken, label, {}, {}, note);
-    }
-    IntegrationResult result;
-    size_t j = 0;
-    for (const TaggedOp& t : tagged_) {
-      XUPDATE_RETURN_IF_ERROR(
-          result.merged.AdoptOp(t.owner->forest(), *t.op));
-      if (tracing) {
-        input_lane.Emit(obs::EventKind::kOpSurvived,
-                        pul::OpKindName(t.op->kind), {RefId(t.ref)},
-                        "merged#" + std::to_string(j));
-      }
-      ++j;
-    }
-    return result;
-  };
-
-  // Schema tier (tier 0): one touched-type summary per PUL, one O(types)
-  // set comparison per pair — no per-op sweep at all. Sound relative to
-  // documents conforming to the schema: a proven pair is one the static
-  // analyzer below would also call independent.
-  if (options_.use_schema_analysis && options_.schema != nullptr &&
-      puls_.size() >= 2) {
-    ScopedTimer timer(metrics, "integrate.schema_analysis_seconds");
-    std::vector<schema::TypeSummary> summaries;
-    summaries.reserve(puls_.size());
-    for (const pul::Pul* p : puls_) {
-      summaries.push_back(schema::InferTouchedTypes(*options_.schema, *p));
-    }
-    bool all_proven = true;
-    for (size_t i = 0; i < puls_.size() && all_proven; ++i) {
-      for (size_t j = i + 1; j < puls_.size(); ++j) {
-        if (metrics) metrics->AddCounter("integrate.schema.pairs");
-        if (schema::DecideIndependence(summaries[i], summaries[j]) !=
-            schema::SchemaVerdict::kProvenIndependent) {
-          all_proven = false;
-          break;
-        }
-        if (metrics) metrics->AddCounter("integrate.schema.proven");
-      }
-    }
-    if (all_proven) {
-      if (metrics) {
-        metrics->AddCounter("integrate.schema.skips");
-        metrics->AddCounter("integrate.conflicts", 0);
-      }
-      return merge_all("schema-independent",
-                       "all PUL pairs proven independent at type level");
-    }
-  }
-
-  if (options_.use_static_analysis && puls_.size() >= 2) {
-    ScopedTimer timer(metrics, "integrate.static_analysis_seconds");
-    bool all_independent = true;
-    for (size_t i = 0; i < puls_.size() && all_independent; ++i) {
-      for (size_t j = i + 1; j < puls_.size(); ++j) {
-        analysis::IndependenceReport verdict =
-            analysis::AnalyzeIndependence(*puls_[i], *puls_[j]);
-        if (verdict.verdict !=
-            analysis::IndependenceVerdict::kIndependent) {
-          all_independent = false;
-          break;
-        }
-        if (metrics) metrics->AddCounter("integrate.static.independent_pairs");
-      }
-    }
-    if (all_independent) {
-      if (metrics) {
-        metrics->AddCounter("integrate.static.skips");
-        metrics->AddCounter("integrate.conflicts", 0);
-      }
-      return merge_all("static-independent",
-                       "all PUL pairs statically independent");
     }
   }
 

@@ -9,7 +9,6 @@
 #include "common/thread_pool.h"
 #include "obs/trace.h"
 #include "pul/pul.h"
-#include "schema/schema.h"
 
 namespace xupdate::core {
 
@@ -81,22 +80,6 @@ struct IntegrateOptions {
   // Optional counters/timers sink (shard counts, conflict tallies,
   // per-phase wall time).
   Metrics* metrics = nullptr;
-  // Consults analysis::AnalyzeIndependence over every PUL pair first and
-  // skips conflict detection entirely when all pairs are statically
-  // independent (sound: the analyzer never claims independence for a
-  // pair the dynamic detector would conflict). The result — merged PUL
-  // bytes and conflict list — is identical to the default path; only
-  // the wall time and the metrics counters differ.
-  bool use_static_analysis = false;
-  // Tier 0 in front of conflict detection (and of use_static_analysis):
-  // one schema::InferTouchedTypes summary per PUL, one O(schema)
-  // set-disjointness verdict per pair. When every pair is proven
-  // independent at the type level, conflict detection is skipped
-  // entirely; the result is byte-identical to the default path (the
-  // verdict is sound relative to documents conforming to `schema`).
-  // Requires `schema`; ignored when it is null.
-  bool use_schema_analysis = false;
-  const schema::Schema* schema = nullptr;
   // Decision-provenance sink (obs/trace.h). Records per-PUL input
   // inventories, shard assignments, every detected conflict and every
   // operation adopted into Delta, keyed on "P<pul>#<op>" refs. The

@@ -258,8 +258,6 @@ Result<Pul> Reconciler::Run() {
   IntegrateOptions integrate_options;
   integrate_options.parallelism = options_.parallelism;
   integrate_options.pool = options_.pool;
-  integrate_options.use_schema_analysis = options_.use_schema_analysis;
-  integrate_options.schema = options_.schema;
   integrate_options.metrics = metrics;
   integrate_options.tracer = options_.tracer;
   XUPDATE_ASSIGN_OR_RETURN(IntegrationResult ir,

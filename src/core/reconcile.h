@@ -41,13 +41,6 @@ struct ReconcileOptions {
   // IntegrateOptions).
   int parallelism = 1;
   ThreadPool* pool = nullptr;
-  // Schema tier 0 for the embedded integration stage (see
-  // IntegrateOptions::use_schema_analysis): when every PUL pair is
-  // proven type-disjoint, conflict detection is skipped and the result
-  // is byte-identical to the default path. Requires `schema`; ignored
-  // when it is null.
-  bool use_schema_analysis = false;
-  const schema::Schema* schema = nullptr;
   // Optional counters/timers sink (conflict tallies, per-phase wall
   // time), also handed to the integration stage.
   Metrics* metrics = nullptr;

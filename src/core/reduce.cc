@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/predict.h"
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "obs/trace.h"
@@ -1071,53 +1070,6 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
                         ReduceStats* stats) {
   XUPDATE_RETURN_IF_ERROR(input.CheckCompatible());
   if (stats != nullptr) *stats = ReduceStats{};
-
-  // Static fast path: if no rule relation exists between any two ops the
-  // fixpoint is empty and (for the non-reordering modes, absent the
-  // stage-10 insInto rewrite) the reduced PUL is the input verbatim.
-  if (options.use_static_analysis &&
-      options.mode != ReduceMode::kCanonical) {
-    ScopedTimer timer(options.metrics, "reduce.static_analysis_seconds");
-    analysis::ReductionPrediction prediction =
-        analysis::PredictReduction(input);
-    if (prediction.no_rule_can_fire &&
-        (options.mode == ReduceMode::kPlain || !prediction.has_ins_into)) {
-      // Rebuilt the way Assemble does (rank order == listing order here)
-      // so the bytes match the engine path exactly.
-      pul::Pul out;
-      out.set_policies(input.policies());
-      out.BindIdSpace(1);
-      for (const UpdateOp& op : input.ops()) {
-        XUPDATE_RETURN_IF_ERROR(out.AdoptOp(input.forest(), op));
-      }
-      if (options.tracer != nullptr) {
-        obs::TraceLane lane =
-            options.tracer->Lane(options.tracer->NextPhase(), 0, "reduce");
-        lane.Emit(obs::EventKind::kFastPathTaken, "static-identity", {}, {},
-                  "no Figure 2 rule can fire");
-        for (size_t i = 0; i < input.size(); ++i) {
-          lane.Emit(obs::EventKind::kOpSurvived,
-                    pul::OpKindName(input.ops()[i].kind),
-                    {"#" + std::to_string(i)}, "out#" + std::to_string(i));
-        }
-      }
-      if (stats != nullptr) {
-        stats->input_ops = input.size();
-        stats->output_ops = out.size();
-        stats->rule_applications = 0;
-        stats->shards = 1;
-      }
-      if (options.metrics != nullptr) {
-        options.metrics->AddCounter("reduce.calls");
-        options.metrics->AddCounter("reduce.input_ops", input.size());
-        options.metrics->AddCounter("reduce.static.identity_skips");
-        options.metrics->AddCounter("reduce.shards");
-        options.metrics->AddCounter("reduce.output_ops", out.size());
-        options.metrics->AddCounter("reduce.rule_applications", 0);
-      }
-      return out;
-    }
-  }
 
   std::vector<std::vector<int>> shards;
   obs::Tracer* tracer = options.tracer;

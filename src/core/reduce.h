@@ -65,12 +65,6 @@ struct ReduceOptions {
   ThreadPool* pool = nullptr;
   // Optional counters/timers sink (shard counts, per-phase wall time).
   Metrics* metrics = nullptr;
-  // Consults analysis::PredictReduction first and skips the rule engine
-  // when the reduction is provably the identity (no two operations are
-  // related by any Figure 2 rule relation; for kDeterministic mode also
-  // no insInto to rewrite). The output is byte-identical to the engine
-  // path. kCanonical mode never skips (it reorders the listing).
-  bool use_static_analysis = false;
   // Decision-provenance sink (obs/trace.h). When set, every rule firing,
   // override kill, shard assignment and surviving operation is recorded
   // under stable listing-rank ids ("#12"). To keep the journal

@@ -320,12 +320,6 @@ class ReportBuilder {
         }
         return;
       }
-      case EventKind::kFastPathTaken: {
-        std::string line = e.scope + ": " + e.name;
-        if (!e.detail.empty()) line += " (" + e.detail + ")";
-        report_.fast_paths.push_back(std::move(line));
-        return;
-      }
       case EventKind::kOpSurvived: {
         for (const std::string& id : e.ops) {
           ProvenanceChain* chain = Lookup(id);
@@ -430,9 +424,6 @@ std::string RenderChains(const ExplainReport& report,
     }
     out += '\n';
     return out;
-  }
-  for (const std::string& line : report.fast_paths) {
-    out += "fast path: " + line + '\n';
   }
   for (const ProvenanceChain& chain : report.chains) {
     RenderChain(chain, &out);

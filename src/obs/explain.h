@@ -34,9 +34,6 @@ struct ProvenanceChain {
 struct ExplainReport {
   // Operator scopes seen in the journal, first-seen order.
   std::vector<std::string> scopes;
-  // Global fast-path lines ("static-independent", ...) if any engine
-  // skipped its dynamic phase.
-  std::vector<std::string> fast_paths;
   // One chain per known operation id, in id-first-seen (journal) order.
   std::vector<ProvenanceChain> chains;
 };

@@ -14,8 +14,6 @@ std::string_view FlightEventKindName(FlightEventKind kind) {
     case FlightEventKind::kFsyncOk: return "fsync-ok";
     case FlightEventKind::kFsyncFail: return "fsync-fail";
     case FlightEventKind::kApply: return "apply";
-    case FlightEventKind::kSchemaRoute: return "schema-route";
-    case FlightEventKind::kSchemaFallback: return "schema-fallback";
     case FlightEventKind::kWalPoison: return "wal-poison";
     case FlightEventKind::kTenantOpen: return "tenant-open";
     case FlightEventKind::kShutdown: return "shutdown";

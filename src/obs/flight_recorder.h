@@ -19,8 +19,6 @@ namespace xupdate::obs {
 //   kFsyncOk /      request 0        batch id  value = commits coalesced
 //   kFsyncFail                                 detail = error text (fail)
 //   kApply          request 0        batch id  value = commits applied
-//   kSchemaRoute /  request 0        batch id  value = jobs in the tenant
-//   kSchemaFallback                            group routed / kept serial
 //   kWalPoison      request 0        batch id  detail = poisoning status
 //   kTenantOpen     request 0        batch 0   value = resident tenants
 //   kShutdown       request 0        batch 0   value = events recorded
@@ -31,8 +29,6 @@ enum class FlightEventKind : uint8_t {
   kFsyncOk,
   kFsyncFail,
   kApply,
-  kSchemaRoute,
-  kSchemaFallback,
   kWalPoison,
   kTenantOpen,
   kShutdown,

@@ -18,7 +18,6 @@ constexpr KindName kKindNames[] = {
     {EventKind::kRuleFired, "rule-fired"},
     {EventKind::kConflictDetected, "conflict-detected"},
     {EventKind::kPolicyApplied, "policy-applied"},
-    {EventKind::kFastPathTaken, "fast-path-taken"},
     {EventKind::kOpSurvived, "op-survived"},
     {EventKind::kNote, "note"},
 };

@@ -42,7 +42,6 @@ enum class EventKind : uint8_t {
   kRuleFired,         // name = Figure 2 rule; ops = inputs; result = merged id
   kConflictDetected,  // name = conflict class; ops = members; result = overrider
   kPolicyApplied,     // name = resolution; ops = members; result = kept id
-  kFastPathTaken,     // name = which static-analysis skip engaged
   kOpSurvived,        // name = op kind; ops = [input id]; result = output id
   kNote,              // free-form bookkeeping (input inventories etc.)
 };

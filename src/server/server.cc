@@ -11,7 +11,6 @@
 #include "core/integrate.h"
 #include "core/reduce.h"
 #include "pul/pul_io.h"
-#include "schema/summary.h"
 #include "server/stat.h"
 
 namespace xupdate::server {
@@ -162,7 +161,8 @@ Status Server::Stop() {
   }
   // The accept thread (the only other mutator of sessions_) is joined,
   // so iterating without the lock is safe — and necessary: joining
-  // under sessions_mu_ could deadlock if a session path ever needed it.
+  // under sessions_mu_ would deadlock, since a session closes its socket
+  // under it.
   for (Session& session : sessions_) {
     if (session.worker.joinable()) session.worker.join();
   }
@@ -386,7 +386,13 @@ void Server::SessionLoop(Session* session) {
     (void)session->sock.SendFrame(EncodeMessage(OkMessage()));
     RequestStop();
   }
-  (void)session->sock.Close();
+  {
+    // Stop() shuts every session's socket down under sessions_mu_;
+    // closing under the same lock keeps it from reading a socket that
+    // is being closed.
+    std::lock_guard<std::mutex> lock(sessions_mu_);
+    (void)session->sock.Close();
+  }
   session->finished.store(true);
 }
 
@@ -858,83 +864,14 @@ void Server::RunBatch(std::deque<CommitJob> batch) {
     if (inserted) order.push_back(job.tenant);
     it->second.push_back(&job);
   }
-  if (options_.schema == nullptr) {
-    for (Tenant* tenant : order) {
-      CommitGroup(tenant, groups[tenant], batch_id);
-    }
-    return;
-  }
-
-  // Schema router: type-check each tenant group. A group whose queued
-  // PULs are pairwise proven independent at the type level — trivially
-  // true for a single commit — needs no conflict detection and joins
-  // the concurrent wave (distinct tenants own distinct stores, and
-  // CommitBatch preserves the group's internal order, so the wave
-  // commutes with the sequential path byte for byte). Groups the tier
-  // cannot prove fall back to the sequential path.
-  std::vector<Tenant*> routed;
-  std::vector<Tenant*> fallback;
-  for (Tenant* tenant : order) {
-    const std::vector<CommitJob*>& jobs = groups[tenant];
-    bool proven = true;
-    if (jobs.size() > 1) {
-      std::vector<schema::TypeSummary> summaries;
-      summaries.reserve(jobs.size());
-      for (const CommitJob* job : jobs) {
-        summaries.push_back(
-            schema::InferTouchedTypes(*options_.schema, job->pul));
-      }
-      for (size_t i = 0; i < summaries.size() && proven; ++i) {
-        for (size_t j = i + 1; j < summaries.size(); ++j) {
-          if (schema::DecideIndependence(summaries[i], summaries[j]) !=
-              schema::SchemaVerdict::kProvenIndependent) {
-            proven = false;
-            break;
-          }
-        }
-      }
-    }
-    (proven ? routed : fallback).push_back(tenant);
-    if (options_.metrics != nullptr) {
-      options_.metrics->AddCounter(
-          proven ? "server.schema.routed" : "server.schema.fallback",
-          jobs.size());
-    }
-    RecordFlight(proven ? obs::FlightEventKind::kSchemaRoute
-                        : obs::FlightEventKind::kSchemaFallback,
-                 tenant->name, 0, batch_id, jobs.size());
-  }
-  if (routed.size() <= 1) {
-    for (Tenant* tenant : routed) CommitGroup(tenant, groups[tenant], batch_id);
-  } else {
-    size_t workers = routed.size();
-    if (options_.max_parallelism > 0 &&
-        workers > static_cast<size_t>(options_.max_parallelism)) {
-      workers = static_cast<size_t>(options_.max_parallelism);
-    }
-    std::atomic<size_t> next{0};
-    std::vector<std::thread> threads;
-    threads.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      threads.emplace_back([this, &routed, &groups, &next, batch_id] {
-        for (;;) {
-          size_t i = next.fetch_add(1);
-          if (i >= routed.size()) return;
-          CommitGroup(routed[i], groups[routed[i]], batch_id);
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-  }
-  for (Tenant* tenant : fallback) CommitGroup(tenant, groups[tenant], batch_id);
+  for (Tenant* tenant : order) CommitGroup(tenant, groups[tenant], batch_id);
 }
 
 void Server::CommitGroup(Tenant* tenant, const std::vector<CommitJob*>& jobs,
                          uint64_t batch_id) {
   const auto start = Clock::now();
   // One commit-stage lane per job: each (request id, lane 2) pair is
-  // touched only by this thread, so the seq discipline holds even when
-  // the schema router runs groups concurrently.
+  // touched only by the batcher thread.
   std::vector<obs::TraceLane> lanes;
   if (options_.tracer != nullptr) {
     lanes.reserve(jobs.size());

@@ -23,7 +23,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "pul/pul.h"
-#include "schema/schema.h"
 #include "server/protocol.h"
 #include "store/version.h"
 
@@ -92,14 +91,6 @@ struct ServerOptions {
   // (`server.busy.tenant_quota`) while other tenants keep committing —
   // one producer can no longer monopolize the admission queue.
   size_t max_pending_per_tenant = 0;
-  // Schema router. When set, the batcher type-checks each tenant
-  // group's PULs (schema::InferTouchedTypes / DecideIndependence):
-  // groups whose members are pairwise proven independent — trivially so
-  // for single-commit groups — are routed to a concurrent commit wave
-  // that never enters conflict detection, while the rest fall back to
-  // the sequential path. `server.schema.routed` / `server.schema.fallback`
-  // count the jobs on each side. Not owned; must outlive the server.
-  const schema::Schema* schema = nullptr;
   // How long the batcher waits after the first queued commit before
   // draining, letting concurrent committers coalesce. 0 = drain
   // immediately (still coalesces whatever queued while the previous

@@ -22,6 +22,14 @@ using xml::NodeType;
 
 constexpr size_t kIdBlock = 1 << 20;  // per-producer id space stride
 
+bool HasAttributeNamed(const Document& doc, NodeId element,
+                       const std::string& name) {
+  for (NodeId a : doc.attributes(element)) {
+    if (doc.name(a) == name) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 PulGenerator::PulGenerator(const Document& doc, const Labeling& labeling,
@@ -84,14 +92,7 @@ bool PulGenerator::EmitRandomOp(
         // The fresh counter restarts per PUL, so a previous commit (or a
         // merged-in edit) may already have put this name on the element;
         // inserting it again would make the PUL inapplicable.
-        bool taken = false;
-        for (NodeId a : doc.attributes(target)) {
-          if (doc.name(a) == name) {
-            taken = true;
-            break;
-          }
-        }
-        if (taken) continue;
+        if (HasAttributeNamed(doc, target, name)) continue;
         NodeId attr = pul->NewAttributeParam(name, "v");
         return pul->AddTreeOp(kind, target, labeling, {attr}).ok();
       }
@@ -139,10 +140,14 @@ bool PulGenerator::EmitRandomOp(
         if (!used_rep->insert({target, static_cast<int>(kind)}).second) {
           continue;
         }
-        return pul
-            ->AddStringOp(kind, target, labeling,
-                          "n" + std::to_string((*fresh)++))
-            .ok();
+        std::string name = "n" + std::to_string((*fresh)++);
+        // Same restart hazard as kInsAttributes: a renamed attribute must
+        // not take a name its owner element already carries.
+        if (doc.type(target) == NodeType::kAttribute &&
+            HasAttributeNamed(doc, doc.parent(target), name)) {
+          continue;
+        }
+        return pul->AddStringOp(kind, target, labeling, name).ok();
       }
     }
   }

@@ -1,7 +1,6 @@
 // Golden and property tests for the static PUL analyzer: lint
 // diagnostics on pathological PULs, reduction-effect prediction bounds,
-// the pairwise independence verdicts, and the byte-identity of the
-// use_static_analysis fast paths in Reduce and Integrate.
+// and the pairwise independence verdicts.
 
 #include <gtest/gtest.h>
 
@@ -26,12 +25,6 @@ using pul::OpKind;
 using pul::Pul;
 using xml::Document;
 using xml::NodeId;
-
-std::string Serialized(const Pul& pul) {
-  auto text = pul::SerializePul(pul);
-  EXPECT_TRUE(text.ok()) << text.status();
-  return text.ok() ? *text : std::string();
-}
 
 class AnalyzerTest : public ::testing::Test {
  protected:
@@ -306,38 +299,6 @@ TEST_F(AnalyzerTest, PredictionBoundsReduceOnRandomPuls) {
   }
 }
 
-// The reduce fast path must be invisible: byte-identical output whenever
-// it engages, and never engaged for canonical mode.
-TEST_F(AnalyzerTest, ReduceStaticSkipIsByteIdentical) {
-  Pul p = MakePul();
-  ASSERT_TRUE(p.AddStringOp(OpKind::kRename, 3, labeling_, "v").ok());
-  ASSERT_TRUE(p.AddStringOp(OpKind::kReplaceValue, 13, labeling_, "9").ok());
-  ASSERT_TRUE(PredictReduction(p).no_rule_can_fire);
-  for (core::ReduceMode mode :
-       {core::ReduceMode::kPlain, core::ReduceMode::kDeterministic,
-        core::ReduceMode::kCanonical}) {
-    core::ReduceOptions plain;
-    plain.mode = mode;
-    auto base = core::Reduce(p, plain);
-    ASSERT_TRUE(base.ok());
-    core::ReduceOptions fast = plain;
-    fast.use_static_analysis = true;
-    Metrics metrics;
-    fast.metrics = &metrics;
-    core::ReduceStats stats;
-    auto skipped = core::Reduce(p, fast, &stats);
-    ASSERT_TRUE(skipped.ok());
-    EXPECT_EQ(Serialized(*skipped), Serialized(*base))
-        << "mode " << static_cast<int>(mode);
-    if (mode == core::ReduceMode::kCanonical) {
-      EXPECT_EQ(metrics.counter("reduce.static.identity_skips"), 0u);
-    } else {
-      EXPECT_EQ(metrics.counter("reduce.static.identity_skips"), 1u);
-      EXPECT_EQ(stats.rule_applications, 0u);
-    }
-  }
-}
-
 // --- Independence ---------------------------------------------------------
 
 TEST_F(AnalyzerTest, SameKindSameTargetIsMustConflict) {
@@ -425,43 +386,6 @@ TEST_F(AnalyzerTest, MissingLabelIsMayConflict) {
   IndependenceReport r = AnalyzeIndependence(a, b);
   EXPECT_EQ(r.verdict, IndependenceVerdict::kMayConflict);
   EXPECT_EQ(r.reason, "missing-label");
-}
-
-TEST_F(AnalyzerTest, IntegrateStaticSkipIsByteIdentical) {
-  // Independent pair: disjoint subtrees (article 4 vs title 14's tree).
-  Pul a = MakePul(0);
-  ASSERT_TRUE(a.AddStringOp(OpKind::kRename, 5, labeling_, "x").ok());
-  ASSERT_TRUE(a.AddTreeOp(OpKind::kInsAttributes, 4, labeling_,
-                          {a.NewAttributeParam("p", "1")})
-                  .ok());
-  Pul b = MakePul(1);
-  ASSERT_TRUE(b.AddStringOp(OpKind::kReplaceValue, 15, labeling_, "R").ok());
-  ASSERT_EQ(AnalyzeIndependence(a, b).verdict,
-            IndependenceVerdict::kIndependent);
-
-  auto base = core::Integrate({&a, &b});
-  ASSERT_TRUE(base.ok());
-  core::IntegrateOptions opts;
-  opts.use_static_analysis = true;
-  Metrics metrics;
-  opts.metrics = &metrics;
-  auto fast = core::Integrate({&a, &b}, opts);
-  ASSERT_TRUE(fast.ok());
-  EXPECT_TRUE(fast->conflicts.empty());
-  EXPECT_EQ(Serialized(fast->merged), Serialized(base->merged));
-  EXPECT_EQ(metrics.counter("integrate.static.skips"), 1u);
-
-  // Conflicting pair: the fast path must fall through to detection and
-  // report the same conflicts.
-  Pul c = MakePul(2);
-  ASSERT_TRUE(c.AddStringOp(OpKind::kRename, 5, labeling_, "z").ok());
-  auto base2 = core::Integrate({&a, &c});
-  ASSERT_TRUE(base2.ok());
-  auto fast2 = core::Integrate({&a, &c}, opts);
-  ASSERT_TRUE(fast2.ok());
-  EXPECT_EQ(fast2->conflicts.size(), base2->conflicts.size());
-  EXPECT_FALSE(fast2->conflicts.empty());
-  EXPECT_EQ(Serialized(fast2->merged), Serialized(base2->merged));
 }
 
 TEST_F(AnalyzerTest, VerdictAndSeverityNames) {

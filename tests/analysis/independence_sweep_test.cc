@@ -1,8 +1,7 @@
 // Soundness sweep for AnalyzeIndependence: over hundreds of seeded PUL
 // pairs, a kIndependent verdict must imply the dynamic detector finds
 // zero conflicts, and a kMustConflict verdict must imply it finds at
-// least one. Also re-validates the Integrate use_static_analysis fast
-// path byte-for-byte on every pair, independent or not.
+// least one.
 
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "common/random.h"
 #include "core/integrate.h"
 #include "label/labeling.h"
-#include "pul/pul_io.h"
 #include "testing/test_docs.h"
 #include "workload/pul_generator.h"
 #include "xmark/generator.h"
@@ -25,12 +23,6 @@ namespace {
 using pul::Pul;
 using workload::PulGenerator;
 using xml::Document;
-
-std::string Serialized(const Pul& pul) {
-  auto text = pul::SerializePul(pul);
-  EXPECT_TRUE(text.ok()) << text.status();
-  return text.ok() ? *text : std::string();
-}
 
 std::string ConflictSummary(const std::vector<core::Conflict>& conflicts) {
   std::string out;
@@ -56,8 +48,8 @@ struct SweepTally {
   size_t may_conflict = 0;
 };
 
-// Checks one pair against the dynamic detector and the fast path;
-// returns the verdict for tallying.
+// Checks one pair against the dynamic detector; returns the verdict for
+// tallying.
 IndependenceVerdict CheckPair(const Pul& a, const Pul& b,
                               const std::string& context) {
   IndependenceReport verdict = AnalyzeIndependence(a, b);
@@ -77,19 +69,6 @@ IndependenceVerdict CheckPair(const Pul& a, const Pul& b,
         << context << ": static analysis promised a conflict (reason "
         << verdict.reason << ", ops " << verdict.op_a << "/" << verdict.op_b
         << ") but dynamic Integrate found none";
-  }
-
-  // The fast path must be a pure wall-time optimization.
-  core::IntegrateOptions opts;
-  opts.use_static_analysis = true;
-  auto fast = core::Integrate({&a, &b}, opts);
-  EXPECT_TRUE(fast.ok()) << fast.status() << " " << context;
-  if (fast.ok()) {
-    EXPECT_EQ(Serialized(fast->merged), Serialized(dynamic->merged))
-        << context;
-    EXPECT_EQ(ConflictSummary(fast->conflicts),
-              ConflictSummary(dynamic->conflicts))
-        << context;
   }
   return verdict.verdict;
 }

@@ -70,25 +70,6 @@ TEST_F(ConvergenceSweepTest, SeededSchedulesConvergeAcrossWriterCounts) {
   EXPECT_GT(merges, total);  // every schedule merges more than once
 }
 
-TEST_F(ConvergenceSweepTest, SchemaTierSweepIsByteIdentical) {
-  // The same seeds with the schema tier on and off must converge to the
-  // same bytes — the digest folds every schedule's final state.
-  scratch_ = ScratchDir("schema");
-  SimOptions options;
-  options.schedules = 25;
-  options.writers = 3;
-  options.seed = 77;
-  options.scratch_dir = scratch_;
-  auto plain = RunSim(options);
-  ASSERT_TRUE(plain.ok()) << plain.status();
-  EXPECT_EQ(plain->converged, plain->schedules);
-  options.use_schema_analysis = true;
-  auto schema = RunSim(options);
-  ASSERT_TRUE(schema.ok()) << schema.status();
-  EXPECT_EQ(schema->converged, schema->schedules);
-  EXPECT_EQ(plain->digest, schema->digest);
-}
-
 TEST_F(ConvergenceSweepTest, VerifiedSchedulesPassTheStoreAudit) {
   scratch_ = ScratchDir("verify");
   SimOptions options;

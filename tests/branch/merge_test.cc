@@ -300,19 +300,16 @@ TEST_F(BranchMergeTest, PoliciesRoundTripThroughJournal) {
   EXPECT_FALSE(info->policies.preserve_removed_data);
 }
 
-TEST_F(BranchMergeTest, SchemaTierMergesByteIdenticalOnXmark) {
-  // Same divergence on an XMark document, merged with and without the
-  // schema tier: bytes must agree (the tier only skips work it proves
-  // unnecessary).
+TEST_F(BranchMergeTest, GeneratedXmarkEditsMergeIdenticallyOnBothSides) {
+  // Seeded generator edits on an XMark document, one per side: the full
+  // merge must land both sides on the same bytes.
   xmark::Config config;
   config.target_bytes = 4096;
   auto xml = xmark::GenerateDocumentText(config);
   ASSERT_TRUE(xml.ok());
   base_xml_ = *xml;
-  schema::Schema schema = schema::Schema::BuiltinXmark();
-  std::string merged_plain, merged_schema;
   // The paper-figure node ids mean nothing here; generate the edits
-  // against the XMark document itself (same seeds both modes).
+  // against the XMark document itself.
   auto xmark_edit = [](const xml::Document& doc, uint64_t seed,
                        uint64_t id_base) {
     label::Labeling labeling = label::Labeling::Build(doc);
@@ -324,25 +321,19 @@ TEST_F(BranchMergeTest, SchemaTierMergesByteIdenticalOnXmark) {
     EXPECT_TRUE(pul.ok()) << pul.status();
     return *pul;
   };
-  for (int mode = 0; mode < 2; ++mode) {
-    VersionStore store = MakeStore(mode == 0 ? "plain" : "schema");
-    ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
-    uint64_t id_base = store.head_doc().max_assigned_id() + 1;
-    ASSERT_TRUE(
-        store.Commit(xmark_edit(store.head_doc(), 11, id_base)).ok());
-    auto doc = store.BranchHeadDoc("w");
-    ASSERT_TRUE(
-        store
-            .CommitOnBranch("w", xmark_edit(**doc, 22, id_base + (1 << 16)))
-            .ok());
-    MergeOptions options;
-    options.use_schema_analysis = mode == 1;
-    options.schema = mode == 1 ? &schema : nullptr;
-    auto result = Merge(&store, "main", "w", options);
-    ASSERT_TRUE(result.ok()) << result.status();
-    (mode == 0 ? merged_plain : merged_schema) = HeadBytes(store, "main");
-  }
-  EXPECT_EQ(merged_plain, merged_schema);
+  VersionStore store = MakeStore();
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  uint64_t id_base = store.head_doc().max_assigned_id() + 1;
+  ASSERT_TRUE(store.Commit(xmark_edit(store.head_doc(), 11, id_base)).ok());
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(
+      store.CommitOnBranch("w", xmark_edit(**doc, 22, id_base + (1 << 16)))
+          .ok());
+  MergeStats stats;
+  auto result = Merge(&store, "main", "w", {}, &stats);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_FALSE(stats.fast_forward);
+  EXPECT_EQ(HeadBytes(store, "main"), HeadBytes(store, "w"));
 }
 
 TEST_F(BranchMergeTest, LogBranchReportsOpCountsAndMergeFrames) {

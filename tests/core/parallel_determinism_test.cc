@@ -161,46 +161,6 @@ TEST_F(ParallelDeterminismTest, IntegrateMatchesSequentialOnConflictSweeps) {
       EXPECT_EQ(ConflictsToString(result->conflicts), base_conflicts)
           << "seed " << seed << " parallelism " << parallelism;
     }
-
-    // The static-analysis fast path must be just as invisible as the
-    // parallel engine, whether or not it manages to skip detection.
-    IntegrateOptions with_analysis;
-    with_analysis.use_static_analysis = true;
-    auto analyzed = Integrate(refs, with_analysis);
-    ASSERT_TRUE(analyzed.ok()) << analyzed.status();
-    EXPECT_EQ(Serialized(analyzed->merged), base_merged) << "seed " << seed;
-    EXPECT_EQ(ConflictsToString(analyzed->conflicts), base_conflicts)
-        << "seed " << seed;
-  }
-}
-
-// Reduce's static identity skip across the determinism workloads: for
-// every seed and mode the output must match the default path, byte for
-// byte, whether or not the skip engages.
-TEST_F(ParallelDeterminismTest, ReduceStaticAnalysisIsByteIdentical) {
-  const ReduceMode kModes[] = {ReduceMode::kPlain, ReduceMode::kDeterministic,
-                               ReduceMode::kCanonical};
-  for (uint64_t seed = 1; seed <= 40; ++seed) {
-    PulGenerator gen(*doc_, *labeling_, seed);
-    PulGenerator::PulOptions options;
-    options.num_ops = 80;
-    // Low density on even seeds so some workloads are irreducible and
-    // actually take the identity skip.
-    options.reducible_fraction = (seed % 2 == 0) ? 0.0 : 0.3;
-    auto pul = gen.Generate(options);
-    ASSERT_TRUE(pul.ok()) << pul.status();
-    for (ReduceMode mode : kModes) {
-      ReduceOptions plain;
-      plain.mode = mode;
-      auto base = Reduce(*pul, plain);
-      ASSERT_TRUE(base.ok()) << base.status();
-      ReduceOptions fast = plain;
-      fast.use_static_analysis = true;
-      auto result = Reduce(*pul, fast);
-      ASSERT_TRUE(result.ok()) << result.status();
-      EXPECT_EQ(Serialized(*result), Serialized(*base))
-          << "seed " << seed << " mode " << static_cast<int>(mode);
-    }
   }
 }
 

@@ -118,20 +118,15 @@ TEST(ExplainTest, RendersSingleOpAndUnknownId) {
   EXPECT_NE(unknown.find("#0"), std::string::npos);
 }
 
-TEST(ExplainTest, CollectsFastPathsAndConflicts) {
+TEST(ExplainTest, CollectsConflicts) {
   Tracer tracer;
   uint32_t phase = tracer.NextPhase();
   TraceLane lane = tracer.Lane(phase, 0, "integrate");
   lane.Emit(EventKind::kNote, "input", {"P0#0", "P1#0"});
-  lane.Emit(EventKind::kFastPathTaken, "static-independent", {}, {},
-            "2 PULs");
   lane.Emit(EventKind::kConflictDetected, "insertion-order",
             {"P0#0", "P1#0"});
   auto report = BuildExplainReport(tracer.SortedEvents());
   ASSERT_TRUE(report.ok()) << report.status();
-  ASSERT_EQ(report->fast_paths.size(), 1u);
-  EXPECT_EQ(report->fast_paths[0],
-            "integrate: static-independent (2 PULs)");
   ASSERT_EQ(report->chains.size(), 2u);
   ASSERT_EQ(report->chains[0].steps.size(), 1u);
   EXPECT_EQ(report->chains[0].steps[0],

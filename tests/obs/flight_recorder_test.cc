@@ -106,10 +106,6 @@ TEST(FlightRecorderTest, KindNamesAreStable) {
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kFsyncOk), "fsync-ok");
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kFsyncFail), "fsync-fail");
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kApply), "apply");
-  EXPECT_EQ(FlightEventKindName(FlightEventKind::kSchemaRoute),
-            "schema-route");
-  EXPECT_EQ(FlightEventKindName(FlightEventKind::kSchemaFallback),
-            "schema-fallback");
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kWalPoison), "wal-poison");
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kTenantOpen), "tenant-open");
   EXPECT_EQ(FlightEventKindName(FlightEventKind::kShutdown), "shutdown");

@@ -95,8 +95,7 @@ TEST(EventKindNameTest, RoundTripsEveryKind) {
       EventKind::kSpanBegin,    EventKind::kSpanEnd,
       EventKind::kShardAssigned, EventKind::kRuleFired,
       EventKind::kConflictDetected, EventKind::kPolicyApplied,
-      EventKind::kFastPathTaken, EventKind::kOpSurvived,
-      EventKind::kNote};
+      EventKind::kOpSurvived,   EventKind::kNote};
   for (EventKind kind : kinds) {
     std::string_view name = EventKindName(kind);
     EXPECT_FALSE(name.empty());

@@ -1,11 +1,9 @@
-// Differential soundness sweep for the schema tier. Over hundreds of
-// seeded PUL pairs on XMark documents (which conform to the builtin
-// schema by construction — schema_test.cc walks one node by node), a
-// kProvenIndependent verdict must imply BOTH that the exact analyzer
-// returns kIndependent and that dynamic Integrate finds zero conflicts.
-// Every pair additionally re-validates the Integrate
-// use_schema_analysis fast path byte-for-byte against the default path
-// at parallelism 1 and 4.
+// Differential soundness sweep for the type-level independence decision
+// (schema::DecideIndependence). Over hundreds of seeded PUL pairs on
+// XMark documents (which conform to the builtin schema by construction —
+// schema_test.cc walks one node by node), a kProvenIndependent verdict
+// must imply BOTH that the exact analyzer returns kIndependent and that
+// dynamic Integrate finds zero conflicts.
 
 #include <gtest/gtest.h>
 
@@ -14,11 +12,9 @@
 #include <vector>
 
 #include "analysis/independence.h"
-#include "analysis/schema_tier.h"
 #include "core/integrate.h"
 #include "label/labeling.h"
 #include "pul/pul.h"
-#include "pul/pul_io.h"
 #include "schema/schema.h"
 #include "schema/summary.h"
 #include "workload/pul_generator.h"
@@ -30,12 +26,6 @@ namespace {
 
 using pul::Pul;
 using workload::PulGenerator;
-
-std::string Serialized(const Pul& pul) {
-  auto text = pul::SerializePul(pul);
-  EXPECT_TRUE(text.ok()) << text.status();
-  return text.ok() ? *text : std::string();
-}
 
 std::string ConflictSummary(const std::vector<core::Conflict>& conflicts) {
   std::string out;
@@ -61,8 +51,7 @@ struct SoundnessTally {
 };
 
 // One pair through the whole stack: verdict soundness against both the
-// exact analyzer and the dynamic detector, then fast-path byte
-// identity at both parallelism levels.
+// exact analyzer and the dynamic detector.
 void CheckPair(const Schema& schema, const Pul& a, const Pul& b,
                SoundnessTally* tally, const std::string& context) {
   ++tally->pairs;
@@ -75,47 +64,24 @@ void CheckPair(const Schema& schema, const Pul& a, const Pul& b,
 
   if (verdict == SchemaVerdict::kProvenIndependent) {
     ++tally->proven;
-    // The exact analyzer must agree (the tier-0 short-circuit
-    // synthesizes its independent report verbatim)...
+    // The exact analyzer must agree, with the plain independent report
+    // (`xupdate analyze --schema` prints it next to the tier0 marker)...
     analysis::IndependenceReport exact = analysis::AnalyzeIndependence(a, b);
     EXPECT_EQ(exact.verdict, analysis::IndependenceVerdict::kIndependent)
-        << context << ": schema tier proved independence but the exact "
+        << context << ": type-level decision proved independence but the exact "
         << "analyzer said " << analysis::IndependenceVerdictName(exact.verdict)
         << " (reason " << exact.reason << ", ops " << exact.op_a << "/"
         << exact.op_b << ")";
     // ...and so must the ground truth.
     EXPECT_TRUE(dynamic->conflicts.empty())
-        << context << ": schema tier proved independence but dynamic "
+        << context << ": type-level decision proved independence but dynamic "
         << "Integrate found " << dynamic->conflicts.size() << " conflicts:\n"
         << ConflictSummary(dynamic->conflicts);
-    // The tiered entry point must report the hit with the same bytes the
-    // exact analyzer produces for an independent pair.
-    analysis::TieredIndependence tiered =
-        analysis::AnalyzeIndependenceTiered(sa, sb, a, b);
-    EXPECT_TRUE(tiered.resolved_at_tier0) << context;
-    EXPECT_EQ(tiered.report.verdict,
-              analysis::IndependenceVerdict::kIndependent);
-    EXPECT_EQ(tiered.report.reason, exact.reason) << context;
-    EXPECT_EQ(tiered.report.op_a, exact.op_a) << context;
-    EXPECT_EQ(tiered.report.op_b, exact.op_b) << context;
+    EXPECT_EQ(exact.reason, "disjoint") << context;
+    EXPECT_EQ(exact.op_a, -1) << context;
+    EXPECT_EQ(exact.op_b, -1) << context;
   } else {
     ++tally->unknown;
-  }
-
-  // use_schema_analysis must be a pure wall-time optimization, at every
-  // parallelism level, proven pair or not.
-  for (int parallelism : {1, 4}) {
-    core::IntegrateOptions opts;
-    opts.parallelism = parallelism;
-    opts.use_schema_analysis = true;
-    opts.schema = &schema;
-    auto fast = core::Integrate({&a, &b}, opts);
-    ASSERT_TRUE(fast.ok()) << fast.status() << " " << context;
-    EXPECT_EQ(Serialized(fast->merged), Serialized(dynamic->merged))
-        << context << " parallelism " << parallelism;
-    EXPECT_EQ(ConflictSummary(fast->conflicts),
-              ConflictSummary(dynamic->conflicts))
-        << context << " parallelism " << parallelism;
   }
 }
 
@@ -145,7 +111,7 @@ TEST(SchemaSoundnessTest, SeededXmarkSweep) {
               "draw seed " + std::to_string(seed));
   }
 
-  // Other half: conflict-seeded pairs — the tier must never prove one
+  // Other half: conflict-seeded pairs — the decision must never prove one
   // of the planted conflicts away.
   for (uint64_t seed = 1; seed <= 110; ++seed) {
     PulGenerator gen(*doc, labeling, seed * 31 + 7);
@@ -166,9 +132,9 @@ TEST(SchemaSoundnessTest, SeededXmarkSweep) {
 }
 
 // Hand-built indep-heavy workload: single-op PULs on structurally
-// disjoint regions. This pins down that the tier actually proves
+// disjoint regions. This pins down that the decision actually proves
 // something (the sweep above asserts only soundness) so a precision
-// regression cannot hide behind an all-unknown tier.
+// regression cannot hide behind an all-unknown verdict.
 TEST(SchemaSoundnessTest, DisjointRegionPairsProve) {
   Schema schema = Schema::BuiltinXmark();
   xmark::Config config;

@@ -4,7 +4,7 @@
 // summary.h and the XU008-XU010 schema lint. The builtin XMark schema
 // is additionally validated against an actual generated document —
 // every node of the generator's output must be admitted by the DTD the
-// reasoning tier trusts.
+// schema lint and `analyze --schema` trust.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "analysis/diagnostic.h"
-#include "analysis/schema_tier.h"
+#include "analysis/schema_lint.h"
 #include "label/labeling.h"
 #include "pul/pul.h"
 #include "schema/schema.h"

@@ -54,15 +54,13 @@ class ServerTest : public ::testing::Test {
 
   void StartServer(int commit_window_ms = 0, size_t max_pending = 128,
                    int64_t fail_after_bytes = -1,
-                   size_t max_pending_per_tenant = 0,
-                   const schema::Schema* schema = nullptr) {
+                   size_t max_pending_per_tenant = 0) {
     ServerOptions options;
     options.socket_path = socket_path_;
     options.data_dir = (dir_ / "data").string();
     options.commit_window_ms = commit_window_ms;
     options.max_pending = max_pending;
     options.max_pending_per_tenant = max_pending_per_tenant;
-    options.schema = schema;
     options.store.fail_after_bytes = fail_after_bytes;
     options.store.snapshot_every = 0;  // keep fsync counters WAL-only
     options.store.snapshot_bytes = 0;
@@ -318,79 +316,42 @@ TEST_F(ServerTest, PerTenantQuotaShedsHotTenantOnly) {
   EXPECT_TRUE(hot.Ping().ok());
 }
 
-TEST_F(ServerTest, SchemaRouterRoutesSingleCommitGroups) {
-  // With the router enabled, single-commit tenant groups are trivially
-  // proven independent and take the routed (concurrent) path; the
-  // committed bytes must match the sequential replay exactly.
-  schema::Schema schema = schema::Schema::BuiltinXmark();
-  StartServer(/*commit_window_ms=*/100, /*max_pending=*/128,
-              /*fail_after_bytes=*/-1, /*max_pending_per_tenant=*/0,
-              &schema);
+TEST_F(ServerTest, MultiTenantBatchCommitsEveryGroup) {
+  // Two tenants pipeline chains into the same batch window. The batcher
+  // commits one group per tenant, in arrival order; every version of
+  // both stores must match its tenant's local sequential replay.
+  constexpr size_t kCommits = 3;
+  StartServer(/*commit_window_ms=*/300);
   Client a = Connect();
   Client b = Connect();
   ASSERT_TRUE(a.Open("t0", base_xml_).ok());
   ASSERT_TRUE(b.Open("t1", base_xml_).ok());
-  std::vector<std::string> chain_a = ChainXml(1, 71);
+  std::vector<std::string> chain_a = ChainXml(kCommits, 71);
   std::vector<std::string> expected_a = expected_;
-  std::vector<std::string> chain_b = ChainXml(1, 73);
+  std::vector<std::string> chain_b = ChainXml(kCommits, 73);
   std::vector<std::string> expected_b = expected_;
 
-  // Pipeline both into one window so the routed wave actually sees two
-  // groups at once (1 + 1 routed jobs either way if the window splits).
-  ASSERT_TRUE(a.Send(CommitRequest("t0", chain_a[0])).ok());
-  ASSERT_TRUE(b.Send(CommitRequest("t1", chain_b[0])).ok());
-  auto ack_a = a.Receive();
-  ASSERT_TRUE(ack_a.ok()) << ack_a.status();
-  EXPECT_EQ(ack_a->type, MsgType::kOk);
-  auto ack_b = b.Receive();
-  ASSERT_TRUE(ack_b.ok()) << ack_b.status();
-  EXPECT_EQ(ack_b->type, MsgType::kOk);
-
-  EXPECT_EQ(metrics_.counter("server.schema.routed"), 2u);
-  EXPECT_EQ(metrics_.counter("server.schema.fallback"), 0u);
-
-  auto xml_a = a.Checkout("t0", 1);
-  ASSERT_TRUE(xml_a.ok()) << xml_a.status();
-  EXPECT_EQ(*xml_a, expected_a[1]);
-  auto xml_b = b.Checkout("t1", 1);
-  ASSERT_TRUE(xml_b.ok()) << xml_b.status();
-  EXPECT_EQ(*xml_b, expected_b[1]);
-}
-
-TEST_F(ServerTest, SchemaRouterFallsBackOnUnprovenGroup) {
-  // A chained multi-commit group carries ops targeting nodes created by
-  // earlier PULs (no structural label), so the type tier abstains: the
-  // group must take the sequential fallback and still produce the exact
-  // sequential-replay bytes.
-  schema::Schema schema = schema::Schema::BuiltinXmark();
-  StartServer(/*commit_window_ms=*/300, /*max_pending=*/128,
-              /*fail_after_bytes=*/-1, /*max_pending_per_tenant=*/0,
-              &schema);
-  Client client = Connect();
-  ASSERT_TRUE(client.Open("t0", base_xml_).ok());
-  constexpr size_t kCommits = 3;
-  std::vector<std::string> chain = ChainXml(kCommits, 77);
-
-  for (const std::string& pul_xml : chain) {
-    ASSERT_TRUE(client.Send(CommitRequest("t0", pul_xml)).ok());
-  }
   for (size_t i = 0; i < kCommits; ++i) {
-    auto response = client.Receive();
-    ASSERT_TRUE(response.ok()) << i << ": " << response.status();
-    ASSERT_EQ(response->type, MsgType::kOk) << i;
-    EXPECT_EQ(response->a, i + 1);
+    ASSERT_TRUE(a.Send(CommitRequest("t0", chain_a[i])).ok());
+    ASSERT_TRUE(b.Send(CommitRequest("t1", chain_b[i])).ok());
   }
-  // Every commit was classified exactly once; the coalesced chained
-  // group (>= 2 jobs, unprovable) went to the fallback side.
-  EXPECT_EQ(metrics_.counter("server.schema.routed") +
-                metrics_.counter("server.schema.fallback"),
-            kCommits);
-  EXPECT_GE(metrics_.counter("server.schema.fallback"), 2u);
+  for (Client* client : {&a, &b}) {
+    for (size_t i = 0; i < kCommits; ++i) {
+      auto response = client->Receive();
+      ASSERT_TRUE(response.ok()) << i << ": " << response.status();
+      ASSERT_EQ(response->type, MsgType::kOk) << i;
+      EXPECT_EQ(response->a, i + 1);
+    }
+  }
+  EXPECT_EQ(metrics_.counter("store.commit.count"), 2 * kCommits);
 
   for (uint64_t v = 0; v <= kCommits; ++v) {
-    auto xml = client.Checkout("t0", v);
-    ASSERT_TRUE(xml.ok()) << "v=" << v;
-    EXPECT_EQ(*xml, expected_[v]) << "v=" << v;
+    auto xml_a = a.Checkout("t0", v);
+    ASSERT_TRUE(xml_a.ok()) << "v=" << v << ": " << xml_a.status();
+    EXPECT_EQ(*xml_a, expected_a[v]) << "t0 v=" << v;
+    auto xml_b = b.Checkout("t1", v);
+    ASSERT_TRUE(xml_b.ok()) << "v=" << v << ": " << xml_b.status();
+    EXPECT_EQ(*xml_b, expected_b[v]) << "t1 v=" << v;
   }
 }
 

@@ -237,5 +237,20 @@ TEST(WorkloadStreamTest, CommitChainsMatchVersionStoreReplay) {
   }
 }
 
+TEST(WorkloadStreamTest, RenamedAttributesAvoidTheOwnersNames) {
+  // Long streams rename attributes to a fresh "n<k>" whose counter
+  // restarts per PUL, so the owner element may already carry that name
+  // from an earlier commit. These seeds used to fail generation with
+  // NotApplicable: duplicate attribute.
+  WorkloadOptions options;
+  options.num_items = 3000;
+  for (uint64_t seed : {7u, 16u}) {
+    options.seed = seed;
+    auto workload = GenerateWorkload(options);
+    EXPECT_TRUE(workload.ok()) << "seed " << seed << ": "
+                               << workload.status();
+  }
+}
+
 }  // namespace
 }  // namespace xupdate::workload

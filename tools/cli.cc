@@ -26,7 +26,7 @@
 #include "analysis/lint.h"
 #include "analysis/predict.h"
 #include "analysis/report.h"
-#include "analysis/schema_tier.h"
+#include "analysis/schema_lint.h"
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/string_util.h"
@@ -52,6 +52,7 @@
 #include "label/labeling.h"
 #include "pul/describe.h"
 #include "pul/pul_io.h"
+#include "schema/summary.h"
 #include "xmark/generator.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
@@ -606,9 +607,10 @@ Result<schema::Schema> LoadSchema(const std::string& spec) {
 // plus the pairwise independence verdict for every pair when two or
 // more PULs are given. With --schema, the schema lint (XU008-XU010)
 // joins the per-PUL diagnostics, each pair gains a "tier0" marker (true
-// when the type-level tier proved it independent without running the
-// pairwise sweep) and a trailing "schema" object reports the tier's
-// precision — the fraction of pairs resolved at type level. The report
+// when the type-level summaries alone prove it independent; the verdict
+// itself always comes from the exact label-based analyzer) and a
+// trailing "schema" object reports the type level's precision — the
+// fraction of pairs it proves. The report
 // is byte-deterministic, so it can be golden-tested and diffed.
 Status CmdAnalyze(const Args& args, std::ostream& out) {
   if (args.positional.empty()) {
@@ -683,18 +685,13 @@ Status CmdAnalyze(const Args& args, std::ostream& out) {
       if (!first) json << ",";
       first = false;
       ++pairs;
-      bool tier0 = false;
-      analysis::IndependenceReport verdict;
-      if (schema.has_value()) {
-        analysis::TieredIndependence tiered =
-            analysis::AnalyzeIndependenceTiered(summaries[i], summaries[j],
-                                                puls[i], puls[j]);
-        tier0 = tiered.resolved_at_tier0;
-        if (tier0) ++tier0_hits;
-        verdict = std::move(tiered.report);
-      } else {
-        verdict = analysis::AnalyzeIndependence(puls[i], puls[j]);
-      }
+      analysis::IndependenceReport verdict =
+          analysis::AnalyzeIndependence(puls[i], puls[j]);
+      const bool tier0 =
+          schema.has_value() &&
+          schema::DecideIndependence(summaries[i], summaries[j]) ==
+              schema::SchemaVerdict::kProvenIndependent;
+      if (tier0) ++tier0_hits;
       if (lane.enabled()) {
         std::vector<std::string> ops;
         if (verdict.op_a >= 0) ops.push_back(ref(i, verdict.op_a));
@@ -984,11 +981,6 @@ Status CmdStore(const Args& args, std::ostream& out) {
       merge_options.parallelism = options.parallelism;
       merge_options.metrics = &metrics;
       if (WantTrace(args)) merge_options.tracer = &tracer;
-      schema::Schema xmark_schema = schema::Schema::BuiltinXmark();
-      if (args.Has("schema")) {
-        merge_options.use_schema_analysis = true;
-        merge_options.schema = &xmark_schema;
-      }
       branch::MergeStats stats;
       XUPDATE_ASSIGN_OR_RETURN(
           store::MergeCommitResult merged,
@@ -1107,13 +1099,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
       int64_t per_tenant,
       ParseFlagInt(args, "max-pending-per-tenant", 0, 0, 1 << 20));
   options.max_pending_per_tenant = static_cast<size_t>(per_tenant);
-  std::optional<schema::Schema> schema;
-  if (args.Has("schema")) {
-    XUPDATE_ASSIGN_OR_RETURN(schema::Schema loaded,
-                             LoadSchema(args.Get("schema")));
-    schema.emplace(std::move(loaded));
-    options.schema = &*schema;
-  }
   XUPDATE_ASSIGN_OR_RETURN(
       int64_t window, ParseFlagInt(args, "commit-window-ms", 0, 0, 10000));
   options.commit_window_ms = static_cast<int>(window);
@@ -1159,7 +1144,6 @@ Status CmdServe(const Args& args, std::ostream& out) {
   if (options.max_pending_per_tenant > 0) {
     out << ", per-tenant quota " << options.max_pending_per_tenant;
   }
-  if (options.schema != nullptr) out << ", schema router on";
   if (options.tracer != nullptr) out << ", tracing on";
   if (options.slow_request_ms >= 0) {
     out << ", slow-request log at " << options.slow_request_ms << " ms";
@@ -1262,8 +1246,6 @@ void RenderTopFrame(std::ostream& out, bool raw,
   const uint64_t fsyncs = DeltaCounter(delta, "store.wal.fsync.count");
   const uint64_t requests = DeltaCounter(delta, "server.requests");
   const uint64_t shed = DeltaCounter(delta, "server.busy.count");
-  const uint64_t routed = DeltaCounter(delta, "server.schema.routed");
-  const uint64_t fallback = DeltaCounter(delta, "server.schema.fallback");
   std::snprintf(line, sizeof(line),
                 "xupdate top  seq=%llu  uptime=%.1fs  interval=%.2fs\n",
                 static_cast<unsigned long long>(stat.seq),
@@ -1290,12 +1272,6 @@ void RenderTopFrame(std::ostream& out, bool raw,
     out << line;
   } else {
     out << "fsync/s 0.0  coalescing -";
-  }
-  if (routed + fallback > 0) {
-    std::snprintf(line, sizeof(line), "  schema routed %.0f%%",
-                  100.0 * static_cast<double>(routed) /
-                      static_cast<double>(routed + fallback));
-    out << line;
   }
   out << "\n";
   if (stat.tenants.empty()) {
@@ -1801,8 +1777,8 @@ Status CmdLoadgen(const Args& args, std::ostream& out) {
 
 // `xupdate sim`: the P2P convergence simulator (branch/sim.h). Flags:
 // --writers N, --schedules N, --events N, --ops-per-edit N,
-// --sync-prob P, --seed S, --xmark-bytes N, --scratch DIR, --schema
-// (route merges through the schema tier), --verify-stores.
+// --sync-prob P, --seed S, --xmark-bytes N, --scratch DIR,
+// --verify-stores.
 Status CmdSim(const Args& args, std::ostream& out) {
   branch::SimOptions options;
   XUPDATE_ASSIGN_OR_RETURN(
@@ -1839,7 +1815,6 @@ Status CmdSim(const Args& args, std::ostream& out) {
                    static_cast<int64_t>(options.xmark_bytes), 256,
                    INT64_MAX));
   options.xmark_bytes = static_cast<size_t>(xmark_bytes);
-  options.use_schema_analysis = args.Has("schema");
   options.verify_stores = args.Has("verify-stores");
   if (args.Has("scratch")) options.scratch_dir = args.Get("scratch");
   Metrics metrics;

@@ -17,18 +17,16 @@ data="$work/tenants"
 mkdir -p "$work"
 
 cleanup() {
-  for pid in "${server_pid:-}" "${router_pid:-}"; do
-    if [[ -n "$pid" ]] && kill -0 "$pid" 2>/dev/null; then
-      kill "$pid" 2>/dev/null || true
-      wait "$pid" 2>/dev/null || true
-    fi
-  done
+  if [[ -n "${server_pid:-}" ]] && kill -0 "$server_pid" 2>/dev/null; then
+    kill "$server_pid" 2>/dev/null || true
+    wait "$server_pid" 2>/dev/null || true
+  fi
 }
 trap cleanup EXIT
 
 echo "== starting daemon (telemetry on: metrics-out, slow log, flight dump)"
 "$xupdate" serve --socket "$sock" --data-dir "$data" \
-  --commit-window-ms 5 --max-pending 256 --schema builtin:xmark \
+  --commit-window-ms 5 --max-pending 256 \
   --metrics-out "$work/metrics.prom" --metrics-interval-ms 200 \
   --slow-request-ms 0 --slow-request-log "$work/slow.jsonl" \
   --slow-request-log-rate 100000 --flight-dump "$work/flight.jsonl" \
@@ -60,7 +58,7 @@ for tenant_dir in "$data"/*/; do
   echo "   $tenant: version $head identical"
 done
 
-echo "== group commit coalesced fsyncs, router accounted every commit"
+echo "== group commit coalesced fsyncs"
 python3 - "$work/server_metrics.json" <<'EOF'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -72,13 +70,6 @@ m = doc["global"]["counters"]
 fsyncs, commits = m["store.wal.fsync.count"], m["store.commit.count"]
 print(f"   {commits} commits, {fsyncs} wal fsyncs")
 assert commits > 0 and fsyncs < commits, "group commit did not coalesce"
-# The daemon runs with --schema, so every commit must pass through the
-# router (routed or fallback; the pipelined chains above all fall back —
-# same-tenant chains cannot be proven pairwise independent).
-routed = m.get("server.schema.routed", 0)
-fallback = m.get("server.schema.fallback", 0)
-print(f"   {routed} routed, {fallback} fallback")
-assert routed + fallback == commits, "router accounting does not cover commits"
 # Per-tenant isolation: the global aggregate is exactly the sum of the
 # per-tenant sections.
 per_tenant = {t: s["counters"].get("commit.count", 0)
@@ -140,43 +131,6 @@ seqs = [e["seq"] for e in events]
 assert seqs == sorted(seqs), "flight dump out of seq order"
 print(f"   {len(events)} flight events, kinds: {sorted(kinds)}")
 EOF
-
-echo "== schema router routes unpipelined singles (fresh daemon)"
-rsock="$work/router.sock"
-rdata="$work/router_tenants"
-"$xupdate" serve --socket "$rsock" --data-dir "$rdata" \
-  --commit-window-ms 5 --max-pending 256 --schema builtin:xmark \
-  >"$work/router_serve.log" 2>&1 &
-router_pid=$!
-for _ in $(seq 1 100); do
-  [[ -S "$rsock" ]] && break
-  kill -0 "$router_pid" || { cat "$work/router_serve.log"; exit 1; }
-  sleep 0.1
-done
-[[ -S "$rsock" ]] || { echo "router socket never appeared"; exit 1; }
-# Paced open-loop arrivals (~40ms per-tenant gaps vs the 5ms commit
-# window) keep most tenant groups at one queued commit per batch, and a
-# single-commit group is trivially proven independent — so the
-# concurrent route must fire; the smoke fails if nothing routes.
-"$xupdate" loadgen --socket "$rsock" \
-  --tenants 4 --items 60 --connections 4 --window 1 --rate 100 \
-  --commit-weight 1 --checkout-weight 0 --reduce-weight 0 --stat-weight 0 \
-  --ops-per-pul 4 --doc-bytes 4096 --seed 11 --verify 1 \
-  --server-metrics "$work/router_metrics.json" >"$work/router_loadgen.log"
-grep -q "verify ok" "$work/router_loadgen.log"
-python3 - "$work/router_metrics.json" <<'EOF'
-import json, sys
-m = json.load(open(sys.argv[1]))["global"]["counters"]
-routed = m.get("server.schema.routed", 0)
-fallback = m.get("server.schema.fallback", 0)
-commits = m["store.commit.count"]
-print(f"   {commits} commits: {routed} routed, {fallback} fallback")
-assert routed > 0, "schema router enabled but nothing routed"
-assert routed + fallback == commits, "router accounting does not cover commits"
-EOF
-kill "$router_pid" 2>/dev/null || true
-wait "$router_pid" 2>/dev/null || true
-router_pid=""
 
 echo "== remote shutdown"
 "$xupdate" loadgen --socket "$sock" --tenants 1 --items 1 \
