@@ -1,11 +1,10 @@
-// Versioned update store: the three trade-offs the store exposes.
+// Versioned update store: the trade-offs the store exposes.
 //
 //   * commit throughput per fsync policy — the durability knob
 //     (always / batch / never), journal append + apply, no checkpoints;
+//   * group commit — how much one shared fsync per batch buys;
 //   * checkout latency vs snapshot cadence — sparse checkpoints mean
-//     long forward replays, dense ones buy latency with disk;
-//   * compaction cost and benefit — what a Compact() pass costs and
-//     what it saves in journal bytes and replayed frames.
+//     long forward replays, dense ones buy latency with disk.
 //
 // Each benchmark works on a throwaway store directory under the system
 // temp dir; artifacts are removed on process exit.
@@ -193,86 +192,6 @@ void BM_StoreCheckout(benchmark::State& state) {
   (void)vs->Close();
 }
 
-// Cost of one Compact() pass over a freshly committed store (store
-// cloned untimed per iteration) and its benefit: journal bytes saved
-// and frames dropped.
-void BM_StoreCompact(benchmark::State& state) {
-  uint64_t cadence = static_cast<uint64_t>(state.range(0));
-  const std::string& source = CommittedStoreFixture(cadence);
-  std::string dir = BenchRoot() + "/compact_scratch";
-  store::StoreOptions options;
-  options.snapshot_every = cadence;
-  options.snapshot_bytes = 0;
-  store::CompactStats stats;
-  for (auto _ : state) {
-    state.PauseTiming();
-    fs::remove_all(dir);
-    fs::copy(source, dir, fs::copy_options::recursive);
-    auto vs = store::VersionStore::Open(dir, options);
-    if (!vs.ok()) abort();
-    state.ResumeTiming();
-    auto status = vs->Compact(&stats);
-    if (!status.ok()) {
-      state.SkipWithError(status.ToString().c_str());
-      return;
-    }
-    state.PauseTiming();
-    (void)vs->Close();
-    state.ResumeTiming();
-  }
-  state.counters["segments_compacted"] =
-      static_cast<double>(stats.segments_compacted);
-  state.counters["segments_skipped"] =
-      static_cast<double>(stats.segments_skipped);
-  state.counters["bytes_before"] =
-      static_cast<double>(stats.journal_bytes_before);
-  state.counters["bytes_after"] =
-      static_cast<double>(stats.journal_bytes_after);
-  state.counters["frames_before"] =
-      static_cast<double>(stats.frames_before);
-  state.counters["frames_after"] = static_cast<double>(stats.frames_after);
-}
-
-// Checkout latency on the compacted version of the same store — the
-// benefit side of BM_StoreCompact, comparable against BM_StoreCheckout
-// at the same cadence.
-void BM_StoreCheckoutCompacted(benchmark::State& state) {
-  uint64_t cadence = static_cast<uint64_t>(state.range(0));
-  const std::string& source = CommittedStoreFixture(cadence);
-  std::string dir =
-      BenchRoot() + "/compacted_" + std::to_string(cadence);
-  if (!fs::exists(dir)) {
-    fs::copy(source, dir, fs::copy_options::recursive);
-    store::StoreOptions options;
-    options.snapshot_every = cadence;
-    options.snapshot_bytes = 0;
-    auto vs = store::VersionStore::Open(dir, options);
-    if (!vs.ok()) abort();
-    if (!vs->Compact(nullptr).ok()) abort();
-    if (!vs->Close().ok()) abort();
-  }
-  store::StoreOptions options;
-  options.snapshot_every = cadence;
-  options.snapshot_bytes = 0;
-  auto vs = store::VersionStore::Open(dir, options);
-  if (!vs.ok()) abort();
-  uint64_t interval = cadence == 0 ? kVersions : cadence;
-  uint64_t version =
-      std::min<uint64_t>(kVersions, interval == 1 ? kVersions : interval - 1);
-  for (auto _ : state) {
-    auto xml = vs->CheckoutXml(version);
-    if (!xml.ok()) {
-      state.SkipWithError(xml.status().ToString().c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(*xml);
-  }
-  state.counters["snapshot_every"] = static_cast<double>(cadence);
-  state.counters["journal_bytes"] =
-      static_cast<double>(fs::file_size(dir + "/wal.log"));
-  (void)vs->Close();
-}
-
 // Group commit: the whole workload committed through CommitBatch in
 // groups of Arg PULs under the always-fsync policy. One iteration = one
 // batch = one fdatasync, so items/s against BM_StoreCommit/0 shows what
@@ -335,10 +254,6 @@ BENCHMARK(BM_StoreCommit)->Arg(0)->Arg(1)->Arg(2)
 BENCHMARK(BM_StoreCommitBatch)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_StoreCheckout)->Arg(1)->Arg(4)->Arg(8)->Arg(16)->Arg(0)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StoreCompact)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_StoreCheckoutCompacted)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -266,9 +266,7 @@ Result<std::vector<LogEntry>> VersionStore::LogBranch(
     entry.payload_bytes = info.payload_bytes;
     if (with_op_counts) {
       switch (info.type) {
-        case FrameType::kPul:
-        case FrameType::kAggregate:
-        case FrameType::kUndo: {
+        case FrameType::kPul: {
           XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal->ReadFrame(info));
           XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul,
                                    pul::ParsePul(frame.payload));
@@ -368,92 +366,57 @@ Status VersionStore::CollectPuls(const std::string& branch, uint64_t from,
         std::to_string(to) + "] is inverted");
   }
   if (from == to) return Status::OK();
+  // The mainline and every branch journal index the same two frame
+  // kinds; a branch additionally recurses into its parent below the fork.
+  const Wal* wal = &wal_;
+  const std::map<uint64_t, WalFrameInfo>* pul_frames = &pul_frames_;
+  const std::map<uint64_t, WalFrameInfo>* merge_frames = &merge_frames_;
+  uint64_t head = head_;
+  uint64_t fork = 0;
+  const std::string* parent = nullptr;
+  std::string where;
   if (branch != "main") {
     auto it = branches_.find(branch);
     if (it == branches_.end()) {
       return Status::NotFound("branch not found: " + branch);
     }
     const BranchState& b = it->second;
-    if (to > b.head) {
-      return Status::InvalidArgument(
-          "suffix end " + std::to_string(to) + " beyond head " +
-          std::to_string(b.head) + " of branch " + branch);
-    }
-    if (from < b.meta.fork) {
-      XUPDATE_RETURN_IF_ERROR(CollectPuls(
-          b.meta.parent, from, std::min(to, b.meta.fork), out));
-    }
-    for (uint64_t cur = std::max(from, b.meta.fork); cur < to; ++cur) {
-      auto pit = b.pul_frames.find(cur + 1);
-      if (pit != b.pul_frames.end()) {
-        XUPDATE_ASSIGN_OR_RETURN(WalFrame frame,
-                                 b.wal.ReadFrame(pit->second));
-        XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul,
-                                 pul::ParsePul(frame.payload));
-        out->push_back(std::move(pul));
-        continue;
-      }
-      auto mit = b.merge_frames.find(cur + 1);
-      if (mit == b.merge_frames.end()) {
-        return Status::Internal("branch " + branch +
-                                " journal gap above version " +
-                                std::to_string(cur));
-      }
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, b.wal.ReadFrame(mit->second));
-      XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                               DecodeMergeRecord(frame.payload));
-      XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain,
-                               ParseChain(record));
-      for (pul::Pul& pul : chain) out->push_back(std::move(pul));
-    }
-    return Status::OK();
+    wal = &b.wal;
+    pul_frames = &b.pul_frames;
+    merge_frames = &b.merge_frames;
+    head = b.head;
+    fork = b.meta.fork;
+    parent = &b.meta.parent;
+    where = " of branch " + branch;
   }
-  // Mainline: kPul and kMerge frames plus whole compacted segments.
-  if (to > head_) {
+  if (to > head) {
     return Status::InvalidArgument("suffix end " + std::to_string(to) +
-                                   " beyond head " + std::to_string(head_));
+                                   " beyond head " + std::to_string(head) +
+                                   where);
   }
-  uint64_t cur = from;
-  while (cur < to) {
-    auto pit = pul_frames_.find(cur + 1);
-    if (pit != pul_frames_.end()) {
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, ReadPul(pit->second));
+  if (from < fork) {
+    XUPDATE_RETURN_IF_ERROR(
+        CollectPuls(*parent, from, std::min(to, fork), out));
+  }
+  for (uint64_t cur = std::max(from, fork); cur < to; ++cur) {
+    auto pit = pul_frames->find(cur + 1);
+    if (pit != pul_frames->end()) {
+      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal->ReadFrame(pit->second));
+      XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(frame.payload));
       out->push_back(std::move(pul));
-      ++cur;
       continue;
     }
-    auto mit = merge_frames_.find(cur + 1);
-    if (mit != merge_frames_.end()) {
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal_.ReadFrame(mit->second));
-      XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                               DecodeMergeRecord(frame.payload));
-      XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain,
-                               ParseChain(record));
-      for (pul::Pul& pul : chain) out->push_back(std::move(pul));
-      ++cur;
-      continue;
-    }
-    const Segment* owner = nullptr;
-    for (const Segment& s : segments_) {
-      if (cur >= s.from && cur < s.to) {
-        owner = &s;
-        break;
-      }
-    }
-    if (owner == nullptr) {
+    auto mit = merge_frames->find(cur + 1);
+    if (mit == merge_frames->end()) {
       return Status::Internal("journal gap above version " +
-                              std::to_string(cur));
+                              std::to_string(cur) + where);
     }
-    if (cur != owner->from || owner->to > to) {
-      return Status::InvalidArgument(
-          "suffix (" + std::to_string(from) + ", " + std::to_string(to) +
-          "] cuts compacted segment (" + std::to_string(owner->from) +
-          ", " + std::to_string(owner->to) + "] — compact after merging, "
-          "or merge from a segment boundary");
-    }
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul aggregate, ReadPul(owner->aggregate));
-    out->push_back(std::move(aggregate));
-    cur = owner->to;
+    XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal->ReadFrame(mit->second));
+    XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
+                             DecodeMergeRecord(frame.payload));
+    XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain,
+                             ParseChain(record));
+    for (pul::Pul& pul : chain) out->push_back(std::move(pul));
   }
   return Status::OK();
 }

@@ -10,7 +10,6 @@
 #include "core/reduce.h"
 #include "pul/apply.h"
 #include "pul/pul_io.h"
-#include "store/compact.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -235,12 +234,8 @@ Result<VersionStore> VersionStore::Open(const std::string& dir,
 Status VersionStore::BuildIndex() {
   pul_frames_.clear();
   merge_frames_.clear();
-  segments_.clear();
-  const std::vector<WalFrameInfo>& frames = wal_.frames();
   uint64_t cur = 0;
-  size_t i = 0;
-  while (i < frames.size()) {
-    const WalFrameInfo& info = frames[i];
+  for (const WalFrameInfo& info : wal_.frames()) {
     switch (info.type) {
       case FrameType::kPul: {
         if (info.version != cur + 1) {
@@ -251,7 +246,6 @@ Status VersionStore::BuildIndex() {
         }
         pul_frames_[info.version] = info;
         cur = info.version;
-        ++i;
         break;
       }
       case FrameType::kMerge: {
@@ -264,40 +258,8 @@ Status VersionStore::BuildIndex() {
         }
         merge_frames_[info.version] = info;
         cur = info.version;
-        ++i;
         break;
       }
-      case FrameType::kAggregate: {
-        if (info.aux != cur || info.version <= cur) {
-          return Status::ParseError(
-              "journal gap: aggregate frame (" + std::to_string(info.aux) +
-              ", " + std::to_string(info.version) + "] after version " +
-              std::to_string(cur));
-        }
-        Segment segment;
-        segment.from = info.aux;
-        segment.to = info.version;
-        segment.aggregate = info;
-        ++i;
-        // Undo frames for to .. from+1, descending, immediately after.
-        for (uint64_t w = segment.to; w > segment.from; --w) {
-          if (i >= frames.size() || frames[i].type != FrameType::kUndo ||
-              frames[i].version != w) {
-            return Status::ParseError(
-                "journal structure: missing undo frame for version " +
-                std::to_string(w));
-          }
-          segment.undos[w] = frames[i];
-          ++i;
-        }
-        cur = segment.to;
-        segments_.push_back(std::move(segment));
-        break;
-      }
-      case FrameType::kUndo:
-        return Status::ParseError(
-            "journal structure: stray undo frame for version " +
-            std::to_string(info.version));
       case FrameType::kSnapshot:
         return Status::ParseError(
             "journal structure: snapshot frame inside journal");
@@ -324,6 +286,31 @@ Result<pul::Pul> VersionStore::ReadPul(const WalFrameInfo& info) const {
   return pul::ParsePul(frame.payload);
 }
 
+Status VersionStore::ReplayVersion(uint64_t v, xml::Document* doc,
+                                   MergeRecord* merge) const {
+  auto it = pul_frames_.find(v);
+  if (it != pul_frames_.end()) {
+    XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, ReadPul(it->second));
+    return pul::ApplyPul(doc, pul);
+  }
+  auto mit = merge_frames_.find(v);
+  if (mit == merge_frames_.end()) {
+    return Status::ParseError("journal gap above version " +
+                              std::to_string(v - 1));
+  }
+  // A merge commit replays as its chain: the undo PULs down to the
+  // merge base, then the reconciled merge PUL (store/records.h).
+  XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal_.ReadFrame(mit->second));
+  XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
+                           DecodeMergeRecord(frame.payload));
+  for (const std::string& text : record.chain) {
+    XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(text));
+    XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(doc, pul));
+  }
+  if (merge != nullptr) *merge = std::move(record);
+  return Status::OK();
+}
+
 Result<xml::Document> VersionStore::Checkout(uint64_t v) const {
   if (v > head_) {
     return Status::InvalidArgument(
@@ -339,62 +326,13 @@ Result<xml::Document> VersionStore::Checkout(uint64_t v) const {
   XUPDATE_ASSIGN_OR_RETURN(std::string annotated, snapshots_.Read(base));
   XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
                            xml::ParseDocument(annotated));
-  uint64_t cur = base;
-  uint64_t replayed = 0;
-  while (cur < v) {
-    auto it = pul_frames_.find(cur + 1);
-    if (it != pul_frames_.end()) {
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, ReadPul(it->second));
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-      ++cur;
-      ++replayed;
-      continue;
-    }
-    auto mit = merge_frames_.find(cur + 1);
-    if (mit != merge_frames_.end()) {
-      // A merge commit replays as its chain: the undo PULs down to the
-      // merge base, then the reconciled merge PUL (store/records.h).
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal_.ReadFrame(mit->second));
-      XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                               DecodeMergeRecord(frame.payload));
-      for (const std::string& text : record.chain) {
-        XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(text));
-        XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-      }
-      ++cur;
-      ++replayed;
-      continue;
-    }
-    // The next version lives in a compacted segment based at `cur`.
-    const Segment* segment = nullptr;
-    for (const Segment& s : segments_) {
-      if (s.from == cur) {
-        segment = &s;
-        break;
-      }
-    }
-    if (segment == nullptr) {
-      return Status::ParseError("journal gap above version " +
-                                std::to_string(cur));
-    }
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul aggregate,
-                             ReadPul(segment->aggregate));
-    XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, aggregate));
-    cur = segment->to;
-    ++replayed;
-    // Interior version: walk the undo chain back down from `to`.
-    for (uint64_t w = cur; w > v; --w) {
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul undo,
-                               ReadPul(segment->undos.at(w)));
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, undo));
-      ++replayed;
-    }
-    cur = std::min(cur, v);
+  for (uint64_t cur = base; cur < v; ++cur) {
+    XUPDATE_RETURN_IF_ERROR(ReplayVersion(cur + 1, &doc, nullptr));
   }
   if (options_.metrics != nullptr) {
     options_.metrics->AddCounter("store.checkout.count");
     options_.metrics->AddCounter("store.checkout.replayed_frames",
-                                 replayed);
+                                 v - base);
   }
   return doc;
 }
@@ -583,13 +521,6 @@ Status VersionStore::MaybeCheckpoint() {
 }
 
 Result<pul::Pul> VersionStore::UndoFor(uint64_t v) const {
-  for (const Segment& segment : segments_) {
-    if (v > segment.from && v <= segment.to) {
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame,
-                               wal_.ReadFrame(segment.undos.at(v)));
-      return pul::ParsePul(frame.payload);
-    }
-  }
   auto it = pul_frames_.find(v);
   if (it != pul_frames_.end()) {
     XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, ReadPul(it->second));
@@ -703,10 +634,6 @@ Result<uint64_t> VersionStore::Rollback(uint64_t to) {
   return version;
 }
 
-Status VersionStore::Compact(CompactStats* stats) {
-  return CompactImpl(this, stats);
-}
-
 Result<VerifyReport> VersionStore::Verify() const {
   ScopedTimer timer(options_.metrics, "store.verify.seconds");
   VerifyReport report;
@@ -731,74 +658,22 @@ Result<VerifyReport> VersionStore::Verify() const {
     return Status::ParseError("journal frame directory out of sync");
   }
   // Forward replay from the base checkpoint: every checkpointed version
-  // must serialize to exactly its checkpoint bytes, and every compacted
-  // segment's undo chain must walk back down onto the segment base.
+  // must serialize to exactly its checkpoint bytes.
   XUPDATE_ASSIGN_OR_RETURN(std::string base_xml, snapshots_.Read(0));
   XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
                            xml::ParseDocument(base_xml));
   ++report.snapshots_checked;
-  uint64_t cur = 0;
-  std::string segment_base_bytes;  // serialized doc at each segment base
-  while (cur < head_) {
-    auto it = pul_frames_.find(cur + 1);
-    auto mit = merge_frames_.find(cur + 1);
-    if (it != pul_frames_.end()) {
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, ReadPul(it->second));
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-      ++cur;
-      ++report.replayed_versions;
-    } else if (mit != merge_frames_.end()) {
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal_.ReadFrame(mit->second));
-      XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                               DecodeMergeRecord(frame.payload));
-      for (const std::string& text : record.chain) {
-        XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(text));
-        XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-      }
+  for (uint64_t cur = 1; cur <= head_; ++cur) {
+    MergeRecord record;
+    XUPDATE_RETURN_IF_ERROR(ReplayVersion(cur, &doc, &record));
+    ++report.replayed_versions;
+    auto mit = merge_frames_.find(cur);
+    if (mit != merge_frames_.end()) {
       // Both parents must stay resolvable, and the sync record that
       // made this merge effective must exist.
       XUPDATE_RETURN_IF_ERROR(
-          VerifyMergeFrame("main", mit->second.version, mit->second.aux,
-                           record));
-      ++cur;
-      ++report.replayed_versions;
+          VerifyMergeFrame("main", cur, mit->second.aux, record));
       ++report.merges_checked;
-    } else {
-      const Segment* segment = nullptr;
-      for (const Segment& s : segments_) {
-        if (s.from == cur) {
-          segment = &s;
-          break;
-        }
-      }
-      if (segment == nullptr) {
-        return Status::ParseError("journal gap above version " +
-                                  std::to_string(cur));
-      }
-      XUPDATE_ASSIGN_OR_RETURN(segment_base_bytes,
-                               SerializeAnnotated(doc));
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul aggregate,
-                               ReadPul(segment->aggregate));
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, aggregate));
-      cur = segment->to;
-      report.replayed_versions +=
-          static_cast<size_t>(segment->to - segment->from);
-      // Undo chain: to -> from must land on the segment-base bytes.
-      xml::Document scratch = doc;
-      for (uint64_t w = segment->to; w > segment->from; --w) {
-        XUPDATE_ASSIGN_OR_RETURN(pul::Pul undo,
-                                 ReadPul(segment->undos.at(w)));
-        XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&scratch, undo));
-      }
-      XUPDATE_ASSIGN_OR_RETURN(std::string walked,
-                               SerializeAnnotated(scratch));
-      if (walked != segment_base_bytes) {
-        return Status::ParseError(
-            "undo chain of segment (" + std::to_string(segment->from) +
-            ", " + std::to_string(segment->to) +
-            "] does not reproduce its base");
-      }
-      ++report.undo_chains_checked;
     }
     if (snapshots_.Has(cur)) {
       XUPDATE_ASSIGN_OR_RETURN(std::string expect, snapshots_.Read(cur));

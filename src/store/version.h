@@ -35,12 +35,7 @@ namespace xupdate::store {
 // is appended (and fsync'd per policy) before it is applied in memory,
 // so a crash at any byte leaves a journal that recovers to the last
 // complete version. Checkout(v) materializes any historical version by
-// replaying from the nearest checkpoint at or below v; compaction
-// (store/compact.h, VersionStore::Compact) folds journal segments
-// between consecutive checkpoints into one aggregated PUL plus
-// per-version undo deltas, preserving Checkout byte-identity for every
-// version — verified against forward-replay serializations before the
-// rewritten journal is installed.
+// replaying from the nearest checkpoint at or below v.
 
 struct StoreOptions {
   FsyncPolicy fsync = FsyncPolicy::kAlways;
@@ -50,9 +45,9 @@ struct StoreOptions {
   uint64_t snapshot_every = 8;
   // ... or after this many journal bytes since it (0 disables).
   uint64_t snapshot_bytes = 1 << 20;
-  // Reduce parallelism used by compaction and rollback. The reduction
-  // engine is byte-deterministic across parallelism levels, so this
-  // never changes store contents.
+  // Reduce parallelism used by rollback. The reduction engine is
+  // byte-deterministic across parallelism levels, so this never changes
+  // store contents.
   int parallelism = 1;
   // Fault injection (see WalOptions::fail_after_bytes).
   int64_t fail_after_bytes = -1;
@@ -80,8 +75,7 @@ struct BatchCommitStats {
 struct LogEntry {
   FrameType type = FrameType::kPul;
   uint64_t version = 0;
-  uint64_t aux = 0;  // kAggregate: the segment's base version;
-                     // kMerge: the local parent version
+  uint64_t aux = 0;  // kMerge: the local parent version
   uint64_t offset = 0;
   uint32_t payload_bytes = 0;
   // Operation count of the frame's payload (kMerge: total across its
@@ -125,8 +119,6 @@ struct VerifyReport {
   size_t replayed_versions = 0;
   // Checkpoints whose bytes were matched against the replay.
   size_t snapshots_checked = 0;
-  // Undo chains of compacted segments walked back to a checkpoint.
-  size_t undo_chains_checked = 0;
   // Merge frames on the mainline whose parents + sync record resolved.
   size_t merges_checked = 0;
   // Every branch journal, in name order (empty when no branches exist).
@@ -172,20 +164,6 @@ struct MergeCommitResult {
   bool committed_b = false;
 };
 
-struct CompactStats {
-  size_t segments_considered = 0;
-  size_t segments_compacted = 0;
-  // Segments left alone because an aggregated or undo replay failed the
-  // byte-identity check (the store stays on the plain frames).
-  size_t segments_skipped = 0;
-  size_t frames_before = 0;
-  size_t frames_after = 0;
-  uint64_t journal_bytes_before = 0;
-  uint64_t journal_bytes_after = 0;
-  size_t input_ops = 0;   // across compacted segments
-  size_t output_ops = 0;  // aggregate ops across compacted segments
-};
-
 class VersionStore {
  public:
   // Creates a store directory: parses `initial_xml` as version 0,
@@ -226,10 +204,8 @@ class VersionStore {
                              std::vector<CommitOutcome>* outcomes,
                              BatchCommitStats* stats = nullptr);
 
-  // Materializes the document at version `v` by replaying from the
-  // nearest checkpoint at or below v (forward over kPul/kAggregate
-  // frames, then down a compacted segment's kUndo chain for interior
-  // versions).
+  // Materializes the document at version `v` by replaying the kPul and
+  // kMerge frames forward from the nearest checkpoint at or below v.
   Result<xml::Document> Checkout(uint64_t v) const;
 
   // Id-annotated serialization of Checkout(v) — the store's canonical
@@ -237,25 +213,16 @@ class VersionStore {
   Result<std::string> CheckoutXml(uint64_t v) const;
 
   // Rolls the store back to version `to` *by committing forward*: the
-  // undo deltas head..to+1 (stored kUndo frames where compaction kept
-  // them, otherwise recomputed by the same invert-of-reduction formula)
-  // are aggregated into a single PUL; if applying it reproduces
-  // Checkout(to) byte-for-byte it is committed as one new version,
-  // otherwise the per-version deltas are committed as a chain. Either
-  // way history is preserved and the result is identical on compacted
-  // and uncompacted stores. Returns the new head.
+  // undo deltas head..to+1 (each from the ComputeUndo formula) are
+  // aggregated into a single PUL; if applying it reproduces Checkout(to)
+  // byte-for-byte it is committed as one new version, otherwise the
+  // per-version deltas are committed as a chain. Either way history is
+  // preserved. Returns the new head.
   Result<uint64_t> Rollback(uint64_t to);
 
-  // Folds every eligible journal segment (the kPul frames strictly
-  // between two consecutive checkpointed versions) into one kAggregate
-  // frame plus kUndo frames, then atomically rewrites the journal.
-  // Implemented in store/compact.cc; see that file for the
-  // byte-identity verification protocol.
-  Status Compact(CompactStats* stats = nullptr);
-
   // Full offline audit: structural re-scan of the journal (every CRC),
-  // forward replay of every version, byte-comparison against every
-  // checkpoint, and a walk down every compacted segment's undo chain.
+  // forward replay of every version and byte-comparison against every
+  // checkpoint.
   Result<VerifyReport> Verify() const;
 
   // Journal frames in file order.
@@ -314,9 +281,8 @@ class VersionStore {
                               const std::string& b) const;
 
   // The PULs whose in-order application takes the state at version
-  // `from` of `branch`'s chain to the branch head: one per kPul frame,
-  // a compacted segment's aggregate where the range aligns (an error if
-  // `from` falls strictly inside one), and a merge frame's full chain.
+  // `from` of `branch`'s chain to the branch head: one per kPul frame
+  // and a merge frame's full chain.
   Result<std::vector<pul::Pul>> SuffixPuls(const std::string& branch,
                                            uint64_t from) const;
 
@@ -326,10 +292,9 @@ class VersionStore {
                                           uint64_t from, uint64_t to) const;
 
   // Undo PULs rewinding `branch` from its head down to version
-  // `down_to`, in application order (head first). Byte-exact: stored
-  // kUndo frames where compaction kept them, the ComputeUndo formula
-  // elsewhere; merge frames rewind through their verified flattened
-  // chain.
+  // `down_to`, in application order (head first). Byte-exact: the
+  // ComputeUndo formula per kPul frame; merge frames rewind through
+  // their verified flattened chain.
   Result<std::vector<pul::Pul>> UndoChain(const std::string& branch,
                                           uint64_t down_to) const;
 
@@ -359,20 +324,18 @@ class VersionStore {
   // id-annotated non-pretty form (the store's canonical bytes).
   static Result<std::string> SerializeAnnotated(const xml::Document& doc);
 
-  // The store's canonical undo formula, shared by rollback and
-  // compaction so their deltas agree byte-for-byte: deterministic
-  // reduction of `pul`, a document-grounded drop of operations the
-  // O-rules override (labels inside an aggregated PUL can be too stale
-  // for the label-based engine to see every override; the pre-state
-  // document is ground truth and overridden operations have no effect
-  // on Apply), then core/invert against `pre`.
+  // The store's one undo formula, used for every PUL a rollback or
+  // UndoChain rewinds: deterministic reduction of `pul`, a
+  // document-grounded drop of operations the O-rules override (labels
+  // inside an aggregated PUL can be too stale for the label-based engine
+  // to see every override; the pre-state document is ground truth and
+  // overridden operations have no effect on Apply), then core/invert
+  // against `pre`.
   static Result<pul::Pul> ComputeUndo(const xml::Document& pre,
                                       const pul::Pul& pul,
                                       const StoreOptions& options);
 
  private:
-  friend Status CompactImpl(VersionStore* store, CompactStats* stats);
-
   VersionStore() = default;
 
   // In-memory state of one branch journal.
@@ -385,25 +348,21 @@ class VersionStore {
     uint64_t head = 0;  // == meta.fork when the branch has no commits
   };
 
-  // A compacted journal segment (from, to]: one aggregate frame plus
-  // undo frames for versions to .. from+1.
-  struct Segment {
-    uint64_t from = 0;
-    uint64_t to = 0;
-    WalFrameInfo aggregate;
-    std::map<uint64_t, WalFrameInfo> undos;
-  };
-
-  // Rebuilds pul_frames_ / merge_frames_ / segments_ / head_ from
+  // Rebuilds pul_frames_ / merge_frames_ / head_ from
   // wal_.frames(); enforces the contiguous-version journal structure.
   Status BuildIndex();
 
   Result<pul::Pul> ReadPul(const WalFrameInfo& info) const;
 
-  // Undo delta taking doc_v back to doc_{v-1}: the stored kUndo frame
-  // when a compacted segment kept one, else Invert(doc_{v-1},
-  // Reduce_det(pul_v)) — the same deterministic formula compaction
-  // uses, so rollback chains agree across compaction states.
+  // Applies the mainline frame producing version `v` to `doc`: a kPul
+  // frame's PUL or a kMerge frame's chain. The one replay step of
+  // Checkout and Verify; `merge`, when non-null, receives a kMerge
+  // frame's record.
+  Status ReplayVersion(uint64_t v, xml::Document* doc,
+                       MergeRecord* merge) const;
+
+  // Undo delta taking doc_v back to doc_{v-1}: ComputeUndo(doc_{v-1},
+  // pul_v).
   Result<pul::Pul> UndoFor(uint64_t v) const;
 
   // Writes a checkpoint for the current head if a cadence trigger fired.
@@ -477,7 +436,6 @@ class VersionStore {
 
   std::map<uint64_t, WalFrameInfo> pul_frames_;  // by produced version
   std::map<uint64_t, WalFrameInfo> merge_frames_;  // mainline kMerge
-  std::vector<Segment> segments_;                // ascending by `from`
 
   std::map<std::string, BranchState> branches_;  // by name; no "main"
   Wal branch_log_;  // branches.log; open iff has_branch_log_

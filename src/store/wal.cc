@@ -13,8 +13,14 @@ using framing::GetU64;
 using framing::PutU64;
 
 bool ValidFrameType(uint8_t type) {
-  return type >= static_cast<uint8_t>(FrameType::kPul) &&
-         type <= static_cast<uint8_t>(FrameType::kBranchMeta);
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kPul:
+    case FrameType::kSnapshot:
+    case FrameType::kMerge:
+    case FrameType::kBranchMeta:
+      return true;
+  }
+  return false;
 }
 
 }  // namespace

@@ -27,14 +27,11 @@ namespace xupdate::store {
 //
 //   kPul        one committed PUL; `version` is the version it produces
 //               (its parent is version - 1), `aux` is 0.
-//   kAggregate  a compacted segment: the payload PUL takes the document
-//               from version `aux` directly to version `version`
-//               (core/aggregate folded, core/reduce canonicalized).
-//   kUndo       backward delta kept by compaction so interior versions
-//               of a folded segment stay addressable: the payload PUL
-//               takes version `version` back to version - 1
-//               (computed via core/invert and byte-verified before the
-//               compacted journal is installed).
+//
+// Type bytes 2 and 3 are retired: they held the aggregate and undo
+// frames of a journal compactor that no longer exists. They are never
+// reused, and a journal holding one fails Open() with a named
+// "unknown frame type" kInvalidArgument instead of being truncated.
 //
 // Torn-tail discipline: a crash mid-append leaves a trailing partial
 // frame. Open() scans the file front to back and truncates it at the
@@ -79,8 +76,7 @@ std::string_view FsyncPolicyName(FsyncPolicy policy);
 //               rebase markers). `version`/`aux` are record-defined.
 enum class FrameType : uint8_t {
   kPul = 1,
-  kAggregate = 2,
-  kUndo = 3,
+  // 2 and 3 are retired (see above); do not renumber.
   kSnapshot = 4,
   kMerge = 5,
   kBranchMeta = 6,

@@ -7,6 +7,8 @@
 #include <string>
 
 #include "common/file_io.h"
+#include "pul/pul.h"
+#include "store/version.h"
 
 namespace xupdate::store {
 namespace {
@@ -73,12 +75,12 @@ TEST_F(WalTest, AppendReopenRoundTrip) {
     ASSERT_TRUE(wal.ok());
     ASSERT_TRUE(wal->Append(PulFrame(1, "first")).ok());
     ASSERT_TRUE(wal->Append(PulFrame(2, "second payload")).ok());
-    WalFrame agg;
-    agg.type = FrameType::kAggregate;
-    agg.version = 4;
-    agg.aux = 2;
-    agg.payload = "agg";
-    ASSERT_TRUE(wal->Append(agg).ok());
+    WalFrame merge;
+    merge.type = FrameType::kMerge;
+    merge.version = 3;
+    merge.aux = 2;
+    merge.payload = "merge";
+    ASSERT_TRUE(wal->Append(merge).ok());
     ASSERT_TRUE(wal->Close().ok());
   }
   WalRecovery recovery;
@@ -89,11 +91,59 @@ TEST_F(WalTest, AppendReopenRoundTrip) {
   ASSERT_EQ(wal->frames().size(), 3u);
   EXPECT_EQ(wal->frames()[0].version, 1u);
   EXPECT_EQ(wal->frames()[1].version, 2u);
-  EXPECT_EQ(wal->frames()[2].type, FrameType::kAggregate);
+  EXPECT_EQ(wal->frames()[2].type, FrameType::kMerge);
   EXPECT_EQ(wal->frames()[2].aux, 2u);
   auto frame = wal->ReadFrame(wal->frames()[1]);
   ASSERT_TRUE(frame.ok());
   EXPECT_EQ(frame->payload, "second payload");
+}
+
+// Type bytes 2 and 3 held the aggregate and undo frames of the retired
+// journal compactor. A journal still holding one is refused with the
+// named unknown-type error, by the journal and by the store alike, and
+// is never truncated as a torn tail.
+TEST_F(WalTest, RetiredFrameTypesAreRefusedNotTruncated) {
+  for (uint8_t retired : {2, 3}) {
+    SCOPED_TRACE("type " + std::to_string(retired));
+    std::string store_dir =
+        (dir_ / ("store" + std::to_string(retired))).string();
+    ASSERT_TRUE(VersionStore::Init(store_dir, "<a/>").ok());
+    {
+      auto store = VersionStore::Open(store_dir);
+      ASSERT_TRUE(store.ok()) << store.status();
+      ASSERT_TRUE(store->Commit(pul::Pul()).ok());
+      ASSERT_TRUE(store->Close().ok());
+    }
+    std::string journal = store_dir + "/wal.log";
+    WalFrame old;
+    old.type = static_cast<FrameType>(retired);
+    old.version = 1;
+    old.aux = 0;
+    old.payload = "<pul/>";
+    {
+      std::ofstream f(journal, std::ios::binary | std::ios::app);
+      f << Wal::EncodeFrame(old);
+    }
+    auto before = ReadFileToString(journal);
+    ASSERT_TRUE(before.ok());
+    std::string named = "unknown frame type " + std::to_string(retired);
+
+    auto wal = Wal::Open(journal, {});
+    ASSERT_FALSE(wal.ok());
+    EXPECT_EQ(wal.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(wal.status().message().find(named), std::string::npos)
+        << wal.status();
+
+    auto store = VersionStore::Open(store_dir);
+    ASSERT_FALSE(store.ok());
+    EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(store.status().message().find(named), std::string::npos)
+        << store.status();
+
+    auto after = ReadFileToString(journal);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, *before);
+  }
 }
 
 TEST_F(WalTest, TornTailIsTruncatedOnOpen) {

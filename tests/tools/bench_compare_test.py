@@ -73,6 +73,27 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("BM_Reduce/1000", proc.stderr)
         self.assertIn("regressed", proc.stderr)
 
+    def test_store_checkout_regression_fails_but_commit_does_not(self):
+        write_set(
+            self.baseline,
+            {
+                "BM_StoreCheckout/4": {"real_time": 30.0, "time_unit": "ms"},
+                "BM_StoreCommit/0": {"real_time": 10.0, "time_unit": "ms"},
+            },
+        )
+        write_set(
+            self.candidate,
+            {
+                "BM_StoreCheckout/4": {"real_time": 34.0, "time_unit": "ms"},
+                "BM_StoreCommit/0": {"real_time": 20.0, "time_unit": "ms"},
+            },
+        )
+        proc = run_compare(self.baseline, self.candidate)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("BM_StoreCheckout/4", proc.stderr)
+        self.assertIn("regressed", proc.stderr)
+        self.assertNotIn("BM_StoreCommit/0", proc.stderr)
+
     def test_gated_missing_from_candidate_fails_by_name(self):
         write_set(
             self.baseline,

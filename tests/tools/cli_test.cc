@@ -554,7 +554,7 @@ TEST_F(CliTest, StoreBranchMergeRebaseAndSim) {
   EXPECT_NE(sim.find("sim: 2/2 schedules converged"), std::string::npos);
 }
 
-TEST_F(CliTest, StoreCompactAndMetrics) {
+TEST_F(CliTest, StoreRollbackAndMetrics) {
   WriteDoc("doc.xml", "<r><a>x</a></r>");
   Run({"store", "init", "--dir", Path("store"), "--doc", Path("doc.xml"),
        "--snapshot-every", "2"});
@@ -567,10 +567,13 @@ TEST_F(CliTest, StoreCompactAndMetrics) {
     Run({"store", "commit", "--dir", Path("store"), "--pul", Path("p.xml"),
          "--snapshot-every", "2"});
   }
-  std::string compact = Run({"store", "compact", "--dir", Path("store"),
-                             "--metrics", "-"});
-  EXPECT_NE(compact.find("compacted"), std::string::npos);
-  EXPECT_NE(compact.find("store.compact.count"), std::string::npos);
+  std::string rollback = Run({"store", "rollback", "--dir", Path("store"),
+                              "--to", "1", "--metrics", "-"});
+  EXPECT_NE(rollback.find("rolled back to version 1 as new version 5"),
+            std::string::npos)
+      << rollback;
+  EXPECT_NE(rollback.find("store.rollback.count"), std::string::npos)
+      << rollback;
   std::string verify = Run({"store", "verify", "--dir", Path("store")});
   EXPECT_NE(verify.find("verify ok"), std::string::npos);
 }

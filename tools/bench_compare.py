@@ -8,8 +8,11 @@ Both directories hold BENCH_<name>.json files as produced by
 bench/run_all.sh (the repo root itself is a valid directory). The script
 prints a per-benchmark delta table for every benchmark present in both
 sets and exits non-zero when any *gated* benchmark — by default the
-engine-facing BM_Reduce*/BM_Integrate*/BM_Aggregate* families — regresses
-by more than the threshold (default 10%).
+engine-facing BM_Reduce*/BM_Integrate*/BM_Aggregate* families plus the
+store checkout and branch merge/rebase families (BM_StoreCheckout*,
+BM_Merge*, BM_Rebase*) — regresses by more than the threshold (default
+10%). BM_StoreCommit* stays ungated: those families are fsync-bound, so
+they measure the disk more than the code.
 
 Comparisons are only meaningful between artifacts of the same build
 type; the script refuses to compare when the recorded bench_build_type
@@ -17,8 +20,8 @@ type; the script refuses to compare when the recorded bench_build_type
 
 Options:
     --threshold PCT   regression gate in percent (default 10)
-    --gate REGEX      regex of gated benchmark names
-                      (default: ^BM_(Reduce|Integrat|Aggregat))
+    --gate REGEX      regex of gated benchmark names (default:
+                      ^BM_(Reduce|Integrat|Aggregat|StoreCheckout|Merge|Rebase))
     --all-gated       gate every common benchmark, not just the default
                       families
 """
@@ -30,7 +33,10 @@ import re
 import sys
 from pathlib import Path
 
-DEFAULT_GATE = r"^BM_(Reduce|Integrat|Aggregat)"
+# BM_StoreCommit* is deliberately absent: commit throughput is
+# fsync-bound on the runner's disk, so it would gate on the disk rather
+# than on the code.
+DEFAULT_GATE = r"^BM_(Reduce|Integrat|Aggregat|StoreCheckout|Merge|Rebase)"
 
 
 def load_set(directory):

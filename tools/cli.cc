@@ -750,7 +750,7 @@ Status CmdExplain(const Args& args, std::ostream& out) {
   return Status::OK();
 }
 
-// `xupdate store <init|commit|checkout|log|compact|rollback|verify|
+// `xupdate store <init|commit|checkout|log|rollback|verify|
 // branch|merge|rebase>`: the durable versioned update store
 // (store/version.h) plus the branch/merge subsystem (src/branch/) as a
 // tool. commit/checkout/log address a branch with --branch NAME
@@ -847,13 +847,6 @@ void PrintLogEntry(const store::LogEntry& entry, bool with_ops,
     case store::FrameType::kPul:
       out << "  pul       v" << entry.version;
       break;
-    case store::FrameType::kAggregate:
-      out << "  aggregate v" << entry.aux << " -> v" << entry.version;
-      break;
-    case store::FrameType::kUndo:
-      out << "  undo      v" << entry.version << " -> v"
-          << entry.version - 1;
-      break;
     case store::FrameType::kSnapshot:
       out << "  snapshot  v" << entry.version;
       break;
@@ -876,8 +869,7 @@ Status CmdStore(const Args& args, std::ostream& out) {
   if (args.positional.empty()) {
     return Status::InvalidArgument(
         "store needs a subcommand: "
-        "init|commit|checkout|log|compact|rollback|verify|branch|merge|"
-        "rebase");
+        "init|commit|checkout|log|rollback|verify|branch|merge|rebase");
   }
   const std::string& sub = args.positional[0];
   XUPDATE_RETURN_IF_ERROR(RequireFlags(args, {"dir"}));
@@ -1029,17 +1021,6 @@ Status CmdStore(const Args& args, std::ostream& out) {
             << " conflicting commits (use --skip-conflicts to drop "
                "them)\n";
       }
-    } else if (sub == "compact") {
-      store::CompactStats stats;
-      XUPDATE_RETURN_IF_ERROR(vs.Compact(&stats));
-      out << "compacted " << stats.segments_compacted << "/"
-          << stats.segments_considered << " segments ("
-          << stats.segments_skipped << " skipped): " << stats.frames_before
-          << " -> " << stats.frames_after << " frames, "
-          << stats.journal_bytes_before << " -> "
-          << stats.journal_bytes_after << " journal bytes, "
-          << stats.input_ops << " -> " << stats.output_ops
-          << " operations\n";
     } else if (sub == "rollback") {
       XUPDATE_RETURN_IF_ERROR(RequireFlags(args, {"to"}));
       XUPDATE_ASSIGN_OR_RETURN(uint64_t to, ParseVersionFlag(args, "to"));
@@ -1052,7 +1033,6 @@ Status CmdStore(const Args& args, std::ostream& out) {
           << report2.snapshots << " snapshots, head " << report2.head
           << ", " << report2.replayed_versions << " versions replayed, "
           << report2.snapshots_checked << " snapshots byte-checked, "
-          << report2.undo_chains_checked << " undo chains walked, "
           << report2.merges_checked << " merges checked\n";
       for (const store::BranchVerifyResult& branch_result :
            report2.branches) {

@@ -30,7 +30,7 @@ namespace xupdate::tools {
 //   xupdate store     init --dir DIR --doc doc.xml
 //   xupdate store     commit --dir DIR --pul pul.xml
 //   xupdate store     checkout --dir DIR --version V --out out.xml
-//   xupdate store     log|compact|verify --dir DIR
+//   xupdate store     log|verify --dir DIR
 //   xupdate store     rollback --dir DIR --to V
 //   xupdate serve     --socket PATH --data-dir DIR
 //                     [--commit-window-ms N] [--max-pending N]
