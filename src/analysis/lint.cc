@@ -66,50 +66,158 @@ void LintDuplicateReplacements(const Pul& pul, DiagnosticReport* report) {
   }
 }
 
+// A killer's exclusion class: an op never reports a killer on its own
+// target, and an attribute never reports a repC on its parent element.
+struct KillerKey {
+  NodeId target;
+  bool repc;
+  bool operator==(const KillerKey&) const = default;
+};
+
+// The lowest-indexed killer of each of up to four distinct keys, the
+// four keys whose killers come first. An op excludes at most three keys
+// — its target with either kind, and its parent with repC — so its
+// witness is always among them.
+class WitnessCandidates {
+ public:
+  void Add(const UpdateOp* op, int index) {
+    const KillerKey key = KeyOf(*op);
+    int latest = 0;
+    for (int j = 0; j < size_; ++j) {
+      if (KeyOf(*op_[j]) == key) {
+        if (index < index_[j]) Set(j, op, index);
+        return;
+      }
+      if (index_[j] > index_[latest]) latest = j;
+    }
+    if (size_ < kSize) {
+      Set(size_++, op, index);
+    } else if (index < index_[latest]) {
+      Set(latest, op, index);
+    }
+  }
+
+  void Merge(const WitnessCandidates& other) {
+    for (int j = 0; j < other.size_; ++j) Add(other.op_[j], other.index_[j]);
+  }
+
+  // Index of the lowest-indexed candidate `op` may report, or -1.
+  int WitnessFor(const UpdateOp& op) const {
+    int witness = -1;
+    for (int j = 0; j < size_; ++j) {
+      const UpdateOp& k = *op_[j];
+      if (k.target == op.target) continue;
+      if (k.kind == OpKind::kReplaceChildren &&
+          op.target_label.parent == k.target &&
+          op.target_label.type == NodeType::kAttribute) {
+        continue;  // attributes of the repC target survive
+      }
+      if (witness < 0 || index_[j] < witness) witness = index_[j];
+    }
+    return witness;
+  }
+
+ private:
+  static constexpr int kSize = 4;
+
+  static KillerKey KeyOf(const UpdateOp& op) {
+    return {op.target, op.kind == OpKind::kReplaceChildren};
+  }
+  void Set(int j, const UpdateOp* op, int index) {
+    op_[j] = op;
+    index_[j] = index;
+  }
+
+  int size_ = 0;
+  const UpdateOp* op_[kSize] = {};
+  int index_[kSize] = {};
+};
+
 // XU002: the op's target sits strictly inside a subtree this same PUL
 // removes with del / repN (or replaces the children of, for non-attribute
 // descendants, with repC) — the override sweep O3/O4 erases it, so it is
 // dead weight the producer can drop at the source. The overriding ops
 // themselves and same-target pairs are O1/O2 turf, not reported here.
+// The witness is the lowest-indexed such killer.
+//
+// O((ops + killers) log killers): a sweep over start codes inserts each
+// killer once every op it could contain (start strictly after the
+// killer's) is ahead, into a Fenwick tree over end codes in descending
+// order, so a prefix query yields the candidates among killers whose
+// end lies strictly after the op's.
 void LintOverriddenBySubtree(const Pul& pul, DiagnosticReport* report) {
-  struct Killer {
-    const UpdateOp* op;
-    int index;
-  };
-  std::vector<Killer> killers;
   const auto& ops = pul.ops();
+  std::vector<int> killers;
+  std::vector<int> labelled;
   for (size_t i = 0; i < ops.size(); ++i) {
     const UpdateOp& op = ops[i];
     if (!op.target_label.valid()) continue;
+    labelled.push_back(static_cast<int>(i));
     if (op.kind == OpKind::kDelete || op.kind == OpKind::kReplaceNode ||
         op.kind == OpKind::kReplaceChildren) {
-      killers.push_back({&op, static_cast<int>(i)});
+      killers.push_back(static_cast<int>(i));
     }
   }
   if (killers.empty()) return;
-  for (size_t i = 0; i < ops.size(); ++i) {
+  auto start_of = [&](int i) -> const BitString& {
+    return ops[i].target_label.start;
+  };
+  auto by_start = [&](int a, int b) { return start_of(a) < start_of(b); };
+  std::sort(killers.begin(), killers.end(), by_start);
+  std::sort(labelled.begin(), labelled.end(), by_start);
+
+  // Distinct killer end codes, descending: rank r (1-based) holds the
+  // r-th latest end.
+  std::vector<const BitString*> ends;
+  ends.reserve(killers.size());
+  for (int k : killers) ends.push_back(&ops[k].target_label.end);
+  auto later = [](const BitString* a, const BitString* b) { return *b < *a; };
+  std::sort(ends.begin(), ends.end(), later);
+  ends.erase(std::unique(ends.begin(), ends.end(),
+                         [](const BitString* a, const BitString* b) {
+                           return *a == *b;
+                         }),
+             ends.end());
+  // Number of distinct killer ends strictly after `end`.
+  auto ends_after = [&](const BitString& end) {
+    return static_cast<size_t>(
+        std::partition_point(ends.begin(), ends.end(),
+                             [&](const BitString* e) { return end < *e; }) -
+        ends.begin());
+  };
+
+  std::vector<WitnessCandidates> fenwick(ends.size() + 1);
+  std::vector<int> witness(ops.size(), -1);
+  size_t next_killer = 0;
+  for (int i : labelled) {
     const UpdateOp& op = ops[i];
-    if (!op.target_label.valid()) continue;
-    for (const Killer& k : killers) {
-      if (k.index == static_cast<int>(i)) continue;
-      if (k.op->target == op.target) continue;
-      if (!label::IsDescendantOf(op.target_label, k.op->target_label)) {
-        continue;
+    for (; next_killer < killers.size() &&
+           start_of(killers[next_killer]) < op.target_label.start;
+         ++next_killer) {
+      const int k = killers[next_killer];
+      // Rank of the killer's own end: ends after it, plus one.
+      for (size_t r = ends_after(ops[k].target_label.end) + 1;
+           r < fenwick.size(); r += r & (~r + 1)) {
+        fenwick[r].Add(&ops[k], k);
       }
-      if (k.op->kind == OpKind::kReplaceChildren &&
-          op.target_label.parent == k.op->target &&
-          op.target_label.type == NodeType::kAttribute) {
-        continue;  // attributes of the repC target survive
-      }
-      Emit(report, Severity::kWarning, kCodeOverriddenBySubtreeOp,
-           static_cast<int>(i), k.index,
-           OpDescription(op, static_cast<int>(i)) +
-               " targets a node inside the subtree that op " +
-               std::to_string(k.index) + " (" +
-               std::string(pul::OpKindName(k.op->kind)) +
-               ") removes; reduction erases it");
-      break;  // one witness per op is enough
     }
+    WitnessCandidates candidates;
+    for (size_t r = ends_after(op.target_label.end); r > 0; r -= r & (~r + 1)) {
+      candidates.Merge(fenwick[r]);
+    }
+    witness[i] = candidates.WitnessFor(op);
+  }
+
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const int k = witness[i];
+    if (k < 0) continue;
+    Emit(report, Severity::kWarning, kCodeOverriddenBySubtreeOp,
+         static_cast<int>(i), k,
+         OpDescription(ops[i], static_cast<int>(i)) +
+             " targets a node inside the subtree that op " +
+             std::to_string(k) + " (" +
+             std::string(pul::OpKindName(ops[k].kind)) +
+             ") removes; reduction erases it");
   }
 }
 

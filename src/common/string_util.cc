@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdio>
 
@@ -39,7 +40,9 @@ std::string XmlUnescape(std::string_view text) {
   size_t i = 0;
   while (i < text.size()) {
     if (text[i] != '&') {
-      out += text[i++];
+      size_t amp = std::min(text.find('&', i), text.size());
+      out.append(text.substr(i, amp - i));
+      i = amp;
       continue;
     }
     size_t semi = text.find(';', i);

@@ -26,10 +26,13 @@ inline uint64_t LoadPrefixWord(const uint8_t* p, size_t n) {
 
 BitString BitString::FromBits(std::string_view zeros_and_ones) {
   BitString out;
-  out.bytes_.reserve((zeros_and_ones.size() + 7) / 8);
-  for (char c : zeros_and_ones) {
-    assert(c == '0' || c == '1');
-    out.AppendBit(c == '1');
+  out.nbits_ = zeros_and_ones.size();
+  out.bytes_.assign((out.nbits_ + 7) / 8, 0);
+  for (size_t i = 0; i < out.nbits_; ++i) {
+    assert(zeros_and_ones[i] == '0' || zeros_and_ones[i] == '1');
+    if (zeros_and_ones[i] == '1') {
+      out.bytes_[i >> 3] |= static_cast<uint8_t>(0x80u >> (i & 7));
+    }
   }
   return out;
 }

@@ -1,7 +1,5 @@
 #include "label/node_label.h"
 
-#include <vector>
-
 #include "common/string_util.h"
 
 namespace xupdate::label {
@@ -32,18 +30,17 @@ Result<NodeLabel> NodeLabel::Parse(std::string_view text,
     return Status::ParseError("bad label type tag");
   }
   text.remove_prefix(1);
-  std::vector<std::string_view> parts;
-  size_t pos = 0;
-  while (true) {
+  std::string_view parts[6];
+  size_t num_parts = 0;
+  for (size_t pos = 0;;) {
+    if (num_parts == 6) return Status::ParseError("bad label arity");
     size_t colon = text.find(':', pos);
-    if (colon == std::string_view::npos) {
-      parts.push_back(text.substr(pos));
-      break;
-    }
-    parts.push_back(text.substr(pos, colon - pos));
+    parts[num_parts++] = text.substr(
+        pos, colon == std::string_view::npos ? colon : colon - pos);
+    if (colon == std::string_view::npos) break;
     pos = colon + 1;
   }
-  if (parts.size() != 6) return Status::ParseError("bad label arity");
+  if (num_parts != 6) return Status::ParseError("bad label arity");
   int64_t level = ParseNonNegativeInt(parts[0]);
   int64_t parent = ParseNonNegativeInt(parts[3]);
   int64_t leftsib = ParseNonNegativeInt(parts[4]);

@@ -1,6 +1,9 @@
 #include "pul/pul_io.h"
 
+#include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/string_util.h"
 #include "pul/update_op.h"
@@ -10,6 +13,7 @@
 namespace xupdate::pul {
 
 using xml::Document;
+using xml::kInvalidNode;
 using xml::NodeId;
 using xml::NodeType;
 
@@ -56,79 +60,230 @@ Status SerializeParam(const Document& forest, NodeId root,
   return Status::Internal("unknown parameter node type");
 }
 
-// Finds the value of attribute `name` on element `node`, or empty view.
-Result<std::string> AttrValue(const Document& doc, NodeId node,
-                              std::string_view name, bool required) {
-  for (NodeId a : doc.attributes(node)) {
-    if (doc.name(a) == name) return doc.value(a);
+// First value of attribute `name`, or nullptr when absent.
+const std::string* FindAttr(std::span<const xml::SaxAttribute> attributes,
+                            std::string_view name) {
+  for (const xml::SaxAttribute& a : attributes) {
+    if (a.name == name) return &a.value;
   }
-  if (required) {
-    return Status::ParseError("missing attribute \"" + std::string(name) +
-                              "\" on <" + std::string(doc.name(node)) + ">");
-  }
-  return std::string();
+  return nullptr;
 }
 
-Status ParseOpElement(const Document& temp, NodeId op_node, Pul* out) {
-  UpdateOp op;
-  XUPDATE_ASSIGN_OR_RETURN(std::string kind_name,
-                           AttrValue(temp, op_node, "kind", true));
-  if (!OpKindFromName(kind_name, &op.kind)) {
-    return Status::ParseError("unknown op kind \"" + kind_name + "\"");
+Result<std::string_view> RequiredAttr(
+    std::span<const xml::SaxAttribute> attributes, std::string_view name,
+    std::string_view element) {
+  const std::string* value = FindAttr(attributes, name);
+  if (value == nullptr) {
+    return Status::ParseError("missing attribute \"" + std::string(name) +
+                              "\" on <" + std::string(element) + ">");
   }
-  XUPDATE_ASSIGN_OR_RETURN(std::string target_text,
-                           AttrValue(temp, op_node, "target", true));
-  int64_t target = ParseNonNegativeInt(target_text);
-  if (target <= 0) return Status::ParseError("bad op target id");
-  op.target = static_cast<NodeId>(target);
-  XUPDATE_ASSIGN_OR_RETURN(std::string label_text,
-                           AttrValue(temp, op_node, "label", false));
-  if (!label_text.empty()) {
-    XUPDATE_ASSIGN_OR_RETURN(op.target_label,
-                             label::NodeLabel::Parse(label_text, op.target));
-  }
-  XUPDATE_ASSIGN_OR_RETURN(op.param_string,
-                           AttrValue(temp, op_node, "arg", false));
+  return std::string_view(*value);
+}
 
-  op.param_trees.reserve(temp.children(op_node).size());
-  for (NodeId param : temp.children(op_node)) {
-    if (temp.type(param) != NodeType::kElement) {
-      return Status::ParseError("unexpected content inside <op>");
+// Unannotated <elem> parameter nodes take fresh ids from this floor up,
+// clear of every explicit id a producer assigns (§4.1 id spaces).
+constexpr NodeId kUnannotatedIdFloor = NodeId{1} << 62;
+
+// One-pass reader: SAX events go straight into the Pul. Op fields,
+// policies and <text>/<attr> parameters are read off the attribute span;
+// each <elem> parameter's events are forwarded to a DomBuilder on the
+// PUL's forest, so the tree is built once, in place.
+class PulReader : public xml::SaxHandler {
+ public:
+  explicit PulReader(Pul* out)
+      : out_(out), trees_(&out->forest(), /*read_ids=*/true,
+                          kUnannotatedIdFloor) {}
+
+  Status StartElement(std::string_view name,
+                      std::span<const xml::SaxAttribute> attributes) override {
+    switch (state_) {
+      case State::kRecord:
+        if (name != "pul") {
+          return Status::ParseError("root element must be <pul>");
+        }
+        state_ = State::kPul;
+        return Status::OK();
+      case State::kPul:
+        if (name == "policies") {
+          ReadPolicies(attributes);
+          Skip(State::kPul);
+          return Status::OK();
+        }
+        if (name == "op") {
+          state_ = State::kOp;
+          return BeginOp(attributes);
+        }
+        return Status::ParseError("unknown element <" + std::string(name) +
+                                  "> inside <pul>");
+      case State::kOp:
+        if (name == "elem") {
+          state_ = State::kElem;
+          elem_root_ = kInvalidNode;
+          return Status::OK();
+        }
+        if (name == "text" || name == "attr") {
+          Skip(State::kOp);
+          return ReadScalarParam(name, attributes);
+        }
+        return Status::ParseError("unknown parameter wrapper <" +
+                                  std::string(name) + ">");
+      case State::kElem:
+        if (trees_.building()) return trees_.StartElement(name, attributes);
+        if (elem_root_ != kInvalidNode) return ElemShapeError();
+        XUPDATE_RETURN_IF_ERROR(trees_.StartElement(name, attributes));
+        elem_root_ = trees_.root();
+        return Status::OK();
+      case State::kSkip:
+        ++skip_depth_;
+        return Status::OK();
     }
-    std::string_view wrapper = temp.name(param);
-    if (wrapper == "elem") {
-      const auto& kids = temp.children(param);
-      if (kids.size() != 1 || temp.type(kids[0]) != NodeType::kElement) {
-        return Status::ParseError("<elem> must wrap exactly one element");
-      }
+    return Status::Internal("PUL reader in an unknown state");
+  }
+
+  Status EndElement(std::string_view name) override {
+    switch (state_) {
+      case State::kRecord:
+      case State::kPul:  // </pul>; ParseSax rejects anything after it
+        return Status::OK();
+      case State::kOp:
+        state_ = State::kPul;
+        op_.param_trees.assign(params_.begin(), params_.end());
+        params_.clear();
+        return out_->AddOp(std::exchange(op_, UpdateOp()));
+      case State::kElem:
+        if (trees_.building()) return trees_.EndElement(name);
+        if (elem_root_ == kInvalidNode) return ElemShapeError();
+        params_.push_back(elem_root_);
+        state_ = State::kOp;
+        return Status::OK();
+      case State::kSkip:
+        if (--skip_depth_ == 0) state_ = skip_return_;
+        return Status::OK();
+    }
+    return Status::Internal("PUL reader in an unknown state");
+  }
+
+  Status Text(std::string_view text) override {
+    switch (state_) {
+      case State::kPul:
+        return Status::ParseError("unexpected content inside <pul>");
+      case State::kOp:
+        return Status::ParseError("unexpected content inside <op>");
+      case State::kElem:
+        if (!trees_.building()) return ElemShapeError();
+        return trees_.Text(text);
+      case State::kRecord:
+      case State::kSkip:
+        break;
+    }
+    return Status::OK();
+  }
+
+  Status ProcessingInstruction(std::string_view target,
+                               std::string_view data) override {
+    if (state_ != State::kElem) return Status::OK();
+    return trees_.ProcessingInstruction(target, data);
+  }
+
+ private:
+  enum class State {
+    kRecord,  // before <pul>
+    kPul,     // directly inside <pul>
+    kOp,      // directly inside <op>
+    kElem,    // inside an <elem> parameter
+    kSkip,    // inside <policies>/<text>/<attr>, whose content is ignored
+  };
+
+  static Status ElemShapeError() {
+    return Status::ParseError("<elem> must wrap exactly one element");
+  }
+
+  void Skip(State resume) {
+    state_ = State::kSkip;
+    skip_return_ = resume;
+    skip_depth_ = 1;
+  }
+
+  void ReadPolicies(std::span<const xml::SaxAttribute> attributes) {
+    auto flag = [&](std::string_view name) {
+      const std::string* value = FindAttr(attributes, name);
+      return value != nullptr && *value == "1";
+    };
+    Policies p;
+    p.preserve_insertion_order = flag("insertionOrder");
+    p.preserve_inserted_data = flag("insertedData");
+    p.preserve_removed_data = flag("removedData");
+    out_->set_policies(p);
+  }
+
+  Status BeginOp(std::span<const xml::SaxAttribute> attributes) {
+    XUPDATE_ASSIGN_OR_RETURN(std::string_view kind_name,
+                             RequiredAttr(attributes, "kind", "op"));
+    if (!OpKindFromName(kind_name, &op_.kind)) {
+      return Status::ParseError("unknown op kind \"" +
+                                std::string(kind_name) + "\"");
+    }
+    XUPDATE_ASSIGN_OR_RETURN(std::string_view target_text,
+                             RequiredAttr(attributes, "target", "op"));
+    int64_t target = ParseNonNegativeInt(target_text);
+    if (target <= 0) return Status::ParseError("bad op target id");
+    op_.target = static_cast<NodeId>(target);
+    const std::string* label_text = FindAttr(attributes, "label");
+    if (label_text != nullptr && !label_text->empty()) {
       XUPDATE_ASSIGN_OR_RETURN(
-          NodeId adopted,
-          out->forest().AdoptSubtree(temp, kids[0], /*preserve_ids=*/true,
-                                     nullptr));
-      op.param_trees.push_back(adopted);
-    } else if (wrapper == "text" || wrapper == "attr") {
-      XUPDATE_ASSIGN_OR_RETURN(std::string id_text,
-                               AttrValue(temp, param, "id", true));
-      int64_t id = ParseNonNegativeInt(id_text);
-      if (id <= 0) return Status::ParseError("bad parameter node id");
-      XUPDATE_ASSIGN_OR_RETURN(std::string value,
-                               AttrValue(temp, param, "value", true));
-      if (wrapper == "text") {
-        XUPDATE_RETURN_IF_ERROR(out->forest().CreateWithId(
-            static_cast<NodeId>(id), NodeType::kText, "", value));
-      } else {
-        XUPDATE_ASSIGN_OR_RETURN(std::string name,
-                                 AttrValue(temp, param, "name", true));
-        XUPDATE_RETURN_IF_ERROR(out->forest().CreateWithId(
-            static_cast<NodeId>(id), NodeType::kAttribute, name, value));
-      }
-      op.param_trees.push_back(static_cast<NodeId>(id));
+          op_.target_label, label::NodeLabel::Parse(*label_text, op_.target));
+    }
+    if (const std::string* arg = FindAttr(attributes, "arg")) {
+      op_.param_string = *arg;
+    }
+    return Status::OK();
+  }
+
+  Status ReadScalarParam(std::string_view wrapper,
+                         std::span<const xml::SaxAttribute> attributes) {
+    XUPDATE_ASSIGN_OR_RETURN(std::string_view id_text,
+                             RequiredAttr(attributes, "id", wrapper));
+    int64_t id = ParseNonNegativeInt(id_text);
+    if (id <= 0) return Status::ParseError("bad parameter node id");
+    XUPDATE_ASSIGN_OR_RETURN(std::string_view value,
+                             RequiredAttr(attributes, "value", wrapper));
+    if (wrapper == "text") {
+      XUPDATE_RETURN_IF_ERROR(out_->forest().CreateWithId(
+          static_cast<NodeId>(id), NodeType::kText, "", value));
     } else {
-      return Status::ParseError("unknown parameter wrapper <" +
-                                std::string(wrapper) + ">");
+      XUPDATE_ASSIGN_OR_RETURN(std::string_view name,
+                               RequiredAttr(attributes, "name", wrapper));
+      XUPDATE_RETURN_IF_ERROR(out_->forest().CreateWithId(
+          static_cast<NodeId>(id), NodeType::kAttribute, name, value));
+    }
+    params_.push_back(static_cast<NodeId>(id));
+    return Status::OK();
+  }
+
+  Pul* out_;
+  xml::DomBuilder trees_;
+  State state_ = State::kRecord;
+  State skip_return_ = State::kPul;
+  int skip_depth_ = 0;
+  UpdateOp op_;                  // the op being read
+  std::vector<NodeId> params_;   // its parameter roots so far
+  NodeId elem_root_ = kInvalidNode;
+};
+
+// Counts <op> start tags, to pre-size the op list before the single
+// pass. An element named "op" inside an <elem> tree is counted too,
+// which only over-reserves.
+size_t CountOpTags(std::string_view text) {
+  size_t n = 0;
+  for (size_t pos = text.find("<op"); pos != std::string_view::npos;
+       pos = text.find("<op", pos + 3)) {
+    char next = pos + 3 < text.size() ? text[pos + 3] : '\0';
+    if (next == '>' || next == '/' || next == ' ' || next == '\t' ||
+        next == '\r' || next == '\n') {
+      ++n;
     }
   }
-  return out->AddOp(std::move(op));
+  return n;
 }
 
 }  // namespace
@@ -192,43 +347,12 @@ Result<Pul> ParsePul(std::string_view xml_text) {
     return Status::ParseError(
         "serialized PUL contains an embedded NUL byte");
   }
-  Document temp;
-  // Auto-assigned wrapper-element ids must not collide with the
-  // producer's explicit parameter ids; park them in a far id range.
-  temp.ReserveIdsBelow(NodeId{1} << 62);
-  xml::ParseOptions options;
-  options.sax.keep_whitespace_text = true;
-  XUPDATE_ASSIGN_OR_RETURN(NodeId root,
-                           xml::ParseFragment(&temp, xml_text, options));
-  if (temp.name(root) != "pul") {
-    return Status::ParseError("root element must be <pul>");
-  }
   Pul out;
-  out.ReserveOps(temp.children(root).size());
-  for (NodeId child : temp.children(root)) {
-    if (temp.type(child) != NodeType::kElement) {
-      return Status::ParseError("unexpected content inside <pul>");
-    }
-    if (temp.name(child) == "policies") {
-      Policies p;
-      XUPDATE_ASSIGN_OR_RETURN(std::string order,
-                               AttrValue(temp, child, "insertionOrder", false));
-      XUPDATE_ASSIGN_OR_RETURN(std::string inserted,
-                               AttrValue(temp, child, "insertedData", false));
-      XUPDATE_ASSIGN_OR_RETURN(std::string removed,
-                               AttrValue(temp, child, "removedData", false));
-      p.preserve_insertion_order = order == "1";
-      p.preserve_inserted_data = inserted == "1";
-      p.preserve_removed_data = removed == "1";
-      out.set_policies(p);
-    } else if (temp.name(child) == "op") {
-      XUPDATE_RETURN_IF_ERROR(ParseOpElement(temp, child, &out));
-    } else {
-      return Status::ParseError("unknown element <" +
-                                std::string(temp.name(child)) +
-                                "> inside <pul>");
-    }
-  }
+  out.ReserveOps(CountOpTags(xml_text));
+  PulReader reader(&out);
+  xml::SaxOptions options;
+  options.keep_whitespace_text = true;  // whitespace is data inside <elem>
+  XUPDATE_RETURN_IF_ERROR(xml::ParseSax(xml_text, &reader, options));
   return out;
 }
 

@@ -1,7 +1,6 @@
 #include "xml/parser.h"
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/string_util.h"
@@ -11,135 +10,107 @@ namespace xupdate::xml {
 
 namespace {
 
-// Parsed form of one xu:ids annotation.
-struct IdsAnnotation {
-  NodeId self = kInvalidNode;
-  std::vector<NodeId> attribute_ids;  // positional
-};
-
-Status ParseIdsAnnotation(std::string_view text, IdsAnnotation* out) {
-  std::vector<std::string_view> fields;
-  size_t pos = 0;
-  while (fields.size() < 2) {
-    size_t semi = text.find(';', pos);
-    if (semi == std::string_view::npos) {
-      fields.push_back(text.substr(pos));
-      break;
-    }
-    fields.push_back(text.substr(pos, semi - pos));
-    pos = semi + 1;
-  }
-  int64_t self = ParseNonNegativeInt(fields[0]);
+// Parses one xu:ids annotation, "self;attr,attr,...[;rest]": returns the
+// element's own id and fills `attribute_ids` (positional).
+Result<NodeId> ParseIdsAnnotation(std::string_view text,
+                                  std::vector<NodeId>* attribute_ids) {
+  attribute_ids->clear();
+  size_t semi = text.find(';');
+  int64_t self = ParseNonNegativeInt(text.substr(0, semi));
   if (self <= 0) return Status::ParseError("bad xu:ids self id");
-  out->self = static_cast<NodeId>(self);
-  if (fields.size() > 1 && !fields[1].empty()) {
-    std::string_view rest = fields[1];
+  if (semi != std::string_view::npos) {
+    std::string_view rest = text.substr(semi + 1);
+    rest = rest.substr(0, rest.find(';'));
     while (!rest.empty()) {
       size_t comma = rest.find(',');
-      std::string_view item = rest.substr(0, comma);
-      int64_t id = ParseNonNegativeInt(item);
+      int64_t id = ParseNonNegativeInt(rest.substr(0, comma));
       if (id <= 0) return Status::ParseError("bad xu:ids attribute id");
-      out->attribute_ids.push_back(static_cast<NodeId>(id));
+      attribute_ids->push_back(static_cast<NodeId>(id));
       if (comma == std::string_view::npos) break;
       rest.remove_prefix(comma + 1);
     }
   }
+  return static_cast<NodeId>(self);
+}
+
+}  // namespace
+
+Status DomBuilder::StartElement(std::string_view name,
+                                std::span<const SaxAttribute> attributes) {
+  NodeId element = kInvalidNode;
+  attribute_ids_.clear();
+  if (read_ids_) {
+    for (const SaxAttribute& a : attributes) {
+      if (a.name == kIdsAttributeName) {
+        XUPDATE_ASSIGN_OR_RETURN(element,
+                                 ParseIdsAnnotation(a.value, &attribute_ids_));
+        break;
+      }
+    }
+  }
+  if (element != kInvalidNode) {
+    XUPDATE_RETURN_IF_ERROR(
+        doc_->CreateWithId(element, NodeType::kElement, name, ""));
+  } else {
+    doc_->ReserveIdsBelow(fresh_id_floor_);
+    element = doc_->NewElement(name);
+  }
+  size_t attr_pos = 0;
+  for (const SaxAttribute& a : attributes) {
+    if (read_ids_ && a.name == kIdsAttributeName) continue;
+    NodeId attr;
+    if (attr_pos < attribute_ids_.size()) {
+      attr = attribute_ids_[attr_pos];
+      XUPDATE_RETURN_IF_ERROR(
+          doc_->CreateWithId(attr, NodeType::kAttribute, a.name, a.value));
+    } else {
+      doc_->ReserveIdsBelow(fresh_id_floor_);
+      attr = doc_->NewAttribute(a.name, a.value);
+    }
+    XUPDATE_RETURN_IF_ERROR(doc_->AddAttribute(element, attr));
+    ++attr_pos;
+  }
+  if (stack_.empty()) {
+    root_ = element;
+  } else {
+    XUPDATE_RETURN_IF_ERROR(doc_->AppendChild(stack_.back(), element));
+  }
+  stack_.push_back(element);
+  pending_text_id_ = kInvalidNode;
   return Status::OK();
 }
 
-// SAX handler that builds a Document subtree.
-class DomBuilder : public SaxHandler {
- public:
-  DomBuilder(Document* doc, bool read_ids)
-      : doc_(doc), read_ids_(read_ids) {}
+Status DomBuilder::EndElement(std::string_view) {
+  stack_.pop_back();
+  pending_text_id_ = kInvalidNode;
+  return Status::OK();
+}
 
-  NodeId root() const { return root_; }
+Status DomBuilder::ProcessingInstruction(std::string_view target,
+                                         std::string_view data) {
+  if (!read_ids_ || target != "xuid") return Status::OK();
+  int64_t id = ParseNonNegativeInt(Trim(data));
+  if (id <= 0) return Status::ParseError("bad <?xuid?> id");
+  pending_text_id_ = static_cast<NodeId>(id);
+  return Status::OK();
+}
 
-  Status StartElement(std::string_view name,
-                      std::span<const SaxAttribute> attributes) override {
-    IdsAnnotation ids;
-    bool annotated = false;
-    if (read_ids_) {
-      for (const SaxAttribute& a : attributes) {
-        if (a.name == kIdsAttributeName) {
-          XUPDATE_RETURN_IF_ERROR(ParseIdsAnnotation(a.value, &ids));
-          annotated = true;
-          break;
-        }
-      }
-    }
-    NodeId element;
-    if (annotated) {
-      XUPDATE_RETURN_IF_ERROR(
-          doc_->CreateWithId(ids.self, NodeType::kElement, name, ""));
-      element = ids.self;
-    } else {
-      element = doc_->NewElement(name);
-    }
-    size_t attr_pos = 0;
-    for (const SaxAttribute& a : attributes) {
-      if (read_ids_ && a.name == kIdsAttributeName) continue;
-      NodeId attr;
-      if (annotated && attr_pos < ids.attribute_ids.size()) {
-        attr = ids.attribute_ids[attr_pos];
-        XUPDATE_RETURN_IF_ERROR(doc_->CreateWithId(
-            attr, NodeType::kAttribute, a.name, a.value));
-      } else {
-        attr = doc_->NewAttribute(a.name, a.value);
-      }
-      XUPDATE_RETURN_IF_ERROR(doc_->AddAttribute(element, attr));
-      ++attr_pos;
-    }
-    if (stack_.empty()) {
-      root_ = element;
-    } else {
-      XUPDATE_RETURN_IF_ERROR(doc_->AppendChild(stack_.back(), element));
-    }
-    stack_.push_back(element);
+Status DomBuilder::Text(std::string_view text) {
+  if (stack_.empty()) {
+    return Status::ParseError("text outside the root element");
+  }
+  NodeId node;
+  if (pending_text_id_ != kInvalidNode) {
+    XUPDATE_RETURN_IF_ERROR(
+        doc_->CreateWithId(pending_text_id_, NodeType::kText, "", text));
+    node = pending_text_id_;
     pending_text_id_ = kInvalidNode;
-    return Status::OK();
+  } else {
+    doc_->ReserveIdsBelow(fresh_id_floor_);
+    node = doc_->NewText(text);
   }
-
-  Status EndElement(std::string_view) override {
-    stack_.pop_back();
-    pending_text_id_ = kInvalidNode;
-    return Status::OK();
-  }
-
-  Status ProcessingInstruction(std::string_view target,
-                               std::string_view data) override {
-    if (!read_ids_ || target != "xuid") return Status::OK();
-    int64_t id = ParseNonNegativeInt(Trim(data));
-    if (id <= 0) return Status::ParseError("bad <?xuid?> id");
-    pending_text_id_ = static_cast<NodeId>(id);
-    return Status::OK();
-  }
-
-  Status Text(std::string_view text) override {
-    if (stack_.empty()) {
-      return Status::ParseError("text outside the root element");
-    }
-    NodeId node;
-    if (pending_text_id_ != kInvalidNode) {
-      XUPDATE_RETURN_IF_ERROR(
-          doc_->CreateWithId(pending_text_id_, NodeType::kText, "", text));
-      node = pending_text_id_;
-      pending_text_id_ = kInvalidNode;
-    } else {
-      node = doc_->NewText(text);
-    }
-    return doc_->AppendChild(stack_.back(), node);
-  }
-
- private:
-  Document* doc_;
-  bool read_ids_;
-  NodeId root_ = kInvalidNode;
-  std::vector<NodeId> stack_;
-  NodeId pending_text_id_ = kInvalidNode;
-};
-
-}  // namespace
+  return doc_->AppendChild(stack_.back(), node);
+}
 
 Result<Document> ParseDocument(std::string_view input,
                                const ParseOptions& options) {

@@ -1,7 +1,9 @@
 #ifndef XUPDATE_XML_PARSER_H_
 #define XUPDATE_XML_PARSER_H_
 
+#include <span>
 #include <string_view>
+#include <vector>
 
 #include "common/result.h"
 #include "xml/document.h"
@@ -28,6 +30,43 @@ Result<Document> ParseDocument(std::string_view input,
 // doc's root; returns the id of the fragment's (detached) root element.
 Result<NodeId> ParseFragment(Document* doc, std::string_view input,
                              const ParseOptions& options = {});
+
+// SAX handler that builds element trees straight into a Document: the
+// one implementation of the `xu:ids` / `<?xuid?>` id annotations.
+// ParseDocument and ParseFragment drive it over a whole input; a reader
+// of a larger record forwards it the events of each embedded tree (the
+// PUL reader does so for every <elem> parameter). Each StartElement
+// while no element is open starts a new detached tree.
+class DomBuilder : public SaxHandler {
+ public:
+  // Builds into `doc`. Nodes without an explicit id take fresh ids from
+  // doc's counter, first raised to `fresh_id_floor` (if below it) so
+  // they cannot collide with explicit ids beneath that floor; the floor
+  // is only applied once such a node actually appears.
+  DomBuilder(Document* doc, bool read_ids, NodeId fresh_id_floor = 0)
+      : doc_(doc), read_ids_(read_ids), fresh_id_floor_(fresh_id_floor) {}
+
+  // Root of the most recently started tree (kInvalidNode before any).
+  NodeId root() const { return root_; }
+  // True while an element of the current tree is open.
+  bool building() const { return !stack_.empty(); }
+
+  Status StartElement(std::string_view name,
+                      std::span<const SaxAttribute> attributes) override;
+  Status EndElement(std::string_view name) override;
+  Status ProcessingInstruction(std::string_view target,
+                               std::string_view data) override;
+  Status Text(std::string_view text) override;
+
+ private:
+  Document* doc_;
+  bool read_ids_;
+  NodeId fresh_id_floor_;
+  NodeId root_ = kInvalidNode;
+  std::vector<NodeId> stack_;
+  NodeId pending_text_id_ = kInvalidNode;
+  std::vector<NodeId> attribute_ids_;  // reused: one xu:ids annotation
+};
 
 }  // namespace xupdate::xml
 

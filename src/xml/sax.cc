@@ -1,5 +1,6 @@
 #include "xml/sax.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "common/string_util.h"
@@ -49,15 +50,21 @@ class Cursor {
     if (found == std::string_view::npos) {
       return Error(std::string("unterminated ") + std::string(what));
     }
-    while (pos_ < found + delim.size()) Advance();
+    AdvanceTo(found + delim.size());
     return Status::OK();
   }
   std::string_view TextUntil(char stop) {
     size_t found = input_.find(stop, pos_);
     if (found == std::string_view::npos) found = input_.size();
     std::string_view out = input_.substr(pos_, found - pos_);
-    while (pos_ < found) Advance();
+    AdvanceTo(found);
     return out;
+  }
+  // Moves to `end` (>= the current position), counting the lines passed.
+  void AdvanceTo(size_t end) {
+    line_ += static_cast<size_t>(
+        std::count(input_.begin() + pos_, input_.begin() + end, '\n'));
+    pos_ = end;
   }
   void SkipWhitespace() {
     while (!AtEnd() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\r' ||
@@ -130,7 +137,10 @@ Status ParseSax(std::string_view input, SaxHandler* handler,
         continue;
       }
       if (options.keep_whitespace_text || !IsWhitespaceOnly(raw)) {
-        XUPDATE_RETURN_IF_ERROR(handler->Text(XmlUnescape(raw)));
+        XUPDATE_RETURN_IF_ERROR(
+            raw.find('&') == std::string_view::npos
+                ? handler->Text(raw)
+                : handler->Text(XmlUnescape(raw)));
       }
       continue;
     }

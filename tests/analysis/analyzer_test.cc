@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/independence.h"
@@ -114,6 +116,94 @@ TEST_F(AnalyzerTest, RepCAttributeExceptionSuppressesXU002) {
   ASSERT_EQ(report.size(), 1u);
   EXPECT_EQ(report[0].code, kCodeOverriddenBySubtreeOp);
   EXPECT_EQ(report[0].op_index, 2);
+}
+
+// XU002 as a plain scan over ops x killers: the reference the indexed
+// sweep in LintPul must match diagnostic for diagnostic.
+std::vector<std::pair<int, int>> ReferenceOverridden(const Pul& pul) {
+  std::vector<std::pair<int, int>> out;
+  const auto& ops = pul.ops();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const pul::UpdateOp& op = ops[i];
+    if (!op.target_label.valid()) continue;
+    for (size_t k = 0; k < ops.size(); ++k) {
+      const pul::UpdateOp& killer = ops[k];
+      if (!killer.target_label.valid()) continue;
+      if (killer.kind != OpKind::kDelete &&
+          killer.kind != OpKind::kReplaceNode &&
+          killer.kind != OpKind::kReplaceChildren) {
+        continue;
+      }
+      if (k == i || killer.target == op.target) continue;
+      if (!label::IsDescendantOf(op.target_label, killer.target_label)) {
+        continue;
+      }
+      if (killer.kind == OpKind::kReplaceChildren &&
+          op.target_label.parent == killer.target &&
+          op.target_label.type == xml::NodeType::kAttribute) {
+        continue;
+      }
+      out.emplace_back(static_cast<int>(i), static_cast<int>(k));
+      break;
+    }
+  }
+  return out;
+}
+
+// Random ops whose targets and labels are drawn independently, from two
+// unrelated documents: crossing (non-nested) label intervals, killers
+// sharing a target, and repC over an attribute's parent all occur.
+TEST_F(AnalyzerTest, OverriddenBySubtreeMatchesPlainScan) {
+  const OpKind kinds[] = {OpKind::kDelete,       OpKind::kReplaceNode,
+                          OpKind::kReplaceChildren, OpKind::kReplaceValue,
+                          OpKind::kRename,       OpKind::kDelete};
+  size_t reported = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    Document a = xupdate::testing::RandomDocument(rng, 40);
+    Document b = xupdate::testing::RandomDocument(rng, 40);
+    label::Labeling la = label::Labeling::Build(a);
+    label::Labeling lb = label::Labeling::Build(b);
+    std::vector<NodeId> na = a.AllNodesInOrder();
+    std::vector<NodeId> nb = b.AllNodesInOrder();
+    Pul p = MakePul();
+    const size_t num_ops = 1 + rng.Below(seed % 4 == 0 ? 400 : 40);
+    for (size_t n = 0; n < num_ops; ++n) {
+      pul::UpdateOp op;
+      op.kind = kinds[rng.Below(std::size(kinds))];
+      bool from_b = rng.Below(4) == 0;
+      const std::vector<NodeId>& nodes = from_b ? nb : na;
+      NodeId labelled = nodes[rng.Below(nodes.size())];
+      op.target_label = *(from_b ? lb : la).Get(labelled);
+      // Mostly the labelled node itself; sometimes the label's parent or
+      // any node of `a`, to collide with other killers' targets.
+      switch (rng.Below(4)) {
+        case 0:
+          op.target = op.target_label.parent != xml::kInvalidNode
+                          ? op.target_label.parent
+                          : labelled;
+          break;
+        case 1:
+          op.target = na[rng.Below(na.size())];
+          break;
+        default:
+          op.target = labelled;
+      }
+      if (rng.Below(20) == 0) op.target_label = label::NodeLabel();
+      p.mutable_ops().push_back(std::move(op));
+    }
+    std::vector<std::pair<int, int>> got;
+    DiagnosticReport report = LintPul(p);
+    for (const Diagnostic& d : report) {
+      if (std::string(d.code) == kCodeOverriddenBySubtreeOp) {
+        got.emplace_back(d.op_index, d.related_op);
+      }
+    }
+    std::vector<std::pair<int, int>> want = ReferenceOverridden(p);
+    EXPECT_EQ(got, want) << "seed " << seed;
+    reported += want.size();
+  }
+  EXPECT_GT(reported, 1000u);
 }
 
 TEST_F(AnalyzerTest, SiblingInsertionOnAttributeIsDangling) {

@@ -2,16 +2,203 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/string_util.h"
 #include "label/labeling.h"
 #include "pul/apply.h"
 #include "pul/obtainable.h"
 #include "testing/test_docs.h"
+#include "workload/pul_generator.h"
+#include "xmark/generator.h"
+#include "xml/parser.h"
 
 namespace xupdate::pul {
 namespace {
 
 using xml::Document;
 using xml::NodeId;
+using xml::NodeType;
+
+// ---------------------------------------------------------------------------
+// Reference reader: the two-pass algorithm ParsePul used before the
+// one-pass SAX reader. It parses the whole record into a temporary
+// Document (wrapper elements take ids from 2^62 up, clear of the
+// producer's ids), then walks it and deep-copies each <elem> parameter
+// into the PUL's forest. Test-only: the oracle ParsePul is compared with.
+
+Result<std::string> ReferenceAttrValue(const Document& doc, NodeId node,
+                                       std::string_view name, bool required) {
+  for (NodeId a : doc.attributes(node)) {
+    if (doc.name(a) == name) return doc.value(a);
+  }
+  if (required) {
+    return Status::ParseError("missing attribute \"" + std::string(name) +
+                              "\" on <" + std::string(doc.name(node)) + ">");
+  }
+  return std::string();
+}
+
+Status ReferenceParseOp(const Document& temp, NodeId op_node, Pul* out) {
+  UpdateOp op;
+  XUPDATE_ASSIGN_OR_RETURN(std::string kind_name,
+                           ReferenceAttrValue(temp, op_node, "kind", true));
+  if (!OpKindFromName(kind_name, &op.kind)) {
+    return Status::ParseError("unknown op kind \"" + kind_name + "\"");
+  }
+  XUPDATE_ASSIGN_OR_RETURN(std::string target_text,
+                           ReferenceAttrValue(temp, op_node, "target", true));
+  int64_t target = ParseNonNegativeInt(target_text);
+  if (target <= 0) return Status::ParseError("bad op target id");
+  op.target = static_cast<NodeId>(target);
+  XUPDATE_ASSIGN_OR_RETURN(std::string label_text,
+                           ReferenceAttrValue(temp, op_node, "label", false));
+  if (!label_text.empty()) {
+    XUPDATE_ASSIGN_OR_RETURN(op.target_label,
+                             label::NodeLabel::Parse(label_text, op.target));
+  }
+  XUPDATE_ASSIGN_OR_RETURN(op.param_string,
+                           ReferenceAttrValue(temp, op_node, "arg", false));
+  for (NodeId param : temp.children(op_node)) {
+    if (temp.type(param) != NodeType::kElement) {
+      return Status::ParseError("unexpected content inside <op>");
+    }
+    std::string_view wrapper = temp.name(param);
+    if (wrapper == "elem") {
+      const auto& kids = temp.children(param);
+      if (kids.size() != 1 || temp.type(kids[0]) != NodeType::kElement) {
+        return Status::ParseError("<elem> must wrap exactly one element");
+      }
+      XUPDATE_ASSIGN_OR_RETURN(
+          NodeId adopted,
+          out->forest().AdoptSubtree(temp, kids[0], /*preserve_ids=*/true,
+                                     nullptr));
+      op.param_trees.push_back(adopted);
+    } else if (wrapper == "text" || wrapper == "attr") {
+      XUPDATE_ASSIGN_OR_RETURN(std::string id_text,
+                               ReferenceAttrValue(temp, param, "id", true));
+      int64_t id = ParseNonNegativeInt(id_text);
+      if (id <= 0) return Status::ParseError("bad parameter node id");
+      XUPDATE_ASSIGN_OR_RETURN(std::string value,
+                               ReferenceAttrValue(temp, param, "value", true));
+      if (wrapper == "text") {
+        XUPDATE_RETURN_IF_ERROR(out->forest().CreateWithId(
+            static_cast<NodeId>(id), NodeType::kText, "", value));
+      } else {
+        XUPDATE_ASSIGN_OR_RETURN(std::string name,
+                                 ReferenceAttrValue(temp, param, "name", true));
+        XUPDATE_RETURN_IF_ERROR(out->forest().CreateWithId(
+            static_cast<NodeId>(id), NodeType::kAttribute, name, value));
+      }
+      op.param_trees.push_back(static_cast<NodeId>(id));
+    } else {
+      return Status::ParseError("unknown parameter wrapper <" +
+                                std::string(wrapper) + ">");
+    }
+  }
+  return out->AddOp(std::move(op));
+}
+
+Result<Pul> ReferenceParsePul(std::string_view xml_text) {
+  if (xml_text.find('\0') != std::string_view::npos) {
+    return Status::ParseError("serialized PUL contains an embedded NUL byte");
+  }
+  Document temp;
+  temp.ReserveIdsBelow(NodeId{1} << 62);
+  xml::ParseOptions options;
+  options.sax.keep_whitespace_text = true;
+  XUPDATE_ASSIGN_OR_RETURN(NodeId root,
+                           xml::ParseFragment(&temp, xml_text, options));
+  if (temp.name(root) != "pul") {
+    return Status::ParseError("root element must be <pul>");
+  }
+  Pul out;
+  for (NodeId child : temp.children(root)) {
+    if (temp.type(child) != NodeType::kElement) {
+      return Status::ParseError("unexpected content inside <pul>");
+    }
+    if (temp.name(child) == "policies") {
+      Policies p;
+      XUPDATE_ASSIGN_OR_RETURN(
+          std::string order,
+          ReferenceAttrValue(temp, child, "insertionOrder", false));
+      XUPDATE_ASSIGN_OR_RETURN(
+          std::string inserted,
+          ReferenceAttrValue(temp, child, "insertedData", false));
+      XUPDATE_ASSIGN_OR_RETURN(
+          std::string removed,
+          ReferenceAttrValue(temp, child, "removedData", false));
+      p.preserve_insertion_order = order == "1";
+      p.preserve_inserted_data = inserted == "1";
+      p.preserve_removed_data = removed == "1";
+      out.set_policies(p);
+    } else if (temp.name(child) == "op") {
+      XUPDATE_RETURN_IF_ERROR(ReferenceParseOp(temp, child, &out));
+    } else {
+      return Status::ParseError("unknown element <" +
+                                std::string(temp.name(child)) +
+                                "> inside <pul>");
+    }
+  }
+  return out;
+}
+
+constexpr NodeId kUnannotatedFloor = NodeId{1} << 62;
+
+// Both readers accept or both reject `wire`. When both accept they agree
+// on the re-serialization, every op's param ids and the forest's id
+// counter -- unless the record has unannotated <elem> nodes, whose
+// numbering differs by design (UnannotatedParamsNumberFromTheFloor);
+// then the parameter trees must still match node for node.
+void ExpectReadersAgree(std::string_view wire, const std::string& what) {
+  Result<Pul> fast = ParsePul(wire);
+  Result<Pul> reference = ReferenceParsePul(wire);
+  ASSERT_EQ(fast.ok(), reference.ok())
+      << what << "\n  ParsePul: " << fast.status()
+      << "\n  reference: " << reference.status();
+  if (!fast.ok()) return;
+  ASSERT_EQ(fast->size(), reference->size()) << what;
+  if (fast->forest().max_assigned_id() >= kUnannotatedFloor) {
+    for (size_t i = 0; i < fast->size(); ++i) {
+      const UpdateOp& a = fast->ops()[i];
+      const UpdateOp& b = reference->ops()[i];
+      EXPECT_EQ(a.kind, b.kind) << what;
+      EXPECT_EQ(a.target, b.target) << what;
+      ASSERT_EQ(a.param_trees.size(), b.param_trees.size()) << what;
+      for (size_t t = 0; t < a.param_trees.size(); ++t) {
+        EXPECT_TRUE(Document::SubtreeEquals(
+            fast->forest(), a.param_trees[t], reference->forest(),
+            b.param_trees[t], /*compare_ids=*/false))
+            << what << " op " << i;
+      }
+    }
+    return;
+  }
+  auto fast_wire = SerializePul(*fast);
+  auto reference_wire = SerializePul(*reference);
+  ASSERT_EQ(fast_wire.ok(), reference_wire.ok()) << what;
+  if (fast_wire.ok()) {
+    EXPECT_EQ(*fast_wire, *reference_wire) << what;
+  }
+  EXPECT_EQ(fast->forest().max_assigned_id(),
+            reference->forest().max_assigned_id())
+      << what;
+  for (size_t i = 0; i < fast->size(); ++i) {
+    EXPECT_EQ(fast->ops()[i].param_trees, reference->ops()[i].param_trees)
+        << what << " op " << i;
+  }
+}
+
+std::string ReadFile(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
 
 class PulIoTest : public ::testing::Test {
  protected:
@@ -245,6 +432,190 @@ TEST_F(PulIoTest, ParseReservesOpAndParamLists) {
     EXPECT_EQ(op.param_trees.capacity(), op.param_trees.size())
         << OpKindName(op.kind);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Equivalence with the reference reader.
+
+TEST(PulIoEquivalenceTest, GeneratedPulsMatchReference) {
+  xmark::Config config;
+  config.target_bytes = 256 << 10;
+  auto doc = xmark::GenerateDocument(config);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  label::Labeling labeling = label::Labeling::Build(*doc);
+  for (size_t num_ops : {1, 20, 500, 1000, 10000}) {
+    for (uint64_t seed : {1, 2, 3}) {
+      workload::PulGenerator gen(*doc, labeling, seed);
+      workload::PulGenerator::PulOptions options;
+      options.num_ops = num_ops;
+      options.reducible_fraction = seed == 2 ? 0.2 : 0.0;
+      auto pul = gen.Generate(options);
+      ASSERT_TRUE(pul.ok()) << pul.status();
+      auto wire = SerializePul(*pul);
+      ASSERT_TRUE(wire.ok()) << wire.status();
+      const std::string what = std::to_string(num_ops) + " ops, seed " +
+                               std::to_string(seed);
+      ASSERT_TRUE(ParsePul(*wire).ok()) << what;
+      ExpectReadersAgree(*wire, what);
+    }
+  }
+}
+
+TEST(PulIoEquivalenceTest, FuzzCorpusMatchesReference) {
+  size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(XUPDATE_PUL_CORPUS_DIR)) {
+    if (!entry.is_regular_file()) continue;
+    ExpectReadersAgree(ReadFile(entry.path()), entry.path().string());
+    ++files;
+  }
+  EXPECT_GE(files, 7u);
+}
+
+TEST_F(PulIoTest, EveryPrefixMatchesReference) {
+  auto text = SerializePul(MakeRichPul());
+  ASSERT_TRUE(text.ok());
+  for (size_t cut = 0; cut <= text->size(); ++cut) {
+    ExpectReadersAgree(std::string_view(*text).substr(0, cut),
+                       "prefix of length " + std::to_string(cut));
+  }
+}
+
+// Deliberate divergence: unannotated <elem> parameter nodes number from
+// 2^62 up in the PUL's own forest. The reference reader numbered them
+// from the temporary document's counter, after the <pul>, <op> and
+// wrapper elements and their attributes had taken the first ids.
+TEST(PulIoEquivalenceTest, UnannotatedParamsNumberFromTheFloor) {
+  const std::string wire =
+      "<pul><op kind=\"insLast\" target=\"3\">"
+      "<elem><a x=\"1\">t</a></elem></op></pul>";
+  auto fast = ParsePul(wire);
+  ASSERT_TRUE(fast.ok()) << fast.status();
+  auto reference = ReferenceParsePul(wire);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  const NodeId root = fast->ops()[0].param_trees[0];
+  EXPECT_EQ(root, kUnannotatedFloor);
+  EXPECT_EQ(fast->forest().attributes(root)[0], kUnannotatedFloor + 1);
+  EXPECT_EQ(fast->forest().children(root)[0], kUnannotatedFloor + 2);
+  EXPECT_EQ(fast->forest().max_assigned_id(), kUnannotatedFloor + 2);
+  const NodeId reference_root = reference->ops()[0].param_trees[0];
+  EXPECT_GT(reference_root, kUnannotatedFloor);
+  EXPECT_TRUE(Document::SubtreeEquals(fast->forest(), root,
+                                      reference->forest(), reference_root,
+                                      /*compare_ids=*/false));
+}
+
+// Deliberate divergence: id annotations are read only inside <elem>
+// parameters. The reference reader built the whole record as one
+// document, so an xu:ids or <?xuid?> on a wrapper element, between ops
+// or inside ignored content could fail to parse or clash there; the
+// one-pass reader ignores it like any other unknown wrapper attribute.
+// Likewise an explicit id at the floor could clash with the reference's
+// temporary <pul> element.
+TEST(PulIoEquivalenceTest, AnnotationsOutsideElemParamsAreIgnored) {
+  const std::string floor = std::to_string(kUnannotatedFloor);
+  for (const std::string& wire : std::vector<std::string>{
+           "<pul><op xu:ids=\"x\" kind=\"del\" target=\"3\"/></pul>",
+           "<pul><?xuid 0?><op kind=\"del\" target=\"3\"/></pul>",
+           "<pul><policies><p xu:ids=\"0\"/></policies></pul>",
+           "<pul><op kind=\"repN\" target=\"3\"><text id=\"5\" "
+           "value=\"v\"><t xu:ids=\"9\"/></text></op>"
+           "<op kind=\"insLast\" target=\"4\"><elem><a xu:ids=\"9\"/>"
+           "</elem></op></pul>",
+           "<pul><op kind=\"insLast\" target=\"3\"><elem><a xu:ids=\"" +
+               floor + "\"/></elem></op></pul>",
+       }) {
+    EXPECT_TRUE(ParsePul(wire).ok()) << wire;
+    EXPECT_FALSE(ReferenceParsePul(wire).ok()) << wire;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Edge cases of the one-pass reader, each with the error it expects.
+
+void ExpectParseError(std::string_view wire, std::string_view message) {
+  auto back = ParsePul(wire);
+  ASSERT_FALSE(back.ok()) << wire;
+  EXPECT_NE(back.status().message().find(message), std::string::npos)
+      << wire << "\n  got: " << back.status();
+}
+
+TEST(PulIoEdgeTest, RejectsTextDirectlyInsidePulOrOp) {
+  ExpectParseError("<pul>x<op kind=\"del\" target=\"3\"/></pul>",
+                   "unexpected content inside <pul>");
+  ExpectParseError("<pul><op kind=\"del\" target=\"3\"/> </pul>",
+                   "unexpected content inside <pul>");
+  ExpectParseError("<pul><op kind=\"del\" target=\"3\">x</op></pul>",
+                   "unexpected content inside <op>");
+}
+
+TEST(PulIoEdgeTest, RejectsMisshapenElemWrapper) {
+  const std::string op = "<pul><op kind=\"insLast\" target=\"3\">";
+  const std::string end = "</op></pul>";
+  ExpectParseError(op + "<elem/>" + end,
+                   "<elem> must wrap exactly one element");
+  ExpectParseError(op + "<elem></elem>" + end,
+                   "<elem> must wrap exactly one element");
+  ExpectParseError(op + "<elem><a xu:ids=\"50\"/><b xu:ids=\"51\"/></elem>" +
+                       end,
+                   "<elem> must wrap exactly one element");
+  ExpectParseError(op + "<elem>text</elem>" + end,
+                   "<elem> must wrap exactly one element");
+  ExpectParseError(op + "<elem><a xu:ids=\"50\"/>tail</elem>" + end,
+                   "<elem> must wrap exactly one element");
+}
+
+TEST(PulIoEdgeTest, RejectsParamIdSharedByTwoOps) {
+  ExpectParseError(
+      "<pul><op kind=\"repN\" target=\"3\"><text id=\"50\" value=\"a\"/>"
+      "</op><op kind=\"insLast\" target=\"4\"><elem><a xu:ids=\"50\"/>"
+      "</elem></op></pul>",
+      "node id already in use: 50");
+  ExpectParseError(
+      "<pul><op kind=\"insAttr\" target=\"3\"><attr id=\"50\" name=\"n\" "
+      "value=\"a\"/></op><op kind=\"insAttr\" target=\"4\"><attr id=\"50\" "
+      "name=\"m\" value=\"b\"/></op></pul>",
+      "node id already in use: 50");
+}
+
+TEST(PulIoEdgeTest, RejectsMalformedIdAnnotation) {
+  const std::string op = "<pul><op kind=\"insLast\" target=\"3\"><elem>";
+  const std::string end = "</elem></op></pul>";
+  ExpectParseError(op + "<a xu:ids=\"x\"/>" + end, "bad xu:ids self id");
+  ExpectParseError(op + "<a xu:ids=\"50;1,y\" p=\"1\" q=\"2\"/>" + end,
+                   "bad xu:ids attribute id");
+  ExpectParseError(op + "<a xu:ids=\"50\"><?xuid -3?>t</a>" + end,
+                   "bad <?xuid?> id");
+}
+
+TEST(PulIoEdgeTest, UnannotatedElemDoesNotClashWithExplicitIds) {
+  for (const std::string& wire : std::vector<std::string>{
+           "<pul><op kind=\"insLast\" target=\"3\"><elem><a>t</a></elem>"
+           "</op><op kind=\"repC\" target=\"4\"><text id=\"1\" value=\"v\"/>"
+           "</op></pul>",
+           "<pul><op kind=\"repC\" target=\"4\"><text id=\"1\" value=\"v\"/>"
+           "</op><op kind=\"insLast\" target=\"3\"><elem><a>t</a></elem>"
+           "</op></pul>",
+       }) {
+    auto back = ParsePul(wire);
+    ASSERT_TRUE(back.ok()) << back.status() << "\n" << wire;
+    ASSERT_EQ(back->size(), 2u);
+    EXPECT_EQ(back->forest().type(1), NodeType::kText);
+    EXPECT_EQ(back->forest().max_assigned_id(), kUnannotatedFloor + 1);
+  }
+}
+
+TEST(PulIoEdgeTest, IgnoresContentOfPoliciesTextAndAttr) {
+  auto back = ParsePul(
+      "<pul><policies removedData=\"1\"> <p>x</p> </policies>"
+      "<op kind=\"repN\" target=\"3\"><text id=\"50\" value=\"v\">"
+      "<b/> y </text></op><op kind=\"insAttr\" target=\"4\">"
+      "<attr id=\"51\" name=\"n\" value=\"w\">z<c/></attr></op></pul>");
+  ASSERT_TRUE(back.ok()) << back.status();
+  EXPECT_TRUE(back->policies().preserve_removed_data);
+  ASSERT_EQ(back->size(), 2u);
+  EXPECT_EQ(back->forest().value(50), "v");
+  EXPECT_EQ(back->forest().node_count(), 2u);
 }
 
 }  // namespace
