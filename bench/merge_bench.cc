@@ -17,6 +17,7 @@
 
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -109,12 +110,26 @@ const std::string& DivergentStoreFixture(size_t per_side) {
   return cache.emplace(per_side, std::move(dir)).first->second;
 }
 
+// The merge's phase timers, reported per merge as `<label>_ms`
+// counters (where a merge's time goes; the commit phase is the store's).
+constexpr std::pair<const char*, const char*> kMergePhases[] = {
+    {"base_checkout_ms", "branch.merge.base_checkout.seconds"},
+    {"fold_ms", "branch.merge.fold.seconds"},
+    {"reconcile_ms", "branch.merge.reconcile.seconds"},
+    {"undo_ms", "branch.merge.undo.seconds"},
+    {"commit_ms", "store.merge.commit.seconds"},
+    {"total_ms", "branch.merge.seconds"},
+};
+
 // Clones the fixture (untimed) and merges main with w (timed).
 void RunMerge(benchmark::State& state, size_t per_side) {
   const std::string& source = DivergentStoreFixture(per_side);
   std::string dir = BenchRoot() + "/merge_scratch";
+  Metrics metrics;
   store::StoreOptions options = BenchStoreOptions();
+  options.metrics = &metrics;
   branch::MergeOptions merge_options;
+  merge_options.metrics = &metrics;
   branch::MergeStats stats;
   uint64_t merges = 0;
   for (auto _ : state) {
@@ -135,6 +150,12 @@ void RunMerge(benchmark::State& state, size_t per_side) {
     state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<int64_t>(merges));
+  const double per_merge = merges == 0 ? 0.0 : 1.0 / merges;
+  for (const auto& [label, timer] : kMergePhases) {
+    state.counters[label] = 1e3 * metrics.total_seconds(timer) * per_merge;
+  }
+  state.counters["base_checkouts"] =
+      metrics.counter("branch.merge.base_checkouts") * per_merge;
   state.counters["suffix_per_side"] = static_cast<double>(per_side);
   state.counters["merged_ops"] = static_cast<double>(stats.merged_ops);
   state.counters["conflicts"] =

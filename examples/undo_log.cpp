@@ -79,7 +79,7 @@ int main() {
     pul = Check(core::Reduce(pul, core::ReduceMode::kDeterministic),
                 "reduce");
     undo_stack.push_back(
-        Check(core::Invert(doc, labeling, pul), "invert"));
+        Check(core::Invert(doc, pul), "invert"));
     pul::ApplyOptions opts;
     opts.labeling = &labeling;
     Check(pul::ApplyPul(&doc, pul, opts), "apply");

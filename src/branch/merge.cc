@@ -67,8 +67,14 @@ Result<pul::Pul> FoldSuffix(const std::vector<pul::Pul>& suffix,
     // Chain-member undos (core/invert) leave ops targeting nodes the
     // forward PUL created unlabeled; the reconciliation needs a label
     // on every op, and against the base state every fold target is a
-    // base node, so relabel here.
-    label::Labeling base_labeling = label::Labeling::Build(base_doc);
+    // base node, so relabel those here (a suffix of plain commits has
+    // none).
+    std::vector<xml::NodeId> unlabeled;
+    for (const pul::UpdateOp& op : canon.ops()) {
+      if (!op.target_label.valid()) unlabeled.push_back(op.target);
+    }
+    label::Labeling base_labeling =
+        label::Labeling::BuildFor(base_doc, unlabeled);
     for (pul::UpdateOp& op : canon.mutable_ops()) {
       if (op.target_label.valid()) continue;
       const label::NodeLabel* label = base_labeling.Find(op.target);
@@ -103,6 +109,18 @@ Result<pul::Pul> FoldSuffix(const std::vector<pul::Pul>& suffix,
   }
   canon.set_policies(policies);
   return canon;
+}
+
+// The journal position a version of `branch`'s chain is stored at:
+// versions at or below a branch's fork resolve through its parent.
+Result<std::pair<std::string, uint64_t>> ResolveBase(
+    const store::VersionStore& store, std::string branch, uint64_t v) {
+  while (branch != "main") {
+    XUPDATE_ASSIGN_OR_RETURN(store::BranchInfo info, store.GetBranch(branch));
+    if (v > info.fork) break;
+    branch = info.parent;
+  }
+  return std::make_pair(std::move(branch), v);
 }
 
 }  // namespace
@@ -153,57 +171,86 @@ Result<store::MergeCommitResult> Merge(store::VersionStore* store,
     return store->CommitMerge(plan);
   }
   // Full merge: fold each side, reconcile under the producers'
-  // policies, canonicalize, and land both sides on base + Pm.
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document base_doc_a,
-                           store->CheckoutBranch(a, base.base_a));
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document base_doc_b,
-                           store->CheckoutBranch(b, base.base_b));
-  XUPDATE_ASSIGN_OR_RETURN(const xml::Document* head_a,
-                           store->BranchHeadDoc(a));
-  XUPDATE_ASSIGN_OR_RETURN(const xml::Document* head_b,
-                           store->BranchHeadDoc(b));
-  // Name order assigns the disjoint fallback id floors, so Merge(a, b)
-  // and Merge(b, a) produce byte-identical results.
-  xml::NodeId floor =
-      std::max({base_doc_a.max_assigned_id(), base_doc_b.max_assigned_id(),
-                head_a->max_assigned_id(), head_b->max_assigned_id()}) +
-      1;
-  xml::NodeId floor_a = (a < b) ? floor : floor + kFallbackIdSpan;
-  xml::NodeId floor_b = (a < b) ? floor + kFallbackIdSpan : floor;
-  XUPDATE_ASSIGN_OR_RETURN(
-      pul::Pul folded_a,
-      FoldSuffix(suffix_a, base_doc_a, *head_a, floor_a, info_a.policies,
-                 options));
-  XUPDATE_ASSIGN_OR_RETURN(
-      pul::Pul folded_b,
-      FoldSuffix(suffix_b, base_doc_b, *head_b, floor_b, info_b.policies,
-                 options));
-  std::vector<const pul::Pul*> inputs;
-  if (a < b) {
-    inputs = {&folded_a, &folded_b};
-  } else {
-    inputs = {&folded_b, &folded_a};
+  // policies, canonicalize, and land both sides on base + Pm. Bases at
+  // one journal position (every fork-point merge) are checked out once;
+  // a sync point's two bases sit on two journals.
+  xml::Document base_doc_a;
+  xml::Document base_doc_b;
+  bool shared_base = false;
+  {
+    ScopedTimer phase(options.metrics, "branch.merge.base_checkout.seconds");
+    XUPDATE_ASSIGN_OR_RETURN(auto at_a, ResolveBase(*store, a, base.base_a));
+    XUPDATE_ASSIGN_OR_RETURN(auto at_b, ResolveBase(*store, b, base.base_b));
+    shared_base = at_a == at_b;
+    XUPDATE_ASSIGN_OR_RETURN(base_doc_a,
+                             store->CheckoutBranch(at_a.first, at_a.second));
+    if (!shared_base) {
+      XUPDATE_ASSIGN_OR_RETURN(
+          base_doc_b, store->CheckoutBranch(at_b.first, at_b.second));
+    }
+    if (options.metrics != nullptr) {
+      options.metrics->AddCounter("branch.merge.base_checkouts",
+                                  shared_base ? 1 : 2);
+    }
   }
-  core::ReconcileOptions reconcile_options;
-  reconcile_options.parallelism = options.parallelism;
-  reconcile_options.metrics = options.metrics;
-  reconcile_options.tracer = options.tracer;
-  core::ReconcileStats reconcile_stats;
-  XUPDATE_ASSIGN_OR_RETURN(
-      pul::Pul merged,
-      core::Reconcile(inputs, reconcile_options, &reconcile_stats));
-  core::ReduceOptions reduce_options;
-  reduce_options.mode = core::ReduceMode::kCanonical;
-  reduce_options.parallelism = options.parallelism;
-  reduce_options.metrics = options.metrics;
-  XUPDATE_ASSIGN_OR_RETURN(pul::Pul canonical,
-                           core::Reduce(merged, reduce_options));
-  if (stats != nullptr) {
-    stats->reconcile = reconcile_stats;
-    stats->merged_ops = canonical.size();
+  const xml::Document& base_b = shared_base ? base_doc_a : base_doc_b;
+  pul::Pul folded_a;
+  pul::Pul folded_b;
+  {
+    ScopedTimer phase(options.metrics, "branch.merge.fold.seconds");
+    XUPDATE_ASSIGN_OR_RETURN(const xml::Document* head_a,
+                             store->BranchHeadDoc(a));
+    XUPDATE_ASSIGN_OR_RETURN(const xml::Document* head_b,
+                             store->BranchHeadDoc(b));
+    // Name order assigns the disjoint fallback id floors, so Merge(a, b)
+    // and Merge(b, a) produce byte-identical results.
+    xml::NodeId floor =
+        std::max({base_doc_a.max_assigned_id(), base_b.max_assigned_id(),
+                  head_a->max_assigned_id(), head_b->max_assigned_id()}) +
+        1;
+    xml::NodeId floor_a = (a < b) ? floor : floor + kFallbackIdSpan;
+    xml::NodeId floor_b = (a < b) ? floor + kFallbackIdSpan : floor;
+    XUPDATE_ASSIGN_OR_RETURN(
+        folded_a, FoldSuffix(suffix_a, base_doc_a, *head_a, floor_a,
+                             info_a.policies, options));
+    XUPDATE_ASSIGN_OR_RETURN(
+        folded_b, FoldSuffix(suffix_b, base_b, *head_b, floor_b,
+                             info_b.policies, options));
   }
-  XUPDATE_ASSIGN_OR_RETURN(plan.chain_a, store->UndoChain(a, base.base_a));
-  XUPDATE_ASSIGN_OR_RETURN(plan.chain_b, store->UndoChain(b, base.base_b));
+  pul::Pul canonical;
+  {
+    ScopedTimer phase(options.metrics, "branch.merge.reconcile.seconds");
+    std::vector<const pul::Pul*> inputs;
+    if (a < b) {
+      inputs = {&folded_a, &folded_b};
+    } else {
+      inputs = {&folded_b, &folded_a};
+    }
+    core::ReconcileOptions reconcile_options;
+    reconcile_options.parallelism = options.parallelism;
+    reconcile_options.metrics = options.metrics;
+    reconcile_options.tracer = options.tracer;
+    core::ReconcileStats reconcile_stats;
+    XUPDATE_ASSIGN_OR_RETURN(
+        pul::Pul merged,
+        core::Reconcile(inputs, reconcile_options, &reconcile_stats));
+    core::ReduceOptions reduce_options;
+    reduce_options.mode = core::ReduceMode::kCanonical;
+    reduce_options.parallelism = options.parallelism;
+    reduce_options.metrics = options.metrics;
+    XUPDATE_ASSIGN_OR_RETURN(canonical, core::Reduce(merged, reduce_options));
+    if (stats != nullptr) {
+      stats->reconcile = reconcile_stats;
+      stats->merged_ops = canonical.size();
+    }
+  }
+  {
+    ScopedTimer phase(options.metrics, "branch.merge.undo.seconds");
+    XUPDATE_ASSIGN_OR_RETURN(plan.chain_a,
+                             store->UndoChainFrom(base_doc_a, suffix_a));
+    XUPDATE_ASSIGN_OR_RETURN(plan.chain_b,
+                             store->UndoChainFrom(base_b, suffix_b));
+  }
   plan.chain_a.push_back(canonical);
   plan.chain_b.push_back(std::move(canonical));
   if (options.metrics != nullptr) {

@@ -80,8 +80,12 @@ Result<RebaseReport> Rebase(store::VersionStore* store,
   report.new_fork = options.onto;
   // Rewind verification: the undo chain must take the head document
   // back to the fork state byte-for-byte before we trust the suffix.
+  XUPDATE_ASSIGN_OR_RETURN(xml::Document fork_doc,
+                           store->CheckoutBranch(branch, info.fork));
+  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> commits,
+                           store->SuffixPuls(branch, info.fork));
   XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> undos,
-                           store->UndoChain(branch, info.fork));
+                           store->UndoChainFrom(fork_doc, commits));
   XUPDATE_ASSIGN_OR_RETURN(const xml::Document* head_doc,
                            store->BranchHeadDoc(branch));
   xml::Document rewound = *head_doc;
@@ -91,7 +95,7 @@ Result<RebaseReport> Rebase(store::VersionStore* store,
   XUPDATE_ASSIGN_OR_RETURN(std::string rewound_bytes,
                            store::VersionStore::SerializeAnnotated(rewound));
   XUPDATE_ASSIGN_OR_RETURN(std::string fork_bytes,
-                           store->CheckoutXmlBranch(branch, info.fork));
+                           store::VersionStore::SerializeAnnotated(fork_doc));
   if (rewound_bytes != fork_bytes) {
     return Status::Internal("undo chain of branch " + branch +
                             " does not rewind to the fork state");
@@ -106,8 +110,6 @@ Result<RebaseReport> Rebase(store::VersionStore* store,
                              FoldParentDelta(parent_puls, options));
   }
   report.parent_delta_ops = parent_delta.size();
-  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> commits,
-                           store->SuffixPuls(branch, info.fork));
   XUPDATE_ASSIGN_OR_RETURN(xml::Document state,
                            store->CheckoutBranch(info.parent, options.onto));
   std::vector<pul::Pul> kept;

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "label/labeling.h"
 #include "pul/apply.h"
 
 namespace xupdate::core {
@@ -107,9 +108,7 @@ Status CheckOIrreducible(const Document& doc, const Pul& pul) {
 
 class Inverter {
  public:
-  Inverter(const Document& doc, const label::Labeling& labeling,
-           const Pul& pul)
-      : doc_(doc), labeling_(labeling), pul_(pul) {}
+  Inverter(const Document& doc, const Pul& pul) : doc_(doc), pul_(pul) {}
 
   Result<Pul> Run();
 
@@ -126,12 +125,6 @@ class Inverter {
     UpdateOp op;
     op.kind = kind;
     op.target = target;
-    // Surviving original nodes keep their labels so the inverse PUL can
-    // itself be reasoned about; targets created by the forward PUL have
-    // none.
-    if (const NodeLabel* lab = labeling_.Find(target)) {
-      op.target_label = *lab;
-    }
     op.param_trees = std::move(trees);
     op.param_string = std::move(arg);
     return out_.AddOp(std::move(op));
@@ -163,8 +156,21 @@ class Inverter {
     return {OpKind::kInsFirst, parent};
   }
 
+  // Labels the inverse ops whose targets are nodes of the pre-state
+  // document; targets created by the forward PUL stay unlabeled.
+  void LabelTargets() {
+    std::vector<NodeId> targets;
+    targets.reserve(out_.size());
+    for (const UpdateOp& op : out_.ops()) targets.push_back(op.target);
+    label::Labeling labeling = label::Labeling::BuildFor(doc_, targets);
+    for (UpdateOp& op : out_.mutable_ops()) {
+      if (const NodeLabel* lab = labeling.Find(op.target)) {
+        op.target_label = *lab;
+      }
+    }
+  }
+
   const Document& doc_;
-  const label::Labeling& labeling_;
   const Pul& pul_;
   Pul out_;
   std::unordered_set<NodeId> removed_;
@@ -304,15 +310,14 @@ Result<Pul> Inverter::Run() {
                        ""));
   }
   XUPDATE_RETURN_IF_ERROR(out_.CheckCompatible());
+  LabelTargets();
   return std::move(out_);
 }
 
 }  // namespace
 
-Result<pul::Pul> Invert(const xml::Document& doc,
-                        const label::Labeling& labeling,
-                        const pul::Pul& pul) {
-  Inverter inverter(doc, labeling, pul);
+Result<pul::Pul> Invert(const xml::Document& doc, const pul::Pul& pul) {
+  Inverter inverter(doc, pul);
   return inverter.Run();
 }
 

@@ -2,7 +2,6 @@
 #define XUPDATE_CORE_INVERT_H_
 
 #include "common/result.h"
-#include "label/labeling.h"
 #include "pul/pul.h"
 #include "xml/document.h"
 
@@ -33,9 +32,13 @@ namespace xupdate::core {
 // O1-O4 of Figure 2 must not apply). Such operations have no effect on
 // the document, so their inverses would wrongly "undo" nothing into
 // something; run Reduce() first. Violations yield kInvalidArgument.
+//
+// Every inverse op whose target is a node of `doc` carries that node's
+// label from label::Labeling::Build(doc), so the inverse can itself be
+// reasoned about; targets the forward PUL creates have no label. Only
+// the targets are labeled (Labeling::BuildFor), not the whole document.
 [[nodiscard]] Result<pul::Pul> Invert(const xml::Document& doc,
-                        const label::Labeling& labeling,
-                        const pul::Pul& pul);
+                                      const pul::Pul& pul);
 
 }  // namespace xupdate::core
 

@@ -153,25 +153,26 @@ Result<BitString> Between(const BitString& left, const BitString& right) {
 std::vector<BitString> InitialCodes(size_t n) {
   std::vector<BitString> codes;
   codes.reserve(n);
-  if (n == 0) return codes;
+  const size_t width = InitialCodeWidth(n);
+  for (size_t i = 1; i <= n; ++i) codes.push_back(InitialCode(i, width));
+  return codes;
+}
+
+size_t InitialCodeWidth(size_t n) {
   size_t width = 1;
   while ((1ull << width) < n + 1) ++width;
-  for (size_t i = 1; i <= n; ++i) {
-    // Binary of i in `width` bits, trailing zeros stripped.
-    size_t last_one = 0;
-    for (size_t b = 0; b < width; ++b) {
-      if ((i >> b) & 1) {
-        last_one = width - b;  // 1-based position of last set bit (MSB-first)
-        break;
-      }
-    }
-    BitString code;
-    for (size_t b = 0; b < last_one; ++b) {
-      code.AppendBit((i >> (width - 1 - b)) & 1);
-    }
-    codes.push_back(std::move(code));
+  return width;
+}
+
+BitString InitialCode(size_t i, size_t width) {
+  assert(i >= 1 && i < (1ull << width));
+  // Binary of i in `width` bits, trailing zeros stripped.
+  const size_t bits = width - static_cast<size_t>(__builtin_ctzll(i));
+  BitString code;
+  for (size_t b = 0; b < bits; ++b) {
+    code.AppendBit((i >> (width - 1 - b)) & 1);
   }
-  return codes;
+  return code;
 }
 
 }  // namespace cdbs

@@ -92,6 +92,14 @@ Result<BitString> Between(const BitString& left, const BitString& right);
 // assignment of the CDBS paper). Used for initial document labeling.
 std::vector<BitString> InitialCodes(size_t n);
 
+// The bit width ceil(log2(n+1)) of an `n`-code initial assignment.
+size_t InitialCodeWidth(size_t n);
+
+// Code `i` (1-based) of InitialCodes(n), given width =
+// InitialCodeWidth(n), computed on its own: a caller that needs a few
+// codes of a large assignment never materializes the other n.
+BitString InitialCode(size_t i, size_t width);
+
 }  // namespace cdbs
 
 }  // namespace xupdate::label

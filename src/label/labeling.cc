@@ -1,6 +1,5 @@
 #include "label/labeling.h"
 
-#include <cassert>
 #include <vector>
 
 namespace xupdate::label {
@@ -11,52 +10,74 @@ using xml::NodeId;
 using xml::NodeType;
 
 Labeling Labeling::Build(const Document& doc) {
+  return BuildInitial(doc, nullptr);
+}
+
+Labeling Labeling::BuildFor(const Document& doc,
+                            const std::vector<NodeId>& ids) {
+  if (ids.empty()) return Labeling();
+  std::unordered_set<NodeId> wanted(ids.begin(), ids.end());
+  return BuildInitial(doc, &wanted);
+}
+
+Labeling Labeling::BuildInitial(const Document& doc,
+                                const std::unordered_set<NodeId>* wanted) {
   Labeling out;
   if (doc.root() == kInvalidNode) return out;
-  std::vector<NodeId> order = doc.AllNodesInOrder();
-  // One start and one end code per node, evenly distributed.
-  std::vector<BitString> codes = cdbs::InitialCodes(order.size() * 2);
-  size_t next_code = 0;
-
-  // Recursive DFS matching AllNodesInOrder's visit order, consuming a
-  // start code on entry and an end code on exit. Sibling bookkeeping is
-  // threaded down (scanning the parent's child list per node would be
-  // quadratic on wide elements).
-  struct Builder {
+  if (wanted == nullptr) out.labels_.reserve(doc.node_count());
+  // One DFS in AllNodesInOrder's visit order numbers a start code on
+  // entry and an end code on exit. The code width depends on the whole
+  // tree's size, so the wanted nodes' codes are filled in from their
+  // numbers once the walk has counted every node. Sibling bookkeeping
+  // is threaded down (scanning the parent's child list per node would
+  // be quadratic on wide elements).
+  struct Pending {
+    NodeLabel* label;  // map nodes are stable across rehashing
+    size_t start;
+    size_t end;
+  };
+  struct Walker {
     const Document& doc;
+    const std::unordered_set<NodeId>* wanted;
     Labeling& labeling;
-    const std::vector<BitString>& codes;
-    size_t& next_code;
+    std::vector<Pending> pending;
+    size_t next_code = 0;
 
-    void Assign(NodeId id, uint32_t level, NodeId left_sibling,
-                bool is_last_child) {
-      NodeLabel lab;
-      lab.self = id;
-      lab.type = doc.type(id);
-      lab.level = level;
-      lab.parent = doc.parent(id);
-      lab.start = codes[next_code++];
-      if (lab.type != NodeType::kAttribute &&
-          lab.parent != kInvalidNode) {
-        lab.left_sibling = left_sibling;
-        lab.is_last_child = is_last_child;
+    void Visit(NodeId id, NodeId parent, uint32_t level,
+               NodeId left_sibling, bool is_last_child) {
+      const size_t start = ++next_code;
+      NodeLabel* lab = nullptr;
+      if (wanted == nullptr || wanted->count(id) != 0) {
+        lab = &labeling.labels_[id];
+        lab->self = id;
+        lab->type = doc.type(id);
+        lab->level = level;
+        lab->parent = parent;
+        if (lab->type != NodeType::kAttribute && parent != kInvalidNode) {
+          lab->left_sibling = left_sibling;
+          lab->is_last_child = is_last_child;
+        }
       }
       for (NodeId a : doc.attributes(id)) {
-        Assign(a, level + 1, kInvalidNode, false);
+        Visit(a, id, level + 1, kInvalidNode, false);
       }
       const auto& kids = doc.children(id);
       NodeId prev = kInvalidNode;
       for (size_t i = 0; i < kids.size(); ++i) {
-        Assign(kids[i], level + 1, prev, i + 1 == kids.size());
+        Visit(kids[i], id, level + 1, prev, i + 1 == kids.size());
         prev = kids[i];
       }
-      lab.end = codes[next_code++];
-      labeling.Set(lab);
+      const size_t end = ++next_code;
+      if (lab != nullptr) pending.push_back({lab, start, end});
     }
   };
-  Builder builder{doc, out, codes, next_code};
-  builder.Assign(doc.root(), 0, kInvalidNode, false);
-  assert(next_code == codes.size());
+  Walker walker{doc, wanted, out, {}};
+  walker.Visit(doc.root(), doc.parent(doc.root()), 0, kInvalidNode, false);
+  const size_t width = cdbs::InitialCodeWidth(walker.next_code);
+  for (const Pending& p : walker.pending) {
+    p.label->start = cdbs::InitialCode(p.start, width);
+    p.label->end = cdbs::InitialCode(p.end, width);
+  }
   return out;
 }
 

@@ -2,6 +2,8 @@
 #define XUPDATE_LABEL_LABELING_H_
 
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "common/result.h"
 #include "label/node_label.h"
@@ -23,6 +25,14 @@ class Labeling {
   // Labels every node of doc's rooted tree with evenly distributed
   // initial CDBS codes (document order).
   static Labeling Build(const xml::Document& doc);
+
+  // Exactly Build(doc)'s labels for the requested ids, and no others:
+  // ids outside doc's rooted tree come back absent. One counting walk
+  // of the tree; only the requested nodes' codes are computed and
+  // stored, so a handful of ids on a large document allocates nothing
+  // per node.
+  static Labeling BuildFor(const xml::Document& doc,
+                           const std::vector<xml::NodeId>& ids);
 
   // nullptr when `id` has no label.
   const NodeLabel* Find(xml::NodeId id) const;
@@ -52,6 +62,11 @@ class Labeling {
   // `node` (already attached in doc).
   Status BoundaryFor(const xml::Document& doc, xml::NodeId node,
                      BitString* left, BitString* right) const;
+  // The initial labeling walk shared by Build and BuildFor: labels the
+  // nodes in `wanted` (every node when null).
+  static Labeling BuildInitial(
+      const xml::Document& doc,
+      const std::unordered_set<xml::NodeId>* wanted);
   // Recursively labels `node` within (left, right).
   Status AssignRange(const xml::Document& doc, xml::NodeId node,
                      const BitString& left, const BitString& right,

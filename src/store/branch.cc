@@ -434,127 +434,26 @@ Result<std::vector<pul::Pul>> VersionStore::RangePuls(
   return out;
 }
 
-Status VersionStore::AppendChainUndos(const xml::Document& pre,
-                                      const WalFrameInfo& info,
-                                      const Wal& wal,
-                                      std::vector<pul::Pul>* out,
-                                      xml::Document* post) const {
-  XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal.ReadFrame(info));
-  XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                           DecodeMergeRecord(frame.payload));
-  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain, ParseChain(record));
-  if (chain.empty()) {
-    return Status::ParseError("merge frame for version " +
-                              std::to_string(info.version) +
-                              " carries an empty chain");
-  }
-  // One exact inverse per chain member, reversed into rewind order. No
-  // single-PUL undo exists in general: a chain that rewinds below the
-  // merge base and re-applies an operation deletes and re-creates the
-  // same node id, and the staged apply order (insertions before
-  // deletions) cannot express that pair inside one PUL.
-  xml::Document state = pre;
+Result<std::vector<pul::Pul>> VersionStore::UndoChainFrom(
+    const xml::Document& base_doc, const std::vector<pul::Pul>& puls) const {
+  // One forward pass: each PUL's undo comes from the state it was
+  // applied to, then the walk moves past it. A merge frame's chain
+  // arrives as its members, one undo each: no single-PUL undo exists
+  // in general, since a chain that rewinds below the merge base and
+  // re-applies an operation deletes and re-creates the same node id,
+  // which the staged apply order (insertions before deletions) cannot
+  // express inside one PUL.
+  xml::Document state = base_doc;
   std::vector<pul::Pul> undos;
-  undos.reserve(chain.size());
-  for (const pul::Pul& member : chain) {
+  undos.reserve(puls.size());
+  for (const pul::Pul& pul : puls) {
     XUPDATE_ASSIGN_OR_RETURN(pul::Pul undo,
-                             ComputeUndo(state, member, options_));
-    XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&state, member));
+                             ComputeUndo(state, pul, options_));
+    XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&state, pul));
     undos.push_back(std::move(undo));
   }
-  for (auto it = undos.rbegin(); it != undos.rend(); ++it) {
-    out->push_back(std::move(*it));
-  }
-  if (post != nullptr) *post = std::move(state);
-  return Status::OK();
-}
-
-Status VersionStore::UndoChainRange(const std::string& branch, uint64_t top,
-                                    uint64_t down_to,
-                                    std::vector<pul::Pul>* out) const {
-  if (down_to > top) {
-    return Status::InvalidArgument(
-        "undo range " + std::to_string(top) + " down to " +
-        std::to_string(down_to) + " is inverted");
-  }
-  if (down_to == top) return Status::OK();
-  if (branch == "main") {
-    for (uint64_t v = top; v > down_to; --v) {
-      auto mit = merge_frames_.find(v);
-      if (mit != merge_frames_.end()) {
-        XUPDATE_ASSIGN_OR_RETURN(xml::Document prev, Checkout(v - 1));
-        XUPDATE_RETURN_IF_ERROR(
-            AppendChainUndos(prev, mit->second, wal_, out, nullptr));
-      } else {
-        XUPDATE_ASSIGN_OR_RETURN(pul::Pul undo, UndoFor(v));
-        out->push_back(std::move(undo));
-      }
-    }
-    return Status::OK();
-  }
-  auto it = branches_.find(branch);
-  if (it == branches_.end()) {
-    return Status::NotFound("branch not found: " + branch);
-  }
-  const BranchState& b = it->second;
-  if (top > b.head) {
-    return Status::InvalidArgument(
-        "undo start " + std::to_string(top) + " beyond head " +
-        std::to_string(b.head) + " of branch " + branch);
-  }
-  // Branch-local part (above the fork): one forward pass computing each
-  // version's pre-state, then the per-version undo groups reversed into
-  // rewind order (a merge version contributes one undo per chain member).
-  uint64_t local_from = std::max(down_to, b.meta.fork);
-  if (top > local_from) {
-    XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
-                             CheckoutBranch(branch, local_from));
-    std::vector<std::vector<pul::Pul>> local;
-    local.reserve(static_cast<size_t>(top - local_from));
-    for (uint64_t v = local_from + 1; v <= top; ++v) {
-      std::vector<pul::Pul> undos_v;
-      auto pit = b.pul_frames.find(v);
-      if (pit != b.pul_frames.end()) {
-        XUPDATE_ASSIGN_OR_RETURN(WalFrame frame,
-                                 b.wal.ReadFrame(pit->second));
-        XUPDATE_ASSIGN_OR_RETURN(pul::Pul effective,
-                                 pul::ParsePul(frame.payload));
-        XUPDATE_ASSIGN_OR_RETURN(pul::Pul undo,
-                                 ComputeUndo(doc, effective, options_));
-        XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, effective));
-        undos_v.push_back(std::move(undo));
-      } else {
-        auto mit = b.merge_frames.find(v);
-        if (mit == b.merge_frames.end()) {
-          return Status::Internal("branch " + branch +
-                                  " has no frame for version " +
-                                  std::to_string(v));
-        }
-        xml::Document post;
-        XUPDATE_RETURN_IF_ERROR(
-            AppendChainUndos(doc, mit->second, b.wal, &undos_v, &post));
-        doc = std::move(post);
-      }
-      local.push_back(std::move(undos_v));
-    }
-    for (auto it = local.rbegin(); it != local.rend(); ++it) {
-      for (pul::Pul& undo : *it) out->push_back(std::move(undo));
-    }
-  }
-  // Ancestor part (below the fork): rewind the parent chain.
-  if (down_to < b.meta.fork) {
-    XUPDATE_RETURN_IF_ERROR(
-        UndoChainRange(b.meta.parent, b.meta.fork, down_to, out));
-  }
-  return Status::OK();
-}
-
-Result<std::vector<pul::Pul>> VersionStore::UndoChain(
-    const std::string& branch, uint64_t down_to) const {
-  XUPDATE_ASSIGN_OR_RETURN(BranchInfo info, GetBranch(branch));
-  std::vector<pul::Pul> out;
-  XUPDATE_RETURN_IF_ERROR(UndoChainRange(branch, info.head, down_to, &out));
-  return out;
+  std::reverse(undos.begin(), undos.end());
+  return undos;
 }
 
 // --- The sync (merge-commit) protocol -------------------------------------

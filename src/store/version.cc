@@ -520,24 +520,6 @@ Status VersionStore::MaybeCheckpoint() {
   return Status::OK();
 }
 
-Result<pul::Pul> VersionStore::UndoFor(uint64_t v) const {
-  auto it = pul_frames_.find(v);
-  if (it != pul_frames_.end()) {
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, ReadPul(it->second));
-    XUPDATE_ASSIGN_OR_RETURN(xml::Document prev, Checkout(v - 1));
-    return ComputeUndo(prev, pul, options_);
-  }
-  if (merge_frames_.count(v) != 0) {
-    // A merge version has no single-PUL undo (its chain can delete and
-    // re-create the same node id, which one PUL cannot express under
-    // the staged apply order); callers rewind through UndoChainRange,
-    // which expands the chain into one exact inverse per member.
-    return Status::Internal("version " + std::to_string(v) +
-                            " is a merge commit; rewind through its chain");
-  }
-  return Status::Internal("no frame for version " + std::to_string(v));
-}
-
 Result<pul::Pul> VersionStore::ComputeUndo(const xml::Document& pre,
                                            const pul::Pul& pul,
                                            const StoreOptions& options) {
@@ -549,8 +531,7 @@ Result<pul::Pul> VersionStore::ComputeUndo(const xml::Document& pre,
                            core::Reduce(pul, reduce_options));
   XUPDATE_ASSIGN_OR_RETURN(pul::Pul filtered,
                            DropOverriddenOps(pre, reduced));
-  label::Labeling labeling = label::Labeling::Build(pre);
-  return core::Invert(pre, labeling, filtered);
+  return core::Invert(pre, filtered);
 }
 
 Result<uint64_t> VersionStore::Rollback(uint64_t to) {
@@ -560,12 +541,14 @@ Result<uint64_t> VersionStore::Rollback(uint64_t to) {
         " is not below head " + std::to_string(head_));
   }
   ScopedTimer timer(options_.metrics, "store.rollback.seconds");
-  XUPDATE_ASSIGN_OR_RETURN(std::string target, CheckoutXml(to));
-  std::vector<pul::Pul> undos;
-  undos.reserve(static_cast<size_t>(head_ - to));
+  XUPDATE_ASSIGN_OR_RETURN(xml::Document base, Checkout(to));
+  XUPDATE_ASSIGN_OR_RETURN(std::string target, SerializeAnnotated(base));
   // A merge version contributes one undo per chain member, so the
   // chain may be longer than head - to.
-  XUPDATE_RETURN_IF_ERROR(UndoChainRange("main", head_, to, &undos));
+  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> puls,
+                           RangePuls("main", to, head_));
+  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> undos,
+                           UndoChainFrom(base, puls));
   // The chain is the ground truth: applying it must land on the target
   // bytes before anything is committed.
   {

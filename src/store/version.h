@@ -291,12 +291,14 @@ class VersionStore {
   Result<std::vector<pul::Pul>> RangePuls(const std::string& branch,
                                           uint64_t from, uint64_t to) const;
 
-  // Undo PULs rewinding `branch` from its head down to version
-  // `down_to`, in application order (head first). Byte-exact: the
-  // ComputeUndo formula per kPul frame; merge frames rewind through
-  // their verified flattened chain.
-  Result<std::vector<pul::Pul>> UndoChain(const std::string& branch,
-                                          uint64_t down_to) const;
+  // Undo PULs taking `base_doc` with `puls` applied in order back to
+  // `base_doc`, in application order (the last PUL's undo first). One
+  // forward pass from `base_doc`: each undo is the ComputeUndo formula
+  // against the state its PUL was applied to. Pass a SuffixPuls or
+  // RangePuls list, so a merge frame contributes one undo per chain
+  // member.
+  Result<std::vector<pul::Pul>> UndoChainFrom(
+      const xml::Document& base_doc, const std::vector<pul::Pul>& puls) const;
 
   // Commits a computed merge under the sync protocol described above.
   Result<MergeCommitResult> CommitMerge(const MergePlan& plan);
@@ -325,7 +327,7 @@ class VersionStore {
   static Result<std::string> SerializeAnnotated(const xml::Document& doc);
 
   // The store's one undo formula, used for every PUL a rollback or
-  // UndoChain rewinds: deterministic reduction of `pul`, a
+  // UndoChainFrom rewinds: deterministic reduction of `pul`, a
   // document-grounded drop of operations the O-rules override (labels
   // inside an aggregated PUL can be too stale for the label-based engine
   // to see every override; the pre-state document is ground truth and
@@ -361,24 +363,10 @@ class VersionStore {
   Status ReplayVersion(uint64_t v, xml::Document* doc,
                        MergeRecord* merge) const;
 
-  // Undo delta taking doc_v back to doc_{v-1}: ComputeUndo(doc_{v-1},
-  // pul_v).
-  Result<pul::Pul> UndoFor(uint64_t v) const;
-
   // Writes a checkpoint for the current head if a cadence trigger fired.
   Status MaybeCheckpoint();
 
   // --- Branch internals (store/branch.cc) ---
-
-  // Appends one exact inverse per member of a merge frame's chain to
-  // `out`, in rewind order (last member's undo first), starting from
-  // the pre-merge document. Optionally hands back the post-merge state.
-  // A merge has no single-PUL undo in general: its chain can delete
-  // and re-create the same node id, which the staged apply order
-  // (insertions before deletions) cannot express inside one PUL.
-  Status AppendChainUndos(const xml::Document& pre, const WalFrameInfo& info,
-                          const Wal& wal, std::vector<pul::Pul>* out,
-                          xml::Document* post) const;
 
   // Parses the frames of a branch journal (after the meta frame) into
   // the branch's indexes; enforces contiguity from the fork point.
@@ -414,11 +402,6 @@ class VersionStore {
   // chain (recursing into the parent below the fork point).
   Status CollectPuls(const std::string& branch, uint64_t from, uint64_t to,
                      std::vector<pul::Pul>* out) const;
-
-  // UndoChain generalized to rewind from `top` instead of the head
-  // (recursing into the parent below the fork point).
-  Status UndoChainRange(const std::string& branch, uint64_t top,
-                        uint64_t down_to, std::vector<pul::Pul>* out) const;
 
   // Lineage of a branch up to the mainline: [(name, head-or-fork
   // bound), ...] — helper for MergeBase's fork-point fallback.

@@ -180,6 +180,42 @@ TEST_F(BranchMergeTest, FullMergeConvergesBothSides) {
   EXPECT_EQ(base->base_b, info->head);
 }
 
+TEST_F(BranchMergeTest, PhaseTimersAndBaseCheckouts) {
+  VersionStore store = MakeStore();
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  const char* phases[] = {"branch.merge.base_checkout.seconds",
+                          "branch.merge.fold.seconds",
+                          "branch.merge.reconcile.seconds",
+                          "branch.merge.undo.seconds"};
+  // Round 1 merges at the fork point (both bases are main's version 0:
+  // one checkout); round 2 merges through the round-1 sync point (one
+  // base on each journal: two checkouts).
+  for (int round = 1; round <= 2; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 2 * round)).ok());
+    auto doc = store.BranchHeadDoc("w");
+    ASSERT_TRUE(
+        store.CommitOnBranch("w", RepVPul(**doc, 2 * round + 1)).ok());
+    Metrics metrics;
+    MergeOptions options;
+    options.metrics = &metrics;
+    MergeStats stats;
+    auto result = Merge(&store, "main", "w", options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_FALSE(stats.fast_forward);
+    EXPECT_EQ(stats.base_a == 0, round == 1);
+    EXPECT_EQ(metrics.counter("branch.merge.base_checkouts"),
+              round == 1 ? 1u : 2u);
+    double phase_sum = 0.0;
+    for (const char* phase : phases) {
+      EXPECT_EQ(metrics.timer(phase).count, 1u) << phase;
+      phase_sum += metrics.total_seconds(phase);
+    }
+    EXPECT_LE(phase_sum, metrics.total_seconds("branch.merge.seconds"));
+    EXPECT_EQ(HeadBytes(store, "main"), HeadBytes(store, "w"));
+  }
+}
+
 TEST_F(BranchMergeTest, ConflictingEditsAutoResolve) {
   VersionStore store = MakeStore();
   ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());

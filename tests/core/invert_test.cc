@@ -38,7 +38,7 @@ class InvertTest : public ::testing::Test {
   // the document exactly — node ids included.
   void CheckRoundTrip(const Pul& pul) {
     std::string before = pul::CanonicalForm(doc_, kAllIds);
-    auto inverse = Invert(doc_, labeling_, pul);
+    auto inverse = Invert(doc_, pul);
     ASSERT_TRUE(inverse.ok()) << inverse.status();
     Document working = doc_;
     ASSERT_TRUE(pul::ApplyPul(&working, pul).ok());
@@ -54,7 +54,7 @@ TEST_F(InvertTest, InsertionInvertsToDeletion) {
   Pul p = MakePul();
   auto t = p.AddFragment("<x><y/></x>");
   ASSERT_TRUE(p.AddTreeOp(OpKind::kInsLast, 4, labeling_, {*t}).ok());
-  auto inverse = Invert(doc_, labeling_, p);
+  auto inverse = Invert(doc_, p);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
   ASSERT_EQ(inverse->size(), 1u);
   EXPECT_EQ(inverse->ops()[0].kind, OpKind::kDelete);
@@ -65,7 +65,7 @@ TEST_F(InvertTest, InsertionInvertsToDeletion) {
 TEST_F(InvertTest, DeletionInvertsToPositionalReinsertion) {
   Pul p = MakePul();
   ASSERT_TRUE(p.AddDelete(5, labeling_).ok());  // first child of 4
-  auto inverse = Invert(doc_, labeling_, p);
+  auto inverse = Invert(doc_, p);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
   ASSERT_EQ(inverse->size(), 1u);
   EXPECT_EQ(inverse->ops()[0].kind, OpKind::kInsFirst);
@@ -76,7 +76,7 @@ TEST_F(InvertTest, DeletionInvertsToPositionalReinsertion) {
 TEST_F(InvertTest, MiddleChildDeletionAnchorsToLeftSibling) {
   Pul p = MakePul();
   ASSERT_TRUE(p.AddDelete(6, labeling_).ok());  // between 5 and 12
-  auto inverse = Invert(doc_, labeling_, p);
+  auto inverse = Invert(doc_, p);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
   ASSERT_EQ(inverse->size(), 1u);
   EXPECT_EQ(inverse->ops()[0].kind, OpKind::kInsAfter);
@@ -88,7 +88,7 @@ TEST_F(InvertTest, AdjacentDeletionsRestoreInOrder) {
   Pul p = MakePul();
   ASSERT_TRUE(p.AddDelete(5, labeling_).ok());
   ASSERT_TRUE(p.AddDelete(6, labeling_).ok());
-  auto inverse = Invert(doc_, labeling_, p);
+  auto inverse = Invert(doc_, p);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
   // One grouped insFirst(4, [5's copy, 6's copy]).
   ASSERT_EQ(inverse->size(), 1u);
@@ -118,7 +118,7 @@ TEST_F(InvertTest, ReplaceNodeInverts) {
   auto r2 = p.AddFragment("<repl2/>");
   ASSERT_TRUE(
       p.AddTreeOp(OpKind::kReplaceNode, 5, labeling_, {*r1, *r2}).ok());
-  auto inverse = Invert(doc_, labeling_, p);
+  auto inverse = Invert(doc_, p);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
   ASSERT_EQ(inverse->size(), 2u);  // repN(r1 -> saved 5) + del(r2)
   CheckRoundTrip(p);
@@ -134,7 +134,7 @@ TEST_F(InvertTest, ReplaceChildrenInverts) {
   Pul p = MakePul();
   NodeId t = p.NewTextParam("flat");
   ASSERT_TRUE(p.AddTreeOp(OpKind::kReplaceChildren, 4, labeling_, {t}).ok());
-  auto inverse = Invert(doc_, labeling_, p);
+  auto inverse = Invert(doc_, p);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
   ASSERT_EQ(inverse->size(), 1u);
   EXPECT_EQ(inverse->ops()[0].kind, OpKind::kReplaceChildren);
@@ -147,7 +147,7 @@ TEST_F(InvertTest, DeletionNextToReplacedSiblingAnchorsToReplacement) {
   auto r = p.AddFragment("<newFive/>");
   ASSERT_TRUE(p.AddTreeOp(OpKind::kReplaceNode, 5, labeling_, {*r}).ok());
   ASSERT_TRUE(p.AddDelete(6, labeling_).ok());
-  auto inverse = Invert(doc_, labeling_, p);
+  auto inverse = Invert(doc_, p);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
   CheckRoundTrip(p);
 }
@@ -167,14 +167,14 @@ TEST_F(InvertTest, RejectsOReduciblePuls) {
     Pul p = MakePul();
     ASSERT_TRUE(p.AddStringOp(OpKind::kRename, 5, labeling_, "x").ok());
     ASSERT_TRUE(p.AddDelete(5, labeling_).ok());
-    EXPECT_EQ(Invert(doc_, labeling_, p).status().code(),
+    EXPECT_EQ(Invert(doc_, p).status().code(),
               StatusCode::kInvalidArgument);
   }
   {
     Pul p = MakePul();
     ASSERT_TRUE(p.AddStringOp(OpKind::kRename, 5, labeling_, "x").ok());
     ASSERT_TRUE(p.AddDelete(4, labeling_).ok());  // ancestor of 5
-    EXPECT_EQ(Invert(doc_, labeling_, p).status().code(),
+    EXPECT_EQ(Invert(doc_, p).status().code(),
               StatusCode::kInvalidArgument);
   }
   {
@@ -184,7 +184,7 @@ TEST_F(InvertTest, RejectsOReduciblePuls) {
     NodeId txt = p.NewTextParam("z");
     ASSERT_TRUE(
         p.AddTreeOp(OpKind::kReplaceChildren, 4, labeling_, {txt}).ok());
-    EXPECT_EQ(Invert(doc_, labeling_, p).status().code(),
+    EXPECT_EQ(Invert(doc_, p).status().code(),
               StatusCode::kInvalidArgument);
   }
 }
@@ -192,7 +192,7 @@ TEST_F(InvertTest, RejectsOReduciblePuls) {
 TEST_F(InvertTest, RejectsRootRemoval) {
   Pul p = MakePul();
   ASSERT_TRUE(p.AddDelete(1, labeling_).ok());
-  EXPECT_FALSE(Invert(doc_, labeling_, p).ok());
+  EXPECT_FALSE(Invert(doc_, p).ok());
 }
 
 // Property sweep: reduce a random deterministic PUL (so it becomes
@@ -221,8 +221,18 @@ TEST_P(InvertPropertyTest, ApplyThenInverseIsIdentity) {
   }
   if (removes_root) GTEST_SKIP();
 
-  auto inverse = Invert(doc, labeling, *reduced);
+  auto inverse = Invert(doc, *reduced);
   ASSERT_TRUE(inverse.ok()) << inverse.status();
+  // Targets in the pre-state carry exactly their Build labels; targets
+  // the forward PUL creates carry none.
+  for (const pul::UpdateOp& op : inverse->ops()) {
+    const label::NodeLabel* expect = labeling.Find(op.target);
+    ASSERT_EQ(op.target_label.valid(), expect != nullptr) << op.target;
+    if (expect != nullptr) {
+      EXPECT_EQ(op.target_label.self, expect->self);
+      EXPECT_EQ(op.target_label.Serialize(), expect->Serialize());
+    }
+  }
   std::string before = pul::CanonicalForm(doc, kAllIds);
   Document working = doc;
   ASSERT_TRUE(pul::ApplyPul(&working, *reduced).ok());

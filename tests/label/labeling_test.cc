@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "common/random.h"
 #include "testing/test_docs.h"
 #include "xml/parser.h"
@@ -153,6 +157,100 @@ TEST(LabelingTest, RandomEditsKeepLabelingConsistent) {
       ASSERT_TRUE(labeling.Validate(doc).ok())
           << labeling.Validate(doc) << " at trial " << trial;
     }
+  }
+}
+
+// Field-by-field equality of two labels.
+void ExpectSameLabel(const NodeLabel& got, const NodeLabel& want) {
+  EXPECT_EQ(got.self, want.self);
+  EXPECT_EQ(got.type, want.type);
+  EXPECT_EQ(got.start.ToString(), want.start.ToString()) << want.self;
+  EXPECT_EQ(got.end.ToString(), want.end.ToString()) << want.self;
+  EXPECT_EQ(got.level, want.level) << want.self;
+  EXPECT_EQ(got.parent, want.parent) << want.self;
+  EXPECT_EQ(got.left_sibling, want.left_sibling) << want.self;
+  EXPECT_EQ(got.is_last_child, want.is_last_child) << want.self;
+}
+
+// BuildFor over every node and over random subsets of `doc` (root and
+// attributes included) against Build; ids outside the rooted tree stay
+// absent.
+void CheckBuildForMatchesBuild(const Document& doc,
+                               const std::vector<NodeId>& outside,
+                               Rng& rng) {
+  Labeling full = Labeling::Build(doc);
+  std::vector<NodeId> all = doc.AllNodesInOrder();
+  ASSERT_EQ(full.size(), all.size());
+  std::vector<NodeId> every = all;
+  every.insert(every.end(), outside.begin(), outside.end());
+  Labeling built = Labeling::BuildFor(doc, every);
+  ASSERT_EQ(built.size(), all.size());
+  for (NodeId id : all) {
+    ASSERT_NE(built.Find(id), nullptr) << id;
+    ExpectSameLabel(*built.Find(id), *full.Find(id));
+  }
+  for (NodeId id : outside) EXPECT_EQ(built.Find(id), nullptr) << id;
+  for (int round = 0; round < 6; ++round) {
+    std::vector<NodeId> subset;
+    for (NodeId id : all) {
+      if (rng.Chance(0.25)) subset.push_back(id);
+    }
+    if (!outside.empty()) {
+      subset.push_back(outside[static_cast<size_t>(
+          rng.Below(outside.size()))]);
+    }
+    if (rng.Chance(0.5) && !subset.empty()) {
+      subset.push_back(subset.front());  // duplicates are harmless
+    }
+    rng.Shuffle(subset);
+    Labeling some = Labeling::BuildFor(doc, subset);
+    size_t expected = 0;
+    for (NodeId id : all) {
+      bool wanted =
+          std::find(subset.begin(), subset.end(), id) != subset.end();
+      const NodeLabel* got = some.Find(id);
+      ASSERT_EQ(got != nullptr, wanted) << id;
+      if (wanted) {
+        ++expected;
+        ExpectSameLabel(*got, *full.Find(id));
+      }
+    }
+    EXPECT_EQ(some.size(), expected);
+  }
+  EXPECT_EQ(Labeling::BuildFor(doc, {}).size(), 0u);
+}
+
+TEST(LabelingTest, BuildForMatchesBuild) {
+  Rng rng(424242);
+  {
+    SCOPED_TRACE("paper figure document");
+    Document doc = xupdate::testing::PaperFigureDocument();
+    // A node of the document that is not in its rooted tree, and an id
+    // that was never assigned.
+    NodeId detached = doc.NewElement("loose");
+    CheckBuildForMatchesBuild(doc, {detached, doc.max_assigned_id() + 1},
+                              rng);
+  }
+  // Random documents drawn as in RandomEditsKeepLabelingConsistent
+  // (same generator and seed), edited with insertions and subtree
+  // deletions.
+  for (int trial = 0; trial < 12; ++trial) {
+    SCOPED_TRACE("random document " + std::to_string(trial));
+    Document doc = xupdate::testing::RandomDocument(rng, 20);
+    std::vector<NodeId> outside = {doc.max_assigned_id() + 1000};
+    for (int edit = 0; edit < 10; ++edit) {
+      std::vector<NodeId> nodes = doc.AllNodesInOrder();
+      NodeId pick = nodes[static_cast<size_t>(rng.Below(nodes.size()))];
+      if (rng.Chance(0.6) && doc.type(pick) == xml::NodeType::kElement) {
+        NodeId n = doc.NewElement("ins");
+        (void)doc.AppendChild(n, doc.NewText("x"));
+        ASSERT_TRUE(doc.PrependChild(pick, n).ok());
+      } else if (pick != doc.root()) {
+        outside.push_back(pick);
+        ASSERT_TRUE(doc.DeleteSubtree(pick).ok());
+      }
+    }
+    CheckBuildForMatchesBuild(doc, outside, rng);
   }
 }
 

@@ -59,6 +59,40 @@ class BenchCompareTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stderr)
         self.assertIn("all gated benchmarks within", proc.stdout)
 
+    def test_merge_ratio_is_reported_not_gated(self):
+        write_set(
+            self.baseline,
+            {
+                "BM_MergeFull/1": {"real_time": 400.0, "time_unit": "ms"},
+                "BM_MergeFastForward": {"real_time": 50.0, "time_unit": "ms"},
+            },
+        )
+        write_set(
+            self.candidate,
+            {
+                "BM_MergeFull/1": {"real_time": 100.0, "time_unit": "ms"},
+                "BM_MergeFastForward": {"real_time": 50.0, "time_unit": "ms"},
+            },
+        )
+        proc = run_compare(self.baseline, self.candidate)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn(
+            "BM_MergeFull/1 / BM_MergeFastForward: baseline 8.00x, "
+            "candidate 2.00x",
+            proc.stdout,
+        )
+        # Without both benchmarks there is no ratio line.
+        write_set(
+            self.candidate,
+            {"BM_MergeFull/1": {"real_time": 100.0, "time_unit": "ms"}},
+        )
+        write_set(
+            self.baseline,
+            {"BM_MergeFull/1": {"real_time": 100.0, "time_unit": "ms"}},
+        )
+        proc = run_compare(self.baseline, self.candidate)
+        self.assertNotIn("BM_MergeFastForward", proc.stdout)
+
     def test_gated_regression_fails_by_name(self):
         write_set(
             self.baseline,

@@ -24,6 +24,9 @@ Options:
                       ^BM_(Reduce|Integrat|Aggregat|StoreCheckout|Merge|Rebase))
     --all-gated       gate every common benchmark, not just the default
                       families
+
+When both sets hold BM_MergeFull/1 and BM_MergeFastForward, their ratio
+is printed for each set (report only, never gated).
 """
 
 import argparse
@@ -37,6 +40,18 @@ from pathlib import Path
 # fsync-bound on the runner's disk, so it would gate on the disk rather
 # than on the code.
 DEFAULT_GATE = r"^BM_(Reduce|Integrat|Aggregat|StoreCheckout|Merge|Rebase)"
+
+# Report-only (no gate): a one-commit full merge over a fast-forward,
+# the figure ROADMAP item 2 judges merge by.
+MERGE_RATIO = ("BM_MergeFull/1", "BM_MergeFastForward")
+
+
+def merge_ratio(times):
+    """MERGE_RATIO's quotient in `times`, or None if either is absent."""
+    full, fast_forward = (times.get(name) for name in MERGE_RATIO)
+    if full is None or fast_forward is None:
+        return None
+    return full / fast_forward
 
 
 def load_set(directory):
@@ -168,6 +183,13 @@ def main():
         print(f"\nonly in baseline: {', '.join(only_base)}")
     if only_cand:
         print(f"only in candidate: {', '.join(only_cand)}")
+    ratios = [(label, merge_ratio(times))
+              for label, times in (("baseline", base), ("candidate", cand))]
+    if any(ratio is not None for _, ratio in ratios):
+        shown = ", ".join(
+            f"{label} " + ("n/a" if ratio is None else f"{ratio:.2f}x")
+            for label, ratio in ratios)
+        print(f"\n{MERGE_RATIO[0]} / {MERGE_RATIO[1]}: {shown}")
 
     if failures:
         print(

@@ -440,11 +440,9 @@ Status CmdReconcile(const Args& args, std::ostream& out) {
 Status CmdInvert(const Args& args, std::ostream& out) {
   XUPDATE_RETURN_IF_ERROR(RequireFlags(args, {"doc", "pul", "out"}));
   XUPDATE_ASSIGN_OR_RETURN(xml::Document doc, LoadDocument(args));
-  label::Labeling labeling = label::Labeling::Build(doc);
   XUPDATE_ASSIGN_OR_RETURN(std::string text, ReadFile(args.Get("pul")));
   XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(text));
-  XUPDATE_ASSIGN_OR_RETURN(pul::Pul inverse,
-                           core::Invert(doc, labeling, pul));
+  XUPDATE_ASSIGN_OR_RETURN(pul::Pul inverse, core::Invert(doc, pul));
   return WritePul(inverse, args.Get("out"), out);
 }
 
