@@ -2,11 +2,13 @@
 //
 // Workload: 10k operations over an XMark document large enough that the
 // targets fall into thousands of disjoint subtrees (shards), swept at
-// 1/2/4/8 worker threads for both reduction and integration. The
-// parallelism=1 rows take the sequential path and serve as the
-// speedup baseline; hardware with fewer cores than the thread count
-// flattens the curve. Each sweep dumps the engine's metrics registry as
-// JSON on stderr (shard counts, per-phase wall time, conflict tallies).
+// 1/2/4/8 worker threads for both reduction and integration. Reduce
+// takes one path at every thread count (its shards packed into ~1k-op
+// work units), so its /2 ÷ /1 ratio is the cost of spreading the units
+// over a pool; integrate's parallelism=1 rows take its sequential path.
+// Hardware with fewer cores than the thread count flattens the curve.
+// Each sweep dumps the engine's metrics registry as JSON on stderr
+// (shard and unit counts, per-phase wall time, conflict tallies).
 
 #include <benchmark/benchmark.h>
 
@@ -85,6 +87,7 @@ void BM_ParallelReduce(benchmark::State& state) {
   }
   state.counters["ops"] = static_cast<double>(input.size());
   state.counters["shards"] = static_cast<double>(stats.shards);
+  state.counters["units"] = static_cast<double>(stats.units);
   state.counters["threads"] = static_cast<double>(threads);
   fprintf(stderr, "reduce/threads:%d metrics %s\n", threads,
           metrics.ToJson().c_str());

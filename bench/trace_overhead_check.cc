@@ -6,10 +6,10 @@
 // options path with a null tracer on the Fig. 6b reduction workload —
 // interleaved, order alternated per trial, minimum-of-trials — and
 // fails (exit 1) beyond a 1% difference. Any future change that makes
-// the no-tracer configuration eagerly pay for tracing (forced
-// partitioning, unconditional id-string building, a hot-loop emission
-// that stops checking enabled()) lands on both sides' timings and on
-// the separately reported enabled-tracer ratio in the JSON artifact.
+// the no-tracer configuration eagerly pay for tracing (unconditional
+// lane or id-string building, a hot-loop emission that stops checking
+// enabled()) lands on both sides' timings and on the separately
+// reported enabled-tracer ratio in the JSON artifact.
 //
 // Not a Google-Benchmark binary on purpose: the check needs a hard
 // verdict and a repo-root JSON artifact, not statistics.

@@ -4,7 +4,6 @@
 #include <deque>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -65,43 +64,50 @@ struct PairApp {
   int second;
 };
 
+// One work unit: whole components of the partition (see
+// PartitionByTargetSubtree), solved by one Reducer.
+struct Unit {
+  // Global op indices, ascending (listing order).
+  std::vector<int> ops;
+  // The labeled ops as positions in `ops`, in document order of their
+  // targets (ties by listing order).
+  std::vector<int> doc_order;
+};
+
 // Reduction engine over a working copy of the input PUL's operations.
 // Rules are found through O(1) hash lookups keyed on the structural
 // information carried in the operation labels (same target, parent,
-// left sibling); the A-D rules O3/O4 use one O(k log k) interval sweep
-// per pass — matching the paper's optimized algorithm (§3.1).
+// left sibling); the A-D rules O3/O4 take one interval sweep over the
+// ops in document order — matching the paper's optimized algorithm
+// (§3.1).
 //
-// With a `subset` the engine works on just those operations (indices
-// into input.ops()), reading the shared input forest but never touching
-// it — several Reducers over disjoint subsets may run concurrently.
-// Ranks are then the global listing indices, so shard survivors merge
-// into the same order the whole-PUL run produces.
+// The engine works on one work unit: a subset of the operations (indices
+// into input.ops(), ascending), reading the shared input forest but never
+// touching it — several Reducers over disjoint units may run
+// concurrently. Ranks are the global listing indices, so unit survivors
+// merge into one listing order.
 class Reducer {
  public:
-  Reducer(const Pul& input, ReduceMode mode,
-          const std::vector<int>* subset = nullptr,
-          obs::TraceLane* lane = nullptr)
-      : input_(input), mode_(mode), subset_(subset), lane_(lane) {}
+  Reducer(const Pul& input, ReduceMode mode, const Unit* unit,
+          obs::TraceLane* lane)
+      : input_(input), mode_(mode), unit_(unit), lane_(lane) {}
 
   // Runs the rule fixpoint (the caller has already checked Definition 3
   // compatibility). Infallible by construction; returns Status to fit
   // the pool's exception-free task convention.
   Status RunRules();
 
-  // Survivors of the fixpoint in working-set order. `op` points into
-  // this Reducer and stays valid while it lives; `key` is filled (the <o
-  // sort key) only in canonical mode.
+  // Survivors of the fixpoint in working-set order. `key` and `op` point
+  // into this Reducer and stay valid while it lives; `key` (the <o sort
+  // key) is set only in canonical mode.
   struct Survivor {
     size_t rank;
-    std::string key;
+    const std::string* key;
     const UpdateOp* op;
   };
   void CollectSurvivors(std::vector<Survivor>* out);
 
   size_t rule_applications() const { return applications_; }
-
-  // Sequential assembly of the surviving operations into a fresh PUL.
-  Result<Pul> Assemble();
 
  private:
   bool Alive(int i) const { return alive_[static_cast<size_t>(i)] != 0; }
@@ -136,11 +142,9 @@ class Reducer {
 
   int AddMerged(UpdateOp op, size_t rank) {
     int index = static_cast<int>(view_.size());
-    uint64_t key = op.target_label.start.PrefixKey64();
     by_target_.Append(op.target, index);
     owned_.push_back(std::move(op));
     view_.push_back(&owned_.back());
-    okey_.push_back(key);
     alive_.push_back(1);
     queued_.push_back(0);
     rank_.push_back(rank);
@@ -210,7 +214,7 @@ class Reducer {
   bool TryDropRules(int i);
   // O3/O4: drops every op whose target lies strictly inside the interval
   // of a repN/del (or non-attribute-inside a repC) target.
-  bool SweepOverrides();
+  void SweepOverrides();
 
   // Worklist fixpoint of the rules of `stage` (plain/deterministic).
   bool StageFixpoint(int stage);
@@ -225,10 +229,9 @@ class Reducer {
 
   const Pul& input_;
   ReduceMode mode_;
-  const std::vector<int>* subset_;
+  const Unit* unit_;
   std::vector<const UpdateOp*> view_;  // op i; aliases input_ or owned_
   std::deque<UpdateOp> owned_;         // merged + stage-10-rewritten ops
-  std::vector<uint64_t> okey_;         // cached start-code order keys
   std::vector<char> alive_;
   std::vector<char> queued_;
   std::vector<size_t> rank_;  // PUL listing order, inherited by merges
@@ -240,7 +243,6 @@ class Reducer {
   // cache growing when merges append ops mid-fixpoint.
   std::deque<std::string> key_cache_;
   std::vector<char> key_computed_;
-  pul::Arena arena_;  // sweep-event scratch, recycled between passes
   obs::TraceLane* lane_;
   size_t applications_ = 0;
 };
@@ -494,39 +496,13 @@ bool Reducer::TryMergeRules(int stage, int i) {
   }
 }
 
-bool Reducer::SweepOverrides() {
-  struct Event {
-    uint64_t key;  // cached start-code order key of the op's target
-    // 0 = query (op target), 1 = open interval. (Close events are not
-    // needed: a stack ordered by interval nesting suffices.)
-    int type;
-    int op_index;
+void Reducer::SweepOverrides() {
+  // The unit's labeled ops in document order (ties by listing order),
+  // all live: the order the partition sorted them in.
+  const std::vector<int>& order = unit_->doc_order;
+  auto start_key = [this](int i) {
+    return Op(i).target_label.start.PrefixKey64();
   };
-  // Scratch comes from the arena: the sweep runs once per stage-1 pass
-  // and the event array is the largest transient of the whole fixpoint.
-  arena_.Reset();
-  Event* events = arena_.AllocateArray<Event>(NumOps() * 2);
-  size_t num_events = 0;
-  for (size_t i = 0; i < NumOps(); ++i) {
-    if (!Alive(static_cast<int>(i))) continue;
-    const UpdateOp& op = Op(static_cast<int>(i));
-    if (!op.target_label.valid()) continue;
-    events[num_events++] = {okey_[i], 0, static_cast<int>(i)};
-    if (op.kind == OpKind::kReplaceNode || op.kind == OpKind::kDelete ||
-        op.kind == OpKind::kReplaceChildren) {
-      events[num_events++] = {okey_[i], 1, static_cast<int>(i)};
-    }
-  }
-  // Key-first comparison; the full code compare only breaks key ties, so
-  // the order (and hence the sweep) is exactly the pre-key order.
-  std::sort(events, events + num_events,
-            [this](const Event& a, const Event& b) {
-              int c = BitString::CompareKeyed(
-                  a.key, Op(a.op_index).target_label.start, b.key,
-                  Op(b.op_index).target_label.start);
-              if (c != 0) return c < 0;
-              return a.type < b.type;  // queries before opens at a node
-            });
   // Stack of open killer intervals (op indices), innermost on top.
   struct OpenKiller {
     uint64_t end_key;
@@ -535,55 +511,63 @@ bool Reducer::SweepOverrides() {
     bool children_only;  // repC: attributes of the target survive
   };
   std::vector<OpenKiller> open;
-  bool any = false;
-  for (size_t e = 0; e < num_events; ++e) {
-    const Event& ev = events[e];
-    const UpdateOp& op = Op(ev.op_index);
-    const BitString& code = op.target_label.start;
-    // Pop intervals that ended before this position.
-    while (!open.empty()) {
-      const OpenKiller& top = open.back();
-      if (BitString::CompareKeyed(top.end_key, *top.end, ev.key, code) < 0) {
-        open.pop_back();
-      } else {
+  // One step per node: pop the intervals that ended before it, kill the
+  // node's ops that lie inside an open killer, then open the node's own
+  // killers (a node's killer kills nothing at its own node: O1/O2 turf).
+  for (size_t g = 0; g < order.size();) {
+    const int first = order[g];
+    const uint64_t key = start_key(first);
+    const BitString& code = Op(first).target_label.start;
+    size_t end = g + 1;
+    while (end < order.size() &&
+           BitString::CompareKeyed(start_key(order[end]),
+                                   Op(order[end]).target_label.start, key,
+                                   code) == 0) {
+      ++end;
+    }
+    while (!open.empty() && BitString::CompareKeyed(open.back().end_key,
+                                                    *open.back().end, key,
+                                                    code) < 0) {
+      open.pop_back();
+    }
+    for (size_t q = g; q < end && !open.empty(); ++q) {
+      int victim = order[q];
+      const UpdateOp& op = Op(victim);
+      int killer_index = -1;
+      for (const OpenKiller& k : open) {
+        const UpdateOp& killer = Op(k.op_index);
+        if (killer.target == op.target) continue;  // same node: O1/O2 turf
+        if (k.children_only &&
+            op.target_label.parent == killer.target &&
+            op.target_label.type == NodeType::kAttribute) {
+          continue;  // attribute of the repC target survives
+        }
+        killer_index = k.op_index;
         break;
       }
-    }
-    if (ev.type == 1) {
-      const BitString& end = op.target_label.end;
-      open.push_back({end.PrefixKey64(), &end, ev.op_index,
-                      op.kind == OpKind::kReplaceChildren});
-      continue;
-    }
-    if (!Alive(ev.op_index) || open.empty()) continue;
-    int killer_index = -1;
-    for (const OpenKiller& k : open) {
-      const UpdateOp& killer = Op(k.op_index);
-      if (killer.target == op.target) continue;  // same node: O1/O2 turf
-      if (k.children_only &&
-          op.target_label.parent == killer.target &&
-          op.target_label.type == NodeType::kAttribute) {
-        continue;  // attribute of the repC target survives
+      if (killer_index >= 0) {
+        const UpdateOp& killer = Op(killer_index);
+        EmitKill(killer.kind == OpKind::kReplaceChildren ? "O4" : "O3",
+                 killer_index, victim);
+        Kill(victim);
       }
-      killer_index = k.op_index;
-      break;
     }
-    if (killer_index >= 0) {
-      const UpdateOp& killer = Op(killer_index);
-      EmitKill(killer.kind == OpKind::kReplaceChildren ? "O4" : "O3",
-               killer_index, ev.op_index);
-      Kill(ev.op_index);
-      any = true;
+    for (size_t k = g; k < end; ++k) {
+      const UpdateOp& killer = Op(order[k]);
+      if (killer.kind == OpKind::kReplaceNode ||
+          killer.kind == OpKind::kDelete ||
+          killer.kind == OpKind::kReplaceChildren) {
+        const BitString& killer_end = killer.target_label.end;
+        open.push_back({killer_end.PrefixKey64(), &killer_end, order[k],
+                        killer.kind == OpKind::kReplaceChildren});
+      }
     }
+    g = end;
   }
-  return any;
 }
 
 bool Reducer::StageFixpoint(int stage) {
   bool any = false;
-  if (stage == 1) {
-    any |= SweepOverrides();
-  }
   queued_.assign(NumOps(), 0);
   worklist_.clear();
   for (size_t i = 0; i < NumOps(); ++i) {
@@ -822,7 +806,7 @@ int Reducer::RulesInStage(int stage) {
 bool Reducer::CanonicalStageStep(int stage) {
   // Drops are order-insensitive: flush them first through the fast path.
   if (stage == 1) {
-    bool dropped = SweepOverrides();
+    bool dropped = false;
     for (size_t i = 0; i < NumOps(); ++i) {
       int idx = static_cast<int>(i);
       if (Alive(idx) && TryDropRules(idx)) dropped = true;
@@ -850,72 +834,22 @@ bool Reducer::CanonicalStageStep(int stage) {
   return false;
 }
 
-// Survivors are emitted in the <o order for canonical mode and in rank
-// order (the listing position of the earliest operation folded into each
-// survivor — unique, since merge constituent sets are disjoint) for the
-// other modes. Both orders depend only on the final operation set, never
-// on the rule-application interleaving, which keeps the output
-// byte-deterministic across platforms and makes the parallel shard merge
-// coincide with the sequential path.
-Result<Pul> Reducer::Assemble() {
-  Pul out;
-  out.set_policies(input_.policies());
-  out.BindIdSpace(1);  // ids preserved on adoption; floor irrelevant
-  std::vector<int> order;
-  order.reserve(NumOps());
-  for (size_t i = 0; i < NumOps(); ++i) {
-    if (Alive(static_cast<int>(i))) order.push_back(static_cast<int>(i));
-  }
-  if (mode_ == ReduceMode::kCanonical) {
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      const std::string& ka = OpKey(a);
-      const std::string& kb = OpKey(b);
-      if (ka != kb) return ka < kb;
-      return rank_[static_cast<size_t>(a)] < rank_[static_cast<size_t>(b)];
-    });
-  } else {
-    std::sort(order.begin(), order.end(), [&](int a, int b) {
-      return rank_[static_cast<size_t>(a)] < rank_[static_cast<size_t>(b)];
-    });
-  }
-  for (int i : order) {
-    XUPDATE_RETURN_IF_ERROR(out.AdoptOp(input_.forest(), Op(i)));
-  }
-  return out;
-}
-
 void Reducer::CollectSurvivors(std::vector<Survivor>* out) {
   for (size_t i = 0; i < NumOps(); ++i) {
     int idx = static_cast<int>(i);
     if (!Alive(idx)) continue;
-    Survivor s;
-    s.rank = rank_[i];
-    if (mode_ == ReduceMode::kCanonical) s.key = OpKey(idx);
-    s.op = view_[i];
-    out->push_back(std::move(s));
+    out->push_back({rank_[i],
+                    mode_ == ReduceMode::kCanonical ? &OpKey(idx) : nullptr,
+                    view_[i]});
   }
 }
 
 Status Reducer::RunRules() {
-  if (subset_ != nullptr) {
-    view_.reserve(subset_->size());
-    rank_.reserve(subset_->size());
-    for (int global : *subset_) {
-      rank_.push_back(static_cast<size_t>(global));
-      view_.push_back(&input_.ops()[static_cast<size_t>(global)]);
-    }
-  } else {
-    const std::vector<UpdateOp>& ops = input_.ops();
-    view_.reserve(ops.size());
-    rank_.resize(ops.size());
-    for (size_t i = 0; i < ops.size(); ++i) {
-      rank_[i] = i;
-      view_.push_back(&ops[i]);
-    }
-  }
-  okey_.reserve(view_.size());
-  for (const UpdateOp* op : view_) {
-    okey_.push_back(op->target_label.start.PrefixKey64());
+  view_.reserve(unit_->ops.size());
+  rank_.reserve(unit_->ops.size());
+  for (int global : unit_->ops) {
+    rank_.push_back(static_cast<size_t>(global));
+    view_.push_back(&input_.ops()[static_cast<size_t>(global)]);
   }
   alive_.assign(view_.size(), 1);
   queued_.assign(view_.size(), 0);
@@ -923,6 +857,13 @@ Status Reducer::RunRules() {
   for (size_t i = 0; i < view_.size(); ++i) {
     by_target_.Append(view_[i]->target, static_cast<int32_t>(i));
   }
+  // The override sweep runs once, before every other rule: afterwards no
+  // live op lies inside a live killer's interval, and no rule breaks
+  // that. Kills only remove ops; a merge's result takes the target and
+  // label of a live constituent (inside no live killer), and when it is
+  // a killer (always repN) that constituent was a live repN on the same
+  // target, with no live op inside. So later sweeps would kill nothing.
+  SweepOverrides();
 
   auto run_all_stages = [&]() {
     bool any = false;
@@ -976,7 +917,16 @@ Status Reducer::RunRules() {
 //     (the O3/O4 ancestor override sweep).
 // The components are closed under rule application: a merged operation
 // keeps the target (and label) of one of its constituents.
-std::vector<std::vector<int>> PartitionByTargetSubtree(const Pul& input) {
+// Components are numbered in order of their first operation.
+struct Partition {
+  std::vector<int> component_of;  // op index -> component id
+  std::vector<size_t> sizes;      // ops per component
+  // The labeled ops in document order of their targets (ties by listing
+  // order): the sweep's order, handed on to the units.
+  std::vector<int> doc_order;
+};
+
+Partition PartitionByTargetSubtree(const Pul& input) {
   const std::vector<UpdateOp>& ops = input.ops();
   int n = static_cast<int>(ops.size());
   std::vector<int> uf(static_cast<size_t>(n));
@@ -991,77 +941,127 @@ std::vector<std::vector<int>> PartitionByTargetSubtree(const Pul& input) {
   };
   auto unite = [&](int a, int b) { uf[static_cast<size_t>(find(a))] = find(b); };
 
-  // First op on each target in listing order — the chain heads of the
-  // flat target join.
+  // Flat target join: every op is united with the first op on its own
+  // target, its parent and its left sibling. The same pass collects the
+  // labeled start codes for the containment sweep below.
   pul::TargetIndex by_target;
   by_target.Reset(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     by_target.Append(ops[static_cast<size_t>(i)].target, i);
   }
+  struct Start {
+    uint64_t key;
+    int op;
+  };
+  std::vector<Start> starts;
+  starts.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
-    int head = by_target.Head(ops[static_cast<size_t>(i)].target);
+    const UpdateOp& op = ops[static_cast<size_t>(i)];
+    int head = by_target.Head(op.target);
     if (head != i) unite(i, head);
-  }
-  for (int i = 0; i < n; ++i) {
-    const NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
+    const NodeLabel& lab = op.target_label;
     if (!lab.valid()) continue;
     if (lab.parent != kInvalidNode) {
-      int head = by_target.Head(lab.parent);
+      head = by_target.Head(lab.parent);
       if (head >= 0) unite(i, head);
     }
     if (lab.left_sibling != kInvalidNode) {
-      int head = by_target.Head(lab.left_sibling);
+      head = by_target.Head(lab.left_sibling);
       if (head >= 0) unite(i, head);
     }
+    starts.push_back({lab.start.PrefixKey64(), i});
   }
 
   // Ancestor containment: sweep the labeled intervals in document order
   // and union every operation with the closest enclosing target, which
   // transitively covers the whole nesting chain. Order keys decide the
   // sort and the nesting pops; the full code compare only breaks ties.
-  struct Interval {
-    uint64_t start_key;
-    uint64_t end_key;
-    const BitString* start;
-    const BitString* end;
-    int op;
+  auto label_of = [&ops](int i) -> const NodeLabel& {
+    return ops[static_cast<size_t>(i)].target_label;
   };
-  std::vector<Interval> intervals;
-  intervals.reserve(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    const NodeLabel& lab = ops[static_cast<size_t>(i)].target_label;
-    if (!lab.valid()) continue;
-    intervals.push_back({lab.start.PrefixKey64(), lab.end.PrefixKey64(),
-                         &lab.start, &lab.end, i});
-  }
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) {
-              int c = BitString::CompareKeyed(a.start_key, *a.start,
-                                              b.start_key, *b.start);
+  std::sort(starts.begin(), starts.end(),
+            [&label_of](const Start& a, const Start& b) {
+              int c = BitString::CompareKeyed(a.key, label_of(a.op).start,
+                                              b.key, label_of(b.op).start);
               if (c != 0) return c < 0;
               return a.op < b.op;
             });
-  std::vector<const Interval*> open;
-  for (const Interval& iv : intervals) {
+  struct Open {
+    uint64_t end_key;
+    int op;
+  };
+  std::vector<Open> open;
+  for (const Start& s : starts) {
     while (!open.empty() &&
-           BitString::CompareKeyed(open.back()->end_key, *open.back()->end,
-                                   iv.start_key, *iv.start) < 0) {
+           BitString::CompareKeyed(open.back().end_key,
+                                   label_of(open.back().op).end, s.key,
+                                   label_of(s.op).start) < 0) {
       open.pop_back();
     }
-    if (!open.empty()) unite(iv.op, open.back()->op);
-    open.push_back(&iv);
+    if (!open.empty()) unite(s.op, open.back().op);
+    open.push_back({label_of(s.op).end.PrefixKey64(), s.op});
   }
 
-  // Components in order of their first operation (ranks stay sorted).
-  std::vector<std::vector<int>> shards;
-  std::unordered_map<int, size_t> shard_of_root;
+  Partition partition;
+  partition.doc_order.reserve(starts.size());
+  for (const Start& s : starts) partition.doc_order.push_back(s.op);
+  partition.component_of.resize(static_cast<size_t>(n));
+  std::vector<int> component_of_root(static_cast<size_t>(n), -1);
   for (int i = 0; i < n; ++i) {
-    int root = find(i);
-    auto [it, inserted] = shard_of_root.emplace(root, shards.size());
-    if (inserted) shards.emplace_back();
-    shards[it->second].push_back(i);
+    int& component = component_of_root[static_cast<size_t>(find(i))];
+    if (component < 0) {
+      component = static_cast<int>(partition.sizes.size());
+      partition.sizes.push_back(0);
+    }
+    partition.component_of[static_cast<size_t>(i)] = component;
+    ++partition.sizes[static_cast<size_t>(component)];
   }
-  return shards;
+  return partition;
+}
+
+// A work unit closes once it holds at least this many operations. Chosen
+// from a sweep of 128-2048 (DESIGN.md §5): small enough that 10k
+// operations still spread over every worker and canonical mode's pair
+// scans stay short, large enough that the per-unit cost does not show
+// at parallelism 1.
+constexpr size_t kUnitOps = 1024;
+
+// Packs the components, in first-op order, into contiguous work units of
+// at least kUnitOps operations (the last may hold fewer). The packing is
+// a function of the input alone and never splits a component. One
+// ascending pass over the op indices fills every unit, so each unit's
+// list is already in listing order; one pass over the partition's
+// document order gives each unit its own.
+std::vector<Unit> PackUnits(const Partition& partition) {
+  std::vector<int> unit_of(partition.sizes.size());
+  std::vector<size_t> unit_sizes;
+  for (size_t c = 0; c < partition.sizes.size(); ++c) {
+    if (unit_sizes.empty() || unit_sizes.back() >= kUnitOps) {
+      unit_sizes.push_back(0);
+    }
+    unit_of[c] = static_cast<int>(unit_sizes.size() - 1);
+    unit_sizes.back() += partition.sizes[c];
+  }
+  std::vector<Unit> units(unit_sizes.size());
+  for (size_t u = 0; u < units.size(); ++u) {
+    units[u].ops.reserve(unit_sizes[u]);
+    units[u].doc_order.reserve(unit_sizes[u]);
+  }
+  auto unit_of_op = [&](int i) -> Unit& {
+    return units[static_cast<size_t>(unit_of[static_cast<size_t>(
+        partition.component_of[static_cast<size_t>(i)])])];
+  };
+  // position[i]: op i's index in its unit's `ops`.
+  std::vector<int> position(partition.component_of.size());
+  for (size_t i = 0; i < position.size(); ++i) {
+    Unit& unit = unit_of_op(static_cast<int>(i));
+    position[i] = static_cast<int>(unit.ops.size());
+    unit.ops.push_back(static_cast<int>(i));
+  }
+  for (int i : partition.doc_order) {
+    unit_of_op(i).doc_order.push_back(position[static_cast<size_t>(i)]);
+  }
+  return units;
 }
 
 }  // namespace
@@ -1070,107 +1070,87 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
                         ReduceStats* stats) {
   XUPDATE_RETURN_IF_ERROR(input.CheckCompatible());
   if (stats != nullptr) *stats = ReduceStats{};
-
-  std::vector<std::vector<int>> shards;
   obs::Tracer* tracer = options.tracer;
   const bool tracing = tracer != nullptr;
-  // Tracing forces the shard path even at parallelism 1: the shard
-  // structure is a function of the input alone, so forcing it makes the
-  // journal byte-identical across every thread count.
-  bool want_parallel = tracing
-                           ? input.size() > 0
-                           : (options.parallelism > 1 && input.size() > 1);
+  Metrics* metrics = options.metrics;
+  if (metrics != nullptr) {
+    metrics->AddCounter("reduce.calls");
+    metrics->AddCounter("reduce.input_ops", input.size());
+  }
+
+  // The units are a function of the input alone, so the output and the
+  // journal are byte-identical at every parallelism.
   obs::TraceLane partition_lane;
-  if (tracing && want_parallel) {
-    partition_lane = tracer->Lane(tracer->NextPhase(), 0, "reduce");
-  }
-  if (want_parallel) {
+  if (tracing) partition_lane = tracer->Lane(tracer->NextPhase(), 0, "reduce");
+  size_t num_components = 0;
+  std::vector<Unit> units;
+  {
     obs::TraceSpan span(&partition_lane, "partition");
-    ScopedTimer timer(options.metrics, "reduce.partition_seconds");
-    shards = PartitionByTargetSubtree(input);
-  }
-  if (options.metrics != nullptr) {
-    options.metrics->AddCounter("reduce.calls");
-    options.metrics->AddCounter("reduce.input_ops", input.size());
+    ScopedTimer timer(metrics, "reduce.partition_seconds");
+    Partition partition = PartitionByTargetSubtree(input);
+    num_components = partition.sizes.size();
+    units = PackUnits(partition);
   }
 
-  if (!want_parallel || (!tracing && shards.size() <= 1)) {
-    Reducer reducer(input, options.mode);
-    {
-      ScopedTimer timer(options.metrics, "reduce.rules_seconds");
-      XUPDATE_RETURN_IF_ERROR(reducer.RunRules());
-    }
-    ScopedTimer timer(options.metrics, "reduce.merge_seconds");
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul out, reducer.Assemble());
-    if (stats != nullptr) {
-      stats->input_ops = input.size();
-      stats->output_ops = out.size();
-      stats->rule_applications = reducer.rule_applications();
-      stats->shards = 1;
-    }
-    if (options.metrics != nullptr) {
-      options.metrics->AddCounter("reduce.shards");
-      options.metrics->AddCounter("reduce.output_ops", out.size());
-      options.metrics->AddCounter("reduce.rule_applications",
-                                  reducer.rule_applications());
-    }
-    return out;
-  }
-
-  // One rules-phase lane per shard. The lanes are created (and the
-  // shard-assigned inventory emitted) on the coordinating thread, then
-  // each lane is handed to exactly one pool task — the task queue
-  // supplies the happens-before edge for the lane's seq counter.
-  std::vector<obs::TraceLane> shard_lanes;
+  // One rules-phase lane per unit. The lanes are created (and the
+  // unit's inventory emitted) on the coordinating thread, then each lane
+  // is handed to exactly one pool task — the task queue supplies the
+  // happens-before edge for the lane's seq counter.
+  std::vector<obs::TraceLane> unit_lanes;
   if (tracing) {
     uint32_t rules_phase = tracer->NextPhase();
-    shard_lanes.reserve(shards.size());
-    for (size_t s = 0; s < shards.size(); ++s) {
-      shard_lanes.push_back(
-          tracer->Lane(rules_phase, static_cast<uint32_t>(s) + 1, "reduce"));
+    unit_lanes.reserve(units.size());
+    for (size_t u = 0; u < units.size(); ++u) {
+      unit_lanes.push_back(
+          tracer->Lane(rules_phase, static_cast<uint32_t>(u) + 1, "reduce"));
       std::vector<std::string> ids;
-      ids.reserve(shards[s].size());
-      for (int g : shards[s]) ids.push_back("#" + std::to_string(g));
-      shard_lanes[s].Emit(obs::EventKind::kShardAssigned, "shard",
-                          std::move(ids));
+      ids.reserve(units[u].ops.size());
+      for (int g : units[u].ops) ids.push_back("#" + std::to_string(g));
+      unit_lanes[u].Emit(obs::EventKind::kShardAssigned, "unit",
+                         std::move(ids));
     }
   }
 
   std::vector<std::unique_ptr<Reducer>> reducers;
-  reducers.reserve(shards.size());
-  for (size_t s = 0; s < shards.size(); ++s) {
+  reducers.reserve(units.size());
+  for (size_t u = 0; u < units.size(); ++u) {
     reducers.push_back(std::make_unique<Reducer>(
-        input, options.mode, &shards[s],
-        tracing ? &shard_lanes[s] : nullptr));
+        input, options.mode, &units[u], tracing ? &unit_lanes[u] : nullptr));
   }
   {
-    ScopedTimer timer(options.metrics, "reduce.rules_seconds");
+    ScopedTimer timer(metrics, "reduce.rules_seconds");
     ThreadPool* pool = options.pool;
     std::unique_ptr<ThreadPool> local_pool;
-    if (pool == nullptr && options.parallelism > 1) {
+    if (pool == nullptr && options.parallelism > 1 && units.size() > 1) {
       size_t workers = std::min<size_t>(
-          static_cast<size_t>(options.parallelism), shards.size());
+          static_cast<size_t>(options.parallelism), units.size());
       local_pool = std::make_unique<ThreadPool>(workers);
       pool = local_pool.get();
     }
-    Metrics* metrics = options.metrics;
     XUPDATE_RETURN_IF_ERROR(ParallelFor(
         pool, reducers.size(),
-        [&reducers, &shard_lanes, tracing, metrics](size_t s) {
-          obs::TraceSpan span(tracing ? &shard_lanes[s] : nullptr,
-                              "shard-solve");
-          ScopedTimer shard_timer(metrics, "reduce.shard_solve_seconds");
-          return reducers[s]->RunRules();
+        [&reducers, &unit_lanes, tracing, metrics](size_t u) {
+          obs::TraceSpan span(tracing ? &unit_lanes[u] : nullptr,
+                              "unit-solve");
+          ScopedTimer unit_timer(metrics, "reduce.unit_solve_seconds");
+          return reducers[u]->RunRules();
         }));
   }
 
+  // Survivors are emitted in the <o order for canonical mode and in rank
+  // order (the listing position of the earliest operation folded into
+  // each survivor — unique, since merge constituent sets are disjoint)
+  // for the other modes. Both orders depend only on the final operation
+  // set, never on the unit packing or the rule-application interleaving,
+  // which keeps the output byte-deterministic.
   obs::TraceLane merge_lane;
   if (tracing) {
     merge_lane = tracer->Lane(tracer->NextPhase(), 0, "reduce");
   }
-  ScopedTimer timer(options.metrics, "reduce.merge_seconds");
+  ScopedTimer timer(metrics, "reduce.merge_seconds");
   obs::TraceSpan merge_span(&merge_lane, "merge");
   std::vector<Reducer::Survivor> survivors;
+  survivors.reserve(input.size());  // a merge kills both constituents
   size_t applications = 0;
   for (std::unique_ptr<Reducer>& r : reducers) {
     r->CollectSurvivors(&survivors);
@@ -1179,7 +1159,7 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
   if (options.mode == ReduceMode::kCanonical) {
     std::sort(survivors.begin(), survivors.end(),
               [](const Reducer::Survivor& a, const Reducer::Survivor& b) {
-                if (a.key != b.key) return a.key < b.key;
+                if (*a.key != *b.key) return *a.key < *b.key;
                 return a.rank < b.rank;
               });
   } else {
@@ -1191,6 +1171,7 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
   pul::Pul out;
   out.set_policies(input.policies());
   out.BindIdSpace(1);  // ids preserved on adoption; floor irrelevant
+  out.ReserveOps(survivors.size());
   for (const Reducer::Survivor& s : survivors) {
     XUPDATE_RETURN_IF_ERROR(out.AdoptOp(input.forest(), *s.op));
   }
@@ -1206,12 +1187,14 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
     stats->input_ops = input.size();
     stats->output_ops = out.size();
     stats->rule_applications = applications;
-    stats->shards = shards.size();
+    stats->shards = num_components;
+    stats->units = units.size();
   }
-  if (options.metrics != nullptr) {
-    options.metrics->AddCounter("reduce.shards", shards.size());
-    options.metrics->AddCounter("reduce.output_ops", out.size());
-    options.metrics->AddCounter("reduce.rule_applications", applications);
+  if (metrics != nullptr) {
+    metrics->AddCounter("reduce.shards", num_components);
+    metrics->AddCounter("reduce.units", units.size());
+    metrics->AddCounter("reduce.output_ops", out.size());
+    metrics->AddCounter("reduce.rule_applications", applications);
   }
   return out;
 }

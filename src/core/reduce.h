@@ -43,9 +43,10 @@ struct ReduceStats {
   size_t input_ops = 0;
   size_t output_ops = 0;
   size_t rule_applications = 0;
-  // Independent shards the input partitioned into (1 on the sequential
-  // path).
+  // Independent components (shards) the input partitioned into.
   size_t shards = 0;
+  // Work units the components were packed into, each solved on its own.
+  size_t units = 0;
 };
 
 [[nodiscard]] Result<pul::Pul> ReduceWithStats(const pul::Pul& input,
@@ -54,34 +55,36 @@ struct ReduceStats {
 
 struct ReduceOptions {
   ReduceMode mode = ReduceMode::kPlain;
-  // Number of worker threads for the shard-by-subtree parallel engine.
-  // 1 (the default) takes the sequential path; higher values partition
-  // the PUL into independent shards via containment-label subtree
-  // disjointness and reduce them concurrently. The output is
-  // byte-identical to the sequential path for every value.
+  // Number of worker threads the work units are spread over. Every value
+  // takes the same path (partition, pack, solve units, merge) and the
+  // output is byte-identical for every value; 1 solves the units in turn
+  // on the calling thread.
   int parallelism = 1;
   // Reused across calls when provided; otherwise a transient pool is
-  // spawned per call when parallelism > 1.
+  // spawned per call when parallelism > 1 and there is more than one
+  // unit.
   ThreadPool* pool = nullptr;
-  // Optional counters/timers sink (shard counts, per-phase wall time).
+  // Optional counters/timers sink (component and unit counts, per-phase
+  // wall time).
   Metrics* metrics = nullptr;
   // Decision-provenance sink (obs/trace.h). When set, every rule firing,
-  // override kill, shard assignment and surviving operation is recorded
-  // under stable listing-rank ids ("#12"). To keep the journal
-  // byte-identical across parallelism levels the engine then always
-  // partitions and takes the shard path (shard structure is a function
-  // of the input alone), so `stats->shards` reports the true shard count
-  // even at parallelism 1. The output PUL is unaffected.
+  // override kill, unit assignment and surviving operation is recorded
+  // under stable listing-rank ids ("#12"). The units depend on the input
+  // alone, so the journal is byte-identical at every parallelism. The
+  // output PUL is unaffected.
   obs::Tracer* tracer = nullptr;
 };
 
 // Reduce with engine knobs. Operations are partitioned by the targets'
-// containment labels: two operations land in the same shard iff they are
-// connected through same-target / parent / adjacent-sibling /
+// containment labels: two operations land in the same component iff they
+// are connected through same-target / parent / adjacent-sibling /
 // ancestor-containment links — exactly the relations the Figure 2 rules
-// and override sweeps can act across — so per-shard fixpoints compose to
-// the global one and the deterministic merge (listing-rank order, or the
-// canonical <o order) reproduces the sequential output byte for byte.
+// and override sweeps can act across — so per-component fixpoints compose
+// to the global one. Components, in first-op order, are packed into
+// contiguous work units that close once they hold 1024 operations (a
+// component is never split); each unit is solved on its own, and the
+// deterministic merge (listing-rank order, or the canonical <o order)
+// gives the same bytes as reducing the whole PUL at once.
 [[nodiscard]] Result<pul::Pul> Reduce(const pul::Pul& input,
                                       const ReduceOptions& options,
                                       ReduceStats* stats = nullptr);

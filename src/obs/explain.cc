@@ -254,10 +254,12 @@ class ReportBuilder {
       case EventKind::kSpanEnd:
         return;
       case EventKind::kShardAssigned: {
-        std::string shard = std::to_string(e.lane == 0 ? 0 : e.lane - 1);
-        for (const std::string& id : e.ops) {
-          AddStep(id, "assigned to shard " + shard);
-        }
+        // Integrate names these "shard", reduce "unit"; lane k+1
+        // carries number k.
+        std::string step = "assigned to " +
+                           (e.name.empty() ? std::string("shard") : e.name) +
+                           " " + std::to_string(e.lane == 0 ? 0 : e.lane - 1);
+        for (const std::string& id : e.ops) AddStep(id, step);
         return;
       }
       case EventKind::kRuleFired: {

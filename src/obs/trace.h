@@ -38,7 +38,7 @@ namespace xupdate::obs {
 enum class EventKind : uint8_t {
   kSpanBegin,         // nestable phase/region start (name = span name)
   kSpanEnd,           // matching region end
-  kShardAssigned,     // ops = operation ids placed into shard `lane`
+  kShardAssigned,     // ops = operation ids placed into shard/unit `lane`
   kRuleFired,         // name = Figure 2 rule; ops = inputs; result = merged id
   kConflictDetected,  // name = conflict class; ops = members; result = overrider
   kPolicyApplied,     // name = resolution; ops = members; result = kept id

@@ -1,7 +1,5 @@
 #include "pul/pul_view.h"
 
-#include <cstring>
-
 namespace xupdate::pul {
 
 std::vector<OpSlot> BuildOpSlots(const std::vector<UpdateOp>& ops,
@@ -100,39 +98,6 @@ void TargetIndex::Append(xml::NodeId target, int32_t index) {
 int32_t TargetIndex::Head(xml::NodeId target) const {
   const Bucket* b = FindBucketConst(target);
   return b != nullptr ? b->head : -1;
-}
-
-void* Arena::Allocate(size_t bytes, size_t align) {
-  if (bytes == 0) bytes = 1;
-  while (true) {
-    if (current_ < chunks_.size()) {
-      Chunk& c = chunks_[current_];
-      size_t aligned = (used_ + align - 1) & ~(align - 1);
-      if (aligned + bytes <= c.size) {
-        used_ = aligned + bytes;
-        total_allocated_ += bytes;
-        return c.data.get() + aligned;
-      }
-      // Current chunk exhausted; move on (possibly to a recycled chunk).
-      ++current_;
-      used_ = 0;
-      continue;
-    }
-    size_t want = kMinChunk;
-    while (want < bytes + align) want <<= 1;
-    Chunk c;
-    c.data = std::make_unique<uint8_t[]>(want);
-    c.size = want;
-    chunks_.push_back(std::move(c));
-    current_ = chunks_.size() - 1;
-    used_ = 0;
-  }
-}
-
-void Arena::Reset() {
-  current_ = 0;
-  used_ = 0;
-  total_allocated_ = 0;
 }
 
 }  // namespace xupdate::pul

@@ -2,7 +2,6 @@
 #define XUPDATE_PUL_PUL_VIEW_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "label/bitstring.h"
@@ -89,44 +88,6 @@ class TargetIndex {
   // kInvalidNode cannot live in the table (it is the empty-bucket
   // marker); ops should never target it, but degrade gracefully.
   Bucket invalid_chain_;
-};
-
-// Bump allocator for transient per-shard scratch (sweep event arrays,
-// partition intervals). Allocations are never individually freed; Reset
-// recycles the chunks for the next pass, so a shard's repeated sweeps
-// stop hitting the global allocator. Not thread-safe: one Arena per
-// shard/engine instance.
-class Arena {
- public:
-  Arena() = default;
-
-  // Uninitialized storage for `n` objects of T. T must be trivially
-  // destructible (nothing is ever destroyed).
-  template <typename T>
-  T* AllocateArray(size_t n) {
-    static_assert(std::is_trivially_destructible_v<T>);
-    return static_cast<T*>(Allocate(n * sizeof(T), alignof(T)));
-  }
-
-  void* Allocate(size_t bytes, size_t align);
-
-  // Makes all chunks reusable; previously returned pointers die.
-  void Reset();
-
-  size_t bytes_allocated() const { return total_allocated_; }
-
- private:
-  struct Chunk {
-    std::unique_ptr<uint8_t[]> data;
-    size_t size = 0;
-  };
-
-  static constexpr size_t kMinChunk = 64 << 10;
-
-  std::vector<Chunk> chunks_;
-  size_t current_ = 0;  // chunk being bumped
-  size_t used_ = 0;     // bytes used in chunks_[current_]
-  size_t total_allocated_ = 0;
 };
 
 }  // namespace xupdate::pul

@@ -20,6 +20,7 @@
 #include "core/aggregate.h"
 #include "core/integrate.h"
 #include "core/reduce.h"
+#include "label/labeling.h"
 #include "pul/pul_io.h"
 #include "workload/pul_generator.h"
 #include "xmark/generator.h"
@@ -27,6 +28,7 @@
 namespace xupdate::core {
 namespace {
 
+using pul::OpKind;
 using pul::Pul;
 using workload::PulGenerator;
 using xml::Document;
@@ -35,6 +37,10 @@ using xml::Document;
 constexpr uint32_t kReduceGolden = 0x19f2df7cu;
 constexpr uint32_t kIntegrateGolden = 0xf1fa85a0u;
 constexpr uint32_t kAggregateGolden = 0x374430b6u;
+// Captured from the engine before reduce packed components into work
+// units, when parallelism 1 reduced the whole PUL in one Reducer.
+constexpr uint32_t kReduceMultiUnitGolden = 0xda08d9e3u;
+constexpr uint32_t kReduceOneComponentGolden = 0xaa02feaau;
 
 class EngineGoldenTest : public ::testing::Test {
  protected:
@@ -117,6 +123,76 @@ TEST_F(EngineGoldenTest, ReduceOutputsMatchPreRetrofitBytes) {
     }
   }
   CheckGolden("kReduceGolden", crc, kReduceGolden);
+}
+
+// The corpus above fits in one reduce work unit (~1k ops). Here every
+// PUL spans at least three units, so the packing, the per-unit Reducers
+// and the cross-unit merge all run, in every mode and at every
+// parallelism.
+TEST_F(EngineGoldenTest, ReduceMultiUnitOutputsMatchWholePulBytes) {
+  xmark::Config config;
+  config.target_bytes = 1 << 20;
+  auto doc = xmark::GenerateDocument(config);
+  ASSERT_TRUE(doc.ok());
+  label::Labeling labeling = label::Labeling::Build(*doc);
+  const ReduceMode kModes[] = {ReduceMode::kPlain, ReduceMode::kDeterministic,
+                               ReduceMode::kCanonical};
+  uint32_t crc = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    PulGenerator gen(*doc, labeling, seed);
+    PulGenerator::PulOptions options;
+    options.num_ops = 3000 + 1000 * seed;
+    options.reducible_fraction = 0.3;
+    auto pul = gen.Generate(options);
+    ASSERT_TRUE(pul.ok()) << pul.status();
+    for (ReduceMode mode : kModes) {
+      for (int parallelism : {1, 2, 4, 8}) {
+        ReduceOptions opts;
+        opts.mode = mode;
+        opts.parallelism = parallelism;
+        ReduceStats stats;
+        auto reduced = Reduce(*pul, opts, &stats);
+        ASSERT_TRUE(reduced.ok()) << reduced.status();
+        EXPECT_GE(stats.units, 3u) << "seed " << seed;
+        crc = ExtendCrc32c(crc, Serialized(*reduced));
+      }
+    }
+  }
+  CheckGolden("kReduceMultiUnitGolden", crc, kReduceMultiUnitGolden);
+}
+
+// A component is never split: 1500 insertions on one target form one
+// component larger than a unit, and it stays one unit. Canonical mode is
+// left out: its pair scan is cubic in a single same-target bucket.
+TEST_F(EngineGoldenTest, ReduceOneComponentLargerThanAUnitStaysOneUnit) {
+  const OpKind kKinds[] = {OpKind::kInsBefore, OpKind::kInsAfter,
+                           OpKind::kInsFirst, OpKind::kInsLast,
+                           OpKind::kInsInto};
+  xml::NodeId target = doc_->children(doc_->root())[0];
+  ASSERT_EQ(doc_->type(target), xml::NodeType::kElement);
+  Pul pul;
+  pul.BindIdSpace(doc_->max_assigned_id() + 1);
+  for (int i = 0; i < 1500; ++i) {
+    auto param = pul.AddFragment("<e i=\"" + std::to_string(i) + "\"/>");
+    ASSERT_TRUE(param.ok()) << param.status();
+    ASSERT_TRUE(pul.AddTreeOp(kKinds[i % 5], target, *labeling_, {*param})
+                    .ok());
+  }
+  uint32_t crc = 0;
+  for (ReduceMode mode : {ReduceMode::kPlain, ReduceMode::kDeterministic}) {
+    for (int parallelism : {1, 2, 4, 8}) {
+      ReduceOptions opts;
+      opts.mode = mode;
+      opts.parallelism = parallelism;
+      ReduceStats stats;
+      auto reduced = Reduce(pul, opts, &stats);
+      ASSERT_TRUE(reduced.ok()) << reduced.status();
+      EXPECT_EQ(stats.shards, 1u);
+      EXPECT_EQ(stats.units, 1u);
+      crc = ExtendCrc32c(crc, Serialized(*reduced));
+    }
+  }
+  CheckGolden("kReduceOneComponentGolden", crc, kReduceOneComponentGolden);
 }
 
 TEST_F(EngineGoldenTest, IntegrateOutputsMatchPreRetrofitBytes) {

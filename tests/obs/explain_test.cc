@@ -118,6 +118,25 @@ TEST(ExplainTest, RendersSingleOpAndUnknownId) {
   EXPECT_NE(unknown.find("#0"), std::string::npos);
 }
 
+// Reduce names its assignment events "unit", integrate "shard"; an
+// unnamed one reads as a shard.
+TEST(ExplainTest, NamesAssignmentsAfterTheirEvent) {
+  Tracer tracer;
+  uint32_t phase = tracer.NextPhase();
+  TraceLane unit = tracer.Lane(phase, 2, "reduce");
+  unit.Emit(EventKind::kShardAssigned, "unit", {"#0"});
+  TraceLane shard = tracer.Lane(phase, 1, "integrate");
+  shard.Emit(EventKind::kShardAssigned, "shard", {"#1"});
+  auto report = BuildExplainReport(tracer.SortedEvents());
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(RenderChains(*report, "#0"),
+            "#0: eliminated\n"
+            "  - assigned to unit 1\n");
+  EXPECT_EQ(RenderChains(*report, "#1"),
+            "#1: eliminated\n"
+            "  - assigned to shard 0\n");
+}
+
 TEST(ExplainTest, CollectsConflicts) {
   Tracer tracer;
   uint32_t phase = tracer.NextPhase();

@@ -109,6 +109,27 @@ TEST_F(TraceDeterminismTest, ReduceJournalIsParallelismInvariant) {
             TracedReduceJournal(pul, 4, nullptr));
 }
 
+// The same contract when the PUL spans several reduce work units (200
+// ops fit in one): one lane per unit, the same bytes at every
+// parallelism.
+TEST_F(TraceDeterminismTest, MultiUnitReduceJournalIsParallelismInvariant) {
+  Pul pul = SeededPul(4242, 3000);
+  core::ReduceStats stats;
+  std::string untraced =
+      Serialized(*core::Reduce(pul, ReduceOptions{}, &stats));
+  EXPECT_GE(stats.units, 2u);
+  std::string base_output;
+  std::string base = TracedReduceJournal(pul, 1, &base_output);
+  ASSERT_FALSE(base.empty());
+  EXPECT_EQ(base_output, untraced);
+  for (int parallelism : {2, 4, 8}) {
+    std::string output;
+    EXPECT_EQ(TracedReduceJournal(pul, parallelism, &output), base)
+        << "parallelism " << parallelism;
+    EXPECT_EQ(output, untraced) << "parallelism " << parallelism;
+  }
+}
+
 // Every one of the 200 input operations must come out of `explain` with
 // a chain — survivors pointing at their output slot, the rest at the
 // decision that removed them.
@@ -237,25 +258,29 @@ TEST_F(TraceDeterminismTest, AggregateAndReconcileJournalsAreStable) {
   }
 }
 
-// Untraced runs must not pay for the plumbing: a null tracer leaves the
-// engine on its original path (no forced sharding at parallelism 1).
-TEST_F(TraceDeterminismTest, NullTracerKeepsSequentialPath) {
-  Pul pul = SeededPul(5, 50);
-  ReduceOptions options;
-  core::ReduceStats stats;
-  auto reduced = core::Reduce(pul, options, &stats);
-  ASSERT_TRUE(reduced.ok());
-  EXPECT_EQ(stats.shards, 1u);
-  // With a tracer the engine shards for lane structure even at
-  // parallelism 1, and must still produce the same bytes.
-  Tracer tracer;
-  ReduceOptions traced;
-  traced.tracer = &tracer;
-  core::ReduceStats traced_stats;
-  auto traced_out = core::Reduce(pul, traced, &traced_stats);
-  ASSERT_TRUE(traced_out.ok());
-  EXPECT_EQ(Serialized(*traced_out), Serialized(*reduced));
-  EXPECT_GE(traced_stats.shards, 1u);
+// Traced and untraced runs take the one reduce path: at parallelism 1
+// both partition and pack the same components into the same units, and
+// produce the same bytes.
+TEST_F(TraceDeterminismTest, TracedAndUntracedRunsShareOnePath) {
+  for (int num_ops : {50, 3000}) {
+    Pul pul = SeededPul(5, num_ops);
+    core::ReduceStats stats;
+    auto reduced = core::Reduce(pul, ReduceOptions{}, &stats);
+    ASSERT_TRUE(reduced.ok());
+    EXPECT_GT(stats.shards, 1u) << num_ops << " ops";
+    Tracer tracer;
+    ReduceOptions traced;
+    traced.tracer = &tracer;
+    core::ReduceStats traced_stats;
+    auto traced_out = core::Reduce(pul, traced, &traced_stats);
+    ASSERT_TRUE(traced_out.ok());
+    EXPECT_EQ(Serialized(*traced_out), Serialized(*reduced))
+        << num_ops << " ops";
+    EXPECT_EQ(traced_stats.shards, stats.shards) << num_ops << " ops";
+    EXPECT_EQ(traced_stats.units, stats.units) << num_ops << " ops";
+    EXPECT_EQ(traced_stats.rule_applications, stats.rule_applications)
+        << num_ops << " ops";
+  }
 }
 
 }  // namespace

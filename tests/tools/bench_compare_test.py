@@ -93,6 +93,52 @@ class BenchCompareTest(unittest.TestCase):
         proc = run_compare(self.baseline, self.candidate)
         self.assertNotIn("BM_MergeFastForward", proc.stdout)
 
+    def test_parallel_reduce_ratio_is_reported_not_gated(self):
+        write_set(
+            self.baseline,
+            {
+                "BM_ParallelReduce/1": {"real_time": 20.0, "time_unit": "ms"},
+                "BM_ParallelReduce/2": {"real_time": 90.0, "time_unit": "ms"},
+            },
+        )
+        write_set(
+            self.candidate,
+            {
+                "BM_ParallelReduce/1": {"real_time": 20.0, "time_unit": "ms"},
+                "BM_ParallelReduce/2": {"real_time": 22.0, "time_unit": "ms"},
+            },
+        )
+        proc = run_compare(self.baseline, self.candidate)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        self.assertIn(
+            "BM_ParallelReduce/2 / BM_ParallelReduce/1: baseline 4.50x, "
+            "candidate 1.10x",
+            proc.stdout,
+        )
+        self.assertNotIn("BM_MergeFastForward", proc.stdout)
+
+    def test_parallel_family_is_gated(self):
+        write_set(
+            self.baseline,
+            {
+                "BM_ParallelReduce/2": {"real_time": 20.0, "time_unit": "ms"},
+                "BM_ParallelIntegrate/1": {"real_time": 30.0,
+                                           "time_unit": "ms"},
+            },
+        )
+        write_set(
+            self.candidate,
+            {
+                "BM_ParallelReduce/2": {"real_time": 21.0, "time_unit": "ms"},
+                "BM_ParallelIntegrate/1": {"real_time": 36.0,
+                                           "time_unit": "ms"},
+            },
+        )
+        proc = run_compare(self.baseline, self.candidate)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("BM_ParallelIntegrate/1: regressed", proc.stderr)
+        self.assertNotIn("BM_ParallelReduce/2:", proc.stderr)
+
     def test_gated_regression_fails_by_name(self):
         write_set(
             self.baseline,

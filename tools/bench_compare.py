@@ -8,9 +8,9 @@ Both directories hold BENCH_<name>.json files as produced by
 bench/run_all.sh (the repo root itself is a valid directory). The script
 prints a per-benchmark delta table for every benchmark present in both
 sets and exits non-zero when any *gated* benchmark — by default the
-engine-facing BM_Reduce*/BM_Integrate*/BM_Aggregate* families plus the
-store checkout and branch merge/rebase families (BM_StoreCheckout*,
-BM_Merge*, BM_Rebase*) — regresses by more than the threshold (default
+engine-facing BM_Reduce*/BM_Integrate*/BM_Aggregate*/BM_Parallel*
+families plus the store checkout and branch merge/rebase families
+(BM_StoreCheckout*, BM_Merge*, BM_Rebase*) — regresses by more than the threshold (default
 10%). BM_StoreCommit* stays ungated: those families are fsync-bound, so
 they measure the disk more than the code.
 
@@ -21,12 +21,13 @@ type; the script refuses to compare when the recorded bench_build_type
 Options:
     --threshold PCT   regression gate in percent (default 10)
     --gate REGEX      regex of gated benchmark names (default:
-                      ^BM_(Reduce|Integrat|Aggregat|StoreCheckout|Merge|Rebase))
+                      ^BM_(Reduce|Integrat|Aggregat|Parallel|StoreCheckout|Merge|Rebase))
     --all-gated       gate every common benchmark, not just the default
                       families
 
-When both sets hold BM_MergeFull/1 and BM_MergeFastForward, their ratio
-is printed for each set (report only, never gated).
+Two ratios are printed for each set when both sets hold both of their
+benchmarks (report only, never gated): BM_MergeFull/1 over
+BM_MergeFastForward, and BM_ParallelReduce/2 over BM_ParallelReduce/1.
 """
 
 import argparse
@@ -39,19 +40,24 @@ from pathlib import Path
 # BM_StoreCommit* is deliberately absent: commit throughput is
 # fsync-bound on the runner's disk, so it would gate on the disk rather
 # than on the code.
-DEFAULT_GATE = r"^BM_(Reduce|Integrat|Aggregat|StoreCheckout|Merge|Rebase)"
+DEFAULT_GATE = (
+    r"^BM_(Reduce|Integrat|Aggregat|Parallel|StoreCheckout|Merge|Rebase)")
 
-# Report-only (no gate): a one-commit full merge over a fast-forward,
-# the figure ROADMAP item 2 judges merge by.
-MERGE_RATIO = ("BM_MergeFull/1", "BM_MergeFastForward")
+# Report-only (no gate) ratios: a one-commit full merge over a
+# fast-forward, and reduce at two workers over one (the cost of the
+# parallel path).
+RATIOS = (
+    ("BM_MergeFull/1", "BM_MergeFastForward"),
+    ("BM_ParallelReduce/2", "BM_ParallelReduce/1"),
+)
 
 
-def merge_ratio(times):
-    """MERGE_RATIO's quotient in `times`, or None if either is absent."""
-    full, fast_forward = (times.get(name) for name in MERGE_RATIO)
-    if full is None or fast_forward is None:
+def ratio(times, pair):
+    """pair[0] / pair[1] in `times`, or None if either is absent."""
+    numerator, denominator = (times.get(name) for name in pair)
+    if numerator is None or denominator is None:
         return None
-    return full / fast_forward
+    return numerator / denominator
 
 
 def load_set(directory):
@@ -183,13 +189,14 @@ def main():
         print(f"\nonly in baseline: {', '.join(only_base)}")
     if only_cand:
         print(f"only in candidate: {', '.join(only_cand)}")
-    ratios = [(label, merge_ratio(times))
-              for label, times in (("baseline", base), ("candidate", cand))]
-    if any(ratio is not None for _, ratio in ratios):
-        shown = ", ".join(
-            f"{label} " + ("n/a" if ratio is None else f"{ratio:.2f}x")
-            for label, ratio in ratios)
-        print(f"\n{MERGE_RATIO[0]} / {MERGE_RATIO[1]}: {shown}")
+    for pair in RATIOS:
+        ratios = [(label, ratio(times, pair))
+                  for label, times in (("baseline", base), ("candidate", cand))]
+        if any(value is not None for _, value in ratios):
+            shown = ", ".join(
+                f"{label} " + ("n/a" if value is None else f"{value:.2f}x")
+                for label, value in ratios)
+            print(f"\n{pair[0]} / {pair[1]}: {shown}")
 
     if failures:
         print(

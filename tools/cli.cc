@@ -268,7 +268,8 @@ Status CmdApply(const Args& args, std::ostream& out) {
 }
 
 // Shared reasoning-engine flags: --parallelism N selects the worker
-// count of the shard-by-subtree engine (1 = sequential), --metrics PATH
+// count of the shard-by-subtree engines (1 = the calling thread alone;
+// integrate then takes its sequential path), --metrics PATH
 // dumps the engine's counters/timers as JSON ("-" for the output
 // stream).
 Result<int> ParseParallelismFlag(const Args& args) {
@@ -345,7 +346,8 @@ Status CmdReduce(const Args& args, std::ostream& out) {
                            core::Reduce(pul, options, &stats));
   out << "reduced " << stats.input_ops << " -> " << stats.output_ops
       << " operations (" << stats.rule_applications
-      << " rule applications, " << stats.shards << " shards)\n";
+      << " rule applications, " << stats.shards << " shards, "
+      << stats.units << " units)\n";
   XUPDATE_RETURN_IF_ERROR(MaybeDumpMetrics(args, metrics, out));
   XUPDATE_RETURN_IF_ERROR(MaybeWriteTraces(args, tracer, out));
   return WritePul(reduced, args.Get("out"), out);
