@@ -5,7 +5,7 @@
 //     under the sync protocol (fold + reconcile + 2x journal append);
 //   * fast-forward latency — one side diverged, no reconciliation;
 //   * rebase replay — a branch of Arg commits replayed onto a new
-//     mainline base, rewind verification included;
+//     mainline base, rewind verification included, with its phases;
 //   * one full simulator schedule — the end-to-end convergence unit
 //     (N writers, random interleaving, gather/scatter, byte-identity).
 //
@@ -172,14 +172,27 @@ void BM_MergeFastForward(benchmark::State& state) {
   RunMerge(state, 0);
 }
 
+// The rebase's phase timers, reported per rebase as `<label>_ms`.
+constexpr std::pair<const char*, const char*> kRebasePhases[] = {
+    {"checkout_ms", "branch.rebase.checkout.seconds"},
+    {"undo_ms", "branch.rebase.undo.seconds"},
+    {"rewind_check_ms", "branch.rebase.rewind_check.seconds"},
+    {"replay_ms", "branch.rebase.replay.seconds"},
+    {"commit_ms", "branch.rebase.commit.seconds"},
+    {"total_ms", "branch.rebase.seconds"},
+};
+
 // Rebase: w's Arg commits replayed onto the mainline head.
 void BM_RebaseReplay(benchmark::State& state) {
   size_t commits = static_cast<size_t>(state.range(0));
   const std::string& source = DivergentStoreFixture(commits);
   std::string dir = BenchRoot() + "/rebase_scratch";
   store::StoreOptions options = BenchStoreOptions();
+  Metrics metrics;
   branch::RebaseOptions rebase_options;
   rebase_options.skip_conflicting = true;
+  rebase_options.metrics = &metrics;
+  uint64_t rebases = 0;
   uint64_t replayed = 0;
   uint64_t dropped = 0;
   for (auto _ : state) {
@@ -195,11 +208,16 @@ void BM_RebaseReplay(benchmark::State& state) {
       state.SkipWithError(report.status().ToString().c_str());
       return;
     }
+    ++rebases;
     replayed += report->replayed;
     dropped += report->dropped;
     state.PauseTiming();
     (void)vs->Close();
     state.ResumeTiming();
+  }
+  const double per_rebase = rebases == 0 ? 0.0 : 1.0 / rebases;
+  for (const auto& [label, timer] : kRebasePhases) {
+    state.counters[label] = 1e3 * metrics.total_seconds(timer) * per_rebase;
   }
   state.counters["commits"] = static_cast<double>(commits);
   state.counters["replayed"] = benchmark::Counter(

@@ -4,11 +4,10 @@
 #include <utility>
 #include <vector>
 
-#include "core/aggregate.h"
 #include "core/diff.h"
+#include "core/fold.h"
 #include "core/reduce.h"
 #include "label/labeling.h"
-#include "pul/apply.h"
 
 namespace xupdate::branch {
 
@@ -20,50 +19,28 @@ constexpr xml::NodeId kFallbackIdSpan = xml::NodeId(1) << 20;
 // One side's divergent suffix folded to a single canonical PUL against
 // the merge-base state, carrying the branch's reconciliation policies.
 //
-// The reasoning path (Aggregate + canonical Reduce) is byte-verified:
-// applying the fold to the base state must reproduce the side's head
-// bytes. A suffix that crosses a merge frame can rewind below the base
-// and re-apply operations, producing delete/re-create pairs of the same
-// node id that no single PUL can express under the staged apply order
-// (insertions run before deletions) — for those, the fold falls back to
-// the paper's diff operator: the net delta base -> head, drawing fresh
-// ids from `fresh_floor` so the two sides' fallbacks cannot collide.
+// The reasoning path is core::FoldVerified: applying the fold to the
+// base state must reproduce the side's head exactly. A suffix that
+// crosses a merge frame can rewind below the base and re-apply
+// operations, producing delete/re-create pairs of the same node id that
+// no single PUL can express under the staged apply order (insertions
+// run before deletions) — for those, the fold falls back to the paper's
+// diff operator: the net delta base -> head, drawing fresh ids from
+// `fresh_floor` so the two sides' fallbacks cannot collide.
 Result<pul::Pul> FoldSuffix(const std::vector<pul::Pul>& suffix,
                             const xml::Document& base_doc,
                             const xml::Document& head_doc,
                             xml::NodeId fresh_floor,
                             const pul::Policies& policies,
                             const MergeOptions& options) {
-  XUPDATE_ASSIGN_OR_RETURN(
-      std::string head_bytes,
-      store::VersionStore::SerializeAnnotated(head_doc));
   auto reasoned = [&]() -> Result<pul::Pul> {
-    pul::Pul folded;
-    if (suffix.size() == 1) {
-      folded = suffix.front();
-    } else {
-      std::vector<const pul::Pul*> pointers;
-      pointers.reserve(suffix.size());
-      for (const pul::Pul& pul : suffix) pointers.push_back(&pul);
-      core::AggregateOptions aggregate_options;
-      aggregate_options.metrics = options.metrics;
-      aggregate_options.tracer = options.tracer;
-      XUPDATE_ASSIGN_OR_RETURN(folded,
-                               core::Aggregate(pointers, aggregate_options));
-    }
-    core::ReduceOptions reduce_options;
-    reduce_options.mode = core::ReduceMode::kCanonical;
-    reduce_options.parallelism = options.parallelism;
-    reduce_options.metrics = options.metrics;
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul canon,
-                             core::Reduce(folded, reduce_options));
-    xml::Document scratch = base_doc;
-    XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&scratch, canon));
+    core::FoldOptions fold_options;
+    fold_options.parallelism = options.parallelism;
+    fold_options.metrics = options.metrics;
+    fold_options.tracer = options.tracer;
     XUPDATE_ASSIGN_OR_RETURN(
-        std::string bytes, store::VersionStore::SerializeAnnotated(scratch));
-    if (bytes != head_bytes) {
-      return Status::Internal("fold does not reproduce the head bytes");
-    }
+        pul::Pul canon,
+        core::FoldVerified(suffix, base_doc, head_doc, fold_options));
     // Chain-member undos (core/invert) leave ops targeting nodes the
     // forward PUL created unlabeled; the reconciliation needs a label
     // on every op, and against the base state every fold target is a

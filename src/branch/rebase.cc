@@ -1,35 +1,44 @@
 #include "branch/rebase.h"
 
+#include <algorithm>
 #include <utility>
 
-#include "core/aggregate.h"
-#include "core/reduce.h"
+#include "core/diff.h"
+#include "core/fold.h"
+#include "label/labeling.h"
 #include "pul/apply.h"
 
 namespace xupdate::branch {
 
 namespace {
 
-Result<pul::Pul> FoldParentDelta(const std::vector<pul::Pul>& puls,
-                                 const RebaseOptions& options) {
-  pul::Pul folded;
-  if (puls.size() == 1) {
-    folded = puls.front();
-  } else {
-    std::vector<const pul::Pul*> pointers;
-    pointers.reserve(puls.size());
-    for (const pul::Pul& pul : puls) pointers.push_back(&pul);
-    core::AggregateOptions aggregate_options;
-    aggregate_options.metrics = options.metrics;
-    aggregate_options.tracer = options.tracer;
-    XUPDATE_ASSIGN_OR_RETURN(folded,
-                             core::Aggregate(pointers, aggregate_options));
+// The delta the branch moves across: the parent's PULs (fork, onto]
+// folded to one canonical PUL. A range crossing a full merge frame can
+// create, delete and re-create one node id (the frame's undo, then its
+// merge PUL), which no single aggregated PUL holds; its net delta
+// fork -> onto comes from the diff operator instead, with fresh ids
+// above every id the replayed commits use.
+Result<pul::Pul> ParentDelta(const std::vector<pul::Pul>& parent_puls,
+                             const xml::Document& fork_doc,
+                             const xml::Document& onto_doc,
+                             const std::vector<pul::Pul>& commits,
+                             const RebaseOptions& options) {
+  core::FoldOptions fold_options;
+  fold_options.parallelism = options.parallelism;
+  fold_options.metrics = options.metrics;
+  fold_options.tracer = options.tracer;
+  Result<pul::Pul> folded = core::FoldCanonical(parent_puls, fold_options);
+  if (folded.ok()) return folded;
+  if (options.metrics != nullptr) {
+    options.metrics->AddCounter("branch.rebase.delta_fallback");
   }
-  core::ReduceOptions reduce_options;
-  reduce_options.mode = core::ReduceMode::kCanonical;
-  reduce_options.parallelism = options.parallelism;
-  reduce_options.metrics = options.metrics;
-  return core::Reduce(folded, reduce_options);
+  xml::NodeId floor =
+      std::max(fork_doc.max_assigned_id(), onto_doc.max_assigned_id());
+  for (const pul::Pul& commit : commits) {
+    floor = std::max(floor, commit.forest().max_assigned_id());
+  }
+  return core::ComputeDelta(fork_doc, label::Labeling::Build(fork_doc),
+                            onto_doc, floor + 1);
 }
 
 }  // namespace
@@ -78,78 +87,104 @@ Result<RebaseReport> Rebase(store::VersionStore* store,
   report.branch = branch;
   report.old_fork = info.fork;
   report.new_fork = options.onto;
+  // Checkout: the fork state the rewind must reach, and the state the
+  // replay starts from — a copy of the parent's resident head when the
+  // branch moves onto it.
+  xml::Document fork_doc;
+  xml::Document state;
+  {
+    ScopedTimer phase(options.metrics, "branch.rebase.checkout.seconds");
+    XUPDATE_ASSIGN_OR_RETURN(fork_doc,
+                             store->CheckoutBranch(branch, info.fork));
+    if (options.onto == parent.head) {
+      XUPDATE_ASSIGN_OR_RETURN(const xml::Document* parent_head,
+                               store->BranchHeadDoc(info.parent));
+      state = *parent_head;
+    } else {
+      XUPDATE_ASSIGN_OR_RETURN(
+          state, store->CheckoutBranch(info.parent, options.onto));
+    }
+  }
+  std::vector<pul::Pul> commits;
+  std::vector<pul::Pul> undos;
+  {
+    ScopedTimer phase(options.metrics, "branch.rebase.undo.seconds");
+    XUPDATE_ASSIGN_OR_RETURN(commits, store->SuffixPuls(branch, info.fork));
+    XUPDATE_ASSIGN_OR_RETURN(undos, store->UndoChainFrom(fork_doc, commits));
+  }
   // Rewind verification: the undo chain must take the head document
-  // back to the fork state byte-for-byte before we trust the suffix.
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document fork_doc,
-                           store->CheckoutBranch(branch, info.fork));
-  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> commits,
-                           store->SuffixPuls(branch, info.fork));
-  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> undos,
-                           store->UndoChainFrom(fork_doc, commits));
-  XUPDATE_ASSIGN_OR_RETURN(const xml::Document* head_doc,
-                           store->BranchHeadDoc(branch));
-  xml::Document rewound = *head_doc;
-  for (const pul::Pul& undo : undos) {
-    XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&rewound, undo));
+  // back to the fork state exactly before we trust the suffix.
+  {
+    ScopedTimer phase(options.metrics, "branch.rebase.rewind_check.seconds");
+    XUPDATE_ASSIGN_OR_RETURN(const xml::Document* head_doc,
+                             store->BranchHeadDoc(branch));
+    xml::Document rewound = *head_doc;
+    for (const pul::Pul& undo : undos) {
+      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&rewound, undo));
+    }
+    XUPDATE_ASSIGN_OR_RETURN(bool same,
+                             xml::Document::SameAnnotated(rewound, fork_doc));
+    if (!same) {
+      return Status::Internal("undo chain of branch " + branch +
+                              " does not rewind to the fork state");
+    }
   }
-  XUPDATE_ASSIGN_OR_RETURN(std::string rewound_bytes,
-                           store::VersionStore::SerializeAnnotated(rewound));
-  XUPDATE_ASSIGN_OR_RETURN(std::string fork_bytes,
-                           store::VersionStore::SerializeAnnotated(fork_doc));
-  if (rewound_bytes != fork_bytes) {
-    return Status::Internal("undo chain of branch " + branch +
-                            " does not rewind to the fork state");
-  }
-  // The delta the branch is moving across, and its commits to replay.
-  XUPDATE_ASSIGN_OR_RETURN(
-      std::vector<pul::Pul> parent_puls,
-      store->RangePuls(info.parent, info.fork, options.onto));
-  pul::Pul parent_delta;
-  if (!parent_puls.empty()) {
-    XUPDATE_ASSIGN_OR_RETURN(parent_delta,
-                             FoldParentDelta(parent_puls, options));
-  }
-  report.parent_delta_ops = parent_delta.size();
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document state,
-                           store->CheckoutBranch(info.parent, options.onto));
+  // Replay: the delta the branch is moving across, then its commits.
   std::vector<pul::Pul> kept;
-  kept.reserve(commits.size());
-  for (size_t i = 0; i < commits.size(); ++i) {
-    const pul::Pul& commit = commits[i];
-    Status applicable = pul::CheckPulApplicable(state, commit);
-    if (applicable.ok()) {
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&state, commit));
-      kept.push_back(commit);
-      ++report.replayed;
-      continue;
+  {
+    ScopedTimer phase(options.metrics, "branch.rebase.replay.seconds");
+    XUPDATE_ASSIGN_OR_RETURN(
+        std::vector<pul::Pul> parent_puls,
+        store->RangePuls(info.parent, info.fork, options.onto));
+    pul::Pul parent_delta;
+    if (!parent_puls.empty()) {
+      XUPDATE_ASSIGN_OR_RETURN(
+          parent_delta,
+          ParentDelta(parent_puls, fork_doc, state, commits, options));
     }
-    RebaseConflict conflict;
-    conflict.version = info.fork + 1 + i;
-    conflict.detail = applicable.message();
-    // Classify against the parent delta with the reconciliation
-    // engine's conflict detector (label-based, so the two inputs being
-    // grounded on different states does not matter for classification).
-    core::IntegrateOptions integrate_options;
-    integrate_options.parallelism = options.parallelism;
-    integrate_options.metrics = options.metrics;
-    std::vector<const pul::Pul*> pair = {&parent_delta, &commit};
-    Result<core::IntegrationResult> integrated =
-        core::Integrate(pair, integrate_options);
-    if (integrated.ok()) {
-      for (const core::Conflict& c : integrated->conflicts) {
-        conflict.types.push_back(c.type);
+    report.parent_delta_ops = parent_delta.size();
+    kept.reserve(commits.size());
+    for (size_t i = 0; i < commits.size(); ++i) {
+      const pul::Pul& commit = commits[i];
+      Status applicable = pul::CheckPulApplicable(state, commit);
+      if (applicable.ok()) {
+        XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&state, commit));
+        kept.push_back(commit);
+        ++report.replayed;
+        continue;
       }
+      RebaseConflict conflict;
+      conflict.version = info.fork + 1 + i;
+      conflict.detail = applicable.message();
+      // Classify against the parent delta with the reconciliation
+      // engine's conflict detector (label-based, so the two inputs being
+      // grounded on different states does not matter for classification).
+      core::IntegrateOptions integrate_options;
+      integrate_options.parallelism = options.parallelism;
+      integrate_options.metrics = options.metrics;
+      std::vector<const pul::Pul*> pair = {&parent_delta, &commit};
+      Result<core::IntegrationResult> integrated =
+          core::Integrate(pair, integrate_options);
+      if (integrated.ok()) {
+        for (const core::Conflict& c : integrated->conflicts) {
+          conflict.types.push_back(c.type);
+        }
+      }
+      report.conflicts.push_back(std::move(conflict));
+      if (options.metrics != nullptr) {
+        options.metrics->AddCounter("branch.rebase.conflicts");
+      }
+      if (!options.skip_conflicting) {
+        return report;  // applied stays false; nothing installed
+      }
+      ++report.dropped;
     }
-    report.conflicts.push_back(std::move(conflict));
-    if (options.metrics != nullptr) {
-      options.metrics->AddCounter("branch.rebase.conflicts");
-    }
-    if (!options.skip_conflicting) {
-      return report;  // applied stays false; nothing installed
-    }
-    ++report.dropped;
   }
-  XUPDATE_RETURN_IF_ERROR(store->RewriteBranch(branch, options.onto, kept));
+  {
+    ScopedTimer phase(options.metrics, "branch.rebase.commit.seconds");
+    XUPDATE_RETURN_IF_ERROR(
+        store->RewriteBranch(branch, options.onto, kept));
+  }
   report.applied = true;
   if (options.metrics != nullptr) {
     options.metrics->AddCounter("branch.rebase.applied");

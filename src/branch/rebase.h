@@ -17,14 +17,20 @@ namespace xupdate::branch {
 //
 //   1. The rewind is verified first: the branch's undo chain (the
 //      store's ComputeUndo/Invert machinery) is applied to the head
-//      document and must land byte-exactly on the fork state — the
-//      guarantee that the suffix about to be replayed is exact.
+//      document and must land exactly on the fork state
+//      (xml::Document::SameAnnotated) — the guarantee that the suffix
+//      about to be replayed is exact.
 //   2. parent_delta <- the parent's PULs (fork, onto] folded and
-//      canonicalized: the delta the branch is moving across.
+//      canonicalized (core::FoldCanonical): the delta the branch is
+//      moving across. A range that crosses a full merge frame may not
+//      fold into one PUL; its delta then comes from the diff operator
+//      (core::ComputeDelta) between the fork and `onto` states.
 //   3. Each branch commit is replayed verbatim on the evolving new
-//      base. A commit that no longer applies is classified against
-//      parent_delta by core/integrate — the same five conflict classes
-//      the reconciliation engine uses — and reported. By default any
+//      base, starting from `onto` (a copy of the parent's resident head
+//      document when `onto` is the parent's head, else a checkout). A
+//      commit that no longer applies is classified against parent_delta
+//      by core/integrate — the same five conflict classes the
+//      reconciliation engine uses — and reported. By default any
 //      conflict aborts the rebase (nothing is installed); with
 //      skip_conflicting the commit is dropped and the replay continues.
 //   4. Installation is store->RewriteBranch: a RebaseRecord voiding the

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/aggregate.h"
 #include "pul/apply.h"
 #include "pul/pul_io.h"
 #include "store/version.h"
@@ -506,7 +505,6 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
     const std::vector<pul::Pul>* chain = nullptr;
     uint64_t base = 0;
     xml::Document merged;        // head doc + chain, when chain nonempty
-    std::string merged_bytes;
     uint64_t pre_size = 0;       // journal bytes before the sync
     bool appended = false;
   };
@@ -538,21 +536,21 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
     return MergeCommitResult{a.head, b.head, false, false};
   }
   // Both chains must land byte-exactly on one shared merged state
-  // before anything touches a journal.
+  // before anything touches a journal. A side without a chain is
+  // already there.
   for (Side* side : {&a, &b}) {
-    if (side->chain->empty()) {
-      XUPDATE_ASSIGN_OR_RETURN(side->merged_bytes,
-                               SerializeAnnotated(*side->doc));
-      continue;
-    }
+    if (side->chain->empty()) continue;
     side->merged = *side->doc;
     for (const pul::Pul& pul : *side->chain) {
       XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&side->merged, pul));
     }
-    XUPDATE_ASSIGN_OR_RETURN(side->merged_bytes,
-                             SerializeAnnotated(side->merged));
   }
-  if (a.merged_bytes != b.merged_bytes) {
+  auto landed = [](const Side& side) -> const xml::Document& {
+    return side.chain->empty() ? *side.doc : side.merged;
+  };
+  XUPDATE_ASSIGN_OR_RETURN(
+      bool converged, xml::Document::SameAnnotated(landed(a), landed(b)));
+  if (!converged) {
     return Status::Internal(
         "merge chains of " + a.name + " and " + b.name +
         " do not land on one state");
@@ -938,10 +936,9 @@ Result<BranchVerifyResult> VersionStore::VerifyBranch(
     }
     ++result.replayed_versions;
   }
-  XUPDATE_ASSIGN_OR_RETURN(std::string replayed, SerializeAnnotated(doc));
-  XUPDATE_ASSIGN_OR_RETURN(std::string head_bytes,
-                           SerializeAnnotated(b.doc));
-  if (replayed != head_bytes) {
+  XUPDATE_ASSIGN_OR_RETURN(bool same,
+                           xml::Document::SameAnnotated(doc, b.doc));
+  if (!same) {
     return Status::ParseError("branch " + name +
                               " replay diverges from its head document");
   }

@@ -1,5 +1,6 @@
 #include "store/records.h"
 
+#include <algorithm>
 #include <cctype>
 
 #include "common/framing.h"
@@ -146,7 +147,9 @@ Result<MergeRecord> DecodeMergeRecord(std::string_view payload) {
   }
   uint32_t count = GetU32(payload, offset);
   offset += 4;
-  record.chain.reserve(count);
+  // Each entry takes at least its 4-byte length: a count the payload
+  // cannot hold must fail as truncation, not reserve gigabytes first.
+  record.chain.reserve(std::min<size_t>(count, (payload.size() - offset) / 4));
   for (uint32_t i = 0; i < count; ++i) {
     std::string pul;
     XUPDATE_RETURN_IF_ERROR(GetString(payload, &offset, &pul));

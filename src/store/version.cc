@@ -5,7 +5,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/aggregate.h"
+#include "core/fold.h"
 #include "core/invert.h"
 #include "core/reduce.h"
 #include "pul/apply.h"
@@ -541,71 +541,51 @@ Result<uint64_t> VersionStore::Rollback(uint64_t to) {
         " is not below head " + std::to_string(head_));
   }
   ScopedTimer timer(options_.metrics, "store.rollback.seconds");
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document base, Checkout(to));
-  XUPDATE_ASSIGN_OR_RETURN(std::string target, SerializeAnnotated(base));
+  XUPDATE_ASSIGN_OR_RETURN(xml::Document target, Checkout(to));
   // A merge version contributes one undo per chain member, so the
   // chain may be longer than head - to.
   XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> puls,
                            RangePuls("main", to, head_));
   XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> undos,
-                           UndoChainFrom(base, puls));
+                           UndoChainFrom(target, puls));
+  // Prefer one verified fold of the chain as a single commit.
+  if (undos.size() > 1) {
+    core::FoldOptions fold_options;
+    fold_options.parallelism = options_.parallelism;
+    fold_options.metrics = options_.metrics;
+    fold_options.tracer = options_.tracer;
+    Result<pul::Pul> folded =
+        core::FoldVerified(undos, doc_, target, fold_options);
+    if (folded.ok()) {
+      XUPDATE_ASSIGN_OR_RETURN(uint64_t version, Commit(*folded));
+      if (options_.metrics != nullptr) {
+        options_.metrics->AddCounter("store.rollback.count");
+      }
+      return version;
+    }
+    // A chain that crosses a merge frame deletes and re-creates node
+    // ids (the frame's undo of its own side, then the merge PUL
+    // re-inserting the same nodes); no single PUL restores those ids,
+    // and a diff delta would re-create them under fresh ones. The chain
+    // itself restores them, one commit per undo.
+    if (options_.metrics != nullptr) {
+      options_.metrics->AddCounter("store.rollback.chain_fallback");
+    }
+  }
   // The chain is the ground truth: applying it must land on the target
-  // bytes before anything is committed.
+  // exactly before anything is committed.
   {
     xml::Document scratch = doc_;
     for (const pul::Pul& undo : undos) {
       XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&scratch, undo));
     }
-    XUPDATE_ASSIGN_OR_RETURN(std::string bytes,
-                             SerializeAnnotated(scratch));
-    if (bytes != target) {
+    XUPDATE_ASSIGN_OR_RETURN(bool same,
+                             xml::Document::SameAnnotated(scratch, target));
+    if (!same) {
       return Status::Internal(
           "rollback chain does not reproduce version " +
           std::to_string(to));
     }
-  }
-  // Prefer a single aggregated commit; fall back to the verified chain
-  // when aggregation or its byte-check fails.
-  bool aggregated = false;
-  pul::Pul folded;
-  if (undos.size() == 1) {
-    folded = undos.front();
-    aggregated = true;
-  } else {
-    std::vector<const pul::Pul*> pointers;
-    pointers.reserve(undos.size());
-    for (const pul::Pul& undo : undos) pointers.push_back(&undo);
-    core::AggregateOptions aggregate_options;
-    aggregate_options.metrics = options_.metrics;
-    aggregate_options.tracer = options_.tracer;
-    Result<pul::Pul> fold = core::Aggregate(pointers, aggregate_options);
-    if (fold.ok()) {
-      core::ReduceOptions reduce_options;
-      reduce_options.mode = core::ReduceMode::kCanonical;
-      reduce_options.parallelism = options_.parallelism;
-      reduce_options.metrics = options_.metrics;
-      Result<pul::Pul> reduced = core::Reduce(*fold, reduce_options);
-      if (reduced.ok()) {
-        xml::Document scratch = doc_;
-        if (pul::ApplyPul(&scratch, *reduced).ok()) {
-          Result<std::string> bytes = SerializeAnnotated(scratch);
-          if (bytes.ok() && *bytes == target) {
-            folded = std::move(*reduced);
-            aggregated = true;
-          }
-        }
-      }
-    }
-  }
-  if (aggregated) {
-    XUPDATE_ASSIGN_OR_RETURN(uint64_t version, Commit(folded));
-    if (options_.metrics != nullptr) {
-      options_.metrics->AddCounter("store.rollback.count");
-    }
-    return version;
-  }
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("store.rollback.chain_fallback");
   }
   uint64_t version = head_;
   for (const pul::Pul& undo : undos) {

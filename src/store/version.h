@@ -214,10 +214,12 @@ class VersionStore {
 
   // Rolls the store back to version `to` *by committing forward*: the
   // undo deltas head..to+1 (each from the ComputeUndo formula) are
-  // aggregated into a single PUL; if applying it reproduces Checkout(to)
-  // byte-for-byte it is committed as one new version, otherwise the
-  // per-version deltas are committed as a chain. Either way history is
-  // preserved. Returns the new head.
+  // folded into a single PUL (core::FoldVerified); if applying it
+  // reproduces Checkout(to) exactly it is committed as one new version,
+  // otherwise the per-version deltas — checked to land on Checkout(to)
+  // first — are committed as a chain. The chain is needed when it
+  // crosses a full merge frame (see Rollback in version.cc). Either way
+  // history is preserved. Returns the new head.
   Result<uint64_t> Rollback(uint64_t to);
 
   // Full offline audit: structural re-scan of the journal (every CRC),

@@ -537,6 +537,88 @@ bool Document::SubtreeEquals(const Document& a, NodeId ra,
   return true;
 }
 
+namespace {
+
+// The serializer's refusals of a document's root, with its statuses.
+Status CheckAnnotatedRoot(const Document& doc) {
+  if (doc.root() == kInvalidNode) {
+    return Status::InvalidArgument("document has no root");
+  }
+  if (!doc.Exists(doc.root())) {
+    return Status::NotFound("subtree root not found");
+  }
+  if (doc.type(doc.root()) != NodeType::kElement) {
+    return Status::InvalidArgument("subtree root must be an element");
+  }
+  return Status::OK();
+}
+
+Status InlineNodeError() {
+  return Status::InvalidArgument(
+      "only element and text nodes serialize inline");
+}
+
+// The serializer's refusal inside the tree, checked on its own once
+// SameAnnotated's walk has stopped at a difference: it must still fail
+// wherever serializing either side would.
+Status CheckInline(const Document& doc) {
+  std::vector<NodeId> stack = {doc.root()};
+  while (!stack.empty()) {
+    NodeId id = stack.back();
+    stack.pop_back();
+    if (doc.type(id) == NodeType::kAttribute) return InlineNodeError();
+    if (doc.type(id) != NodeType::kElement) continue;
+    const std::vector<NodeId>& children = doc.children(id);
+    stack.insert(stack.end(), children.begin(), children.end());
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<bool> Document::SameAnnotated(const Document& a, const Document& b) {
+  XUPDATE_RETURN_IF_ERROR(CheckAnnotatedRoot(a));
+  XUPDATE_RETURN_IF_ERROR(CheckAnnotatedRoot(b));
+  Status error;
+  if (a.root_ == b.root_ && SameAnnotatedAt(a, b, a.root_, &error)) {
+    return true;
+  }
+  XUPDATE_RETURN_IF_ERROR(error);
+  XUPDATE_RETURN_IF_ERROR(CheckInline(a));
+  XUPDATE_RETURN_IF_ERROR(CheckInline(b));
+  return false;
+}
+
+bool Document::SameAnnotatedAt(const Document& a, const Document& b,
+                               NodeId id, Status* error) {
+  const NodeRecord& na = a.Get(id);
+  const NodeRecord& nb = b.Get(id);
+  if (na.type == NodeType::kAttribute || nb.type == NodeType::kAttribute) {
+    *error = InlineNodeError();
+    return false;
+  }
+  if (na.type != nb.type) return false;
+  if (na.type == NodeType::kText) return na.value == nb.value;
+  if (a.names_.Get(na.name) != b.names_.Get(nb.name)) return false;
+  // Attribute and child ids are written positionally, so whole-list
+  // equality is exactly the serializer's ids and order.
+  if (na.attributes != nb.attributes || na.children != nb.children) {
+    return false;
+  }
+  for (NodeId attr : na.attributes) {
+    const NodeRecord& aa = a.Get(attr);
+    const NodeRecord& ab = b.Get(attr);
+    if (aa.value != ab.value ||
+        a.names_.Get(aa.name) != b.names_.Get(ab.name)) {
+      return false;
+    }
+  }
+  for (NodeId child : na.children) {
+    if (!SameAnnotatedAt(a, b, child, error)) return false;
+  }
+  return true;
+}
+
 void Document::ReserveIdsBelow(NodeId floor) {
   if (next_id_ < floor) next_id_ = floor;
 }

@@ -149,6 +149,16 @@ class Document {
                             const Document& b, NodeId rb,
                             bool compare_ids);
 
+  // True exactly when the two documents serialize to the same bytes with
+  // ids embedded (SerializeOptions::with_ids, the store's canonical
+  // form), decided without writing them: one lockstep preorder walk over
+  // what the serializer writes — node kinds and ids, element names,
+  // attribute ids, names and values in list order (the id annotation is
+  // positional), text values and child order. Fails exactly where either
+  // serialization would: no root, a non-element root, an attribute in a
+  // child list.
+  static Result<bool> SameAnnotated(const Document& a, const Document& b);
+
   // Upper bound on ids handed out so far; fresh ids are > this.
   NodeId max_assigned_id() const { return next_id_ - 1; }
 
@@ -159,6 +169,12 @@ class Document {
  private:
   const NodeRecord& Get(NodeId id) const { return nodes_.at(id); }
   NodeRecord& Get(NodeId id) { return nodes_.at(id); }
+
+  // SameAnnotated's walk below `id`, a node both sides hold in the
+  // same position; sets `*error` when either side holds an attribute in
+  // a child list.
+  static bool SameAnnotatedAt(const Document& a, const Document& b,
+                              NodeId id, Status* error);
 
   NodeId Allocate(NodeType type, std::string_view name,
                   std::string_view value);

@@ -216,6 +216,41 @@ TEST_F(BranchMergeTest, PhaseTimersAndBaseCheckouts) {
   }
 }
 
+TEST_F(BranchMergeTest, RollbackAcrossAFullMergeCommitsTheUndoChain) {
+  // Main's merge frame undoes main's own insert and the merge PUL
+  // re-inserts the same node under the same id. Rolling main back to
+  // just before the merge deletes it and re-creates it under that id
+  // again, which no single PUL expresses (insertions apply before
+  // deletions): the verified fold fails and the chain is committed,
+  // one version per undo, landing exactly on the old version.
+  ASSERT_TRUE(VersionStore::Init(StoreDir(), base_xml_).ok());
+  Metrics metrics;
+  store::StoreOptions store_options;
+  store_options.metrics = &metrics;
+  auto opened = VersionStore::Open(StoreDir(), store_options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  VersionStore& store = *opened;
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 1)).ok());
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(store.CommitOnBranch("w", RepVPul(**doc, 2)).ok());
+  MergeStats stats;
+  ASSERT_TRUE(Merge(&store, "main", "w", {}, &stats).ok());
+  ASSERT_FALSE(stats.fast_forward);
+  ASSERT_EQ(store.head(), 2u);
+  auto before_merge = store.CheckoutXml(1);
+  ASSERT_TRUE(before_merge.ok());
+  auto rolled = store.Rollback(1);
+  ASSERT_TRUE(rolled.ok()) << rolled.status();
+  EXPECT_EQ(metrics.counter("store.rollback.chain_fallback"), 1u);
+  EXPECT_GT(*rolled, 3u);  // more than one commit: the chain itself
+  auto head = store.CheckoutXml(store.head());
+  ASSERT_TRUE(head.ok());
+  EXPECT_EQ(*head, *before_merge);
+  auto verified = store.Verify();
+  ASSERT_TRUE(verified.ok()) << verified.status();
+}
+
 TEST_F(BranchMergeTest, ConflictingEditsAutoResolve) {
   VersionStore store = MakeStore();
   ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());

@@ -120,6 +120,99 @@ TEST_F(BranchRebaseTest, ReplaysIndependentCommitsOntoNewBase) {
   ASSERT_TRUE(verified.ok()) << verified.status();
 }
 
+TEST_F(BranchRebaseTest, PhaseTimersAndResidentOntoState) {
+  std::string path = (dir_ / "store").string();
+  ASSERT_TRUE(VersionStore::Init(path, base_xml_).ok());
+  Metrics store_metrics;
+  store::StoreOptions store_options;
+  store_options.metrics = &store_metrics;
+  auto opened = VersionStore::Open(path, store_options);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  VersionStore& store = *opened;
+  const char* phases[] = {"branch.rebase.checkout.seconds",
+                          "branch.rebase.undo.seconds",
+                          "branch.rebase.rewind_check.seconds",
+                          "branch.rebase.replay.seconds",
+                          "branch.rebase.commit.seconds"};
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(store.CommitOnBranch("w", RepVPul(**doc, 1)).ok());
+  ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 2)).ok());
+  ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 3)).ok());
+  // Round 1 moves onto an older mainline version (a checkout of it);
+  // round 2 onto main's head, whose resident document is copied instead.
+  for (uint64_t onto : {1u, 2u}) {
+    SCOPED_TRACE("onto " + std::to_string(onto));
+    Metrics metrics;
+    RebaseOptions options;
+    options.onto = onto;
+    options.metrics = &metrics;
+    uint64_t checkouts = store_metrics.counter("store.checkout.count");
+    auto report = Rebase(&store, "w", options);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_TRUE(report->applied);
+    double phase_sum = 0.0;
+    for (const char* phase : phases) {
+      EXPECT_EQ(metrics.timer(phase).count, 1u) << phase;
+      phase_sum += metrics.total_seconds(phase);
+    }
+    EXPECT_LE(phase_sum, metrics.total_seconds("branch.rebase.seconds"));
+    // The fork state, the replay's start when onto is not the head, and
+    // the rewritten branch's head.
+    EXPECT_EQ(store_metrics.counter("store.checkout.count") - checkouts,
+              onto == store.head() ? 2u : 3u);
+  }
+  std::string head = HeadBytes(store, "w");
+  EXPECT_NE(head.find("round 3"), std::string::npos);
+  EXPECT_NE(head.find("value round 1"), std::string::npos);
+  auto verified = store.Verify();
+  ASSERT_TRUE(verified.ok()) << verified.status();
+}
+
+TEST_F(BranchRebaseTest, RebasesAcrossAParentMergeFrame) {
+  // Main replaces node 14's children with a fresh text node T. Its full
+  // merge frame undoes that (T goes) and the merge PUL re-creates T
+  // under the same id. Main's range holds T's id in two parameter trees,
+  // which no single aggregated PUL can; the parent delta then comes from
+  // the diff operator.
+  VersionStore store = MakeStore();
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  ASSERT_TRUE(store.CreateBranch("r", "main", 0).ok());
+  {
+    label::Labeling labeling = label::Labeling::Build(store.head_doc());
+    pul::Pul repc;
+    repc.BindIdSpace(store.head_doc().max_assigned_id() + 1);
+    xml::NodeId text = repc.NewTextParam("replaced");
+    ASSERT_TRUE(repc.AddTreeOp(pul::OpKind::kReplaceChildren, 14, labeling,
+                               {text})
+                    .ok());
+    ASSERT_TRUE(store.Commit(repc).ok());
+  }
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(store.CommitOnBranch("w", InsertPul(**doc, 2)).ok());
+  MergeStats stats;
+  ASSERT_TRUE(Merge(&store, "main", "w", {}, &stats).ok());
+  ASSERT_FALSE(stats.fast_forward);
+  doc = store.BranchHeadDoc("r");
+  ASSERT_TRUE(store.CommitOnBranch("r", InsertPul(**doc, 3)).ok());
+  Metrics metrics;
+  RebaseOptions options;
+  options.onto = store.head();
+  options.metrics = &metrics;
+  auto report = Rebase(&store, "r", options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_TRUE(report->applied);
+  EXPECT_EQ(report->replayed, 1u);
+  EXPECT_GT(report->parent_delta_ops, 0u);
+  EXPECT_EQ(metrics.counter("branch.rebase.delta_fallback"), 1u);
+  std::string head = HeadBytes(store, "r");
+  EXPECT_NE(head.find("replaced"), std::string::npos);
+  EXPECT_NE(head.find("round 2"), std::string::npos);
+  EXPECT_NE(head.find("round 3"), std::string::npos);
+  auto verified = store.Verify();
+  ASSERT_TRUE(verified.ok()) << verified.status();
+}
+
 TEST_F(BranchRebaseTest, ConflictAbortsAndInstallsNothing) {
   VersionStore store = MakeStore();
   ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
