@@ -183,7 +183,7 @@ Result<RebaseReport> Rebase(store::VersionStore* store,
   {
     ScopedTimer phase(options.metrics, "branch.rebase.commit.seconds");
     XUPDATE_RETURN_IF_ERROR(
-        store->RewriteBranch(branch, options.onto, kept));
+        store->RewriteBranch(branch, options.onto, kept, std::move(state)));
   }
   report.applied = true;
   if (options.metrics != nullptr) {

@@ -83,18 +83,20 @@ Result<std::string> ReadFileRegion(const std::string& path, uint64_t offset,
   return out;
 }
 
+Status WriteFileSynced(const std::string& path, std::string_view content) {
+  int fd = ::open(path.c_str(),
+                  O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return Errno("open", path);
+  Status status = WriteAll(fd, content, path);
+  if (status.ok() && ::fsync(fd) != 0) status = Errno("fsync", path);
+  if (::close(fd) != 0 && status.ok()) status = Errno("close", path);
+  if (!status.ok()) ::unlink(path.c_str());
+  return status;
+}
+
 Status WriteFileAtomic(const std::string& path, std::string_view content) {
   std::string tmp = path + ".tmp";
-  int fd = ::open(tmp.c_str(),
-                  O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return Errno("open", tmp);
-  Status status = WriteAll(fd, content, tmp);
-  if (status.ok() && ::fsync(fd) != 0) status = Errno("fsync", tmp);
-  if (::close(fd) != 0 && status.ok()) status = Errno("close", tmp);
-  if (!status.ok()) {
-    ::unlink(tmp.c_str());
-    return status;
-  }
+  XUPDATE_RETURN_IF_ERROR(WriteFileSynced(tmp, content));
   return RenameFile(tmp, path);
 }
 

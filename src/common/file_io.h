@@ -21,6 +21,10 @@ Result<std::string> ReadFileToString(const std::string& path);
 Result<std::string> ReadFileRegion(const std::string& path, uint64_t offset,
                                    size_t length);
 
+// Writes `content` to `path` (created or truncated) and fsyncs it. On
+// failure the file is removed.
+Status WriteFileSynced(const std::string& path, std::string_view content);
+
 // Writes `content` to `path` atomically: a sidecar temp file is written,
 // fsync'd, and renamed over `path`; the containing directory is fsync'd
 // so the rename itself is durable. Readers never observe a torn file.

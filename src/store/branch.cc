@@ -1,8 +1,10 @@
 // Branch subsystem of the versioned store: named branch journals, the
 // cross-journal merge-commit (sync) protocol, crash recovery of torn
 // syncs, and the suffix/undo-chain extraction the merge and rebase
-// engines (src/branch/) are built on. See version.h "Branches" and
-// records.h for the on-disk formats.
+// engines (src/branch/) are built on. A branch is a journal like the
+// mainline (version.cc); what is here is what a fork adds: a parent, a
+// meta frame and the records of branches.log. See version.h "Branches"
+// and records.h for the on-disk formats.
 
 #include <algorithm>
 #include <set>
@@ -17,18 +19,8 @@ namespace xupdate::store {
 
 namespace {
 
-constexpr char kBranchLogName[] = "branches.log";
 constexpr char kBranchJournalPrefix[] = "branch-";
 constexpr char kBranchJournalSuffix[] = ".log";
-
-WalOptions BranchWalOptions(const StoreOptions& options) {
-  WalOptions wal;
-  wal.fsync = options.fsync;
-  wal.batch_interval = options.batch_interval;
-  wal.fail_after_bytes = options.fail_after_bytes;
-  wal.metrics = options.metrics;
-  return wal;
-}
 
 std::string DirOf(const std::string& path) {
   size_t slash = path.find_last_of('/');
@@ -46,16 +38,6 @@ Status TruncateWalTo(Wal* wal, uint64_t size, const WalOptions& options) {
   return Status::OK();
 }
 
-Result<std::vector<pul::Pul>> ParseChain(const MergeRecord& record) {
-  std::vector<pul::Pul> chain;
-  chain.reserve(record.chain.size());
-  for (const std::string& text : record.chain) {
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(text));
-    chain.push_back(std::move(pul));
-  }
-  return chain;
-}
-
 }  // namespace
 
 std::string VersionStore::BranchJournalPath(const std::string& name) const {
@@ -63,6 +45,17 @@ std::string VersionStore::BranchJournalPath(const std::string& name) const {
 }
 
 // --- Creation / lookup ----------------------------------------------------
+
+Result<VersionStore::Journal*> VersionStore::ForkParent(
+    const std::string& parent, uint64_t fork) {
+  XUPDATE_ASSIGN_OR_RETURN(Journal* journal, FindJournal(parent));
+  if (fork > journal->head) {
+    return Status::InvalidArgument(
+        "fork version " + std::to_string(fork) + " beyond head " +
+        std::to_string(journal->head) + " of branch " + parent);
+  }
+  return journal;
+}
 
 Status VersionStore::CreateBranch(const std::string& name,
                                   const std::string& parent, uint64_t at,
@@ -75,26 +68,11 @@ Status VersionStore::CreateBranch(const std::string& name,
   if (PathExists(path)) {
     return Status::InvalidArgument("branch journal already exists: " + path);
   }
-  uint64_t parent_head = 0;
-  if (parent == "main") {
-    parent_head = head_;
-    // The fork point must not outlive its base in a crash: force the
-    // parent journal durable before the branch journal names it.
-    XUPDATE_RETURN_IF_ERROR(wal_.Sync());
-  } else {
-    auto it = branches_.find(parent);
-    if (it == branches_.end()) {
-      return Status::NotFound("parent branch not found: " + parent);
-    }
-    parent_head = it->second.head;
-    XUPDATE_RETURN_IF_ERROR(it->second.wal.Sync());
-  }
-  if (at > parent_head) {
-    return Status::InvalidArgument(
-        "fork version " + std::to_string(at) + " beyond head " +
-        std::to_string(parent_head) + " of branch " + parent);
-  }
-  BranchState branch;
+  XUPDATE_ASSIGN_OR_RETURN(Journal* parent_journal, ForkParent(parent, at));
+  // The fork point must not outlive its base in a crash: force the
+  // parent journal durable before the branch journal names it.
+  XUPDATE_RETURN_IF_ERROR(parent_journal->wal.Sync());
+  Journal branch;
   branch.meta.name = name;
   branch.meta.parent = parent;
   branch.meta.fork = at;
@@ -102,9 +80,9 @@ Status VersionStore::CreateBranch(const std::string& name,
   // Fork document before the journal: once the journal is durable the
   // branch materializes at the next Open, so every fallible step must
   // precede it (a failure here leaves nothing behind to clean up).
-  XUPDATE_ASSIGN_OR_RETURN(branch.doc, CheckoutBranch(parent, at));
-  XUPDATE_ASSIGN_OR_RETURN(
-      branch.wal, Wal::Create(path, BranchWalOptions(options_)));
+  XUPDATE_ASSIGN_OR_RETURN(branch.doc, CheckoutJournal(*parent_journal, at));
+  XUPDATE_ASSIGN_OR_RETURN(branch.wal,
+                           Wal::Create(path, ToWalOptions(options_)));
   WalFrame meta_frame;
   meta_frame.type = FrameType::kBranchMeta;
   meta_frame.payload = EncodeBranchMeta(branch.meta);
@@ -135,103 +113,34 @@ std::vector<std::string> VersionStore::BranchNames() const {
 }
 
 Result<BranchInfo> VersionStore::GetBranch(const std::string& name) const {
+  XUPDATE_ASSIGN_OR_RETURN(const Journal* journal, FindJournal(name));
   BranchInfo info;
-  if (name == "main") {
-    info.name = "main";
-    info.head = head_;
-    return info;
-  }
-  auto it = branches_.find(name);
-  if (it == branches_.end()) {
-    return Status::NotFound("branch not found: " + name);
-  }
-  info.name = it->second.meta.name;
-  info.parent = it->second.meta.parent;
-  info.fork = it->second.meta.fork;
-  info.policies = it->second.meta.policies;
-  info.head = it->second.head;
+  info.name = journal->meta.name;
+  info.parent = journal->meta.parent;
+  info.fork = journal->meta.fork;
+  info.policies = journal->meta.policies;
+  info.head = journal->head;
   return info;
 }
 
 Result<const xml::Document*> VersionStore::BranchHeadDoc(
     const std::string& branch) const {
-  if (branch == "main") return &doc_;
-  auto it = branches_.find(branch);
-  if (it == branches_.end()) {
-    return Status::NotFound("branch not found: " + branch);
-  }
-  return &it->second.doc;
+  XUPDATE_ASSIGN_OR_RETURN(const Journal* journal, FindJournal(branch));
+  return &journal->doc;
 }
 
 // --- Commit / checkout ----------------------------------------------------
 
 Result<uint64_t> VersionStore::CommitOnBranch(const std::string& branch,
                                               const pul::Pul& pul) {
-  if (branch == "main") return Commit(pul);
-  auto it = branches_.find(branch);
-  if (it == branches_.end()) {
-    return Status::NotFound("branch not found: " + branch);
-  }
-  BranchState& b = it->second;
-  ScopedTimer timer(options_.metrics, "store.branch.commit.seconds");
-  XUPDATE_RETURN_IF_ERROR(pul::CheckPulApplicable(b.doc, pul));
-  XUPDATE_ASSIGN_OR_RETURN(std::string payload, pul::SerializePul(pul));
-  WalFrame frame;
-  frame.type = FrameType::kPul;
-  frame.version = b.head + 1;
-  frame.payload = std::move(payload);
-  XUPDATE_RETURN_IF_ERROR(b.wal.Append(frame));
-  XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&b.doc, pul));
-  ++b.head;
-  b.pul_frames[b.head] = b.wal.frames().back();
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("store.branch.commit.count");
-  }
-  return b.head;
+  XUPDATE_ASSIGN_OR_RETURN(Journal* journal, FindJournal(branch));
+  return CommitPul(journal, pul);
 }
 
 Result<xml::Document> VersionStore::CheckoutBranch(const std::string& branch,
                                                    uint64_t v) const {
-  if (branch == "main") return Checkout(v);
-  auto it = branches_.find(branch);
-  if (it == branches_.end()) {
-    return Status::NotFound("branch not found: " + branch);
-  }
-  const BranchState& b = it->second;
-  if (v > b.head) {
-    return Status::InvalidArgument(
-        "version " + std::to_string(v) + " beyond head " +
-        std::to_string(b.head) + " of branch " + branch);
-  }
-  // Versions at or below the fork live on the parent chain — this is
-  // where a branch borrows the mainline's snapshot checkpoints.
-  if (v <= b.meta.fork) return CheckoutBranch(b.meta.parent, v);
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
-                           CheckoutBranch(b.meta.parent, b.meta.fork));
-  for (uint64_t cur = b.meta.fork; cur < v; ++cur) {
-    auto pit = b.pul_frames.find(cur + 1);
-    if (pit != b.pul_frames.end()) {
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, b.wal.ReadFrame(pit->second));
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(frame.payload));
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-      continue;
-    }
-    auto mit = b.merge_frames.find(cur + 1);
-    if (mit == b.merge_frames.end()) {
-      return Status::Internal("branch " + branch +
-                              " journal gap above version " +
-                              std::to_string(cur));
-    }
-    XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, b.wal.ReadFrame(mit->second));
-    XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                             DecodeMergeRecord(frame.payload));
-    XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain,
-                             ParseChain(record));
-    for (const pul::Pul& pul : chain) {
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-    }
-  }
-  return doc;
+  XUPDATE_ASSIGN_OR_RETURN(const Journal* journal, FindJournal(branch));
+  return CheckoutJournal(*journal, v);
 }
 
 Result<std::string> VersionStore::CheckoutXmlBranch(const std::string& branch,
@@ -244,46 +153,21 @@ Result<std::string> VersionStore::CheckoutXmlBranch(const std::string& branch,
 
 Result<std::vector<LogEntry>> VersionStore::LogBranch(
     const std::string& branch, bool with_op_counts) const {
-  const Wal* wal = nullptr;
-  if (branch == "main") {
-    wal = &wal_;
-  } else {
-    auto it = branches_.find(branch);
-    if (it == branches_.end()) {
-      return Status::NotFound("branch not found: " + branch);
-    }
-    wal = &it->second.wal;
-  }
+  XUPDATE_ASSIGN_OR_RETURN(const Journal* journal, FindJournal(branch));
   std::vector<LogEntry> entries;
-  entries.reserve(wal->frames().size());
-  for (const WalFrameInfo& info : wal->frames()) {
+  entries.reserve(journal->wal.frames().size());
+  for (const WalFrameInfo& info : journal->wal.frames()) {
     LogEntry entry;
     entry.type = info.type;
     entry.version = info.version;
     entry.aux = info.aux;
     entry.offset = info.offset;
     entry.payload_bytes = info.payload_bytes;
-    if (with_op_counts) {
-      switch (info.type) {
-        case FrameType::kPul: {
-          XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal->ReadFrame(info));
-          XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul,
-                                   pul::ParsePul(frame.payload));
-          entry.ops = pul.size();
-          break;
-        }
-        case FrameType::kMerge: {
-          XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal->ReadFrame(info));
-          XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                                   DecodeMergeRecord(frame.payload));
-          XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain,
-                                   ParseChain(record));
-          for (const pul::Pul& pul : chain) entry.ops += pul.size();
-          break;
-        }
-        default:
-          break;  // kBranchMeta carries no operations
-      }
+    // A branch's meta frame carries no operations.
+    if (with_op_counts && info.type != FrameType::kBranchMeta) {
+      XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> puls,
+                               ReadVersion(*journal, info.version));
+      for (const pul::Pul& pul : puls) entry.ops += pul.size();
     }
     entries.push_back(entry);
   }
@@ -303,13 +187,10 @@ Result<std::vector<std::pair<std::string, uint64_t>>> VersionStore::Lineage(
       return Status::Internal("branch parent cycle through " + cur);
     }
     out.emplace_back(cur, bound);
-    if (cur == "main") break;
-    auto it = branches_.find(cur);
-    if (it == branches_.end()) {
-      return Status::NotFound("branch not found in lineage: " + cur);
-    }
-    bound = std::min(bound, it->second.meta.fork);
-    cur = it->second.meta.parent;
+    XUPDATE_ASSIGN_OR_RETURN(const Journal* journal, FindJournal(cur));
+    if (IsRoot(*journal)) break;
+    bound = std::min(bound, journal->meta.fork);
+    cur = journal->meta.parent;
   }
   return out;
 }
@@ -356,7 +237,7 @@ Result<SyncPoint> VersionStore::MergeBase(const std::string& a,
 
 // --- Suffix / undo-chain extraction ---------------------------------------
 
-Status VersionStore::CollectPuls(const std::string& branch, uint64_t from,
+Status VersionStore::CollectPuls(const Journal& journal, uint64_t from,
                                  uint64_t to,
                                  std::vector<pul::Pul>* out) const {
   if (from > to) {
@@ -365,57 +246,21 @@ Status VersionStore::CollectPuls(const std::string& branch, uint64_t from,
         std::to_string(to) + "] is inverted");
   }
   if (from == to) return Status::OK();
-  // The mainline and every branch journal index the same two frame
-  // kinds; a branch additionally recurses into its parent below the fork.
-  const Wal* wal = &wal_;
-  const std::map<uint64_t, WalFrameInfo>* pul_frames = &pul_frames_;
-  const std::map<uint64_t, WalFrameInfo>* merge_frames = &merge_frames_;
-  uint64_t head = head_;
-  uint64_t fork = 0;
-  const std::string* parent = nullptr;
-  std::string where;
-  if (branch != "main") {
-    auto it = branches_.find(branch);
-    if (it == branches_.end()) {
-      return Status::NotFound("branch not found: " + branch);
-    }
-    const BranchState& b = it->second;
-    wal = &b.wal;
-    pul_frames = &b.pul_frames;
-    merge_frames = &b.merge_frames;
-    head = b.head;
-    fork = b.meta.fork;
-    parent = &b.meta.parent;
-    where = " of branch " + branch;
+  if (to > journal.head) {
+    return Status::InvalidArgument(
+        "suffix end " + std::to_string(to) + " beyond head " +
+        std::to_string(journal.head) + " of branch " + journal.meta.name);
   }
-  if (to > head) {
-    return Status::InvalidArgument("suffix end " + std::to_string(to) +
-                                   " beyond head " + std::to_string(head) +
-                                   where);
-  }
-  if (from < fork) {
+  if (from < journal.meta.fork) {
+    XUPDATE_ASSIGN_OR_RETURN(const Journal* parent,
+                             FindJournal(journal.meta.parent));
     XUPDATE_RETURN_IF_ERROR(
-        CollectPuls(*parent, from, std::min(to, fork), out));
+        CollectPuls(*parent, from, std::min(to, journal.meta.fork), out));
   }
-  for (uint64_t cur = std::max(from, fork); cur < to; ++cur) {
-    auto pit = pul_frames->find(cur + 1);
-    if (pit != pul_frames->end()) {
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal->ReadFrame(pit->second));
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(frame.payload));
-      out->push_back(std::move(pul));
-      continue;
-    }
-    auto mit = merge_frames->find(cur + 1);
-    if (mit == merge_frames->end()) {
-      return Status::Internal("journal gap above version " +
-                              std::to_string(cur) + where);
-    }
-    XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal->ReadFrame(mit->second));
-    XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                             DecodeMergeRecord(frame.payload));
-    XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain,
-                             ParseChain(record));
-    for (pul::Pul& pul : chain) out->push_back(std::move(pul));
+  for (uint64_t v = std::max(from, journal.meta.fork) + 1; v <= to; ++v) {
+    XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> puls,
+                             ReadVersion(journal, v));
+    for (pul::Pul& pul : puls) out->push_back(std::move(pul));
   }
   return Status::OK();
 }
@@ -428,8 +273,9 @@ Result<std::vector<pul::Pul>> VersionStore::SuffixPuls(
 
 Result<std::vector<pul::Pul>> VersionStore::RangePuls(
     const std::string& branch, uint64_t from, uint64_t to) const {
+  XUPDATE_ASSIGN_OR_RETURN(const Journal* journal, FindJournal(branch));
   std::vector<pul::Pul> out;
-  XUPDATE_RETURN_IF_ERROR(CollectPuls(branch, from, to, &out));
+  XUPDATE_RETURN_IF_ERROR(CollectPuls(*journal, from, to, &out));
   return out;
 }
 
@@ -476,7 +322,7 @@ Status VersionStore::AppendBranchLogRecord(const std::string& payload) {
   if (!has_branch_log_) {
     XUPDATE_ASSIGN_OR_RETURN(
         branch_log_, Wal::Create(dir_ + "/" + kBranchLogName,
-                                 BranchWalOptions(options_)));
+                                 ToWalOptions(options_)));
     XUPDATE_RETURN_IF_ERROR(SyncDirectory(dir_));
     has_branch_log_ = true;
   }
@@ -496,63 +342,42 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
   if (plan.branch_a == plan.branch_b) {
     return Status::InvalidArgument("merge of a branch with itself");
   }
-  // Side handles, "main" included.
   struct Side {
-    std::string name;
-    uint64_t head = 0;
-    const xml::Document* doc = nullptr;
-    Wal* wal = nullptr;
+    Journal* journal = nullptr;
     const std::vector<pul::Pul>* chain = nullptr;
     uint64_t base = 0;
     xml::Document merged;        // head doc + chain, when chain nonempty
     uint64_t pre_size = 0;       // journal bytes before the sync
     bool appended = false;
   };
-  auto bind = [this](const std::string& name, Side* side) -> Status {
-    side->name = name;
-    if (name == "main") {
-      side->head = head_;
-      side->doc = &doc_;
-      side->wal = &wal_;
-      return Status::OK();
-    }
-    auto it = branches_.find(name);
-    if (it == branches_.end()) {
-      return Status::NotFound("branch not found: " + name);
-    }
-    side->head = it->second.head;
-    side->doc = &it->second.doc;
-    side->wal = &it->second.wal;
-    return Status::OK();
-  };
   Side a, b;
-  XUPDATE_RETURN_IF_ERROR(bind(plan.branch_a, &a));
-  XUPDATE_RETURN_IF_ERROR(bind(plan.branch_b, &b));
+  XUPDATE_ASSIGN_OR_RETURN(a.journal, FindJournal(plan.branch_a));
+  XUPDATE_ASSIGN_OR_RETURN(b.journal, FindJournal(plan.branch_b));
   a.chain = &plan.chain_a;
   b.chain = &plan.chain_b;
   a.base = plan.base_a;
   b.base = plan.base_b;
   if (a.chain->empty() && b.chain->empty()) {
-    return MergeCommitResult{a.head, b.head, false, false};
+    return MergeCommitResult{a.journal->head, b.journal->head, false, false};
   }
   // Both chains must land byte-exactly on one shared merged state
   // before anything touches a journal. A side without a chain is
   // already there.
   for (Side* side : {&a, &b}) {
     if (side->chain->empty()) continue;
-    side->merged = *side->doc;
+    side->merged = side->journal->doc;
     for (const pul::Pul& pul : *side->chain) {
       XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&side->merged, pul));
     }
   }
   auto landed = [](const Side& side) -> const xml::Document& {
-    return side.chain->empty() ? *side.doc : side.merged;
+    return side.chain->empty() ? side.journal->doc : side.merged;
   };
   XUPDATE_ASSIGN_OR_RETURN(
       bool converged, xml::Document::SameAnnotated(landed(a), landed(b)));
   if (!converged) {
     return Status::Internal(
-        "merge chains of " + a.name + " and " + b.name +
+        "merge chains of " + plan.branch_a + " and " + plan.branch_b +
         " do not land on one state");
   }
   // Journal phase. Frames are fsync'd unconditionally — the recovery
@@ -561,12 +386,12 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
   auto roll_back_frames = [this, &a, &b](const Status& cause) -> Status {
     for (Side* side : {&a, &b}) {
       if (!side->appended) continue;
-      Status undone = TruncateWalTo(side->wal, side->pre_size,
-                                    BranchWalOptions(options_));
+      Status undone = TruncateWalTo(&side->journal->wal, side->pre_size,
+                                    ToWalOptions(options_));
       if (!undone.ok()) {
         return Status::IoError(
             "merge journal write failed (" + cause.message() +
-            ") and rolling back " + side->name +
+            ") and rolling back " + side->journal->meta.name +
             " also failed (" + undone.message() +
             "); reopen the store to recover");
       }
@@ -577,8 +402,8 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
     if (side->chain->empty()) continue;
     const Side& other = (side == &a) ? b : a;
     MergeRecord record;
-    record.other = other.name;
-    record.other_parent = other.head;
+    record.other = other.journal->meta.name;
+    record.other_parent = other.journal->head;
     record.base_own = side->base;
     record.base_other = other.base;
     record.chain.reserve(side->chain->size());
@@ -588,44 +413,36 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
     }
     WalFrame frame;
     frame.type = FrameType::kMerge;
-    frame.version = side->head + 1;
-    frame.aux = side->head;
+    frame.version = side->journal->head + 1;
+    frame.aux = side->journal->head;
     frame.payload = EncodeMergeRecord(record);
-    side->pre_size = side->wal->size_bytes();
-    Status appended = side->wal->Append(frame, /*defer_sync=*/true);
+    Wal& wal = side->journal->wal;
+    side->pre_size = wal.size_bytes();
+    Status appended = wal.Append(frame, /*defer_sync=*/true);
     if (!appended.ok()) return roll_back_frames(appended);
     side->appended = true;
-    Status synced = side->wal->Sync();
+    Status synced = wal.Sync();
     if (!synced.ok()) return roll_back_frames(synced);
   }
   // Commit point: the sync record. Until it is durable the merge does
   // not exist — Open truncates the frames above.
   SyncRecord sync;
-  sync.branch_a = a.name;
-  sync.branch_b = b.name;
+  sync.branch_a = plan.branch_a;
+  sync.branch_b = plan.branch_b;
   sync.frame_a = !a.chain->empty();
   sync.frame_b = !b.chain->empty();
-  sync.version_a = a.head + (sync.frame_a ? 1 : 0);
-  sync.version_b = b.head + (sync.frame_b ? 1 : 0);
+  sync.version_a = a.journal->head + (sync.frame_a ? 1 : 0);
+  sync.version_b = b.journal->head + (sync.frame_b ? 1 : 0);
   Status recorded = AppendBranchLogRecord(EncodeSyncRecord(sync));
   if (!recorded.ok()) return roll_back_frames(recorded);
   // Install in memory.
   for (Side* side : {&a, &b}) {
     if (side->chain->empty()) continue;
-    if (side->name == "main") {
-      doc_ = std::move(side->merged);
-      ++head_;
-      merge_frames_[head_] = wal_.frames().back();
-      Status checkpoint = MaybeCheckpoint();
-      if (!checkpoint.ok() && options_.metrics != nullptr) {
-        options_.metrics->AddCounter("store.checkpoint.failures");
-      }
-    } else {
-      BranchState& state = branches_.at(side->name);
-      state.doc = std::move(side->merged);
-      ++state.head;
-      state.merge_frames[state.head] = state.wal.frames().back();
-    }
+    Journal& journal = *side->journal;
+    journal.doc = std::move(side->merged);
+    ++journal.head;
+    journal.frames.push_back(journal.wal.frames().back());
+    if (IsRoot(journal)) MaybeCheckpoint();
   }
   if (options_.metrics != nullptr) {
     options_.metrics->AddCounter("store.merge.commit.count");
@@ -638,7 +455,8 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
 
 Status VersionStore::RewriteBranch(const std::string& name,
                                    uint64_t new_fork,
-                                   const std::vector<pul::Pul>& commits) {
+                                   const std::vector<pul::Pul>& commits,
+                                   xml::Document head_doc) {
   auto it = branches_.find(name);
   if (it == branches_.end()) {
     return Status::NotFound("branch not found: " + name);
@@ -653,22 +471,8 @@ Status VersionStore::RewriteBranch(const std::string& name,
           other_name + " forks from it");
     }
   }
-  BranchState& b = it->second;
-  uint64_t parent_head = 0;
-  if (b.meta.parent == "main") {
-    parent_head = head_;
-  } else {
-    auto pit = branches_.find(b.meta.parent);
-    if (pit == branches_.end()) {
-      return Status::NotFound("parent branch not found: " + b.meta.parent);
-    }
-    parent_head = pit->second.head;
-  }
-  if (new_fork > parent_head) {
-    return Status::InvalidArgument(
-        "new fork " + std::to_string(new_fork) + " beyond head " +
-        std::to_string(parent_head) + " of branch " + b.meta.parent);
-  }
+  Journal& b = it->second;
+  XUPDATE_RETURN_IF_ERROR(ForkParent(b.meta.parent, new_fork).status());
   // Void the branch's sync records FIRST: if the rewrite below never
   // lands (crash), the old journal is still self-consistent and merge
   // bases just fall back to the fork point.
@@ -693,12 +497,33 @@ Status VersionStore::RewriteBranch(const std::string& name,
     content += Wal::EncodeFrame(frame);
   }
   std::string path = BranchJournalPath(name);
-  XUPDATE_RETURN_IF_ERROR(b.wal.Close());
-  XUPDATE_RETURN_IF_ERROR(WriteFileAtomic(path, content));
-  XUPDATE_ASSIGN_OR_RETURN(b.wal,
-                           Wal::Open(path, BranchWalOptions(options_)));
-  XUPDATE_RETURN_IF_ERROR(BuildBranchIndex(&b));
-  XUPDATE_ASSIGN_OR_RETURN(b.doc, CheckoutBranch(name, b.head));
+  std::string staged = path + ".tmp";
+  // Until the staged journal is durable the branch keeps its old handle,
+  // so a failed write leaves it on its old journal, still writable.
+  XUPDATE_RETURN_IF_ERROR(WriteFileSynced(staged, content));
+  // The staged journal holds every commit the old one keeps; its close
+  // status cannot change what the branch holds after the rename.
+  (void)b.wal.Close();
+  Status renamed = RenameFile(staged, path);
+  if (!renamed.ok() && PathExists(staged)) {
+    // The rename did not happen: reopen the old journal, which is still
+    // at `path` with the frames the index points at.
+    (void)RemoveFile(staged);
+    XUPDATE_ASSIGN_OR_RETURN(b.wal, Wal::Open(path, ToWalOptions(options_)));
+    return renamed;
+  }
+  // The rewritten journal is at `path`, even when only the directory
+  // sync after the rename failed: the branch adopts it before reporting
+  // that failure, so no later append reaches the unlinked old journal.
+  // Until the adoption succeeds the old handle stays closed and branch
+  // commits fail loudly.
+  Journal rewritten;
+  XUPDATE_ASSIGN_OR_RETURN(rewritten.wal,
+                           Wal::Open(path, ToWalOptions(options_)));
+  XUPDATE_RETURN_IF_ERROR(BuildIndex(&rewritten));
+  rewritten.doc = std::move(head_doc);
+  b = std::move(rewritten);
+  XUPDATE_RETURN_IF_ERROR(renamed);
   if (options_.metrics != nullptr) {
     options_.metrics->AddCounter("store.branch.rewrite.count");
   }
@@ -706,55 +531,6 @@ Status VersionStore::RewriteBranch(const std::string& name,
 }
 
 // --- Open-time recovery ---------------------------------------------------
-
-Status VersionStore::BuildBranchIndex(BranchState* branch) {
-  branch->pul_frames.clear();
-  branch->merge_frames.clear();
-  const std::vector<WalFrameInfo>& frames = branch->wal.frames();
-  if (frames.empty() || frames[0].type != FrameType::kBranchMeta) {
-    return Status::ParseError("branch journal " + branch->wal.path() +
-                              " does not start with a metadata frame");
-  }
-  XUPDATE_ASSIGN_OR_RETURN(WalFrame meta_frame,
-                           branch->wal.ReadFrame(frames[0]));
-  XUPDATE_ASSIGN_OR_RETURN(branch->meta,
-                           DecodeBranchMeta(meta_frame.payload));
-  uint64_t cur = branch->meta.fork;
-  for (size_t i = 1; i < frames.size(); ++i) {
-    const WalFrameInfo& info = frames[i];
-    switch (info.type) {
-      case FrameType::kPul:
-        if (info.version != cur + 1) {
-          return Status::ParseError(
-              "branch " + branch->meta.name + " journal gap: version " +
-              std::to_string(info.version) + " after " +
-              std::to_string(cur));
-        }
-        branch->pul_frames[info.version] = info;
-        cur = info.version;
-        break;
-      case FrameType::kMerge:
-        if (info.version != cur + 1 || info.aux != cur) {
-          return Status::ParseError(
-              "branch " + branch->meta.name +
-              " journal gap: merge frame for version " +
-              std::to_string(info.version) + " after " +
-              std::to_string(cur));
-        }
-        branch->merge_frames[info.version] = info;
-        cur = info.version;
-        break;
-      default:
-        return Status::ParseError(
-            "branch " + branch->meta.name +
-            " journal holds an unexpected frame type " +
-            std::to_string(static_cast<int>(info.type)) + " at offset " +
-            std::to_string(info.offset));
-    }
-  }
-  branch->head = cur;
-  return Status::OK();
-}
 
 Status VersionStore::RollBackTornSyncs(Wal* wal,
                                        const std::string& branch_name,
@@ -768,7 +544,7 @@ Status VersionStore::RollBackTornSyncs(Wal* wal,
     // head (its twin on the other journal gets the same treatment).
     uint64_t cut = last.offset;
     XUPDATE_RETURN_IF_ERROR(
-        TruncateWalTo(wal, cut, BranchWalOptions(options_)));
+        TruncateWalTo(wal, cut, ToWalOptions(options_)));
     ++*rolled_back;
     if (options_.metrics != nullptr) {
       options_.metrics->AddCounter("store.merge.rolled_back");
@@ -791,49 +567,26 @@ Status VersionStore::OpenBranches(OpenReport* report) {
     }
     std::string name =
         entry.substr(prefix_len, entry.size() - prefix_len - suffix_len);
-    BranchState branch;
-    XUPDATE_ASSIGN_OR_RETURN(
-        branch.wal,
-        Wal::Open(dir_ + "/" + entry, BranchWalOptions(options_)));
-    XUPDATE_RETURN_IF_ERROR(BuildBranchIndex(&branch));
-    if (branch.meta.name != name) {
-      return Status::ParseError(
-          "branch journal " + entry + " declares name \"" +
-          branch.meta.name + "\"");
-    }
     XUPDATE_RETURN_IF_ERROR(ValidateBranchName(name));
-    XUPDATE_RETURN_IF_ERROR(
-        RollBackTornSyncs(&branch.wal, name, &report->merges_rolled_back));
-    XUPDATE_RETURN_IF_ERROR(BuildBranchIndex(&branch));
+    Journal branch;
+    XUPDATE_RETURN_IF_ERROR(OpenJournal(dir_ + "/" + entry, name, &branch,
+                                        nullptr,
+                                        &report->merges_rolled_back));
     branches_.emplace(name, std::move(branch));
   }
   // Parent links: every branch must chain to the mainline and fork at
   // or below its parent's recovered head.
   for (const auto& [name, branch] : branches_) {
     XUPDATE_RETURN_IF_ERROR(Lineage(name).status());
-    uint64_t parent_head = 0;
-    if (branch.meta.parent == "main") {
-      parent_head = head_;
-    } else {
-      auto pit = branches_.find(branch.meta.parent);
-      if (pit == branches_.end()) {
-        return Status::ParseError("branch " + name +
-                                  " references unknown parent " +
-                                  branch.meta.parent);
-      }
-      parent_head = pit->second.head;
-    }
-    if (branch.meta.fork > parent_head) {
-      return Status::ParseError(
-          "branch " + name + " forks at version " +
-          std::to_string(branch.meta.fork) + " beyond recovered head " +
-          std::to_string(parent_head) + " of " + branch.meta.parent);
+    Status parent = ForkParent(branch.meta.parent, branch.meta.fork).status();
+    if (!parent.ok()) {
+      return Status::ParseError("branch " + name + ": " + parent.message());
     }
   }
   // Head documents (order-free: checkout never reads another branch's
   // cached head document).
   for (auto& [name, branch] : branches_) {
-    XUPDATE_ASSIGN_OR_RETURN(branch.doc, CheckoutBranch(name, branch.head));
+    XUPDATE_ASSIGN_OR_RETURN(branch.doc, CheckoutJournal(branch, branch.head));
   }
   report->branches = branches_.size();
   return Status::OK();
@@ -875,74 +628,6 @@ Status VersionStore::VerifyMergeFrame(const std::string& branch,
         std::to_string(other.head) + " of " + record.other);
   }
   return Status::OK();
-}
-
-Result<BranchVerifyResult> VersionStore::VerifyBranch(
-    const std::string& name) const {
-  auto it = branches_.find(name);
-  if (it == branches_.end()) {
-    return Status::NotFound("branch not found: " + name);
-  }
-  const BranchState& b = it->second;
-  BranchVerifyResult result;
-  result.name = name;
-  result.head = b.head;
-  // Structural re-scan: every frame must decode CRC-clean with no
-  // trailing garbage.
-  XUPDATE_ASSIGN_OR_RETURN(std::string data,
-                           ReadFileToString(b.wal.path()));
-  if (data.size() < Wal::kMagicSize ||
-      data.compare(0, Wal::kMagicSize, Wal::kMagic, Wal::kMagicSize) != 0) {
-    return Status::ParseError("bad journal magic in " + b.wal.path());
-  }
-  size_t offset = Wal::kMagicSize;
-  while (offset < data.size()) {
-    XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, Wal::DecodeFrame(data, &offset));
-    (void)frame;
-    ++result.frames;
-  }
-  if (result.frames != b.wal.frames().size()) {
-    return Status::ParseError("branch " + name +
-                              " frame directory out of sync");
-  }
-  // Forward replay from the fork point must land on the in-memory head
-  // document byte-for-byte; every merge frame must resolve.
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
-                           CheckoutBranch(b.meta.parent, b.meta.fork));
-  for (uint64_t v = b.meta.fork + 1; v <= b.head; ++v) {
-    auto pit = b.pul_frames.find(v);
-    if (pit != b.pul_frames.end()) {
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, b.wal.ReadFrame(pit->second));
-      XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(frame.payload));
-      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-    } else {
-      auto mit = b.merge_frames.find(v);
-      if (mit == b.merge_frames.end()) {
-        return Status::ParseError("branch " + name +
-                                  " has no frame for version " +
-                                  std::to_string(v));
-      }
-      XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, b.wal.ReadFrame(mit->second));
-      XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
-                               DecodeMergeRecord(frame.payload));
-      XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> chain,
-                               ParseChain(record));
-      for (const pul::Pul& pul : chain) {
-        XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
-      }
-      XUPDATE_RETURN_IF_ERROR(
-          VerifyMergeFrame(name, v, mit->second.aux, record));
-      ++result.merges_checked;
-    }
-    ++result.replayed_versions;
-  }
-  XUPDATE_ASSIGN_OR_RETURN(bool same,
-                           xml::Document::SameAnnotated(doc, b.doc));
-  if (!same) {
-    return Status::ParseError("branch " + name +
-                              " replay diverges from its head document");
-  }
-  return result;
 }
 
 }  // namespace xupdate::store

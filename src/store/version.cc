@@ -17,18 +17,6 @@ namespace xupdate::store {
 
 namespace {
 
-constexpr char kJournalName[] = "wal.log";
-constexpr char kBranchLogName[] = "branches.log";
-
-WalOptions ToWalOptions(const StoreOptions& options) {
-  WalOptions wal;
-  wal.fsync = options.fsync;
-  wal.batch_interval = options.batch_interval;
-  wal.fail_after_bytes = options.fail_after_bytes;
-  wal.metrics = options.metrics;
-  return wal;
-}
-
 // Kinds a same-target repN/del overrides (O1's overridable set; mirrors
 // core/invert.cc, which enforces exactly these as preconditions).
 bool IsO1Overridable(pul::OpKind kind) {
@@ -135,6 +123,15 @@ Result<std::string> VersionStore::SerializeAnnotated(
   return xml::SerializeDocument(doc, options);
 }
 
+WalOptions VersionStore::ToWalOptions(const StoreOptions& options) {
+  WalOptions wal;
+  wal.fsync = options.fsync;
+  wal.batch_interval = options.batch_interval;
+  wal.fail_after_bytes = options.fail_after_bytes;
+  wal.metrics = options.metrics;
+  return wal;
+}
+
 Status VersionStore::Init(const std::string& dir,
                           std::string_view initial_xml,
                           const StoreOptions& options) {
@@ -183,33 +180,34 @@ Result<VersionStore> VersionStore::Open(const std::string& dir,
     }
   }
   WalRecovery recovery;
-  XUPDATE_ASSIGN_OR_RETURN(
-      store.wal_,
-      Wal::Open(dir + "/" + kJournalName, ToWalOptions(options), &recovery));
   size_t merges_rolled_back = 0;
-  XUPDATE_RETURN_IF_ERROR(
-      store.RollBackTornSyncs(&store.wal_, "main", &merges_rolled_back));
+  store.main_.meta.name = "main";
+  XUPDATE_RETURN_IF_ERROR(store.OpenJournal(dir + "/" + kJournalName,
+                                            store.main_.meta.name,
+                                            &store.main_, &recovery,
+                                            &merges_rolled_back));
   XUPDATE_ASSIGN_OR_RETURN(store.snapshots_,
                            SnapshotStore::Open(dir, options.metrics));
-  XUPDATE_RETURN_IF_ERROR(store.BuildIndex());
   // Checkpoints above the recovered head outlived a journal tail lost
   // in a crash (possible under fsync=batch/never). Delete them — kept
   // around, a later commit past their version would make
   // NearestAtOrBelow hand Checkout pre-crash bytes as a replay base.
   XUPDATE_ASSIGN_OR_RETURN(size_t stale_snapshots,
-                           store.snapshots_.RemoveAbove(store.head_));
-  XUPDATE_ASSIGN_OR_RETURN(store.doc_, store.Checkout(store.head_));
+                           store.snapshots_.RemoveAbove(store.main_.head));
+  XUPDATE_ASSIGN_OR_RETURN(store.main_.doc,
+                           store.CheckoutJournal(store.main_,
+                                                 store.main_.head));
   uint64_t nearest = 0;
-  if (!store.snapshots_.NearestAtOrBelow(store.head_, &nearest)) {
+  if (!store.snapshots_.NearestAtOrBelow(store.main_.head, &nearest)) {
     return Status::ParseError("store has no base checkpoint: " + dir);
   }
   store.last_checkpoint_version_ = nearest;
-  store.wal_bytes_at_checkpoint_ = store.wal_.size_bytes();
+  store.wal_bytes_at_checkpoint_ = store.main_.wal.size_bytes();
   OpenReport branch_report;
   XUPDATE_RETURN_IF_ERROR(store.OpenBranches(&branch_report));
   if (report != nullptr) {
     report->wal = recovery;
-    report->head = store.head_;
+    report->head = store.main_.head;
     report->snapshots = store.snapshots_.versions().size();
     report->snapshots_ignored =
         store.snapshots_.skipped_files() + stale_snapshots;
@@ -221,7 +219,7 @@ Result<VersionStore> VersionStore::Open(const std::string& dir,
     obs::TraceLane lane =
         options.tracer->Lane(options.tracer->NextPhase(), 0, "store");
     lane.Emit(obs::EventKind::kNote, "open", {}, "",
-              "head=" + std::to_string(store.head_) +
+              "head=" + std::to_string(store.main_.head) +
                   " frames=" + std::to_string(recovery.frames) +
                   " truncated_bytes=" +
                   std::to_string(recovery.truncated_bytes) +
@@ -231,91 +229,145 @@ Result<VersionStore> VersionStore::Open(const std::string& dir,
   return store;
 }
 
-Status VersionStore::BuildIndex() {
-  pul_frames_.clear();
-  merge_frames_.clear();
-  uint64_t cur = 0;
-  for (const WalFrameInfo& info : wal_.frames()) {
-    switch (info.type) {
-      case FrameType::kPul: {
-        if (info.version != cur + 1) {
-          return Status::ParseError(
-              "journal gap: PUL frame for version " +
-              std::to_string(info.version) + " after version " +
-              std::to_string(cur));
-        }
-        pul_frames_[info.version] = info;
-        cur = info.version;
-        break;
-      }
-      case FrameType::kMerge: {
-        if (info.version != cur + 1 || info.aux != cur) {
-          return Status::ParseError(
-              "journal gap: merge frame for version " +
-              std::to_string(info.version) + " (parent " +
-              std::to_string(info.aux) + ") after version " +
-              std::to_string(cur));
-        }
-        merge_frames_[info.version] = info;
-        cur = info.version;
-        break;
-      }
-      case FrameType::kSnapshot:
-        return Status::ParseError(
-            "journal structure: snapshot frame inside journal");
-      case FrameType::kBranchMeta:
-        return Status::ParseError(
-            "journal structure: branch metadata frame inside the "
-            "mainline journal");
-      default:
-        // Wal::Open fails on unknown frame types before BuildIndex can
-        // run; this is a second, independent guard against silently
-        // skipping a frame a future format might add.
-        return Status::InvalidArgument(
-            "journal structure: unknown frame type " +
-            std::to_string(static_cast<int>(info.type)) +
-            " for version " + std::to_string(info.version));
-    }
+// --- Journals -------------------------------------------------------------
+
+Result<const VersionStore::Journal*> VersionStore::FindJournal(
+    const std::string& name) const {
+  if (name == main_.meta.name) return &main_;
+  auto it = branches_.find(name);
+  if (it == branches_.end()) {
+    return Status::NotFound("branch not found: " + name);
   }
-  head_ = cur;
+  return &it->second;
+}
+
+Result<VersionStore::Journal*> VersionStore::FindJournal(
+    const std::string& name) {
+  XUPDATE_ASSIGN_OR_RETURN(
+      const Journal* journal,
+      static_cast<const VersionStore*>(this)->FindJournal(name));
+  return const_cast<Journal*>(journal);
+}
+
+Status VersionStore::OpenJournal(const std::string& path,
+                                 const std::string& name, Journal* journal,
+                                 WalRecovery* recovery,
+                                 size_t* rolled_back) {
+  XUPDATE_ASSIGN_OR_RETURN(journal->wal,
+                           Wal::Open(path, ToWalOptions(options_), recovery));
+  // Index and name-check before truncating anything: a journal Open
+  // refuses must keep its bytes.
+  XUPDATE_RETURN_IF_ERROR(BuildIndex(journal));
+  if (journal->meta.name != name) {
+    return Status::ParseError("journal " + path + " declares name \"" +
+                              journal->meta.name + "\"");
+  }
+  size_t dropped = 0;
+  XUPDATE_RETURN_IF_ERROR(RollBackTornSyncs(&journal->wal, name, &dropped));
+  *rolled_back += dropped;
+  if (dropped > 0) XUPDATE_RETURN_IF_ERROR(BuildIndex(journal));
   return Status::OK();
 }
 
-Result<pul::Pul> VersionStore::ReadPul(const WalFrameInfo& info) const {
-  XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal_.ReadFrame(info));
-  return pul::ParsePul(frame.payload);
+Status VersionStore::BuildIndex(Journal* journal) const {
+  const std::vector<WalFrameInfo>& frames = journal->wal.frames();
+  const std::string& path = journal->wal.path();
+  size_t first = 0;
+  if (!IsRoot(*journal)) {
+    if (frames.empty() || frames[0].type != FrameType::kBranchMeta) {
+      return Status::ParseError("branch journal " + path +
+                                " does not start with a metadata frame");
+    }
+    XUPDATE_ASSIGN_OR_RETURN(WalFrame meta_frame,
+                             journal->wal.ReadFrame(frames[0]));
+    XUPDATE_ASSIGN_OR_RETURN(journal->meta,
+                             DecodeBranchMeta(meta_frame.payload));
+    first = 1;
+  }
+  journal->frames.clear();
+  uint64_t cur = journal->meta.fork;
+  for (size_t i = first; i < frames.size(); ++i) {
+    const WalFrameInfo& info = frames[i];
+    if (info.type != FrameType::kPul && info.type != FrameType::kMerge) {
+      // Wal::Open already refuses unknown type bytes; a snapshot or
+      // metadata frame here is a known type in the wrong file.
+      return Status::ParseError(
+          "journal " + path + " holds an unexpected frame type " +
+          std::to_string(static_cast<int>(info.type)) + " at offset " +
+          std::to_string(info.offset));
+    }
+    if (info.version != cur + 1 ||
+        (info.type == FrameType::kMerge && info.aux != cur)) {
+      return Status::ParseError(
+          "journal " + path + " gap: frame for version " +
+          std::to_string(info.version) + " (aux " + std::to_string(info.aux) +
+          ") after version " + std::to_string(cur));
+    }
+    journal->frames.push_back(info);
+    cur = info.version;
+  }
+  journal->head = cur;
+  return Status::OK();
 }
 
-Status VersionStore::ReplayVersion(uint64_t v, xml::Document* doc,
-                                   MergeRecord* merge) const {
-  auto it = pul_frames_.find(v);
-  if (it != pul_frames_.end()) {
-    XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, ReadPul(it->second));
-    return pul::ApplyPul(doc, pul);
+Result<std::vector<pul::Pul>> VersionStore::ReadVersion(
+    const Journal& journal, uint64_t v, MergeRecord* merge) {
+  if (v <= journal.meta.fork || v - journal.meta.fork > journal.frames.size()) {
+    return Status::Internal("journal " + journal.wal.path() +
+                            " has no frame for version " + std::to_string(v));
   }
-  auto mit = merge_frames_.find(v);
-  if (mit == merge_frames_.end()) {
-    return Status::ParseError("journal gap above version " +
-                              std::to_string(v - 1));
+  const WalFrameInfo& info = journal.frames[v - journal.meta.fork - 1];
+  XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, journal.wal.ReadFrame(info));
+  std::vector<pul::Pul> puls;
+  if (info.type == FrameType::kPul) {
+    XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(frame.payload));
+    puls.push_back(std::move(pul));
+    return puls;
   }
   // A merge commit replays as its chain: the undo PULs down to the
   // merge base, then the reconciled merge PUL (store/records.h).
-  XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, wal_.ReadFrame(mit->second));
   XUPDATE_ASSIGN_OR_RETURN(MergeRecord record,
                            DecodeMergeRecord(frame.payload));
+  puls.reserve(record.chain.size());
   for (const std::string& text : record.chain) {
     XUPDATE_ASSIGN_OR_RETURN(pul::Pul pul, pul::ParsePul(text));
-    XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(doc, pul));
+    puls.push_back(std::move(pul));
   }
   if (merge != nullptr) *merge = std::move(record);
+  return puls;
+}
+
+Status VersionStore::ReplayForward(const Journal& journal, uint64_t from,
+                                   uint64_t to, xml::Document* doc) {
+  for (uint64_t v = from + 1; v <= to; ++v) {
+    XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> puls,
+                             ReadVersion(journal, v));
+    for (const pul::Pul& pul : puls) {
+      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(doc, pul));
+    }
+  }
   return Status::OK();
 }
 
-Result<xml::Document> VersionStore::Checkout(uint64_t v) const {
-  if (v > head_) {
+Result<xml::Document> VersionStore::CheckoutJournal(const Journal& journal,
+                                                    uint64_t v) const {
+  if (v > journal.head) {
     return Status::InvalidArgument(
         "version " + std::to_string(v) + " beyond head " +
-        std::to_string(head_));
+        std::to_string(journal.head) +
+        (IsRoot(journal) ? "" : " of branch " + journal.meta.name));
+  }
+  if (!IsRoot(journal)) {
+    // Versions at or below the fork live on the parent chain — this is
+    // where a branch borrows the mainline's snapshot checkpoints.
+    XUPDATE_ASSIGN_OR_RETURN(const Journal* parent,
+                             FindJournal(journal.meta.parent));
+    if (v <= journal.meta.fork) return CheckoutJournal(*parent, v);
+    XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
+                             CheckoutJournal(*parent, journal.meta.fork));
+    XUPDATE_RETURN_IF_ERROR(
+        ReplayForward(journal, journal.meta.fork, v, &doc));
+    return doc;
   }
   ScopedTimer timer(options_.metrics, "store.checkout.seconds");
   uint64_t base = 0;
@@ -326,9 +378,7 @@ Result<xml::Document> VersionStore::Checkout(uint64_t v) const {
   XUPDATE_ASSIGN_OR_RETURN(std::string annotated, snapshots_.Read(base));
   XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
                            xml::ParseDocument(annotated));
-  for (uint64_t cur = base; cur < v; ++cur) {
-    XUPDATE_RETURN_IF_ERROR(ReplayVersion(cur + 1, &doc, nullptr));
-  }
+  XUPDATE_RETURN_IF_ERROR(ReplayForward(journal, base, v, &doc));
   if (options_.metrics != nullptr) {
     options_.metrics->AddCounter("store.checkout.count");
     options_.metrics->AddCounter("store.checkout.replayed_frames",
@@ -337,46 +387,43 @@ Result<xml::Document> VersionStore::Checkout(uint64_t v) const {
   return doc;
 }
 
+Result<xml::Document> VersionStore::Checkout(uint64_t v) const {
+  return CheckoutJournal(main_, v);
+}
+
 Result<std::string> VersionStore::CheckoutXml(uint64_t v) const {
   XUPDATE_ASSIGN_OR_RETURN(xml::Document doc, Checkout(v));
   return SerializeAnnotated(doc);
 }
 
-Result<uint64_t> VersionStore::Commit(const pul::Pul& pul) {
-  ScopedTimer timer(options_.metrics, "store.commit.seconds");
-  XUPDATE_RETURN_IF_ERROR(pul::CheckPulApplicable(doc_, pul));
-  XUPDATE_ASSIGN_OR_RETURN(std::string payload, pul::SerializePul(pul));
+// --- Commit ---------------------------------------------------------------
+
+Result<uint64_t> VersionStore::CommitPul(Journal* journal,
+                                         const pul::Pul& pul) {
+  const bool root = IsRoot(*journal);
+  ScopedTimer timer(options_.metrics, root ? "store.commit.seconds"
+                                           : "store.branch.commit.seconds");
+  XUPDATE_RETURN_IF_ERROR(pul::CheckPulApplicable(journal->doc, pul));
   WalFrame frame;
   frame.type = FrameType::kPul;
-  frame.version = head_ + 1;
-  frame.payload = std::move(payload);
+  frame.version = journal->head + 1;
+  XUPDATE_ASSIGN_OR_RETURN(frame.payload, pul::SerializePul(pul));
   // WAL-first: if the append (or its fsync) fails, the in-memory state
   // is untouched and the torn tail is recovered on the next Open.
-  XUPDATE_RETURN_IF_ERROR(wal_.Append(frame));
-  XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc_, pul));
-  ++head_;
-  pul_frames_[head_] = wal_.frames().back();
+  XUPDATE_RETURN_IF_ERROR(journal->wal.Append(frame));
+  XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&journal->doc, pul));
+  ++journal->head;
+  journal->frames.push_back(journal->wal.frames().back());
   if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter("store.commit.count");
+    options_.metrics->AddCounter(root ? "store.commit.count"
+                                      : "store.branch.commit.count");
   }
-  // The version is already durable and applied; a failed checkpoint
-  // only costs replay time on later Checkouts (the cadence triggers
-  // stay armed, so the next commit retries). Failing the commit here
-  // would make callers treat a committed version as lost.
-  Status checkpoint = MaybeCheckpoint();
-  if (!checkpoint.ok()) {
-    if (options_.metrics != nullptr) {
-      options_.metrics->AddCounter("store.checkpoint.failures");
-    }
-    if (options_.tracer != nullptr) {
-      obs::TraceLane lane =
-          options_.tracer->Lane(options_.tracer->NextPhase(), 0, "store");
-      lane.Emit(obs::EventKind::kNote, "checkpoint-failed", {}, "",
-                "version=" + std::to_string(head_) + " " +
-                    checkpoint.message());
-    }
-  }
-  return head_;
+  if (root) MaybeCheckpoint();
+  return journal->head;
+}
+
+Result<uint64_t> VersionStore::Commit(const pul::Pul& pul) {
+  return CommitPul(&main_, pul);
 }
 
 Result<size_t> VersionStore::CommitBatch(
@@ -399,8 +446,8 @@ Result<size_t> VersionStore::CommitBatch(
   // Stage 1: validate each PUL against the state its predecessors in
   // the batch produce, on a scratch copy — nothing durable or visible
   // happens until the whole batch's frames are on disk.
-  xml::Document scratch = doc_;
-  uint64_t version = head_;
+  xml::Document scratch = main_.doc;
+  uint64_t version = main_.head;
   std::vector<std::pair<size_t, WalFrame>> accepted;  // index into puls
   accepted.reserve(puls.size());
   for (size_t i = 0; i < puls.size(); ++i) {
@@ -438,11 +485,11 @@ Result<size_t> VersionStore::CommitBatch(
   // policy sync; the single Sync() below makes the whole batch durable
   // at once — this is the coalescing that group commit buys.
   for (auto& [index, frame] : accepted) {
-    Status appended = wal_.Append(frame, /*defer_sync=*/true);
+    Status appended = main_.wal.Append(frame, /*defer_sync=*/true);
     if (!appended.ok()) {
       // The journal may end in a torn frame and the handle is poisoned;
-      // in-memory state (doc_, head_) is untouched, so the store still
-      // serves reads. No outcome can claim success: a frame appended
+      // the in-memory head is untouched, so the store still serves
+      // reads. No outcome can claim success: a frame appended
       // before the failure was never synced and recovery will keep or
       // drop it based on what reached disk.
       for (CommitOutcome& out : *outcomes) out.status = appended;
@@ -451,7 +498,7 @@ Result<size_t> VersionStore::CommitBatch(
   }
   if (stats != nullptr) stage_start = Clock::now();
   if (!accepted.empty() && options_.fsync != FsyncPolicy::kNever) {
-    Status synced = wal_.Sync();
+    Status synced = main_.wal.Sync();
     if (!synced.ok()) {
       for (CommitOutcome& out : *outcomes) out.status = synced;
       return synced;
@@ -460,25 +507,42 @@ Result<size_t> VersionStore::CommitBatch(
   if (stats != nullptr) stats->fsync_seconds = stage_seconds();
   // Stage 3: install. The frames are durable; adopt the scratch doc and
   // index the new frames.
-  size_t frame_base = wal_.frames().size() - accepted.size();
+  size_t frame_base = main_.wal.frames().size() - accepted.size();
   for (size_t j = 0; j < accepted.size(); ++j) {
     const WalFrame& frame = accepted[j].second;
     (*outcomes)[accepted[j].first] =
         CommitOutcome{Status::OK(), frame.version};
-    pul_frames_[frame.version] = wal_.frames()[frame_base + j];
+    main_.frames.push_back(main_.wal.frames()[frame_base + j]);
   }
-  doc_ = std::move(scratch);
-  head_ = version;
+  main_.doc = std::move(scratch);
+  main_.head = version;
   if (options_.metrics != nullptr && !accepted.empty()) {
     options_.metrics->AddCounter("store.commit.count", accepted.size());
     options_.metrics->AddCounter("store.commit_batch.count");
     options_.metrics->AddCounter("store.commit_batch.committed",
                                  accepted.size());
   }
-  // Same contract as Commit(): the versions are durable, so a failed
-  // checkpoint is reported via metrics/trace, not as a batch failure.
-  Status checkpoint = MaybeCheckpoint();
-  if (!checkpoint.ok()) {
+  MaybeCheckpoint();
+  if (stats != nullptr) {
+    stats->apply_seconds = stage_seconds();
+    stats->wal_bytes = main_.wal.size_bytes();
+  }
+  return accepted.size();
+}
+
+void VersionStore::MaybeCheckpoint() {
+  bool version_trigger =
+      options_.snapshot_every > 0 &&
+      main_.head - last_checkpoint_version_ >= options_.snapshot_every;
+  bool byte_trigger =
+      options_.snapshot_bytes > 0 &&
+      main_.wal.size_bytes() - wal_bytes_at_checkpoint_ >=
+          options_.snapshot_bytes;
+  if (!version_trigger && !byte_trigger) return;
+  Result<std::string> annotated = SerializeAnnotated(main_.doc);
+  Status written = annotated.ok() ? snapshots_.Write(main_.head, *annotated)
+                                  : annotated.status();
+  if (!written.ok()) {
     if (options_.metrics != nullptr) {
       options_.metrics->AddCounter("store.checkpoint.failures");
     }
@@ -486,38 +550,20 @@ Result<size_t> VersionStore::CommitBatch(
       obs::TraceLane lane =
           options_.tracer->Lane(options_.tracer->NextPhase(), 0, "store");
       lane.Emit(obs::EventKind::kNote, "checkpoint-failed", {}, "",
-                "version=" + std::to_string(head_) + " " +
-                    checkpoint.message());
+                "version=" + std::to_string(main_.head) + " " +
+                    written.message());
     }
+    return;
   }
-  if (stats != nullptr) {
-    stats->apply_seconds = stage_seconds();
-    stats->wal_bytes = wal_.size_bytes();
-  }
-  return accepted.size();
-}
-
-Status VersionStore::MaybeCheckpoint() {
-  bool version_trigger =
-      options_.snapshot_every > 0 &&
-      head_ - last_checkpoint_version_ >= options_.snapshot_every;
-  bool byte_trigger =
-      options_.snapshot_bytes > 0 &&
-      wal_.size_bytes() - wal_bytes_at_checkpoint_ >=
-          options_.snapshot_bytes;
-  if (!version_trigger && !byte_trigger) return Status::OK();
-  XUPDATE_ASSIGN_OR_RETURN(std::string annotated, SerializeAnnotated(doc_));
-  XUPDATE_RETURN_IF_ERROR(snapshots_.Write(head_, annotated));
-  last_checkpoint_version_ = head_;
-  wal_bytes_at_checkpoint_ = wal_.size_bytes();
+  last_checkpoint_version_ = main_.head;
+  wal_bytes_at_checkpoint_ = main_.wal.size_bytes();
   if (options_.tracer != nullptr) {
     obs::TraceLane lane =
         options_.tracer->Lane(options_.tracer->NextPhase(), 0, "store");
     lane.Emit(obs::EventKind::kNote, "checkpoint", {}, "",
-              "version=" + std::to_string(head_) + " trigger=" +
+              "version=" + std::to_string(main_.head) + " trigger=" +
                   (version_trigger ? "versions" : "bytes"));
   }
-  return Status::OK();
 }
 
 Result<pul::Pul> VersionStore::ComputeUndo(const xml::Document& pre,
@@ -535,17 +581,17 @@ Result<pul::Pul> VersionStore::ComputeUndo(const xml::Document& pre,
 }
 
 Result<uint64_t> VersionStore::Rollback(uint64_t to) {
-  if (to >= head_) {
+  if (to >= main_.head) {
     return Status::InvalidArgument(
         "rollback target " + std::to_string(to) +
-        " is not below head " + std::to_string(head_));
+        " is not below head " + std::to_string(main_.head));
   }
   ScopedTimer timer(options_.metrics, "store.rollback.seconds");
   XUPDATE_ASSIGN_OR_RETURN(xml::Document target, Checkout(to));
   // A merge version contributes one undo per chain member, so the
   // chain may be longer than head - to.
-  XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> puls,
-                           RangePuls("main", to, head_));
+  std::vector<pul::Pul> puls;
+  XUPDATE_RETURN_IF_ERROR(CollectPuls(main_, to, main_.head, &puls));
   XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> undos,
                            UndoChainFrom(target, puls));
   // Prefer one verified fold of the chain as a single commit.
@@ -555,7 +601,7 @@ Result<uint64_t> VersionStore::Rollback(uint64_t to) {
     fold_options.metrics = options_.metrics;
     fold_options.tracer = options_.tracer;
     Result<pul::Pul> folded =
-        core::FoldVerified(undos, doc_, target, fold_options);
+        core::FoldVerified(undos, main_.doc, target, fold_options);
     if (folded.ok()) {
       XUPDATE_ASSIGN_OR_RETURN(uint64_t version, Commit(*folded));
       if (options_.metrics != nullptr) {
@@ -575,7 +621,7 @@ Result<uint64_t> VersionStore::Rollback(uint64_t to) {
   // The chain is the ground truth: applying it must land on the target
   // exactly before anything is committed.
   {
-    xml::Document scratch = doc_;
+    xml::Document scratch = main_.doc;
     for (const pul::Pul& undo : undos) {
       XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&scratch, undo));
     }
@@ -587,7 +633,7 @@ Result<uint64_t> VersionStore::Rollback(uint64_t to) {
           std::to_string(to));
     }
   }
-  uint64_t version = head_;
+  uint64_t version = main_.head;
   for (const pul::Pul& undo : undos) {
     XUPDATE_ASSIGN_OR_RETURN(version, Commit(undo));
   }
@@ -600,81 +646,96 @@ Result<uint64_t> VersionStore::Rollback(uint64_t to) {
 Result<VerifyReport> VersionStore::Verify() const {
   ScopedTimer timer(options_.metrics, "store.verify.seconds");
   VerifyReport report;
-  report.head = head_;
   report.snapshots = snapshots_.versions().size();
-  // Structural re-scan: every byte of the journal must decode into
-  // CRC-clean frames with no trailing garbage.
-  XUPDATE_ASSIGN_OR_RETURN(std::string data,
-                           ReadFileToString(wal_.path()));
-  if (data.size() < Wal::kMagicSize ||
-      data.compare(0, Wal::kMagicSize, Wal::kMagic, Wal::kMagicSize) != 0) {
-    return Status::ParseError("bad journal magic");
-  }
-  size_t offset = Wal::kMagicSize;
-  while (offset < data.size()) {
-    XUPDATE_ASSIGN_OR_RETURN(WalFrame frame,
-                             Wal::DecodeFrame(data, &offset));
-    (void)frame;
-    ++report.frames;
-  }
-  if (report.frames != wal_.frames().size()) {
-    return Status::ParseError("journal frame directory out of sync");
-  }
-  // Forward replay from the base checkpoint: every checkpointed version
-  // must serialize to exactly its checkpoint bytes.
-  XUPDATE_ASSIGN_OR_RETURN(std::string base_xml, snapshots_.Read(0));
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
-                           xml::ParseDocument(base_xml));
-  ++report.snapshots_checked;
-  for (uint64_t cur = 1; cur <= head_; ++cur) {
-    MergeRecord record;
-    XUPDATE_RETURN_IF_ERROR(ReplayVersion(cur, &doc, &record));
-    ++report.replayed_versions;
-    auto mit = merge_frames_.find(cur);
-    if (mit != merge_frames_.end()) {
-      // Both parents must stay resolvable, and the sync record that
-      // made this merge effective must exist.
-      XUPDATE_RETURN_IF_ERROR(
-          VerifyMergeFrame("main", cur, mit->second.aux, record));
-      ++report.merges_checked;
-    }
-    if (snapshots_.Has(cur)) {
-      XUPDATE_ASSIGN_OR_RETURN(std::string expect, snapshots_.Read(cur));
-      XUPDATE_ASSIGN_OR_RETURN(std::string got, SerializeAnnotated(doc));
-      if (got != expect) {
-        return Status::ParseError(
-            "checkpoint for version " + std::to_string(cur) +
-            " does not match replay");
-      }
-      ++report.snapshots_checked;
-    }
-  }
-  // Every branch journal gets the same treatment: structural re-scan,
-  // forward replay from the fork point, merge-frame resolution.
+  XUPDATE_ASSIGN_OR_RETURN(BranchVerifyResult mainline,
+                           VerifyJournal(main_, &report.snapshots_checked));
+  report.frames = mainline.frames;
+  report.head = mainline.head;
+  report.replayed_versions = mainline.replayed_versions;
+  report.merges_checked = mainline.merges_checked;
   for (const auto& [name, branch] : branches_) {
-    XUPDATE_ASSIGN_OR_RETURN(BranchVerifyResult result, VerifyBranch(name));
+    XUPDATE_ASSIGN_OR_RETURN(BranchVerifyResult result,
+                             VerifyJournal(branch, nullptr));
     report.branches.push_back(std::move(result));
   }
   return report;
 }
 
-std::vector<LogEntry> VersionStore::Log() const {
-  std::vector<LogEntry> entries;
-  entries.reserve(wal_.frames().size());
-  for (const WalFrameInfo& info : wal_.frames()) {
-    LogEntry entry;
-    entry.type = info.type;
-    entry.version = info.version;
-    entry.aux = info.aux;
-    entry.offset = info.offset;
-    entry.payload_bytes = info.payload_bytes;
-    entries.push_back(entry);
+Result<BranchVerifyResult> VersionStore::VerifyJournal(
+    const Journal& journal, size_t* snapshots_checked) const {
+  const std::string& path = journal.wal.path();
+  BranchVerifyResult result;
+  result.name = journal.meta.name;
+  result.head = journal.head;
+  // Structural re-scan: every byte of the journal must decode into
+  // CRC-clean frames with no trailing garbage.
+  XUPDATE_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
+  if (data.size() < Wal::kMagicSize ||
+      data.compare(0, Wal::kMagicSize, Wal::kMagic, Wal::kMagicSize) != 0) {
+    return Status::ParseError("bad journal magic in " + path);
   }
-  return entries;
+  size_t offset = Wal::kMagicSize;
+  while (offset < data.size()) {
+    XUPDATE_RETURN_IF_ERROR(Wal::DecodeFrame(data, &offset).status());
+    ++result.frames;
+  }
+  if (result.frames != journal.wal.frames().size()) {
+    return Status::ParseError("journal " + path +
+                              " frame directory out of sync");
+  }
+  // Forward replay from the journal's base: the version-0 checkpoint
+  // for the mainline, the parent's fork state for a branch.
+  const bool root = IsRoot(journal);
+  xml::Document doc;
+  if (root) {
+    XUPDATE_ASSIGN_OR_RETURN(std::string base_xml, snapshots_.Read(0));
+    XUPDATE_ASSIGN_OR_RETURN(doc, xml::ParseDocument(base_xml));
+    ++*snapshots_checked;
+  } else {
+    XUPDATE_ASSIGN_OR_RETURN(const Journal* parent,
+                             FindJournal(journal.meta.parent));
+    XUPDATE_ASSIGN_OR_RETURN(doc, CheckoutJournal(*parent, journal.meta.fork));
+  }
+  for (uint64_t v = journal.meta.fork + 1; v <= journal.head; ++v) {
+    MergeRecord record;
+    XUPDATE_ASSIGN_OR_RETURN(std::vector<pul::Pul> puls,
+                             ReadVersion(journal, v, &record));
+    for (const pul::Pul& pul : puls) {
+      XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&doc, pul));
+    }
+    ++result.replayed_versions;
+    const WalFrameInfo& info = journal.frames[v - journal.meta.fork - 1];
+    if (info.type == FrameType::kMerge) {
+      // Both parents must stay resolvable, and the sync record that
+      // made this merge effective must exist.
+      XUPDATE_RETURN_IF_ERROR(
+          VerifyMergeFrame(journal.meta.name, v, info.aux, record));
+      ++result.merges_checked;
+    }
+    // Branch versions share numbers with mainline checkpoints, so only
+    // the mainline replay is compared against them.
+    if (root && snapshots_.Has(v)) {
+      XUPDATE_ASSIGN_OR_RETURN(std::string expect, snapshots_.Read(v));
+      XUPDATE_ASSIGN_OR_RETURN(std::string got, SerializeAnnotated(doc));
+      if (got != expect) {
+        return Status::ParseError(
+            "checkpoint for version " + std::to_string(v) +
+            " does not match replay");
+      }
+      ++*snapshots_checked;
+    }
+  }
+  XUPDATE_ASSIGN_OR_RETURN(bool same,
+                           xml::Document::SameAnnotated(doc, journal.doc));
+  if (!same) {
+    return Status::ParseError("branch " + journal.meta.name +
+                              " replay diverges from its head document");
+  }
+  return result;
 }
 
 Status VersionStore::Close() {
-  Status status = wal_.Close();
+  Status status = main_.wal.Close();
   for (auto& [name, branch] : branches_) {
     Status closed = branch.wal.Close();
     if (status.ok() && !closed.ok()) status = closed;

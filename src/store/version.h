@@ -20,10 +20,15 @@ namespace xupdate::store {
 
 // The durable versioned update store: a linear version history where
 // version 0 is the initial document and each later version is its
-// parent plus one committed PUL. On disk a store directory holds
+// parent plus one committed PUL. Every history in the store is a
+// journal of one type (Journal below): a base state plus the frames
+// producing each later version. The mainline is the root journal; each
+// branch is a journal forked from another at some version. On disk a
+// store directory holds
 //
-//   wal.log        the journal (store/wal.h)
-//   snap-*.snap    snapshot checkpoints (store/snapshot.h)
+//   wal.log             the mainline journal (store/wal.h)
+//   snap-*.snap         snapshot checkpoints of the mainline
+//                       (store/snapshot.h)
 //
 // plus, when branches exist (see "Branches" below),
 //
@@ -31,7 +36,7 @@ namespace xupdate::store {
 //   branches.log        sync-commit + rebase markers (store/records.h)
 //
 // and nothing else — there is no manifest; the whole state is derived
-// by scanning both at Open(). Commit is WAL-first: the serialized PUL
+// by scanning them at Open(). Commit is WAL-first: the serialized PUL
 // is appended (and fsync'd per policy) before it is applied in memory,
 // so a crash at any byte leaves a journal that recovers to the last
 // complete version. Checkout(v) materializes any historical version by
@@ -71,7 +76,7 @@ struct BatchCommitStats {
   uint64_t wal_bytes = 0;         // journal size after the batch
 };
 
-// One journal frame, as reported by Log() / LogBranch().
+// One journal frame, as reported by LogBranch().
 struct LogEntry {
   FrameType type = FrameType::kPul;
   uint64_t version = 0;
@@ -79,8 +84,8 @@ struct LogEntry {
   uint64_t offset = 0;
   uint32_t payload_bytes = 0;
   // Operation count of the frame's payload (kMerge: total across its
-  // chain). Filled only by LogBranch(..., with_op_counts=true); plain
-  // Log() leaves it 0 — counting requires parsing every payload.
+  // chain). Filled only by LogBranch(..., with_op_counts=true); it
+  // stays 0 otherwise — counting requires parsing every payload.
   uint64_t ops = 0;
 };
 
@@ -222,13 +227,11 @@ class VersionStore {
   // history is preserved. Returns the new head.
   Result<uint64_t> Rollback(uint64_t to);
 
-  // Full offline audit: structural re-scan of the journal (every CRC),
-  // forward replay of every version and byte-comparison against every
-  // checkpoint.
+  // Full offline audit, journal by journal: structural re-scan (every
+  // CRC), forward replay of every version to the resident head
+  // document with every merge frame resolved, and — on the mainline —
+  // byte-comparison against every checkpoint.
   Result<VerifyReport> Verify() const;
-
-  // Journal frames in file order.
-  std::vector<LogEntry> Log() const;
 
   // --- Branches (store/records.h; merge/rebase logic in src/branch/) ---
   //
@@ -237,7 +240,8 @@ class VersionStore {
   // parent, its first commit is fork + 1, and versions <= fork resolve
   // through the parent chain — which is how every branch shares the
   // mainline's snapshot checkpoints at its fork point. The mainline is
-  // addressable as branch "main" in every branch-taking method.
+  // the root journal (fork 0, no parent) and is addressable as branch
+  // "main" in every branch-taking method.
   //
   // Cross-journal merges are made crash-atomic by the sync protocol:
   // CommitMerge appends each side's kMerge frame (fsync'd regardless
@@ -258,9 +262,9 @@ class VersionStore {
 
   Result<BranchInfo> GetBranch(const std::string& name) const;
 
-  // Commit/Checkout addressed to a branch; "main" delegates to the
-  // mainline methods. Branch commits are WAL-first like Commit() but
-  // never write checkpoints (branches replay from the fork point).
+  // Commit/Checkout addressed to a branch ("main": the mainline, with
+  // its own metrics). Every commit is WAL-first; only mainline commits
+  // write checkpoints (branches replay from the fork point).
   Result<uint64_t> CommitOnBranch(const std::string& branch,
                                   const pul::Pul& pul);
   Result<xml::Document> CheckoutBranch(const std::string& branch,
@@ -309,15 +313,20 @@ class VersionStore {
   // fork point `new_fork` (rebase's installation step): a RebaseRecord
   // voiding the branch's old sync records is made durable first, then
   // the rewritten journal is renamed into place and the in-memory
-  // state rebuilt.
+  // state rebuilt. `head_doc` is the document those commits produce
+  // (the caller built it by replaying them; Verify re-derives it from
+  // the journal). A failure before the rename leaves the branch on its
+  // old journal, still writable; a failed directory sync after it
+  // leaves the branch on the rewritten one.
   Status RewriteBranch(const std::string& name, uint64_t new_fork,
-                       const std::vector<pul::Pul>& commits);
+                       const std::vector<pul::Pul>& commits,
+                       xml::Document head_doc);
 
-  uint64_t head() const { return head_; }
+  uint64_t head() const { return main_.head; }
 
   // Journal size on disk — the serving layer exposes it as a gauge.
-  uint64_t wal_bytes() const { return wal_.size_bytes(); }
-  const xml::Document& head_doc() const { return doc_; }
+  uint64_t wal_bytes() const { return main_.wal.size_bytes(); }
+  const xml::Document& head_doc() const { return main_.doc; }
   const std::string& dir() const { return dir_; }
   const SnapshotStore& snapshots() const { return snapshots_; }
 
@@ -342,42 +351,86 @@ class VersionStore {
  private:
   VersionStore() = default;
 
-  // In-memory state of one branch journal.
-  struct BranchState {
+  // One history of the store: the mainline (the root journal, wal.log:
+  // no parent, fork 0, no meta frame) or a branch (branch-<name>.log,
+  // which opens with its meta frame). frames[i] is the kPul or kMerge
+  // frame producing version meta.fork + 1 + i — the index builder
+  // enforces that versions are contiguous — and the frame's type tells
+  // the two kinds apart.
+  struct Journal {
     BranchMetaRecord meta;
     Wal wal;
-    std::map<uint64_t, WalFrameInfo> pul_frames;    // kPul by version
-    std::map<uint64_t, WalFrameInfo> merge_frames;  // kMerge by version
+    std::vector<WalFrameInfo> frames;
     xml::Document doc;  // at head
-    uint64_t head = 0;  // == meta.fork when the branch has no commits
+    uint64_t head = 0;  // == meta.fork when the journal has no commits
   };
 
-  // Rebuilds pul_frames_ / merge_frames_ / head_ from
-  // wal_.frames(); enforces the contiguous-version journal structure.
-  Status BuildIndex();
+  static WalOptions ToWalOptions(const StoreOptions& options);
 
-  Result<pul::Pul> ReadPul(const WalFrameInfo& info) const;
+  // The journal `name` maps to ("main": the root journal).
+  Result<const Journal*> FindJournal(const std::string& name) const;
+  Result<Journal*> FindJournal(const std::string& name);
+  bool IsRoot(const Journal& journal) const { return &journal == &main_; }
 
-  // Applies the mainline frame producing version `v` to `doc`: a kPul
-  // frame's PUL or a kMerge frame's chain. The one replay step of
-  // Checkout and Verify; `merge`, when non-null, receives a kMerge
-  // frame's record.
-  Status ReplayVersion(uint64_t v, xml::Document* doc,
-                       MergeRecord* merge) const;
+  // Opens the journal file `path` as `name`'s journal: recovers its
+  // torn tail, indexes it and checks its declared name, and only then
+  // truncates torn syncs (RollBackTornSyncs), so a refused journal
+  // keeps its bytes.
+  Status OpenJournal(const std::string& path, const std::string& name,
+                     Journal* journal, WalRecovery* recovery,
+                     size_t* rolled_back);
 
-  // Writes a checkpoint for the current head if a cadence trigger fired.
-  Status MaybeCheckpoint();
+  // Rebuilds `journal`'s frame list and head from its Wal's frame
+  // directory. A branch journal must start with its meta frame
+  // (decoded into meta); the root journal must hold none.
+  Status BuildIndex(Journal* journal) const;
+
+  // The PULs producing version `v` of `journal`, in application order:
+  // a kPul frame's PUL or a kMerge frame's chain, whose record `merge`
+  // receives when non-null. Every replay, collection and op count
+  // reads frames through here.
+  static Result<std::vector<pul::Pul>> ReadVersion(
+      const Journal& journal, uint64_t v, MergeRecord* merge = nullptr);
+
+  // The document at version `v` of `journal`'s chain: the root journal
+  // replays from its nearest checkpoint at or below v (the only
+  // materialization the store.checkout.* metrics count), a branch from
+  // its parent's state at the fork point.
+  Result<xml::Document> CheckoutJournal(const Journal& journal,
+                                        uint64_t v) const;
+
+  // Applies versions (from, to] of `journal` to `doc`.
+  static Status ReplayForward(const Journal& journal, uint64_t from,
+                              uint64_t to, xml::Document* doc);
+
+  // The WAL-first commit of one PUL as `journal`'s next version, shared
+  // by Commit and CommitOnBranch.
+  Result<uint64_t> CommitPul(Journal* journal, const pul::Pul& pul);
+
+  // Writes a mainline checkpoint if a cadence trigger fired. The
+  // versions it would cover are already durable, so a failure only
+  // costs replay time on later checkouts: it is reported through
+  // metrics and the trace, never as a failed commit, and the triggers
+  // stay armed so the next commit retries.
+  void MaybeCheckpoint();
+
+  // Verify's pass over one journal: structural re-scan, forward replay
+  // to the resident head document, merge-frame resolution. The root
+  // journal replays from the version-0 checkpoint and byte-compares
+  // every checkpoint on the way (counted in *snapshots_checked).
+  Result<BranchVerifyResult> VerifyJournal(const Journal& journal,
+                                           size_t* snapshots_checked) const;
 
   // --- Branch internals (store/branch.cc) ---
 
-  // Parses the frames of a branch journal (after the meta frame) into
-  // the branch's indexes; enforces contiguity from the fork point.
-  static Status BuildBranchIndex(BranchState* branch);
+  // `parent`'s journal, checked to reach version `fork` — the fork
+  // point of a new, rewritten or reopened branch.
+  Result<Journal*> ForkParent(const std::string& parent, uint64_t fork);
 
-  // Truncates unnamed tail kMerge frames of a journal (the torn-sync
-  // recovery rule); reopens the journal in place. `branch_name` is
-  // "main" for wal.log. Increments *rolled_back per frame dropped.
-  Status RollBackTornSyncs(Wal* wal, const std::string& branch_name,
+  // Truncates unnamed tail kMerge frames of `name`'s journal (the
+  // torn-sync recovery rule); reopens the journal in place. Increments
+  // *rolled_back per frame dropped.
+  Status RollBackTornSyncs(Wal* wal, const std::string& name,
                            size_t* rolled_back);
 
   // Loads branches.log + every branch-*.log (called from Open).
@@ -388,21 +441,18 @@ class VersionStore {
   bool SyncRecordNames(const std::string& branch, uint64_t version) const;
 
   // Checks a merge frame's parents are resolvable and its sync record
-  // exists (shared by mainline and branch verification).
+  // exists.
   Status VerifyMergeFrame(const std::string& branch, uint64_t version,
                           uint64_t local_parent,
                           const MergeRecord& record) const;
-
-  // Per-branch slice of Verify().
-  Result<BranchVerifyResult> VerifyBranch(const std::string& name) const;
 
   // Appends one record frame to branches.log, creating it on first
   // use, and mirrors it into branch_log_records_. Always fsync'd.
   Status AppendBranchLogRecord(const std::string& payload);
 
-  // Collects the forward PULs for versions (from, to] of `branch`'s
+  // Collects the forward PULs for versions (from, to] of `journal`'s
   // chain (recursing into the parent below the fork point).
-  Status CollectPuls(const std::string& branch, uint64_t from, uint64_t to,
+  Status CollectPuls(const Journal& journal, uint64_t from, uint64_t to,
                      std::vector<pul::Pul>* out) const;
 
   // Lineage of a branch up to the mainline: [(name, head-or-fork
@@ -412,17 +462,14 @@ class VersionStore {
 
   std::string BranchJournalPath(const std::string& name) const;
 
+  static constexpr char kJournalName[] = "wal.log";
+  static constexpr char kBranchLogName[] = "branches.log";
+
   std::string dir_;
   StoreOptions options_;
-  Wal wal_;
   SnapshotStore snapshots_;
-  xml::Document doc_;  // at head_
-  uint64_t head_ = 0;
-
-  std::map<uint64_t, WalFrameInfo> pul_frames_;  // by produced version
-  std::map<uint64_t, WalFrameInfo> merge_frames_;  // mainline kMerge
-
-  std::map<std::string, BranchState> branches_;  // by name; no "main"
+  Journal main_;  // the mainline, the root journal
+  std::map<std::string, Journal> branches_;  // by name; no "main"
   Wal branch_log_;  // branches.log; open iff has_branch_log_
   bool has_branch_log_ = false;
   std::vector<BranchLogRecord> branch_log_records_;  // in file order

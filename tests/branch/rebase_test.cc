@@ -1,6 +1,10 @@
 #include "branch/rebase.h"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <linux/capability.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
 #include <filesystem>
 #include <string>
@@ -15,6 +19,44 @@ namespace {
 
 namespace fs = std::filesystem;
 using store::VersionStore;
+
+// Holds a directory at mode 0300 (write and search, no read): a rename
+// inside it succeeds, but opening it for the directory fsync fails
+// with EACCES. Root passes mode checks through CAP_DAC_OVERRIDE and
+// CAP_DAC_READ_SEARCH, so those are dropped from this thread's
+// effective set (they stay permitted) and raised again at the end.
+class UnreadableDirectory {
+ public:
+  explicit UnreadableDirectory(const fs::path& dir) : dir_(dir) {
+    header_.version = _LINUX_CAPABILITY_VERSION_3;
+    if (::syscall(SYS_capget, &header_, saved_) != 0) return;
+    __user_cap_data_struct lowered[2] = {saved_[0], saved_[1]};
+    lowered[0].effective &= ~((1u << CAP_DAC_OVERRIDE) |
+                              (1u << CAP_DAC_READ_SEARCH));
+    if (::syscall(SYS_capset, &header_, lowered) != 0) return;
+    lowered_ = true;
+    fs::permissions(dir_, fs::perms::owner_write | fs::perms::owner_exec);
+    int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+    if (fd >= 0) {
+      ::close(fd);
+    } else {
+      active_ = true;
+    }
+  }
+  ~UnreadableDirectory() {
+    fs::permissions(dir_, fs::perms::owner_all);
+    if (lowered_) ::syscall(SYS_capset, &header_, saved_);
+  }
+  // False when the directory stayed readable (nothing to test).
+  bool active() const { return active_; }
+
+ private:
+  fs::path dir_;
+  __user_cap_header_struct header_{};
+  __user_cap_data_struct saved_[2] = {};
+  bool lowered_ = false;
+  bool active_ = false;
+};
 
 class BranchRebaseTest : public ::testing::Test {
  protected:
@@ -157,16 +199,104 @@ TEST_F(BranchRebaseTest, PhaseTimersAndResidentOntoState) {
       phase_sum += metrics.total_seconds(phase);
     }
     EXPECT_LE(phase_sum, metrics.total_seconds("branch.rebase.seconds"));
-    // The fork state, the replay's start when onto is not the head, and
-    // the rewritten branch's head.
+    // The fork state and the replay's start when onto is not the head;
+    // the rewritten branch's head is the replayed document itself.
     EXPECT_EQ(store_metrics.counter("store.checkout.count") - checkouts,
-              onto == store.head() ? 2u : 3u);
+              onto == store.head() ? 1u : 2u);
   }
   std::string head = HeadBytes(store, "w");
   EXPECT_NE(head.find("round 3"), std::string::npos);
   EXPECT_NE(head.find("value round 1"), std::string::npos);
   auto verified = store.Verify();
   ASSERT_TRUE(verified.ok()) << verified.status();
+}
+
+TEST_F(BranchRebaseTest, FailedRewriteLeavesTheBranchWritable) {
+  std::string path = (dir_ / "store").string();
+  VersionStore store = MakeStore();
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(store.CommitOnBranch("w", RepVPul(**doc, 1)).ok());
+  ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 2)).ok());
+  // A directory where the rewrite stages its new journal makes the
+  // journal write fail after the rebase marker is durable.
+  fs::path staging = dir_ / "store" / "branch-w.log.tmp";
+  ASSERT_TRUE(fs::create_directories(staging));
+  RebaseOptions options;
+  options.onto = store.head();
+  auto report = Rebase(&store, "w", options);
+  EXPECT_FALSE(report.ok());
+  fs::remove_all(staging);
+  // The branch stays on its old journal, and that journal still takes
+  // commits.
+  auto info = store.GetBranch("w");
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->fork, 0u);
+  doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  auto committed = store.CommitOnBranch("w", InsertPul(**doc, 3));
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(*committed, 2u);
+  auto verified = store.Verify();
+  ASSERT_TRUE(verified.ok()) << verified.status();
+  std::string head = HeadBytes(store, "w");
+  EXPECT_NE(head.find("round 3"), std::string::npos);
+  ASSERT_TRUE(store.Close().ok());
+  auto reopened = VersionStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(HeadBytes(*reopened, "w"), head);
+}
+
+TEST_F(BranchRebaseTest, FailedSyncAfterTheRenameAdoptsTheRewrittenJournal) {
+  std::string path = (dir_ / "store").string();
+  VersionStore store = MakeStore();
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(store.CommitOnBranch("w", RepVPul(**doc, 1)).ok());
+  ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 2)).ok());
+  RebaseOptions options;
+  options.onto = store.head();
+  // A first rebase creates branches.log, whose creation syncs the
+  // directory too.
+  ASSERT_TRUE(Rebase(&store, "w", options).ok());
+  ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 3)).ok());
+  options.onto = store.head();
+  {
+    // The rewritten journal is renamed over the old one, then the
+    // directory fsync fails.
+    UnreadableDirectory unreadable(path);
+    if (!unreadable.active()) {
+      GTEST_SKIP() << "cannot make " << path << " unreadable";
+    }
+    auto report = Rebase(&store, "w", options);
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.status().message().find("open dir"), std::string::npos)
+        << report.status();
+  }
+  // The branch is on the rewritten journal, so a commit acknowledged now
+  // survives a reopen.
+  auto info = store.GetBranch("w");
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->fork, 2u);
+  EXPECT_EQ(info->head, 3u);
+  doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  auto committed = store.CommitOnBranch("w", InsertPul(**doc, 4));
+  ASSERT_TRUE(committed.ok()) << committed.status();
+  EXPECT_EQ(*committed, 4u);
+  auto verified = store.Verify();
+  ASSERT_TRUE(verified.ok()) << verified.status();
+  std::string head = HeadBytes(store, "w");
+  for (const char* text : {"value round 1", "round 2", "round 3", "round 4"}) {
+    EXPECT_NE(head.find(text), std::string::npos) << text;
+  }
+  ASSERT_TRUE(store.Close().ok());
+  auto reopened = VersionStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto reopened_info = reopened->GetBranch("w");
+  ASSERT_TRUE(reopened_info.ok()) << reopened_info.status();
+  EXPECT_EQ(reopened_info->head, 4u);
+  EXPECT_EQ(HeadBytes(*reopened, "w"), head);
 }
 
 TEST_F(BranchRebaseTest, RebasesAcrossAParentMergeFrame) {
@@ -336,7 +466,7 @@ TEST_F(BranchRebaseTest, RefusesBranchesWithChildren) {
       << report.status();
   // The store-level installer refuses independently of the rebase
   // engine's guard.
-  EXPECT_FALSE(store.RewriteBranch("w", store.head(), {}).ok());
+  EXPECT_FALSE(store.RewriteBranch("w", store.head(), {}, {}).ok());
   // The child's history through w is untouched.
   EXPECT_EQ(HeadBytes(store, "child"), child_before);
   auto verified = store.Verify();

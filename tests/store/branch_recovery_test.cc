@@ -284,6 +284,58 @@ TEST_F(BranchRecoveryTest, CommittedMergeSurvivesReopenWithParents) {
   EXPECT_EQ(verify->branches[0].merges_checked, 1u);
 }
 
+TEST_F(BranchRecoveryTest, RefusedJournalKeepsItsSyncedMergeFrames) {
+  // Both journals end in a merge frame whose sync record is committed
+  // under their own names. A journal file Open must refuse, misnamed
+  // or without a meta frame, must not lose those frames to the
+  // torn-sync rollback, which looks sync records up by file name.
+  std::string path = (dir_ / "synced").string();
+  ASSERT_TRUE(VersionStore::Init(path, base_xml_).ok());
+  {
+    auto store = VersionStore::Open(path);
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_TRUE(store->CreateBranch("a", "main", 0).ok());
+    ASSERT_TRUE(store->Commit(InsertPul(store->head_doc(), 1)).ok());
+    auto doc = store->BranchHeadDoc("a");
+    ASSERT_TRUE(doc.ok());
+    ASSERT_TRUE(store->CommitOnBranch("a", RepVPul(**doc, 2)).ok());
+    auto merged = xupdate::branch::Merge(&*store, "main", "a");
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    ASSERT_TRUE(merged->committed_a);
+    ASSERT_TRUE(merged->committed_b);
+    ASSERT_TRUE(store->Close().ok());
+  }
+  struct Case {
+    std::string from, to, error;
+  };
+  for (const Case& c :
+       {Case{"branch-a.log", "branch-b.log", "declares name"},
+        Case{"wal.log", "branch-x.log", "metadata frame"}}) {
+    SCOPED_TRACE(c.to);
+    std::string clone = (dir_ / ("refused_" + c.to)).string();
+    fs::copy(path, clone, fs::copy_options::recursive);
+    if (c.from.rfind("branch-", 0) == 0) {
+      fs::rename(clone + "/" + c.from, clone + "/" + c.to);
+    } else {
+      fs::copy_file(clone + "/" + c.from, clone + "/" + c.to);
+    }
+    auto before = ReadFileToString(clone + "/" + c.to);
+    ASSERT_TRUE(before.ok());
+    auto wal = Wal::Open(clone + "/" + c.to, {});
+    ASSERT_TRUE(wal.ok()) << wal.status();
+    ASSERT_EQ(wal->frames().back().type, FrameType::kMerge);
+    ASSERT_TRUE(wal->Close().ok());
+    auto store = VersionStore::Open(clone);
+    ASSERT_FALSE(store.ok());
+    EXPECT_NE(store.status().message().find(c.error), std::string::npos)
+        << store.status();
+    auto after = ReadFileToString(clone + "/" + c.to);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, *before);
+    fs::remove_all(clone);
+  }
+}
+
 TEST_F(BranchRecoveryTest, ForkPointSnapshotReuseIsByteIdenticalAcrossParallelism) {
   // The branch forks at a checkpointed version and its checkouts below
   // the fork resolve through the parent's snapshots. The replay must be

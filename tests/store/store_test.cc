@@ -164,7 +164,9 @@ TEST_F(VersionStoreTest, LogListsFramesInOrder) {
   ASSERT_TRUE(store.ok());
   ASSERT_TRUE(store->Commit(RepVPul(store->head_doc(), 0)).ok());
   ASSERT_TRUE(store->Commit(InsertPul(store->head_doc(), 1)).ok());
-  std::vector<LogEntry> log = store->Log();
+  auto entries = store->LogBranch("main", /*with_op_counts=*/false);
+  ASSERT_TRUE(entries.ok()) << entries.status();
+  const std::vector<LogEntry>& log = *entries;
   ASSERT_EQ(log.size(), 2u);
   EXPECT_EQ(log[0].version, 1u);
   EXPECT_EQ(log[0].type, FrameType::kPul);

@@ -31,7 +31,7 @@ ALLOWED = {
     ("store/version.cc", "Init"): "writes the base snapshot",
     ("store/version.cc", "MaybeCheckpoint"): "writes a snapshot",
     ("store/version.cc", "CheckoutXml"): "returns the bytes",
-    ("store/version.cc", "Verify"): "compares against a snapshot on disk",
+    ("store/version.cc", "VerifyJournal"): "compares against a snapshot on disk",
     ("store/branch.cc", "CheckoutXmlBranch"): "returns the bytes",
 }
 

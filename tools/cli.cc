@@ -932,17 +932,10 @@ Status CmdStore(const Args& args, std::ostream& out) {
         for (uint64_t v : vs.snapshots().versions()) out << " " << v;
         out << "\n";
         bool with_ops = args.Has("branch");
-        if (with_ops) {
-          XUPDATE_ASSIGN_OR_RETURN(
-              std::vector<store::LogEntry> entries,
-              vs.LogBranch("main", /*with_op_counts=*/true));
-          for (const store::LogEntry& entry : entries) {
-            PrintLogEntry(entry, with_ops, out);
-          }
-        } else {
-          for (const store::LogEntry& entry : vs.Log()) {
-            PrintLogEntry(entry, with_ops, out);
-          }
+        XUPDATE_ASSIGN_OR_RETURN(std::vector<store::LogEntry> entries,
+                                 vs.LogBranch("main", with_ops));
+        for (const store::LogEntry& entry : entries) {
+          PrintLogEntry(entry, with_ops, out);
         }
       }
       PrintBranchHeads(vs, out);
