@@ -40,7 +40,7 @@ template <core::ReduceMode Mode>
 void BM_ReduceMode(benchmark::State& state) {
   const pul::Pul& pul = PulFixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto reduced = core::Reduce(pul, Mode);
+    auto reduced = core::Reduce(pul, {.mode = Mode});
     if (!reduced.ok()) {
       state.SkipWithError(reduced.status().ToString().c_str());
       return;

@@ -45,8 +45,7 @@ void BM_ReduceByDensity(benchmark::State& state) {
       DensityFixture(static_cast<size_t>(state.range(0)));
   core::ReduceStats stats;
   for (auto _ : state) {
-    auto reduced =
-        core::ReduceWithStats(pul, core::ReduceMode::kPlain, &stats);
+    auto reduced = core::Reduce(pul, {}, &stats);
     if (!reduced.ok()) {
       state.SkipWithError(reduced.status().ToString().c_str());
       return;

@@ -56,8 +56,7 @@ void BM_ReduceFullPipeline(benchmark::State& state) {
       state.SkipWithError(parsed.status().ToString().c_str());
       return;
     }
-    auto reduced =
-        core::ReduceWithStats(*parsed, core::ReduceMode::kPlain, &stats);
+    auto reduced = core::Reduce(*parsed, {}, &stats);
     if (!reduced.ok()) {
       state.SkipWithError(reduced.status().ToString().c_str());
       return;
@@ -92,7 +91,7 @@ void BM_ReduceOnly(benchmark::State& state) {
   const ReductionInput& input =
       InputFixture(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    auto reduced = core::Reduce(input.pul, core::ReduceMode::kPlain);
+    auto reduced = core::Reduce(input.pul);
     if (!reduced.ok()) {
       state.SkipWithError(reduced.status().ToString().c_str());
       return;

@@ -68,7 +68,7 @@ void BM_AggregateFullPipeline(benchmark::State& state) {
     }
     std::vector<const pul::Pul*> ptrs;
     for (const pul::Pul& p : parsed) ptrs.push_back(&p);
-    auto aggregate = core::Aggregate(ptrs, &stats);
+    auto aggregate = core::Aggregate(ptrs, {}, &stats);
     if (!aggregate.ok()) {
       state.SkipWithError(aggregate.status().ToString().c_str());
       return;
@@ -93,7 +93,7 @@ void BM_AggregateOnly(benchmark::State& state) {
   std::vector<const pul::Pul*> ptrs;
   for (const pul::Pul& p : input.puls) ptrs.push_back(&p);
   for (auto _ : state) {
-    auto aggregate = core::Aggregate(ptrs, nullptr);
+    auto aggregate = core::Aggregate(ptrs);
     if (!aggregate.ok()) {
       state.SkipWithError(aggregate.status().ToString().c_str());
       return;

@@ -73,7 +73,7 @@ void BM_AggregateThenEvaluate(benchmark::State& state) {
     auto start = std::chrono::steady_clock::now();
     std::vector<const pul::Pul*> ptrs;
     for (const pul::Pul& p : puls) ptrs.push_back(&p);
-    auto aggregate = core::Aggregate(ptrs, nullptr);
+    auto aggregate = core::Aggregate(ptrs);
     if (!aggregate.ok()) {
       state.SkipWithError(aggregate.status().ToString().c_str());
       return;

@@ -79,7 +79,7 @@ void BM_IntegrationAndResolution(benchmark::State& state) {
   }
   core::ReconcileStats stats;
   for (auto _ : state) {
-    auto merged = core::Reconcile(ptrs, &stats);
+    auto merged = core::Reconcile(ptrs, {}, &stats);
     if (!merged.ok()) {
       state.SkipWithError(merged.status().ToString().c_str());
       return;

@@ -1,11 +1,13 @@
 // Disabled-tracer overhead gate. The observability hooks added to the
 // reduction engine (lane null-checks in the rule loops, the tracer
 // branch in the driver) must cost nothing when no tracer is attached.
-// Both public entry points funnel into the same driver, so the gate
-// times the pre-observability API (Reduce(pul, mode)) against the
-// options path with a null tracer on the Fig. 6b reduction workload —
-// interleaved, order alternated per trial, minimum-of-trials — and
-// fails (exit 1) beyond a 1% difference. Any future change that makes
+// Reduce has one entry point, so the gate's reference leg is an A/A
+// noise control: the default-options call (Reduce(pul)) timed against
+// the same call with an explicit null-tracer options struct on the
+// Fig. 6b reduction workload — interleaved, order alternated per
+// trial, minimum-of-trials — failing (exit 1) beyond a 1% difference.
+// A difference between two identical calls is measurement noise, so
+// the gate bounds the noise the enabled-tracer ratio is read against. Any future change that makes
 // the no-tracer configuration eagerly pay for tracing (unconditional
 // lane or id-string building, a hot-loop emission that stops checking
 // enabled()) lands on both sides' timings and on the separately
@@ -89,7 +91,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  auto run_legacy = [&] { return Reduce(*pul, ReduceMode::kPlain); };
+  auto run_control = [&] { return Reduce(*pul); };
   auto run_disabled = [&] { return Reduce(*pul, ReduceOptions{}); };
   auto run_enabled = [&] {
     xupdate::obs::Tracer tracer;
@@ -104,7 +106,7 @@ int main(int argc, char** argv) {
   size_t ops_a = 0;
   size_t ops_b = 0;
   size_t ops_c = 0;
-  (void)TimedRun(run_legacy, &ops_a);
+  (void)TimedRun(run_control, &ops_a);
   (void)TimedRun(run_disabled, &ops_b);
   (void)TimedRun(run_enabled, &ops_c);
   if (ops_a != ops_b || ops_a != ops_c) {
@@ -113,32 +115,32 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  double legacy_min = 1e300;
+  double control_min = 1e300;
   double disabled_min = 1e300;
   double enabled_min = 1e300;
   for (int trial = 0; trial < kTrials; ++trial) {
     if (trial % 2 == 0) {
-      legacy_min = std::min(legacy_min, TimedRun(run_legacy, &ops_a));
+      control_min = std::min(control_min, TimedRun(run_control, &ops_a));
       disabled_min = std::min(disabled_min, TimedRun(run_disabled, &ops_b));
     } else {
       disabled_min = std::min(disabled_min, TimedRun(run_disabled, &ops_b));
-      legacy_min = std::min(legacy_min, TimedRun(run_legacy, &ops_a));
+      control_min = std::min(control_min, TimedRun(run_control, &ops_a));
     }
     enabled_min = std::min(enabled_min, TimedRun(run_enabled, &ops_c));
   }
 
-  double overhead = disabled_min / legacy_min - 1.0;
-  double enabled_ratio = enabled_min / legacy_min;
-  bool pass = disabled_min <= legacy_min * (1.0 + kMaxOverhead);
+  double overhead = disabled_min / control_min - 1.0;
+  double enabled_ratio = enabled_min / control_min;
+  bool pass = disabled_min <= control_min * (1.0 + kMaxOverhead);
 
   char json[512];
   snprintf(json, sizeof(json),
            "{\"workload\":\"fig6b-reduction\",\"build_type\":\"%s\","
            "\"ops\":%zu,\"trials\":%d,"
-           "\"legacy_min_seconds\":%.9f,\"disabled_min_seconds\":%.9f,"
+           "\"control_min_seconds\":%.9f,\"disabled_min_seconds\":%.9f,"
            "\"enabled_min_seconds\":%.9f,\"disabled_overhead\":%.6f,"
            "\"enabled_ratio\":%.3f,\"budget\":%.6f,\"pass\":%s}\n",
-           build_type, kNumOps, kTrials, legacy_min, disabled_min,
+           build_type, kNumOps, kTrials, control_min, disabled_min,
            enabled_min, overhead, enabled_ratio, kMaxOverhead,
            pass ? "true" : "false");
   FILE* f = fopen(out_path, "w");

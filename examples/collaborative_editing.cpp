@@ -122,7 +122,7 @@ int main() {
   // Bob's abstract tweak yields to Carol's replacement.
   core::ReconcileStats stats;
   pul::Pul merged =
-      Check(core::Reconcile({&alice, &bob, &carol}, &stats),
+      Check(core::Reconcile({&alice, &bob, &carol}, {}, &stats),
             "reconciliation");
   std::cout << "reconciled: " << stats.conflicts_total << " conflicts, "
             << stats.operations_excluded << " operations excluded, "

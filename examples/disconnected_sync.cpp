@@ -92,9 +92,9 @@ int main() {
   std::vector<const pul::Pul*> ptrs;
   for (const pul::Pul& pul : sessions) ptrs.push_back(&pul);
   core::AggregateStats stats;
-  pul::Pul aggregate = Check(core::Aggregate(ptrs, &stats), "aggregation");
+  pul::Pul aggregate = Check(core::Aggregate(ptrs, {}, &stats), "aggregation");
   pul::Pul delta = Check(
-      core::Reduce(aggregate, core::ReduceMode::kDeterministic),
+      core::Reduce(aggregate, {.mode = core::ReduceMode::kDeterministic}),
       "reduction");
   size_t total_ops = 0;
   for (const pul::Pul& pul : sessions) total_ops += pul.size();

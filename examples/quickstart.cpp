@@ -72,9 +72,9 @@ int main() {
 
   // 4. Reduce: the two insLast operations on //authors collapse (rule
   //    I5) without touching the document.
-  pul::Pul reduced =
-      Check(core::Reduce(received, core::ReduceMode::kDeterministic),
-            "reduction");
+  pul::Pul reduced = Check(
+      core::Reduce(received, {.mode = core::ReduceMode::kDeterministic}),
+      "reduction");
   std::cout << "reduction: " << received.size() << " ops -> "
             << reduced.size() << " ops\n";
 

@@ -76,8 +76,9 @@ int main() {
     id_base += 1000;
     pul::Pul pul = Check(xquery::ProducePul(edit, ctx), "edit");
     // Inversion requires an O-irreducible PUL; reduce defensively.
-    pul = Check(core::Reduce(pul, core::ReduceMode::kDeterministic),
-                "reduce");
+    pul = Check(
+        core::Reduce(pul, {.mode = core::ReduceMode::kDeterministic}),
+        "reduce");
     undo_stack.push_back(
         Check(core::Invert(doc, pul), "invert"));
     pul::ApplyOptions opts;

@@ -404,11 +404,6 @@ Result<Pul> Aggregator::Run(AggregateStats* stats) {
 }  // namespace
 
 Result<pul::Pul> Aggregate(const std::vector<const pul::Pul*>& puls,
-                           AggregateStats* stats) {
-  return Aggregate(puls, AggregateOptions(), stats);
-}
-
-Result<pul::Pul> Aggregate(const std::vector<const pul::Pul*>& puls,
                            const AggregateOptions& options,
                            AggregateStats* stats) {
   Aggregator aggregator(puls, options);

@@ -18,6 +18,16 @@ struct AggregateStats {
   size_t folded_ops = 0;
 };
 
+struct AggregateOptions {
+  // Optional counters/timers sink (per-phase wall time, fold tallies).
+  Metrics* metrics = nullptr;
+  // Decision-provenance sink (obs/trace.h). Aggregation is sequential by
+  // definition (Delta_1 ; ... ; Delta_n), so the journal is trivially
+  // run-deterministic. Inputs are keyed "P<pul>#<op>", accumulated slots
+  // "agg#<idx>", outputs "out#<j>".
+  obs::Tracer* tracer = nullptr;
+};
+
 // §3.3 / Algorithm 2: cumulates the sequential composition
 // Delta_1 ; ... ; Delta_n into a single PUL substitutable to it
 // (Proposition 4). Delta_k is interpreted against the document produced
@@ -33,22 +43,9 @@ struct AggregateStats {
 // The hash table H of Algorithm 2 appears here as the aggregate forest
 // itself (a node is "new" iff it lives in the forest) plus the
 // root-to-operation ownership index.
-[[nodiscard]] Result<pul::Pul> Aggregate(const std::vector<const pul::Pul*>& puls,
-                           AggregateStats* stats = nullptr);
-
-struct AggregateOptions {
-  // Optional counters/timers sink (per-phase wall time, fold tallies).
-  Metrics* metrics = nullptr;
-  // Decision-provenance sink (obs/trace.h). Aggregation is sequential by
-  // definition (Delta_1 ; ... ; Delta_n), so the journal is trivially
-  // run-deterministic. Inputs are keyed "P<pul>#<op>", accumulated slots
-  // "agg#<idx>", outputs "out#<j>".
-  obs::Tracer* tracer = nullptr;
-};
-
 [[nodiscard]] Result<pul::Pul> Aggregate(
     const std::vector<const pul::Pul*>& puls,
-    const AggregateOptions& options, AggregateStats* stats = nullptr);
+    const AggregateOptions& options = {}, AggregateStats* stats = nullptr);
 
 }  // namespace xupdate::core
 

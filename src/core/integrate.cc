@@ -551,11 +551,6 @@ std::string_view ConflictTypeName(ConflictType type) {
   return "unknown";
 }
 
-Result<IntegrationResult> Integrate(
-    const std::vector<const pul::Pul*>& puls) {
-  return Integrate(puls, IntegrateOptions());
-}
-
 Result<IntegrationResult> Integrate(const std::vector<const pul::Pul*>& puls,
                                     const IntegrateOptions& options) {
   Integrator integrator(puls, options);

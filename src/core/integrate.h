@@ -57,16 +57,6 @@ struct IntegrationResult {
   std::vector<Conflict> conflicts;
 };
 
-// Algorithm 1: detects conflicts across `puls` (all specified against
-// the same document state) by grouping operations on their target nodes
-// in document order (types 1-4) and walking the tree induced by the
-// ancestor-descendant relation of the targets (type 5). Only operations
-// from *different* PULs conflict. Requires every operation to carry a
-// valid target label. When no conflict arises the merged PUL coincides
-// with Definition 5's merge (Proposition 2).
-[[nodiscard]] Result<IntegrationResult> Integrate(
-    const std::vector<const pul::Pul*>& puls);
-
 struct IntegrateOptions {
   // Worker threads for conflict detection. The target-group forest built
   // by Algorithm 1 splits at its roots into disjoint subtree shards
@@ -88,9 +78,16 @@ struct IntegrateOptions {
   obs::Tracer* tracer = nullptr;
 };
 
+// Algorithm 1: detects conflicts across `puls` (all specified against
+// the same document state) by grouping operations on their target nodes
+// in document order (types 1-4) and walking the tree induced by the
+// ancestor-descendant relation of the targets (type 5). Only operations
+// from *different* PULs conflict. Requires every operation to carry a
+// valid target label. When no conflict arises the merged PUL coincides
+// with Definition 5's merge (Proposition 2).
 [[nodiscard]] Result<IntegrationResult> Integrate(
     const std::vector<const pul::Pul*>& puls,
-    const IntegrateOptions& options);
+    const IntegrateOptions& options = {});
 
 }  // namespace xupdate::core
 

@@ -22,90 +22,6 @@ using xml::kInvalidNode;
 using xml::NodeId;
 using xml::NodeType;
 
-// Kinds a same-target repN/del makes ineffective (O1's overridable set).
-bool IsO1Overridable(OpKind kind) {
-  switch (kind) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kDelete:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsInto:
-    case OpKind::kInsAttributes:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Rejects PULs that the O-rules of Figure 2 would shrink: an overridden
-// operation has no effect, so inverting it would corrupt the undo.
-Status CheckOIrreducible(const Document& doc, const Pul& pul) {
-  std::unordered_map<NodeId, std::vector<const UpdateOp*>> by_target;
-  for (const UpdateOp& op : pul.ops()) {
-    by_target[op.target].push_back(&op);
-  }
-  for (const auto& [target, ops] : by_target) {
-    const UpdateOp* killer = nullptr;
-    bool has_repc = false;
-    for (const UpdateOp* op : ops) {
-      if (op->kind == OpKind::kDelete || op->kind == OpKind::kReplaceNode) {
-        killer = op;
-      }
-      if (op->kind == OpKind::kReplaceChildren) has_repc = true;
-    }
-    for (const UpdateOp* op : ops) {
-      // O1: anything but a sibling insertion next to a same-target
-      // repN/del is overridden (a second del counts too).
-      if (killer != nullptr && op != killer && IsO1Overridable(op->kind)) {
-        return Status::InvalidArgument(
-            "PUL is O-reducible (same-target override on node " +
-            std::to_string(target) + "); reduce before inverting");
-      }
-      // O2: child insertions next to a same-target repC.
-      if (has_repc &&
-          (op->kind == OpKind::kInsFirst || op->kind == OpKind::kInsInto ||
-           op->kind == OpKind::kInsLast)) {
-        return Status::InvalidArgument(
-            "PUL is O-reducible (repC overrides insertion on node " +
-            std::to_string(target) + "); reduce before inverting");
-      }
-    }
-  }
-  // Nested overrides (O3/O4): no op may target a node inside a killed
-  // subtree. Ground truth from the document (we have it here).
-  std::vector<NodeId> killers;
-  for (const UpdateOp& op : pul.ops()) {
-    if (op.kind == OpKind::kDelete || op.kind == OpKind::kReplaceNode) {
-      killers.push_back(op.target);
-    }
-  }
-  for (const UpdateOp& op : pul.ops()) {
-    for (NodeId killer : killers) {
-      if (doc.IsAncestor(killer, op.target)) {
-        return Status::InvalidArgument(
-            "PUL is O-reducible (operation under removed node " +
-            std::to_string(killer) + "); reduce before inverting");
-      }
-    }
-  }
-  for (const UpdateOp& op : pul.ops()) {
-    if (op.kind != OpKind::kReplaceChildren) continue;
-    for (const UpdateOp& other : pul.ops()) {
-      if (&other == &op) continue;
-      if (doc.IsAncestor(op.target, other.target) &&
-          !(doc.parent(other.target) == op.target &&
-            doc.type(other.target) == NodeType::kAttribute)) {
-        return Status::InvalidArgument(
-            "PUL is O-reducible (operation under repC target " +
-            std::to_string(op.target) + "); reduce before inverting");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 class Inverter {
  public:
   Inverter(const Document& doc, const Pul& pul) : doc_(doc), pul_(pul) {}
@@ -180,7 +96,15 @@ class Inverter {
 
 Result<Pul> Inverter::Run() {
   XUPDATE_RETURN_IF_ERROR(pul_.CheckCompatible());
-  XUPDATE_RETURN_IF_ERROR(CheckOIrreducible(doc_, pul_));
+  std::string reason;
+  std::vector<bool> overridden = OverriddenOps(doc_, pul_, &reason);
+  if (std::find(overridden.begin(), overridden.end(), true) !=
+      overridden.end()) {
+    // An overridden operation has no effect, so inverting it would
+    // corrupt the undo.
+    return Status::InvalidArgument("PUL is O-reducible (" + reason +
+                                   "); reduce before inverting");
+  }
 
   // First pass: removal bookkeeping for anchor computation.
   for (const UpdateOp& op : pul_.ops()) {
@@ -315,6 +239,88 @@ Result<Pul> Inverter::Run() {
 }
 
 }  // namespace
+
+std::vector<bool> OverriddenOps(const Document& doc, const Pul& pul,
+                                std::string* reason) {
+  const std::vector<UpdateOp>& ops = pul.ops();
+  std::vector<bool> overridden(ops.size(), false);
+  bool found = false;
+  // Describes only the first override, in the order Invert reports it.
+  auto mark = [&](size_t i, const auto& describe) {
+    if (reason != nullptr && !found) *reason = describe();
+    found = true;
+    overridden[i] = true;
+  };
+  auto kills_subtree = [&ops](size_t i) {
+    return ops[i].kind == OpKind::kDelete ||
+           ops[i].kind == OpKind::kReplaceNode;
+  };
+  // Same-target overrides. O1: anything but a sibling insertion next to
+  // a same-target repN/del (a second del counts too); O2: child
+  // insertions next to a same-target repC.
+  std::unordered_map<NodeId, std::vector<size_t>> by_target;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    by_target[ops[i].target].push_back(i);
+  }
+  for (const auto& [target, indexes] : by_target) {
+    size_t killer = ops.size();
+    bool has_repc = false;
+    for (size_t i : indexes) {
+      if (kills_subtree(i)) killer = i;
+      if (ops[i].kind == OpKind::kReplaceChildren) has_repc = true;
+    }
+    for (size_t i : indexes) {
+      if (killer != ops.size() && i != killer &&
+          pul::IsO1Overridable(ops[i].kind)) {
+        mark(i, [&] {
+          return "same-target override on node " + std::to_string(target);
+        });
+      }
+      if (has_repc && (ops[i].kind == OpKind::kInsFirst ||
+                       ops[i].kind == OpKind::kInsInto ||
+                       ops[i].kind == OpKind::kInsLast)) {
+        mark(i, [&] {
+          return "repC overrides insertion on node " + std::to_string(target);
+        });
+      }
+    }
+  }
+  // Nested overrides, with ancestry read from the document. O3: no op
+  // may target a node inside a removed (del/repN) subtree.
+  std::vector<size_t> killers;
+  for (size_t k = 0; k < ops.size(); ++k) {
+    if (kills_subtree(k)) killers.push_back(k);
+  }
+  for (size_t i = 0; i < ops.size(); ++i) {
+    for (size_t k : killers) {
+      if (!doc.IsAncestor(ops[k].target, ops[i].target)) continue;
+      mark(i, [&] {
+        return "operation under removed node " +
+               std::to_string(ops[k].target);
+      });
+      break;
+    }
+  }
+  // O4: nor under a repC target, attributes of the target itself
+  // excepted.
+  for (size_t k = 0; k < ops.size(); ++k) {
+    if (ops[k].kind != OpKind::kReplaceChildren) continue;
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (!doc.IsAncestor(ops[k].target, ops[i].target)) continue;
+      if (doc.parent(ops[i].target) == ops[k].target &&
+          doc.type(ops[i].target) == NodeType::kAttribute) {
+        continue;
+      }
+      mark(i, [&] {
+        return "operation under repC target " + std::to_string(ops[k].target);
+      });
+    }
+  }
+  // One pass reaches the set a drop-to-fixpoint loop would: whatever
+  // overrides an overridden repN/del/repC sits at or above its target,
+  // so it already overrides every operation that one does.
+  return overridden;
+}
 
 Result<pul::Pul> Invert(const xml::Document& doc, const pul::Pul& pul) {
   Inverter inverter(doc, pul);

@@ -346,11 +346,6 @@ Result<Pul> Reconciler::Run() {
 }  // namespace
 
 Result<pul::Pul> Reconcile(const std::vector<const pul::Pul*>& puls,
-                           ReconcileStats* stats) {
-  return Reconcile(puls, ReconcileOptions(), stats);
-}
-
-Result<pul::Pul> Reconcile(const std::vector<const pul::Pul*>& puls,
                            const ReconcileOptions& options,
                            ReconcileStats* stats) {
   Reconciler reconciler(puls, options, stats);

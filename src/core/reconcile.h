@@ -18,24 +18,6 @@ struct ReconcileStats {
   size_t operations_generated = 0;
 };
 
-// Definition 12 with the instantiation of §4.2: integrates `puls`
-// (Algorithm 1) and solves every conflict with the best-effort
-// resolution of Algorithm 3, honoring each producer's policies
-// (Pul::policies()):
-//   * preservation of insertion order — the producer's inserted-node
-//     order must not be interleaved by other PULs;
-//   * preservation of inserted data — the producer's inserted data must
-//     reach the final document (its operations cannot be excluded);
-//   * preservation of removed data — the producer's removals must happen
-//     (its removing operations cannot be excluded).
-// Conflicts are processed by focus node in document order with the
-// paper's tie-breaking precedence; asymmetric conflicts exclude the
-// overridden side when allowed, order conflicts regenerate a single
-// concatenated insertion, other symmetric conflicts keep one operation.
-// Fails with kUnresolvedConflict when no valid reconciliation exists.
-[[nodiscard]] Result<pul::Pul> Reconcile(const std::vector<const pul::Pul*>& puls,
-                           ReconcileStats* stats = nullptr);
-
 struct ReconcileOptions {
   // Worker threads / shared pool for the embedded integration stage (see
   // IntegrateOptions).
@@ -51,9 +33,24 @@ struct ReconcileOptions {
   obs::Tracer* tracer = nullptr;
 };
 
+// Definition 12 with the instantiation of §4.2: integrates `puls`
+// (Algorithm 1) and solves every conflict with the best-effort
+// resolution of Algorithm 3, honoring each producer's policies
+// (Pul::policies()):
+//   * preservation of insertion order — the producer's inserted-node
+//     order must not be interleaved by other PULs;
+//   * preservation of inserted data — the producer's inserted data must
+//     reach the final document (its operations cannot be excluded);
+//   * preservation of removed data — the producer's removals must happen
+//     (its removing operations cannot be excluded).
+// Conflicts are processed by focus node in document order with the
+// paper's tie-breaking precedence; asymmetric conflicts exclude the
+// overridden side when allowed, order conflicts regenerate a single
+// concatenated insertion, other symmetric conflicts keep one operation.
+// Fails with kUnresolvedConflict when no valid reconciliation exists.
 [[nodiscard]] Result<pul::Pul> Reconcile(
     const std::vector<const pul::Pul*>& puls,
-    const ReconcileOptions& options, ReconcileStats* stats = nullptr);
+    const ReconcileOptions& options = {}, ReconcileStats* stats = nullptr);
 
 }  // namespace xupdate::core
 

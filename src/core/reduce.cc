@@ -20,6 +20,7 @@ namespace {
 
 using label::BitString;
 using label::NodeLabel;
+using pul::IsO1Overridable;
 using pul::OpClass;
 using pul::OpKind;
 using pul::Pul;
@@ -31,25 +32,6 @@ using xml::NodeType;
 bool IsChildInsertion(OpKind kind) {
   return kind == OpKind::kInsFirst || kind == OpKind::kInsInto ||
          kind == OpKind::kInsLast;
-}
-
-// op1-kinds overridden by a same-target repN/del (rule O1): everything
-// except the sibling insertions (their effect survives the target's
-// removal) and repN itself.
-bool IsO1Overridable(OpKind kind) {
-  switch (kind) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kDelete:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsInto:
-    case OpKind::kInsAttributes:
-      return true;
-    default:
-      return false;
-  }
 }
 
 // One candidate rule application: ops in their rule roles plus the merge
@@ -1197,19 +1179,6 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
     metrics->AddCounter("reduce.rule_applications", applications);
   }
   return out;
-}
-
-Result<pul::Pul> Reduce(const pul::Pul& input, ReduceMode mode) {
-  ReduceOptions options;
-  options.mode = mode;
-  return Reduce(input, options, nullptr);
-}
-
-Result<pul::Pul> ReduceWithStats(const pul::Pul& input, ReduceMode mode,
-                                 ReduceStats* stats) {
-  ReduceOptions options;
-  options.mode = mode;
-  return Reduce(input, options, stats);
 }
 
 }  // namespace xupdate::core

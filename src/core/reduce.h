@@ -25,19 +25,6 @@ enum class ReduceMode {
   kCanonical,
 };
 
-// Reduces `input` by the rules of Figure 2 (three families):
-//   O  — drop operations overridden by a same-target or ancestor-target
-//        repN / del / repC;
-//   I  — collapse insertions on the same node or on sibling /
-//        parent-child nodes;
-//   IR — fold insertions around a node into a repN of that node.
-// The reduced PUL is substitutable to `input` (Proposition 1) and the
-// operator is idempotent. Requires `input` to contain no incompatible
-// pair (an applicable PUL); structural side conditions are evaluated on
-// the labels carried by the operations — the document is never touched.
-[[nodiscard]] Result<pul::Pul> Reduce(
-    const pul::Pul& input, ReduceMode mode = ReduceMode::kPlain);
-
 // Statistics of the last phase of interest to the evaluation benches.
 struct ReduceStats {
   size_t input_ops = 0;
@@ -48,10 +35,6 @@ struct ReduceStats {
   // Work units the components were packed into, each solved on its own.
   size_t units = 0;
 };
-
-[[nodiscard]] Result<pul::Pul> ReduceWithStats(const pul::Pul& input,
-                                               ReduceMode mode,
-                                               ReduceStats* stats);
 
 struct ReduceOptions {
   ReduceMode mode = ReduceMode::kPlain;
@@ -75,18 +58,29 @@ struct ReduceOptions {
   obs::Tracer* tracer = nullptr;
 };
 
-// Reduce with engine knobs. Operations are partitioned by the targets'
-// containment labels: two operations land in the same component iff they
-// are connected through same-target / parent / adjacent-sibling /
-// ancestor-containment links — exactly the relations the Figure 2 rules
-// and override sweeps can act across — so per-component fixpoints compose
-// to the global one. Components, in first-op order, are packed into
-// contiguous work units that close once they hold 1024 operations (a
-// component is never split); each unit is solved on its own, and the
-// deterministic merge (listing-rank order, or the canonical <o order)
-// gives the same bytes as reducing the whole PUL at once.
+// Reduces `input` by the rules of Figure 2 (three families):
+//   O  — drop operations overridden by a same-target or ancestor-target
+//        repN / del / repC;
+//   I  — collapse insertions on the same node or on sibling /
+//        parent-child nodes;
+//   IR — fold insertions around a node into a repN of that node.
+// The reduced PUL is substitutable to `input` (Proposition 1) and the
+// operator is idempotent. Requires `input` to contain no incompatible
+// pair (an applicable PUL); structural side conditions are evaluated on
+// the labels carried by the operations — the document is never touched.
+//
+// Operations are partitioned by the targets' containment labels: two
+// operations land in the same component iff they are connected through
+// same-target / parent / adjacent-sibling / ancestor-containment links —
+// exactly the relations the Figure 2 rules and override sweeps can act
+// across — so per-component fixpoints compose to the global one.
+// Components, in first-op order, are packed into contiguous work units
+// that close once they hold 1024 operations (a component is never
+// split); each unit is solved on its own, and the deterministic merge
+// (listing-rank order, or the canonical <o order) gives the same bytes
+// as reducing the whole PUL at once.
 [[nodiscard]] Result<pul::Pul> Reduce(const pul::Pul& input,
-                                      const ReduceOptions& options,
+                                      const ReduceOptions& options = {},
                                       ReduceStats* stats = nullptr);
 
 }  // namespace xupdate::core

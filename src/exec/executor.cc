@@ -63,7 +63,8 @@ Status PulExecutor::CommitParallel(
     core::ReconcileStats* stats) {
   if (puls.empty()) return Status::InvalidArgument("no PULs to commit");
   if (puls.size() == 1) return Commit(*puls[0]);
-  XUPDATE_ASSIGN_OR_RETURN(pul::Pul merged, core::Reconcile(puls, stats));
+  XUPDATE_ASSIGN_OR_RETURN(pul::Pul merged,
+                           core::Reconcile(puls, {}, stats));
   return Commit(merged);
 }
 
@@ -73,7 +74,7 @@ Status PulExecutor::CommitSequence(
   if (puls.empty()) return Status::InvalidArgument("no PULs to commit");
   if (puls.size() == 1) return Commit(*puls[0]);
   XUPDATE_ASSIGN_OR_RETURN(pul::Pul aggregate,
-                           core::Aggregate(puls, stats));
+                           core::Aggregate(puls, {}, stats));
   return Commit(aggregate);
 }
 

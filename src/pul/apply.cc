@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/string_util.h"
@@ -49,39 +48,43 @@ class Applier {
 
   Status ApplyInsInto(const UpdateOp& op);
   Status ApplyInsAttributes(const UpdateOp& op);
-  Status ApplySiblingInsert(const UpdateOp& op);
-  Status ApplyEdgeInsert(const UpdateOp& op);  // insFirst / insLast
+  Status ApplyInsert(const UpdateOp& op);  // insBefore/After/First/Last
   Status ApplyReplaceNode(const UpdateOp& op);
   Status ApplyReplaceChildren(const UpdateOp& op);
   Status ApplyDelete(const UpdateOp& op);
-  Status CheckAttributeNamesUnique();
 
-  // Groups `ops` by key, preserving first-appearance order of groups and
-  // list order within each group.
-  template <typename KeyFn>
-  static std::vector<std::vector<const UpdateOp*>> GroupBy(
-      const std::vector<const UpdateOp*>& ops, KeyFn key);
+  // Groups `ops` by key (groups in first-appearance order, list order
+  // within each) and applies each group's ops in the order the oracle
+  // picks.
+  template <typename KeyFn, typename ApplyFn>
+  Status ApplyGrouped(const std::vector<const UpdateOp*>& ops, KeyFn key,
+                      ApplyFn apply);
 
   Document& doc_;
   const Pul& pul_;
   const ApplyOptions& options_;
   ChoiceOracle* oracle_;
-  // Elements whose attribute sets changed (duplicate-name check).
-  std::unordered_set<NodeId> attr_touched_;
 };
 
-template <typename KeyFn>
-std::vector<std::vector<const UpdateOp*>> Applier::GroupBy(
-    const std::vector<const UpdateOp*>& ops, KeyFn key) {
+template <typename KeyFn, typename ApplyFn>
+Status Applier::ApplyGrouped(const std::vector<const UpdateOp*>& ops,
+                             KeyFn key, ApplyFn apply) {
   std::vector<std::vector<const UpdateOp*>> groups;
   std::unordered_map<uint64_t, size_t> index;
   for (const UpdateOp* op : ops) {
-    uint64_t k = key(*op);
-    auto [it, inserted] = index.emplace(k, groups.size());
+    auto [it, inserted] = index.emplace(key(*op), groups.size());
     if (inserted) groups.emplace_back();
     groups[it->second].push_back(op);
   }
-  return groups;
+  for (auto& group : groups) {
+    while (!group.empty()) {
+      size_t pick = Choose(group.size(), 0);
+      const UpdateOp* op = group[pick];
+      group.erase(group.begin() + static_cast<ptrdiff_t>(pick));
+      XUPDATE_RETURN_IF_ERROR(apply(*op));
+    }
+  }
+  return Status::OK();
 }
 
 Status Applier::ApplyInsInto(const UpdateOp& op) {
@@ -111,44 +114,24 @@ Status Applier::ApplyInsAttributes(const UpdateOp& op) {
     XUPDATE_RETURN_IF_ERROR(doc_.AddAttribute(op.target, node));
     XUPDATE_RETURN_IF_ERROR(LabelNew(node));
   }
-  attr_touched_.insert(op.target);
   return Status::OK();
 }
 
-Status Applier::ApplySiblingInsert(const UpdateOp& op) {
-  if (op.kind == OpKind::kInsBefore) {
-    for (NodeId forest_root : op.param_trees) {
-      XUPDATE_ASSIGN_OR_RETURN(NodeId node, Materialize(forest_root));
-      XUPDATE_RETURN_IF_ERROR(doc_.InsertBefore(op.target, node));
-      XUPDATE_RETURN_IF_ERROR(LabelNew(node));
-    }
-  } else {
-    // insAfter: insert in reverse so the parameter order is preserved
-    // immediately after the target.
-    for (auto it = op.param_trees.rbegin(); it != op.param_trees.rend();
-         ++it) {
-      XUPDATE_ASSIGN_OR_RETURN(NodeId node, Materialize(*it));
-      XUPDATE_RETURN_IF_ERROR(doc_.InsertAfter(op.target, node));
-      XUPDATE_RETURN_IF_ERROR(LabelNew(node));
-    }
-  }
-  return Status::OK();
-}
-
-Status Applier::ApplyEdgeInsert(const UpdateOp& op) {
-  if (op.kind == OpKind::kInsFirst) {
-    for (auto it = op.param_trees.rbegin(); it != op.param_trees.rend();
-         ++it) {
-      XUPDATE_ASSIGN_OR_RETURN(NodeId node, Materialize(*it));
-      XUPDATE_RETURN_IF_ERROR(doc_.PrependChild(op.target, node));
-      XUPDATE_RETURN_IF_ERROR(LabelNew(node));
-    }
-  } else {
-    for (NodeId forest_root : op.param_trees) {
-      XUPDATE_ASSIGN_OR_RETURN(NodeId node, Materialize(forest_root));
-      XUPDATE_RETURN_IF_ERROR(doc_.AppendChild(op.target, node));
-      XUPDATE_RETURN_IF_ERROR(LabelNew(node));
-    }
+// Sibling and edge insertions. insAfter and insFirst attach every tree
+// at the same point, so they run in reverse to keep the parameter order.
+Status Applier::ApplyInsert(const UpdateOp& op) {
+  const size_t n = op.param_trees.size();
+  const bool reverse =
+      op.kind == OpKind::kInsAfter || op.kind == OpKind::kInsFirst;
+  for (size_t i = 0; i < n; ++i) {
+    XUPDATE_ASSIGN_OR_RETURN(
+        NodeId node, Materialize(op.param_trees[reverse ? n - 1 - i : i]));
+    XUPDATE_RETURN_IF_ERROR(
+        op.kind == OpKind::kInsBefore  ? doc_.InsertBefore(op.target, node)
+        : op.kind == OpKind::kInsAfter ? doc_.InsertAfter(op.target, node)
+        : op.kind == OpKind::kInsFirst ? doc_.PrependChild(op.target, node)
+                                       : doc_.AppendChild(op.target, node));
+    XUPDATE_RETURN_IF_ERROR(LabelNew(node));
   }
   return Status::OK();
 }
@@ -160,9 +143,6 @@ Status Applier::ApplyReplaceNode(const UpdateOp& op) {
   for (NodeId forest_root : op.param_trees) {
     XUPDATE_ASSIGN_OR_RETURN(NodeId node, Materialize(forest_root));
     replacements.push_back(node);
-  }
-  if (doc_.type(op.target) == NodeType::kAttribute) {
-    attr_touched_.insert(doc_.parent(op.target));
   }
   XUPDATE_RETURN_IF_ERROR(UnlabelDoomed(op.target));
   XUPDATE_RETURN_IF_ERROR(doc_.ReplaceNode(op.target, replacements));
@@ -188,26 +168,8 @@ Status Applier::ApplyReplaceChildren(const UpdateOp& op) {
 
 Status Applier::ApplyDelete(const UpdateOp& op) {
   if (!doc_.Exists(op.target)) return Status::OK();
-  if (doc_.type(op.target) == NodeType::kAttribute) {
-    attr_touched_.insert(doc_.parent(op.target));
-  }
   XUPDATE_RETURN_IF_ERROR(UnlabelDoomed(op.target));
   return doc_.DeleteSubtree(op.target);
-}
-
-Status Applier::CheckAttributeNamesUnique() {
-  for (NodeId element : attr_touched_) {
-    if (!doc_.Exists(element)) continue;
-    std::unordered_set<std::string_view> names;
-    for (NodeId a : doc_.attributes(element)) {
-      if (!names.insert(doc_.name(a)).second) {
-        return Status::NotApplicable(
-            "duplicate attribute \"" + std::string(doc_.name(a)) +
-            "\" on element " + std::to_string(element));
-      }
-    }
-  }
-  return Status::OK();
 }
 
 Status Applier::Run() {
@@ -229,48 +191,28 @@ Status Applier::Run() {
         break;
       case OpKind::kReplaceValue:
         XUPDATE_RETURN_IF_ERROR(doc_.SetValue(op->target, op->param_string));
-        if (doc_.type(op->target) == NodeType::kAttribute) {
-          attr_touched_.insert(doc_.parent(op->target));
-        }
         break;
       case OpKind::kRename:
         XUPDATE_RETURN_IF_ERROR(doc_.Rename(op->target, op->param_string));
-        if (doc_.type(op->target) == NodeType::kAttribute) {
-          attr_touched_.insert(doc_.parent(op->target));
-        }
         break;
       default:
         return Status::Internal("unexpected op in stage 1");
     }
   }
-  for (auto& group : GroupBy(ins_into, [](const UpdateOp& op) {
-         return static_cast<uint64_t>(op.target);
-       })) {
-    while (!group.empty()) {
-      size_t pick = Choose(group.size(), 0);
-      const UpdateOp* op = group[pick];
-      group.erase(group.begin() + static_cast<ptrdiff_t>(pick));
-      XUPDATE_RETURN_IF_ERROR(ApplyInsInto(*op));
-    }
-  }
+  XUPDATE_RETURN_IF_ERROR(ApplyGrouped(
+      ins_into,
+      [](const UpdateOp& op) { return static_cast<uint64_t>(op.target); },
+      [this](const UpdateOp& op) { return ApplyInsInto(op); }));
 
   // Stage 2: sibling/edge insertions; relative order of same-kind
   // same-target blocks is the remaining non-determinism.
-  for (auto& group : GroupBy(stages[2], [](const UpdateOp& op) {
-         return static_cast<uint64_t>(op.target) * 16 +
-                static_cast<uint64_t>(op.kind);
-       })) {
-    while (!group.empty()) {
-      size_t pick = Choose(group.size(), 0);
-      const UpdateOp* op = group[pick];
-      group.erase(group.begin() + static_cast<ptrdiff_t>(pick));
-      if (op->kind == OpKind::kInsBefore || op->kind == OpKind::kInsAfter) {
-        XUPDATE_RETURN_IF_ERROR(ApplySiblingInsert(*op));
-      } else {
-        XUPDATE_RETURN_IF_ERROR(ApplyEdgeInsert(*op));
-      }
-    }
-  }
+  XUPDATE_RETURN_IF_ERROR(ApplyGrouped(
+      stages[2],
+      [](const UpdateOp& op) {
+        return static_cast<uint64_t>(op.target) * 16 +
+               static_cast<uint64_t>(op.kind);
+      },
+      [this](const UpdateOp& op) { return ApplyInsert(op); }));
 
   // Stages 3-5: replacements and deletions; ops whose target has already
   // been removed by an overriding operation are silently complete.
@@ -283,7 +225,120 @@ Status Applier::Run() {
   for (const UpdateOp* op : stages[5]) {
     XUPDATE_RETURN_IF_ERROR(ApplyDelete(*op));
   }
-  return CheckAttributeNamesUnique();
+  return Status::OK();
+}
+
+// Parameter trees are new content: materializing one keeps its
+// producer-assigned ids, so an id that names a node of `doc`, or a tree
+// that two operations share, would clash halfway through the apply.
+// Roots exist and are detached (Pul::AddOp), so trees overlap only
+// where a root repeats.
+Status CheckParamIdsFresh(const Document& doc, const Pul& pul) {
+  auto in_use = [](NodeId id) {
+    return Status::InvalidArgument("node id already in use: " +
+                                   std::to_string(id));
+  };
+  const Document& forest = pul.forest();
+  std::vector<NodeId> stack;
+  for (const UpdateOp& op : pul.ops()) {
+    stack.insert(stack.end(), op.param_trees.begin(), op.param_trees.end());
+  }
+  std::vector<NodeId> roots = stack;
+  std::sort(roots.begin(), roots.end());
+  for (size_t i = 1; i < roots.size(); ++i) {
+    if (roots[i] == roots[i - 1]) return in_use(roots[i]);
+  }
+  // Ids are never reused, so one above the document's highest is fresh.
+  const NodeId max_doc_id = doc.max_assigned_id();
+  while (!stack.empty()) {
+    NodeId id = stack.back();
+    stack.pop_back();
+    if (id <= max_doc_id && doc.Exists(id)) return in_use(id);
+    const auto& attrs = forest.attributes(id);
+    const auto& kids = forest.children(id);
+    stack.insert(stack.end(), attrs.begin(), attrs.end());
+    stack.insert(stack.end(), kids.begin(), kids.end());
+  }
+  return Status::OK();
+}
+
+// True when the PUL leaves `element` in the document: no repN/del on it
+// or an ancestor, no repC on an ancestor.
+bool Survives(const Document& doc, const Pul& pul, NodeId element) {
+  for (const UpdateOp& op : pul.ops()) {
+    const bool removes =
+        op.kind == OpKind::kReplaceNode || op.kind == OpKind::kDelete;
+    if (!removes && op.kind != OpKind::kReplaceChildren) continue;
+    if (removes && op.target == element) return false;
+    if (doc.IsAncestor(op.target, element)) return false;
+  }
+  return true;
+}
+
+// No element the PUL leaves in place may end with two attributes of one
+// name. Predicted from the pre-state, in the apply's final order: an
+// attribute keeps its place under its ren's name unless deleted, gives
+// way in place to its repN replacements, and insA appends after them.
+Status CheckAttributeNamesUnique(const Document& doc, const Pul& pul) {
+  struct Fate {  // what the PUL does to one attribute
+    std::string_view name;
+    const UpdateOp* replaced = nullptr;
+    bool deleted = false;
+  };
+  std::unordered_map<NodeId, Fate> fates;
+  std::unordered_map<NodeId, std::vector<const UpdateOp*>> inserts;
+  std::vector<NodeId> touched;  // elements whose attribute set changes
+  for (const UpdateOp& op : pul.ops()) {
+    if (op.kind == OpKind::kInsAttributes) {
+      touched.push_back(op.target);
+      inserts[op.target].push_back(&op);
+      continue;
+    }
+    if ((op.kind != OpKind::kRename && op.kind != OpKind::kReplaceValue &&
+         op.kind != OpKind::kReplaceNode && op.kind != OpKind::kDelete) ||
+        doc.type(op.target) != NodeType::kAttribute) {
+      continue;
+    }
+    touched.push_back(doc.parent(op.target));
+    Fate& fate =
+        fates.try_emplace(op.target, Fate{doc.name(op.target)}).first->second;
+    if (op.kind == OpKind::kRename) fate.name = op.param_string;
+    if (op.kind == OpKind::kReplaceNode) fate.replaced = &op;
+    if (op.kind == OpKind::kDelete) fate.deleted = true;
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  std::vector<std::string_view> names;
+  auto add_params = [&](const UpdateOp& op) {
+    for (NodeId r : op.param_trees) names.push_back(pul.forest().name(r));
+  };
+  for (NodeId element : touched) {
+    names.clear();
+    for (NodeId a : doc.attributes(element)) {
+      auto it = fates.find(a);
+      if (it == fates.end()) {
+        names.push_back(doc.name(a));
+      } else if (it->second.replaced != nullptr) {
+        add_params(*it->second.replaced);
+      } else if (!it->second.deleted) {
+        names.push_back(it->second.name);
+      }
+    }
+    if (auto it = inserts.find(element); it != inserts.end()) {
+      for (const UpdateOp* op : it->second) add_params(*op);
+    }
+    for (size_t i = 1; i < names.size(); ++i) {
+      if (std::find(names.begin(), names.begin() + i, names[i]) ==
+          names.begin() + i) {
+        continue;
+      }
+      if (!Survives(doc, pul, element)) break;
+      return Status::NotApplicable("duplicate attribute \"" +
+                                   std::string(names[i]) + "\" on element " +
+                                   std::to_string(element));
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -378,7 +433,9 @@ Status CheckPulApplicable(const xml::Document& doc, const Pul& pul) {
   for (const UpdateOp& op : pul.ops()) {
     XUPDATE_RETURN_IF_ERROR(CheckOpApplicable(doc, pul, op));
   }
-  return pul.CheckCompatible();
+  XUPDATE_RETURN_IF_ERROR(pul.CheckCompatible());
+  XUPDATE_RETURN_IF_ERROR(CheckParamIdsFresh(doc, pul));
+  return CheckAttributeNamesUnique(doc, pul);
 }
 
 Status ApplyPul(xml::Document* doc, const Pul& pul,

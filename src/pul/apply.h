@@ -38,7 +38,12 @@ class ChoiceOracle {
 Status CheckOpApplicable(const xml::Document& doc, const Pul& pul,
                          const UpdateOp& op);
 
-// Definition 4: every operation applicable, all pairs compatible.
+// Definition 4: every operation applicable, all pairs compatible; and
+// the two dynamic errors of the apply, predicted from `doc`: no
+// parameter-tree node id names a node of `doc` or occurs in two trees
+// of the PUL (kInvalidArgument), and
+// no element the PUL keeps ends with two attributes of one name
+// (kNotApplicable). A PUL that passes applies without error.
 Status CheckPulApplicable(const xml::Document& doc, const Pul& pul);
 
 // Applies `pul` to `doc` following the five-stage semantics of §2.2:
@@ -46,9 +51,9 @@ Status CheckPulApplicable(const xml::Document& doc, const Pul& pul);
 //   (3) repN                          (4) repC
 //   (5) del
 // Parameter trees are materialized with their producer-assigned ids
-// (bind the PUL's id space to the document before building it). Fails
-// without touching `doc`'s applicability-checked state only on internal
-// errors; applicability is fully checked up front.
+// (bind the PUL's id space to the document before building it).
+// Applicability, CheckPulApplicable, is fully checked before `doc` is
+// touched, so a failure leaves `doc` as it was.
 Status ApplyPul(xml::Document* doc, const Pul& pul,
                 const ApplyOptions& options = {},
                 ChoiceOracle* oracle = nullptr);

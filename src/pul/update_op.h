@@ -40,6 +40,26 @@ OpClass ClassOf(OpKind kind);
 //   3: repN   4: repC   5: del
 int StageOf(OpKind kind);
 
+// Rule O1's overridable set: the kinds a same-target repN/del makes
+// ineffective — everything but the sibling insertions (their effect
+// survives the target's removal) and repN itself. Inline: the reduce
+// engine's override loops call it per operation.
+inline bool IsO1Overridable(OpKind kind) {
+  switch (kind) {
+    case OpKind::kRename:
+    case OpKind::kReplaceValue:
+    case OpKind::kReplaceChildren:
+    case OpKind::kDelete:
+    case OpKind::kInsFirst:
+    case OpKind::kInsLast:
+    case OpKind::kInsInto:
+    case OpKind::kInsAttributes:
+      return true;
+    default:
+      return false;
+  }
+}
+
 // Stable wire names ("insBefore", "repN", ...).
 std::string_view OpKindName(OpKind kind);
 bool OpKindFromName(std::string_view name, OpKind* out);

@@ -856,7 +856,8 @@ void Server::RunBatch(std::deque<CommitJob> batch) {
     }
   }
   // Group by tenant, preserving each tenant's arrival order, so one
-  // CommitBatch (= one fsync) covers all of a tenant's queued commits.
+  // CommitBatch (= at most one fsync) covers all of a tenant's queued
+  // commits.
   std::vector<Tenant*> order;
   std::map<Tenant*, std::vector<CommitJob*>> groups;
   for (CommitJob& job : batch) {

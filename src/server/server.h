@@ -55,8 +55,9 @@ namespace xupdate::server {
 //            concurrent committers pile in, groups the jobs by tenant
 //            in arrival order, and feeds each group to
 //            VersionStore::CommitBatch — which appends every frame and
-//            then fsyncs ONCE. N concurrent commits therefore cost one
-//            fdatasync instead of N; `store.wal.fsync.count` against
+//            then applies the fsync policy ONCE. Under fsync=always N
+//            concurrent commits therefore cost one fdatasync instead of
+//            N; `store.wal.fsync.count` against
 //            `store.commit.count` makes the coalescing observable.
 //
 // Consistency: each tenant has one mutex serializing every touch of
@@ -224,7 +225,7 @@ class Server {
   void BatcherLoop();
   void RunBatch(std::deque<CommitJob> batch);
   // Commits one tenant's jobs of the current batch (one CommitBatch,
-  // one fsync). Caller holds no locks; takes the tenant's mutex.
+  // at most one fsync). Caller holds no locks; takes the tenant's mutex.
   void CommitGroup(Tenant* tenant, const std::vector<CommitJob*>& jobs,
                    uint64_t batch_id);
 

@@ -129,13 +129,7 @@ Result<const xml::Document*> VersionStore::BranchHeadDoc(
   return &journal->doc;
 }
 
-// --- Commit / checkout ----------------------------------------------------
-
-Result<uint64_t> VersionStore::CommitOnBranch(const std::string& branch,
-                                              const pul::Pul& pul) {
-  XUPDATE_ASSIGN_OR_RETURN(Journal* journal, FindJournal(branch));
-  return CommitPul(journal, pul);
-}
+// --- Checkout -------------------------------------------------------------
 
 Result<xml::Document> VersionStore::CheckoutBranch(const std::string& branch,
                                                    uint64_t v) const {
@@ -320,16 +314,21 @@ bool VersionStore::SyncRecordNames(const std::string& branch,
 
 Status VersionStore::AppendBranchLogRecord(const std::string& payload) {
   if (!has_branch_log_) {
-    XUPDATE_ASSIGN_OR_RETURN(
-        branch_log_, Wal::Create(dir_ + "/" + kBranchLogName,
-                                 ToWalOptions(options_)));
+    // Created on first use. The handle is kept when the directory sync
+    // fails, so the next record retries that sync, not the creation; no
+    // record is appended before the file's directory entry is durable.
+    if (!branch_log_.is_open()) {
+      XUPDATE_ASSIGN_OR_RETURN(
+          branch_log_, Wal::Create(dir_ + "/" + kBranchLogName,
+                                   ToWalOptions(options_)));
+    }
     XUPDATE_RETURN_IF_ERROR(SyncDirectory(dir_));
     has_branch_log_ = true;
   }
   WalFrame frame;
   frame.type = FrameType::kBranchMeta;
   frame.payload = payload;
-  XUPDATE_RETURN_IF_ERROR(branch_log_.Append(frame, /*defer_sync=*/true));
+  XUPDATE_RETURN_IF_ERROR(branch_log_.Append(frame));
   XUPDATE_RETURN_IF_ERROR(branch_log_.Sync());
   XUPDATE_ASSIGN_OR_RETURN(BranchLogRecord record,
                            DecodeBranchLogRecord(payload));
@@ -418,7 +417,7 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
     frame.payload = EncodeMergeRecord(record);
     Wal& wal = side->journal->wal;
     side->pre_size = wal.size_bytes();
-    Status appended = wal.Append(frame, /*defer_sync=*/true);
+    Status appended = wal.Append(frame);
     if (!appended.ok()) return roll_back_frames(appended);
     side->appended = true;
     Status synced = wal.Sync();
@@ -438,11 +437,8 @@ Result<MergeCommitResult> VersionStore::CommitMerge(const MergePlan& plan) {
   // Install in memory.
   for (Side* side : {&a, &b}) {
     if (side->chain->empty()) continue;
-    Journal& journal = *side->journal;
-    journal.doc = std::move(side->merged);
-    ++journal.head;
-    journal.frames.push_back(journal.wal.frames().back());
-    if (IsRoot(journal)) MaybeCheckpoint();
+    side->journal->doc = std::move(side->merged);
+    InstallFrames(side->journal, 1);
   }
   if (options_.metrics != nullptr) {
     options_.metrics->AddCounter("store.merge.commit.count");

@@ -1,7 +1,6 @@
 #include "store/version.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,107 +13,6 @@
 #include "xml/serializer.h"
 
 namespace xupdate::store {
-
-namespace {
-
-// Kinds a same-target repN/del overrides (O1's overridable set; mirrors
-// core/invert.cc, which enforces exactly these as preconditions).
-bool IsO1Overridable(pul::OpKind kind) {
-  switch (kind) {
-    case pul::OpKind::kRename:
-    case pul::OpKind::kReplaceValue:
-    case pul::OpKind::kReplaceChildren:
-    case pul::OpKind::kDelete:
-    case pul::OpKind::kInsFirst:
-    case pul::OpKind::kInsLast:
-    case pul::OpKind::kInsInto:
-    case pul::OpKind::kInsAttributes:
-      return true;
-    default:
-      return false;
-  }
-}
-
-// Drops every operation the O-rules override, judged against the
-// pre-state document instead of the operation labels: labels inside an
-// aggregated PUL can predate the document state and miss ancestor
-// relations the document itself exhibits. Overridden operations have no
-// effect on Apply, so the filtered PUL is Apply-equivalent; it exists so
-// core/invert's O-irreducibility precondition holds.
-Result<pul::Pul> DropOverriddenOps(const xml::Document& doc,
-                                   const pul::Pul& pul) {
-  const auto& ops = pul.ops();
-  std::vector<bool> drop(ops.size(), false);
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Same-target overrides (O1, and repC vs child insertions).
-    std::unordered_map<xml::NodeId, std::vector<size_t>> by_target;
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (!drop[i]) by_target[ops[i].target].push_back(i);
-    }
-    for (const auto& [target, indexes] : by_target) {
-      size_t killer = ops.size();
-      bool has_repc = false;
-      for (size_t i : indexes) {
-        if (ops[i].kind == pul::OpKind::kDelete ||
-            ops[i].kind == pul::OpKind::kReplaceNode) {
-          killer = i;
-        }
-        if (ops[i].kind == pul::OpKind::kReplaceChildren) has_repc = true;
-      }
-      for (size_t i : indexes) {
-        if (killer != ops.size() && i != killer &&
-            IsO1Overridable(ops[i].kind)) {
-          drop[i] = true;
-          changed = true;
-        }
-        if (has_repc && (ops[i].kind == pul::OpKind::kInsFirst ||
-                         ops[i].kind == pul::OpKind::kInsInto ||
-                         ops[i].kind == pul::OpKind::kInsLast)) {
-          drop[i] = true;
-          changed = true;
-        }
-      }
-    }
-    // Nested overrides: operations inside a killed subtree (del/repN)
-    // or under a surviving repC target (attributes of the target itself
-    // excepted, matching core/invert.cc).
-    for (size_t k = 0; k < ops.size(); ++k) {
-      if (drop[k]) continue;
-      bool kills_subtree = ops[k].kind == pul::OpKind::kDelete ||
-                           ops[k].kind == pul::OpKind::kReplaceNode;
-      bool is_repc = ops[k].kind == pul::OpKind::kReplaceChildren;
-      if (!kills_subtree && !is_repc) continue;
-      for (size_t i = 0; i < ops.size(); ++i) {
-        if (drop[i] || i == k) continue;
-        if (!doc.IsAncestor(ops[k].target, ops[i].target)) continue;
-        if (is_repc && doc.parent(ops[i].target) == ops[k].target &&
-            doc.type(ops[i].target) == xml::NodeType::kAttribute) {
-          continue;
-        }
-        drop[i] = true;
-        changed = true;
-      }
-    }
-  }
-  if (std::find(drop.begin(), drop.end(), true) == drop.end()) return pul;
-  pul::Pul out;
-  out.set_policies(pul.policies());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    if (drop[i]) continue;
-    pul::UpdateOp op = ops[i];
-    for (xml::NodeId& root : op.param_trees) {
-      XUPDATE_ASSIGN_OR_RETURN(
-          root, out.forest().AdoptSubtree(pul.forest(), root,
-                                          /*preserve_ids=*/true, nullptr));
-    }
-    XUPDATE_RETURN_IF_ERROR(out.AddOp(std::move(op)));
-  }
-  return out;
-}
-
-}  // namespace
 
 Result<std::string> VersionStore::SerializeAnnotated(
     const xml::Document& doc) {
@@ -398,38 +296,41 @@ Result<std::string> VersionStore::CheckoutXml(uint64_t v) const {
 
 // --- Commit ---------------------------------------------------------------
 
-Result<uint64_t> VersionStore::CommitPul(Journal* journal,
-                                         const pul::Pul& pul) {
-  const bool root = IsRoot(*journal);
-  ScopedTimer timer(options_.metrics, root ? "store.commit.seconds"
-                                           : "store.branch.commit.seconds");
-  XUPDATE_RETURN_IF_ERROR(pul::CheckPulApplicable(journal->doc, pul));
-  WalFrame frame;
-  frame.type = FrameType::kPul;
-  frame.version = journal->head + 1;
-  XUPDATE_ASSIGN_OR_RETURN(frame.payload, pul::SerializePul(pul));
-  // WAL-first: if the append (or its fsync) fails, the in-memory state
-  // is untouched and the torn tail is recovered on the next Open.
-  XUPDATE_RETURN_IF_ERROR(journal->wal.Append(frame));
-  XUPDATE_RETURN_IF_ERROR(pul::ApplyPul(&journal->doc, pul));
-  ++journal->head;
-  journal->frames.push_back(journal->wal.frames().back());
-  if (options_.metrics != nullptr) {
-    options_.metrics->AddCounter(root ? "store.commit.count"
-                                      : "store.branch.commit.count");
-  }
-  if (root) MaybeCheckpoint();
-  return journal->head;
+Result<uint64_t> VersionStore::Commit(const pul::Pul& pul) {
+  return CommitOnBranch(main_.meta.name, pul);
 }
 
-Result<uint64_t> VersionStore::Commit(const pul::Pul& pul) {
-  return CommitPul(&main_, pul);
+Result<uint64_t> VersionStore::CommitOnBranch(const std::string& branch,
+                                              const pul::Pul& pul) {
+  XUPDATE_ASSIGN_OR_RETURN(Journal* journal, FindJournal(branch));
+  ScopedTimer timer(options_.metrics, IsRoot(*journal)
+                                          ? "store.commit.seconds"
+                                          : "store.branch.commit.seconds");
+  std::vector<CommitOutcome> outcomes;
+  XUPDATE_RETURN_IF_ERROR(
+      CommitGroup(journal, {&pul}, &outcomes, nullptr).status());
+  XUPDATE_RETURN_IF_ERROR(outcomes[0].status);
+  return outcomes[0].version;
 }
 
 Result<size_t> VersionStore::CommitBatch(
     const std::vector<const pul::Pul*>& puls,
     std::vector<CommitOutcome>* outcomes, BatchCommitStats* stats) {
   ScopedTimer timer(options_.metrics, "store.commit_batch.seconds");
+  std::vector<CommitOutcome> local_outcomes;  // caller passed nullptr
+  if (outcomes == nullptr) outcomes = &local_outcomes;
+  XUPDATE_ASSIGN_OR_RETURN(size_t committed,
+                           CommitGroup(&main_, puls, outcomes, stats));
+  if (options_.metrics != nullptr && committed > 0) {
+    options_.metrics->AddCounter("store.commit_batch.count");
+    options_.metrics->AddCounter("store.commit_batch.committed", committed);
+  }
+  return committed;
+}
+
+Result<size_t> VersionStore::CommitGroup(
+    Journal* journal, const std::vector<const pul::Pul*>& puls,
+    std::vector<CommitOutcome>* outcomes, BatchCommitStats* stats) {
   using Clock = std::chrono::steady_clock;
   Clock::time_point stage_start;
   if (stats != nullptr) stage_start = Clock::now();
@@ -440,14 +341,27 @@ Result<size_t> VersionStore::CommitBatch(
     stage_start = now;
     return elapsed;
   };
-  std::vector<CommitOutcome> local_outcomes;  // caller passed nullptr
-  if (outcomes == nullptr) outcomes = &local_outcomes;
   outcomes->assign(puls.size(), CommitOutcome{});
-  // Stage 1: validate each PUL against the state its predecessors in
-  // the batch produce, on a scratch copy — nothing durable or visible
-  // happens until the whole batch's frames are on disk.
-  xml::Document scratch = main_.doc;
-  uint64_t version = main_.head;
+  // A failure from the first append on fails the whole group: the
+  // journal may end in torn, unsynced or unapplied frames and the
+  // in-memory head is untouched, so no outcome can claim success
+  // (recovery keeps or drops the frames by what reached disk).
+  auto fail = [outcomes](const Status& status) {
+    for (CommitOutcome& out : *outcomes) out.status = status;
+    return status;
+  };
+  // Stage 1: validate each PUL against the state its accepted
+  // predecessors produce, and serialize it. Only when a later PUL has
+  // to be validated against an earlier one is the head copied, and the
+  // accepted PULs applied to the copy; a group of one is checked on the
+  // resident head and applied to it once its frame is durable, which is
+  // sound because CheckPulApplicable predicts every error of the apply.
+  // Nothing durable or visible happens before the whole group is on
+  // disk.
+  const bool staged = puls.size() > 1;
+  xml::Document scratch;
+  if (staged) scratch = journal->doc;
+  const xml::Document& state = staged ? scratch : journal->doc;
   std::vector<std::pair<size_t, WalFrame>> accepted;  // index into puls
   accepted.reserve(puls.size());
   for (size_t i = 0; i < puls.size(); ++i) {
@@ -456,78 +370,67 @@ Result<size_t> VersionStore::CommitBatch(
       out.status = Status::InvalidArgument("null PUL in batch");
       continue;
     }
-    Status applicable = pul::CheckPulApplicable(scratch, *puls[i]);
-    if (!applicable.ok()) {
-      out.status = std::move(applicable);
-      continue;
+    out.status = pul::CheckPulApplicable(state, *puls[i]);
+    if (staged && out.status.ok()) {
+      out.status = pul::ApplyPul(&scratch, *puls[i]);
     }
-    Status applied = pul::ApplyPul(&scratch, *puls[i]);
-    if (!applied.ok()) {
-      out.status = std::move(applied);
-      continue;
-    }
+    if (!out.status.ok()) continue;
     Result<std::string> payload = pul::SerializePul(*puls[i]);
     if (!payload.ok()) {
-      // Serialization failed after the scratch apply went through; the
-      // scratch doc now includes this PUL, so later PULs in the batch
-      // would be validated against state we cannot journal. Abort —
+      // A scratch state already includes this PUL, so later PULs would
+      // be validated against state that cannot be journaled. Abort;
       // nothing has touched disk yet.
       return payload.status();
     }
     WalFrame frame;
     frame.type = FrameType::kPul;
-    frame.version = ++version;
+    frame.version = journal->head + accepted.size() + 1;
     frame.payload = std::move(*payload);
     accepted.emplace_back(i, std::move(frame));
   }
   if (stats != nullptr) stats->validate_seconds = stage_seconds();
-  // Stage 2: WAL-first, one sync. Deferred appends skip the per-frame
-  // policy sync; the single Sync() below makes the whole batch durable
-  // at once — this is the coalescing that group commit buys.
-  for (auto& [index, frame] : accepted) {
-    Status appended = main_.wal.Append(frame, /*defer_sync=*/true);
-    if (!appended.ok()) {
-      // The journal may end in a torn frame and the handle is poisoned;
-      // the in-memory head is untouched, so the store still serves
-      // reads. No outcome can claim success: a frame appended
-      // before the failure was never synced and recovery will keep or
-      // drop it based on what reached disk.
-      for (CommitOutcome& out : *outcomes) out.status = appended;
-      return appended;
-    }
+  // Stage 2: WAL-first. Every frame is appended, then the fsync policy
+  // is applied once for the whole group.
+  for (const auto& [index, frame] : accepted) {
+    Status appended = journal->wal.Append(frame);
+    if (!appended.ok()) return fail(appended);
   }
   if (stats != nullptr) stage_start = Clock::now();
-  if (!accepted.empty() && options_.fsync != FsyncPolicy::kNever) {
-    Status synced = main_.wal.Sync();
-    if (!synced.ok()) {
-      for (CommitOutcome& out : *outcomes) out.status = synced;
-      return synced;
-    }
-  }
+  Status synced = journal->wal.SyncGroup();
+  if (!synced.ok()) return fail(synced);
   if (stats != nullptr) stats->fsync_seconds = stage_seconds();
-  // Stage 3: install. The frames are durable; adopt the scratch doc and
-  // index the new frames.
-  size_t frame_base = main_.wal.frames().size() - accepted.size();
-  for (size_t j = 0; j < accepted.size(); ++j) {
-    const WalFrame& frame = accepted[j].second;
-    (*outcomes)[accepted[j].first] =
-        CommitOutcome{Status::OK(), frame.version};
-    main_.frames.push_back(main_.wal.frames()[frame_base + j]);
+  // Stage 3: install the durable frames.
+  if (!accepted.empty()) {
+    if (staged) {
+      journal->doc = std::move(scratch);
+    } else {
+      Status applied = pul::ApplyPul(&journal->doc, *puls[accepted[0].first]);
+      if (!applied.ok()) return fail(applied);
+    }
+    for (const auto& [index, frame] : accepted) {
+      (*outcomes)[index] = CommitOutcome{Status::OK(), frame.version};
+    }
+    if (options_.metrics != nullptr) {
+      options_.metrics->AddCounter(IsRoot(*journal)
+                                       ? "store.commit.count"
+                                       : "store.branch.commit.count",
+                                   accepted.size());
+    }
+    InstallFrames(journal, accepted.size());
   }
-  main_.doc = std::move(scratch);
-  main_.head = version;
-  if (options_.metrics != nullptr && !accepted.empty()) {
-    options_.metrics->AddCounter("store.commit.count", accepted.size());
-    options_.metrics->AddCounter("store.commit_batch.count");
-    options_.metrics->AddCounter("store.commit_batch.committed",
-                                 accepted.size());
-  }
-  MaybeCheckpoint();
   if (stats != nullptr) {
     stats->apply_seconds = stage_seconds();
-    stats->wal_bytes = main_.wal.size_bytes();
+    stats->wal_bytes = journal->wal.size_bytes();
   }
   return accepted.size();
+}
+
+void VersionStore::InstallFrames(Journal* journal, size_t count) {
+  const std::vector<WalFrameInfo>& frames = journal->wal.frames();
+  journal->frames.insert(journal->frames.end(), frames.end() - count,
+                         frames.end());
+  journal->head += count;
+  if (IsRoot(*journal)) MaybeCheckpoint();
 }
 
 void VersionStore::MaybeCheckpoint() {
@@ -575,8 +478,26 @@ Result<pul::Pul> VersionStore::ComputeUndo(const xml::Document& pre,
   reduce_options.metrics = options.metrics;
   XUPDATE_ASSIGN_OR_RETURN(pul::Pul reduced,
                            core::Reduce(pul, reduce_options));
-  XUPDATE_ASSIGN_OR_RETURN(pul::Pul filtered,
-                           DropOverriddenOps(pre, reduced));
+  std::vector<bool> overridden = core::OverriddenOps(pre, reduced);
+  if (std::find(overridden.begin(), overridden.end(), true) ==
+      overridden.end()) {
+    return core::Invert(pre, reduced);
+  }
+  // Overridden operations have no effect on Apply, so the PUL without
+  // them is Apply-equivalent and meets Invert's precondition.
+  pul::Pul filtered;
+  filtered.set_policies(reduced.policies());
+  for (size_t i = 0; i < reduced.ops().size(); ++i) {
+    if (overridden[i]) continue;
+    pul::UpdateOp op = reduced.ops()[i];
+    for (xml::NodeId& root : op.param_trees) {
+      XUPDATE_ASSIGN_OR_RETURN(
+          root, filtered.forest().AdoptSubtree(reduced.forest(), root,
+                                               /*preserve_ids=*/true,
+                                               nullptr));
+    }
+    XUPDATE_RETURN_IF_ERROR(filtered.AddOp(std::move(op)));
+  }
   return core::Invert(pre, filtered);
 }
 
@@ -740,10 +661,8 @@ Status VersionStore::Close() {
     Status closed = branch.wal.Close();
     if (status.ok() && !closed.ok()) status = closed;
   }
-  if (has_branch_log_) {
-    Status closed = branch_log_.Close();
-    if (status.ok() && !closed.ok()) status = closed;
-  }
+  Status closed = branch_log_.Close();
+  if (status.ok() && !closed.ok()) status = closed;
   return status;
 }
 

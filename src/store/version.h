@@ -36,8 +36,9 @@ namespace xupdate::store {
 //   branches.log        sync-commit + rebase markers (store/records.h)
 //
 // and nothing else — there is no manifest; the whole state is derived
-// by scanning them at Open(). Commit is WAL-first: the serialized PUL
-// is appended (and fsync'd per policy) before it is applied in memory,
+// by scanning them at Open(). Every commit is a group commit on one
+// journal and WAL-first: the serialized PULs are appended (and fsync'd
+// once per group, per policy) before they are applied in memory,
 // so a crash at any byte leaves a journal that recovers to the last
 // complete version. Checkout(v) materializes any historical version by
 // replaying from the nearest checkpoint at or below v.
@@ -70,9 +71,9 @@ struct CommitOutcome {
 // Timing/size decomposition of one CommitBatch call, captured only when
 // the caller asks for it (the serving layer's per-request telemetry).
 struct BatchCommitStats {
-  double validate_seconds = 0.0;  // stage 1: scratch applicability+apply
-  double fsync_seconds = 0.0;     // stage 2: the single wal Sync()
-  double apply_seconds = 0.0;     // stage 3: install + checkpoint
+  double validate_seconds = 0.0;  // stage 1: checks (+ scratch applies)
+  double fsync_seconds = 0.0;     // stage 2: the policy sync
+  double apply_seconds = 0.0;     // stage 3: (apply of one +) install
   uint64_t wal_bytes = 0;         // journal size after the batch
 };
 
@@ -186,18 +187,24 @@ class VersionStore {
   VersionStore(VersionStore&&) noexcept = default;
   VersionStore& operator=(VersionStore&&) noexcept = default;
 
-  // Commits one PUL as version head()+1. WAL-first: applicability is
-  // checked, the frame is appended (honoring the fsync policy), and
-  // only then is the PUL applied to the head document. A checkpoint is
-  // written when the cadence triggers fire.
+  // Commits one PUL as version head()+1: a group commit of one (see
+  // CommitBatch). WAL-first: applicability, which predicts every error
+  // of the apply, is checked on the head document, the frame is
+  // appended and the fsync policy applied, and only then is the PUL
+  // applied to the head document. A checkpoint is written when the
+  // cadence triggers fire.
   Result<uint64_t> Commit(const pul::Pul& pul);
 
-  // Group commit: commits the PULs in order as consecutive versions,
-  // with ONE fdatasync for the whole batch instead of one per commit
-  // (the server's group-commit path; under fsync=always a batch of N
-  // costs 1 fsync, not N). Each PUL is validated against the state its
-  // predecessors in the batch produced; an inapplicable PUL gets its
-  // failure recorded in `outcomes` and the batch continues without it.
+  // Group commit on the mainline: commits the PULs in order as
+  // consecutive versions, appending every frame and then applying the
+  // fsync policy once for the whole batch (the server's group-commit
+  // path; under fsync=always a batch of N costs 1 fsync, not N; under
+  // fsync=batch the batch syncs once `batch_interval` frames have
+  // accumulated since the last sync). Each PUL is validated against the
+  // state its predecessors in the batch produced, on a copy of the head
+  // document when the batch holds more than one PUL; an inapplicable
+  // PUL gets its failure recorded in `outcomes` and the batch continues
+  // without it.
   // `outcomes` (parallel to `puls`) is always resized and filled, and
   // may be null when the caller only wants the count. An
   // append/fsync failure fails the whole call: the journal may hold a
@@ -263,8 +270,9 @@ class VersionStore {
   Result<BranchInfo> GetBranch(const std::string& name) const;
 
   // Commit/Checkout addressed to a branch ("main": the mainline, with
-  // its own metrics). Every commit is WAL-first; only mainline commits
-  // write checkpoints (branches replay from the fork point).
+  // its own metrics). A commit is a group commit of one, as Commit;
+  // only mainline commits write checkpoints (branches replay from the
+  // fork point).
   Result<uint64_t> CommitOnBranch(const std::string& branch,
                                   const pul::Pul& pul);
   Result<xml::Document> CheckoutBranch(const std::string& branch,
@@ -338,8 +346,8 @@ class VersionStore {
   static Result<std::string> SerializeAnnotated(const xml::Document& doc);
 
   // The store's one undo formula, used for every PUL a rollback or
-  // UndoChainFrom rewinds: deterministic reduction of `pul`, a
-  // document-grounded drop of operations the O-rules override (labels
+  // UndoChainFrom rewinds: deterministic reduction of `pul`, a drop of
+  // the operations core::OverriddenOps flags against `pre` (labels
   // inside an aggregated PUL can be too stale for the label-based engine
   // to see every override; the pre-state document is ground truth and
   // overridden operations have no effect on Apply), then core/invert
@@ -403,9 +411,22 @@ class VersionStore {
   static Status ReplayForward(const Journal& journal, uint64_t from,
                               uint64_t to, xml::Document* doc);
 
-  // The WAL-first commit of one PUL as `journal`'s next version, shared
-  // by Commit and CommitOnBranch.
-  Result<uint64_t> CommitPul(Journal* journal, const pul::Pul& pul);
+  // The one commit step, behind Commit, CommitOnBranch (groups of one)
+  // and CommitBatch: validates and serializes each PUL of the group,
+  // appends every accepted frame to `journal`, applies the fsync policy
+  // once (Wal::SyncGroup) and installs. The contract of `outcomes`,
+  // `stats` and the return value is CommitBatch's; `outcomes` must be
+  // non-null.
+  Result<size_t> CommitGroup(Journal* journal,
+                             const std::vector<const pul::Pul*>& puls,
+                             std::vector<CommitOutcome>* outcomes,
+                             BatchCommitStats* stats);
+
+  // The install step of every commit and merge: indexes the last
+  // `count` frames of `journal`'s Wal (already durable, their state
+  // already in journal->doc), advances the head past them and, on the
+  // mainline, writes a checkpoint if a trigger fired.
+  void InstallFrames(Journal* journal, size_t count);
 
   // Writes a mainline checkpoint if a cadence trigger fired. The
   // versions it would cover are already durable, so a failure only
@@ -470,8 +491,8 @@ class VersionStore {
   SnapshotStore snapshots_;
   Journal main_;  // the mainline, the root journal
   std::map<std::string, Journal> branches_;  // by name; no "main"
-  Wal branch_log_;  // branches.log; open iff has_branch_log_
-  bool has_branch_log_ = false;
+  Wal branch_log_;  // branches.log, once opened or created
+  bool has_branch_log_ = false;  // branches.log's directory entry is durable
   std::vector<BranchLogRecord> branch_log_records_;  // in file order
 
   uint64_t last_checkpoint_version_ = 0;

@@ -173,7 +173,7 @@ Result<Wal> Wal::Open(const std::string& path, const WalOptions& options,
   return wal;
 }
 
-Status Wal::Append(const WalFrame& frame, bool defer_sync) {
+Status Wal::Append(const WalFrame& frame) {
   if (poisoned_) {
     return Status::IoError(
         "append refused: journal poisoned by earlier write failure: " +
@@ -230,9 +230,11 @@ Status Wal::Append(const WalFrame& frame, bool defer_sync) {
   info.offset = size_bytes_ - encoded.size();
   info.payload_bytes = static_cast<uint32_t>(frame.payload.size());
   frames_.push_back(info);
-  // A deferred append leaves the policy sync to the caller (the
-  // group-commit path appends a whole batch, then issues one Sync).
-  if (defer_sync) return Status::OK();
+  return Status::OK();
+}
+
+Status Wal::SyncGroup() {
+  if (appends_since_sync_ == 0) return Status::OK();
   switch (options_.fsync) {
     case FsyncPolicy::kAlways:
       return Sync();

@@ -47,10 +47,15 @@ namespace xupdate::store {
 // itself and refuses every further Append. The caller reopens the
 // journal, which truncates back to the last clean frame.
 //
-// Fsync policy trades durability for commit throughput:
-//   kAlways  fdatasync after every append (default; no committed
-//            version is ever lost);
-//   kBatch   fdatasync every `batch_interval` appends and on Close();
+// Fsync policy trades durability for commit throughput. Append never
+// syncs; a writer appends a group of frames and ends it with SyncGroup,
+// the one place a commit reads the policy (Close() also reads it, to
+// sync unless the policy is kNever):
+//   kAlways  fdatasync at the end of every group that appended a frame
+//            (default; no committed version is ever lost);
+//   kBatch   fdatasync at the end of the group that brings the frames
+//            appended since the last sync to `batch_interval`, and on
+//            Close();
 //   kNever   leave flushing to the OS (benchmark baseline).
 
 enum class FsyncPolicy { kAlways, kBatch, kNever };
@@ -133,16 +138,20 @@ class Wal {
   Wal(Wal&&) noexcept = default;
   Wal& operator=(Wal&&) noexcept = default;
 
-  // Appends one frame, honoring the fsync policy. After any append or
+  // Appends one frame without syncing it: the frame is durable only
+  // after a later SyncGroup (per policy) or Sync. After any append or
   // fsync failure the handle is poisoned: every later Append is refused
   // (kIoError) until the journal is reopened and its tail recovered.
-  // With `defer_sync` the policy sync is skipped — the group-commit
-  // path appends a batch of frames this way and then calls Sync() once,
-  // coalescing N commits into a single fdatasync.
-  Status Append(const WalFrame& frame, bool defer_sync = false);
+  Status Append(const WalFrame& frame);
+
+  // Ends a group of appends by applying the fsync policy once (see
+  // above): a group of N commits costs at most one fdatasync.
+  Status SyncGroup();
 
   // Forces an fdatasync regardless of policy.
   Status Sync();
+
+  bool is_open() const { return file_.is_open(); }
 
   // Flushes (per policy) and closes the append handle.
   Status Close();

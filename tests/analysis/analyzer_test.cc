@@ -378,7 +378,7 @@ TEST_F(AnalyzerTest, PredictionBoundsReduceOnRandomPuls) {
     for (core::ReduceMode mode :
          {core::ReduceMode::kPlain, core::ReduceMode::kDeterministic,
           core::ReduceMode::kCanonical}) {
-      auto reduced = core::Reduce(pul, mode);
+      auto reduced = core::Reduce(pul, {.mode = mode});
       ASSERT_TRUE(reduced.ok()) << reduced.status() << " seed " << seed;
       EXPECT_LE(reduced->size(), pred.surviving_upper_bound)
           << "seed " << seed << " mode " << static_cast<int>(mode);

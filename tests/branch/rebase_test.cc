@@ -299,6 +299,56 @@ TEST_F(BranchRebaseTest, FailedSyncAfterTheRenameAdoptsTheRewrittenJournal) {
   EXPECT_EQ(HeadBytes(*reopened, "w"), head);
 }
 
+TEST_F(BranchRebaseTest, FailedBranchLogCreationIsRetriedByTheNextRecord) {
+  std::string path = (dir_ / "store").string();
+  VersionStore store = MakeStore();
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(store.CommitOnBranch("w", RepVPul(**doc, 1)).ok());
+  ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 2)).ok());
+  RebaseOptions options;
+  options.onto = store.head();
+  {
+    // The rebase record is the store's first, so it creates
+    // branches.log; the directory fsync after the creation fails.
+    UnreadableDirectory unreadable(path);
+    if (!unreadable.active()) {
+      GTEST_SKIP() << "cannot make " << path << " unreadable";
+    }
+    auto report = Rebase(&store, "w", options);
+    ASSERT_FALSE(report.ok());
+    EXPECT_NE(report.status().message().find("open dir"), std::string::npos)
+        << report.status();
+  }
+  EXPECT_TRUE(fs::exists(dir_ / "store" / "branches.log"));
+  auto info = store.GetBranch("w");
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->fork, 0u);
+  // The next record syncs the directory on the open handle instead of
+  // creating the file again.
+  auto report = Rebase(&store, "w", options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_TRUE(report->applied);
+  info = store.GetBranch("w");
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->fork, 1u);
+  EXPECT_EQ(info->head, 2u);
+  auto verified = store.Verify();
+  ASSERT_TRUE(verified.ok()) << verified.status();
+  std::string head = HeadBytes(store, "w");
+  for (const char* text : {"value round 1", "round 2"}) {
+    EXPECT_NE(head.find(text), std::string::npos) << text;
+  }
+  ASSERT_TRUE(store.Close().ok());
+  auto reopened = VersionStore::Open(path);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto reopened_info = reopened->GetBranch("w");
+  ASSERT_TRUE(reopened_info.ok()) << reopened_info.status();
+  EXPECT_EQ(reopened_info->fork, 1u);
+  EXPECT_EQ(reopened_info->head, 2u);
+  EXPECT_EQ(HeadBytes(*reopened, "w"), head);
+}
+
 TEST_F(BranchRebaseTest, RebasesAcrossAParentMergeFrame) {
   // Main replaces node 14's children with a fresh text node T. Its full
   // merge frame undoes that (T goes) and the merge PUL re-creates T
@@ -367,6 +417,39 @@ TEST_F(BranchRebaseTest, ConflictAbortsAndInstallsNothing) {
   auto info = store.GetBranch("w");
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->fork, 0u);
+  EXPECT_EQ(HeadBytes(store, "w"), before);
+}
+
+// Both sides give element 7 an attribute of one name. Replayed onto
+// main, the branch commit would end with a duplicate attribute; the
+// applicability check predicts that, so it is a conflict, not a failed
+// rebase.
+TEST_F(BranchRebaseTest, DuplicateAttributeOnReplayIsAConflict) {
+  auto role = [](const xml::Document& doc, int round) {
+    label::Labeling labeling = label::Labeling::Build(doc);
+    pul::Pul p;
+    p.BindIdSpace(doc.max_assigned_id() + 1 +
+                  static_cast<xml::NodeId>(round) * 1000);
+    xml::NodeId a = p.NewAttributeParam("role", std::to_string(round));
+    EXPECT_TRUE(
+        p.AddTreeOp(pul::OpKind::kInsAttributes, 7, labeling, {a}).ok());
+    return p;
+  };
+  VersionStore store = MakeStore();
+  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+  auto doc = store.BranchHeadDoc("w");
+  ASSERT_TRUE(store.CommitOnBranch("w", role(**doc, 1)).ok());
+  ASSERT_TRUE(store.Commit(role(store.head_doc(), 2)).ok());
+  std::string before = HeadBytes(store, "w");
+  RebaseOptions options;
+  options.onto = store.head();
+  auto report = Rebase(&store, "w", options);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_FALSE(report->applied);
+  ASSERT_EQ(report->conflicts.size(), 1u);
+  EXPECT_EQ(report->conflicts[0].version, 1u);
+  EXPECT_NE(report->conflicts[0].detail.find("duplicate attribute"),
+            std::string::npos);
   EXPECT_EQ(HeadBytes(store, "w"), before);
 }
 

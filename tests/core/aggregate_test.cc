@@ -121,7 +121,7 @@ TEST_F(AggregateExample8Test, TwoPulAggregation) {
 
 TEST_F(AggregateExample8Test, ThreePulAggregation) {
   AggregateStats stats;
-  auto agg = Aggregate({&p1_, &p2_, &p3_}, &stats);
+  auto agg = Aggregate({&p1_, &p2_, &p3_}, {}, &stats);
   ASSERT_TRUE(agg.ok()) << agg.status();
   // {insLast(3, article...), repV(10,'13'), ren(5,'name')}
   EXPECT_EQ(agg->size(), 3u);

@@ -49,7 +49,7 @@ TEST_F(ConflictOrderingTest, AncestorConflictResolvesFirst) {
   Pul c = MakePul(2);
   ASSERT_TRUE(c.AddStringOp(OpKind::kRename, 4, labeling_, "y").ok());
   ReconcileStats stats;
-  auto merged = Reconcile({&a, &b, &c}, &stats);
+  auto merged = Reconcile({&a, &b, &c}, {}, &stats);
   ASSERT_TRUE(merged.ok()) << merged.status();
   ASSERT_EQ(merged->size(), 1u);
   EXPECT_EQ(merged->ops()[0].kind, OpKind::kDelete);
@@ -96,7 +96,7 @@ TEST_F(ConflictOrderingTest, OrderConflictAfterOverrideAtOneFocus) {
   Pul c = MakePul(2);
   ASSERT_TRUE(c.AddDelete(3, labeling_).ok());
   ReconcileStats stats;
-  auto merged = Reconcile({&a, &b, &c}, &stats);
+  auto merged = Reconcile({&a, &b, &c}, {}, &stats);
   ASSERT_TRUE(merged.ok()) << merged.status();
   ASSERT_EQ(merged->size(), 1u);
   EXPECT_EQ(merged->ops()[0].kind, OpKind::kDelete);
@@ -147,7 +147,7 @@ TEST_F(ConflictOrderingTest, ChainedExclusionAcrossConflictTypes) {
   Pul c = MakePul(2);
   ASSERT_TRUE(c.AddDelete(2, labeling_).ok());
   ReconcileStats stats;
-  auto merged = Reconcile({&a, &b, &c}, &stats);
+  auto merged = Reconcile({&a, &b, &c}, {}, &stats);
   ASSERT_TRUE(merged.ok()) << merged.status();
   ASSERT_EQ(merged->size(), 1u);
   EXPECT_EQ(merged->ops()[0].kind, OpKind::kDelete);
@@ -162,7 +162,7 @@ TEST_F(ConflictOrderingTest, IndependentFociResolveIndependently) {
   ASSERT_TRUE(b.AddStringOp(OpKind::kRename, 4, labeling_, "bx").ok());
   ASSERT_TRUE(b.AddStringOp(OpKind::kRename, 6, labeling_, "by").ok());
   ReconcileStats stats;
-  auto merged = Reconcile({&a, &b}, &stats);
+  auto merged = Reconcile({&a, &b}, {}, &stats);
   ASSERT_TRUE(merged.ok()) << merged.status();
   EXPECT_EQ(stats.conflicts_total, 2u);
   EXPECT_EQ(merged->size(), 2u);  // one winner per focus

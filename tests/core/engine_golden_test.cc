@@ -232,7 +232,7 @@ TEST_F(EngineGoldenTest, AggregateOutputsMatchPreRetrofitBytes) {
     ASSERT_TRUE(puls.ok()) << puls.status();
     std::vector<const Pul*> refs;
     for (const Pul& p : *puls) refs.push_back(&p);
-    auto aggregated = Aggregate(refs, nullptr);
+    auto aggregated = Aggregate(refs);
     ASSERT_TRUE(aggregated.ok()) << aggregated.status();
     crc = ExtendCrc32c(crc, Serialized(*aggregated));
   }

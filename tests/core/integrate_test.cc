@@ -107,7 +107,7 @@ TEST_F(IntegrateTest, Example6DeterministicReductionAfterMerge) {
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result->conflicts.empty());
   auto reduced =
-      Reduce(result->merged, ReduceMode::kDeterministic);
+      Reduce(result->merged, {.mode = ReduceMode::kDeterministic});
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   ASSERT_EQ(reduced->size(), 3u);
   int ins_attr_ops = 0;
@@ -324,8 +324,8 @@ TEST_F(IntegrateTest, Proposition2DeterministicReducedNoConflict) {
   ASSERT_TRUE(p2.AddTreeOp(OpKind::kInsFirst, 16, labeling_, {*b}).ok());
   ASSERT_TRUE(p2.AddStringOp(OpKind::kReplaceValue, 11, labeling_, "v").ok());
 
-  auto r1 = Reduce(p1, ReduceMode::kDeterministic);
-  auto r2 = Reduce(p2, ReduceMode::kDeterministic);
+  auto r1 = Reduce(p1, {.mode = ReduceMode::kDeterministic});
+  auto r2 = Reduce(p2, {.mode = ReduceMode::kDeterministic});
   ASSERT_TRUE(r1.ok());
   ASSERT_TRUE(r2.ok());
   auto result = Integrate({&*r1, &*r2});

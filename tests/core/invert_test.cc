@@ -208,7 +208,7 @@ TEST_P(InvertPropertyTest, ApplyThenInverseIsIdentity) {
   options.max_ops = 4;
   options.deterministic = true;
   Pul raw = xupdate::testing::RandomPul(rng, doc, labeling, options);
-  auto reduced = Reduce(raw, ReduceMode::kDeterministic);
+  auto reduced = Reduce(raw, {.mode = ReduceMode::kDeterministic});
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   if (reduced->empty()) GTEST_SKIP();
   // Root removals are not invertible; skip those rare draws.

@@ -111,7 +111,7 @@ TEST_F(ReconcileTest, Example9BestEffortResolution) {
   BuildExample9Puls(pol1, pol2, pol3);
 
   ReconcileStats stats;
-  auto result = Reconcile({&p1_, &p2_, &p3_}, &stats);
+  auto result = Reconcile({&p1_, &p2_, &p3_}, {}, &stats);
   ASSERT_TRUE(result.ok()) << result.status();
   std::multiset<std::string> expected = {
       // Generated order-conflict resolution: producer 1's author first.
@@ -148,7 +148,7 @@ TEST_F(ReconcileTest, NoConflictsPassThrough) {
   Pul b = MakePul(1);
   ASSERT_TRUE(b.AddStringOp(OpKind::kRename, 16, labeling_, "y").ok());
   ReconcileStats stats;
-  auto result = Reconcile({&a, &b}, &stats);
+  auto result = Reconcile({&a, &b}, {}, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->size(), 2u);
   EXPECT_EQ(stats.conflicts_total, 0u);
@@ -236,7 +236,7 @@ TEST_F(ReconcileTest, CascadingExclusionAutoSolvesDownstreamConflicts) {
   Pul c = MakePul(2);
   ASSERT_TRUE(c.AddStringOp(OpKind::kReplaceValue, 8, labeling_, "y").ok());
   ReconcileStats stats;
-  auto result = Reconcile({&a, &b, &c}, &stats);
+  auto result = Reconcile({&a, &b, &c}, {}, &stats);
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ(result->ops()[0].kind, OpKind::kDelete);
@@ -251,7 +251,7 @@ TEST_F(ReconcileTest, OrderConflictWithoutPoliciesConcatenates) {
   auto tb = b.AddFragment("<b1/>");
   ASSERT_TRUE(b.AddTreeOp(OpKind::kInsFirst, 16, labeling_, {*tb}).ok());
   ReconcileStats stats;
-  auto result = Reconcile({&a, &b}, &stats);
+  auto result = Reconcile({&a, &b}, {}, &stats);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ(result->ops()[0].kind, OpKind::kInsFirst);

@@ -40,7 +40,7 @@ class CascadeTest : public ::testing::Test {
   }
 
   std::multiset<std::string> Reduced(ReduceMode mode = ReduceMode::kPlain) {
-    auto reduced = Reduce(pul_, mode);
+    auto reduced = Reduce(pul_, {.mode = mode});
     EXPECT_TRUE(reduced.ok()) << reduced.status();
     if (!reduced.ok()) return {};
     auto sub = pul::IsSubstitutable(doc_, *reduced, pul_);

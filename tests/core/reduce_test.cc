@@ -73,7 +73,7 @@ class ReduceRuleTest : public ::testing::Test {
   }
 
   std::multiset<std::string> ReducedSet(ReduceMode mode = ReduceMode::kPlain) {
-    auto reduced = Reduce(pul_, mode);
+    auto reduced = Reduce(pul_, {.mode = mode});
     EXPECT_TRUE(reduced.ok()) << reduced.status();
     if (!reduced.ok()) return {};
     // Every reduction must be substitutable to the input (Prop. 1).
@@ -335,7 +335,7 @@ TEST_F(ReduceRuleTest, StatsReportApplications) {
   ASSERT_TRUE(pul_.AddStringOp(OpKind::kRename, 4, labeling_, "x").ok());
   ASSERT_TRUE(pul_.AddDelete(4, labeling_).ok());
   ReduceStats stats;
-  auto reduced = ReduceWithStats(pul_, ReduceMode::kPlain, &stats);
+  auto reduced = Reduce(pul_, {}, &stats);
   ASSERT_TRUE(reduced.ok());
   EXPECT_EQ(stats.input_ops, 2u);
   EXPECT_EQ(stats.output_ops, 1u);
@@ -429,7 +429,7 @@ TEST_P(ReducePropertyTest, ReductionContracts) {
   ASSERT_TRUE(original_set.ok()) << original_set.status();
   for (ReduceMode mode : {ReduceMode::kPlain, ReduceMode::kDeterministic,
                           ReduceMode::kCanonical}) {
-    auto reduced = Reduce(pul, mode);
+    auto reduced = Reduce(pul, {.mode = mode});
     ASSERT_TRUE(reduced.ok()) << reduced.status();
     auto sub = pul::IsSubstitutable(doc, *reduced, pul);
     ASSERT_TRUE(sub.ok()) << sub.status();
@@ -442,16 +442,16 @@ TEST_P(ReducePropertyTest, ReductionContracts) {
       EXPECT_EQ(set->size(), 1u) << "mode " << static_cast<int>(mode);
     }
     // Idempotence.
-    auto twice = Reduce(*reduced, mode);
+    auto twice = Reduce(*reduced, {.mode = mode});
     ASSERT_TRUE(twice.ok());
     EXPECT_EQ(Fingerprints(*twice), Fingerprints(*reduced));
   }
   // Canonical shuffle invariance.
-  auto baseline = Reduce(pul, ReduceMode::kCanonical);
+  auto baseline = Reduce(pul, {.mode = ReduceMode::kCanonical});
   ASSERT_TRUE(baseline.ok());
   Pul shuffled = pul;
   rng.Shuffle(shuffled.mutable_ops());
-  auto again = Reduce(shuffled, ReduceMode::kCanonical);
+  auto again = Reduce(shuffled, {.mode = ReduceMode::kCanonical});
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(Fingerprints(*again), Fingerprints(*baseline));
 }

@@ -119,7 +119,7 @@ class Example5Test : public ::testing::Test {
 };
 
 TEST_F(Example5Test, PlainReductionMatchesTable3) {
-  auto reduced = Reduce(pul_, ReduceMode::kPlain);
+  auto reduced = Reduce(pul_);
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   std::multiset<std::string> expected = {
       "repN(5, <year>2004</year>, <title>Report on EDBT04</title>, "
@@ -132,7 +132,7 @@ TEST_F(Example5Test, PlainReductionMatchesTable3) {
 }
 
 TEST_F(Example5Test, DeterministicReductionConvertsInsInto) {
-  auto reduced = Reduce(pul_, ReduceMode::kDeterministic);
+  auto reduced = Reduce(pul_, {.mode = ReduceMode::kDeterministic});
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   std::multiset<std::string> expected = {
       "repN(5, <year>2004</year>, <title>Report on EDBT04</title>, "
@@ -152,7 +152,7 @@ TEST_F(Example5Test, CanonicalFormSortsI5Merges) {
   // In the canonical form rule I5 is applied in <p order, so the three
   // authors inserted after node 7 come out lexicographically sorted:
   // A.Chaudhri, F.Cavalieri, G.Guerrini (then the month from I15).
-  auto canonical = Reduce(pul_, ReduceMode::kCanonical);
+  auto canonical = Reduce(pul_, {.mode = ReduceMode::kCanonical});
   ASSERT_TRUE(canonical.ok()) << canonical.status();
   std::multiset<std::string> expected = {
       "repN(5, <year>2004</year>, <title>Report on EDBT04</title>, "
@@ -166,13 +166,13 @@ TEST_F(Example5Test, CanonicalFormSortsI5Merges) {
 
 TEST_F(Example5Test, CanonicalFormIsOrderInvariant) {
   // Shuffling the input operations must not change the canonical form.
-  auto baseline = Reduce(pul_, ReduceMode::kCanonical);
+  auto baseline = Reduce(pul_, {.mode = ReduceMode::kCanonical});
   ASSERT_TRUE(baseline.ok());
   Rng rng(9);
   for (int trial = 0; trial < 8; ++trial) {
     Pul shuffled = pul_;
     rng.Shuffle(shuffled.mutable_ops());
-    auto canonical = Reduce(shuffled, ReduceMode::kCanonical);
+    auto canonical = Reduce(shuffled, {.mode = ReduceMode::kCanonical});
     ASSERT_TRUE(canonical.ok()) << canonical.status();
     EXPECT_EQ(Fingerprints(*canonical), Fingerprints(*baseline))
         << "trial " << trial;
@@ -183,7 +183,7 @@ TEST_F(Example5Test, ReductionsAreSubstitutable) {
   // Proposition 1: every reduction is substitutable to the original.
   for (ReduceMode mode : {ReduceMode::kPlain, ReduceMode::kDeterministic,
                           ReduceMode::kCanonical}) {
-    auto reduced = Reduce(pul_, mode);
+    auto reduced = Reduce(pul_, {.mode = mode});
     ASSERT_TRUE(reduced.ok());
     auto sub = pul::IsSubstitutable(doc_, *reduced, pul_);
     ASSERT_TRUE(sub.ok()) << sub.status();
@@ -195,9 +195,9 @@ TEST_F(Example5Test, ReductionIsIdempotent) {
   // Proposition 1: (Delta^r)^r = Delta^r.
   for (ReduceMode mode : {ReduceMode::kPlain, ReduceMode::kDeterministic,
                           ReduceMode::kCanonical}) {
-    auto once = Reduce(pul_, mode);
+    auto once = Reduce(pul_, {.mode = mode});
     ASSERT_TRUE(once.ok());
-    auto twice = Reduce(*once, mode);
+    auto twice = Reduce(*once, {.mode = mode});
     ASSERT_TRUE(twice.ok());
     EXPECT_EQ(Fingerprints(*once), Fingerprints(*twice));
   }

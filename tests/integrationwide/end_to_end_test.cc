@@ -141,7 +141,7 @@ TEST_F(EndToEndTest, AggregatedWorkloadMatchesSequentialExecution) {
 
   std::vector<const pul::Pul*> ptrs;
   for (const pul::Pul& pul : *puls) ptrs.push_back(&pul);
-  auto aggregate = core::Aggregate(ptrs, nullptr);
+  auto aggregate = core::Aggregate(ptrs);
   ASSERT_TRUE(aggregate.ok()) << aggregate.status();
   auto in_one_pass = streaming.Evaluate(doc_text_, *aggregate);
   ASSERT_TRUE(in_one_pass.ok()) << in_one_pass.status();
@@ -172,7 +172,8 @@ TEST_F(EndToEndTest, ReduceAfterReconcileKeepsEffect) {
   ASSERT_TRUE(p2.ok()) << p2.status();
   auto merged = core::Reconcile({&*p1, &*p2});
   ASSERT_TRUE(merged.ok()) << merged.status();
-  auto reduced = core::Reduce(*merged, core::ReduceMode::kDeterministic);
+  auto reduced =
+      core::Reduce(*merged, {.mode = core::ReduceMode::kDeterministic});
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   EXPECT_LE(reduced->size(), merged->size());
   auto sub = pul::IsSubstitutable(doc_, *reduced, *merged);
@@ -193,7 +194,8 @@ TEST_F(EndToEndTest, LargeGeneratedPulSurvivesFullPipeline) {
   ASSERT_TRUE(wire.ok());
   auto received = pul::ParsePul(*wire);
   ASSERT_TRUE(received.ok());
-  auto reduced = core::Reduce(*received, core::ReduceMode::kDeterministic);
+  auto reduced =
+      core::Reduce(*received, {.mode = core::ReduceMode::kDeterministic});
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   auto wire2 = pul::SerializePul(*reduced);
   ASSERT_TRUE(wire2.ok());

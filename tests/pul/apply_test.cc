@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "label/labeling.h"
 #include "testing/test_docs.h"
 #include "xml/serializer.h"
@@ -124,7 +128,114 @@ TEST_F(ApplyTest, DuplicateAttributeNameIsDynamicError) {
   // Element 7 already has @position.
   ASSERT_TRUE(
       p.AddTreeOp(OpKind::kInsAttributes, 7, labeling_, {a1}).ok());
-  EXPECT_FALSE(ApplyPul(&doc_, p).ok());
+  std::string before = Serialize();
+  EXPECT_EQ(CheckPulApplicable(doc_, p).code(), StatusCode::kNotApplicable);
+  EXPECT_EQ(ApplyPul(&doc_, p).code(), StatusCode::kNotApplicable);
+  EXPECT_EQ(Serialize(), before);  // caught before the document changed
+}
+
+// The duplicate-name check predicts the attributes each element ends
+// with: ren, del and repN of an attribute change the names in play, and
+// an element the PUL removes has nothing left to clash.
+TEST_F(ApplyTest, DuplicateAttributeNamesArePredictedFromThePreState) {
+  struct Case {
+    const char* name;
+    bool applicable;
+    std::function<void(Pul*)> build;
+  };
+  auto ins_position = [this](Pul* p) {
+    NodeId a = p->NewAttributeParam("position", "01");
+    ASSERT_TRUE(p->AddTreeOp(OpKind::kInsAttributes, 7, labeling_, {a}).ok());
+  };
+  const std::vector<Case> cases = {
+      {"rename onto an inserted name", false,
+       [&](Pul* p) {
+         NodeId a = p->NewAttributeParam("rank", "1");
+         ASSERT_TRUE(
+             p->AddTreeOp(OpKind::kInsAttributes, 7, labeling_, {a}).ok());
+         ASSERT_TRUE(p->AddStringOp(OpKind::kRename, 9, labeling_, "rank")
+                         .ok());
+       }},
+      {"replace with a clashing pair", false,
+       [&](Pul* p) {
+         NodeId a = p->NewAttributeParam("rank", "1");
+         NodeId b = p->NewAttributeParam("rank", "2");
+         ASSERT_TRUE(
+             p->AddTreeOp(OpKind::kReplaceNode, 9, labeling_, {a, b}).ok());
+       }},
+      {"delete frees the name", true,
+       [&](Pul* p) {
+         ins_position(p);
+         ASSERT_TRUE(p->AddDelete(9, labeling_).ok());
+       }},
+      {"rename frees the name", true,
+       [&](Pul* p) {
+         ins_position(p);
+         ASSERT_TRUE(p->AddStringOp(OpKind::kRename, 9, labeling_, "rank")
+                         .ok());
+       }},
+      {"replace frees the name", true,
+       [&](Pul* p) {
+         ins_position(p);
+         NodeId a = p->NewAttributeParam("rank", "1");
+         ASSERT_TRUE(
+             p->AddTreeOp(OpKind::kReplaceNode, 9, labeling_, {a}).ok());
+       }},
+      {"element deleted", true,
+       [&](Pul* p) {
+         ins_position(p);
+         ASSERT_TRUE(p->AddDelete(6, labeling_).ok());
+       }},
+      {"element emptied away by repC", true,
+       [&](Pul* p) {
+         ins_position(p);
+         ASSERT_TRUE(
+             p->AddTreeOp(OpKind::kReplaceChildren, 4, labeling_, {}).ok());
+       }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Pul p = MakePul();
+    c.build(&p);
+    Document doc = doc_;
+    std::string before = Serialize();
+    Status checked = CheckPulApplicable(doc, p);
+    Status applied = ApplyPul(&doc, p);
+    EXPECT_EQ(checked.ok(), c.applicable) << checked;
+    EXPECT_EQ(applied.ok(), c.applicable) << applied;
+    if (!c.applicable) {
+      EXPECT_EQ(checked.code(), StatusCode::kNotApplicable);
+      EXPECT_EQ(xml::SerializeDocument(doc).value(), before);
+    }
+  }
+}
+
+// Materialization keeps parameter-tree ids, so ids in use are caught
+// before the document changes.
+TEST_F(ApplyTest, ParameterIdInUseIsCaughtUpFront) {
+  Pul p;  // no BindIdSpace: the fragment gets id 1, the document root
+  auto tree = p.AddFragment("<x/>");
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(doc_.Exists(*tree));
+  ASSERT_TRUE(p.AddTreeOp(OpKind::kInsLast, 4, labeling_, {*tree}).ok());
+  std::string before = Serialize();
+  EXPECT_EQ(CheckPulApplicable(doc_, p).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ApplyPul(&doc_, p).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Serialize(), before);
+
+  // One parameter tree handed to two operations: the second copy would
+  // clash with the first.
+  Pul shared = MakePul();
+  auto x = shared.AddFragment("<x/>");
+  ASSERT_TRUE(x.ok());
+  ASSERT_TRUE(
+      shared.AddTreeOp(OpKind::kInsLast, 4, labeling_, {*x}).ok());
+  ASSERT_TRUE(
+      shared.AddTreeOp(OpKind::kInsLast, 16, labeling_, {*x}).ok());
+  EXPECT_EQ(CheckPulApplicable(doc_, shared).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ApplyPul(&doc_, shared).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Serialize(), before);
 }
 
 TEST_F(ApplyTest, ReplaceNode) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/metrics.h"
 #include "label/labeling.h"
 #include "pul/apply.h"
@@ -243,6 +245,184 @@ TEST_F(CommitBatchTest, WalFailureFailsWholeBatchAndKeepsMemoryState) {
   EXPECT_EQ(recovered->head(), 0u);
   auto verify = recovered->Verify();
   EXPECT_TRUE(verify.ok()) << verify.status();
+}
+
+// Every commit entry is a group commit, and the fsync policy is applied
+// once per group: `always` syncs every group, `never` none, and `batch`
+// syncs the group that brings a journal's unsynced frames to
+// `batch_interval`, counting frames across groups.
+TEST_F(CommitBatchTest, FsyncPolicyIsAppliedOncePerGroup) {
+  std::vector<pul::Pul> chain = Chain(7, 47);
+  struct Case {
+    FsyncPolicy policy;
+    // Fsyncs of each step: three Commits, three CommitOnBranch calls,
+    // then two CommitBatch calls of two PULs each.
+    std::vector<uint64_t> fsyncs;
+  };
+  const std::vector<Case> cases = {
+      {FsyncPolicy::kAlways, {1, 1, 1, 1, 1, 1, 1, 1}},
+      {FsyncPolicy::kBatch, {0, 0, 1, 0, 0, 1, 0, 1}},
+      {FsyncPolicy::kNever, {0, 0, 0, 0, 0, 0, 0, 0}},
+  };
+  for (const Case& c : cases) {
+    std::string name(FsyncPolicyName(c.policy));
+    SCOPED_TRACE(name);
+    Metrics metrics;
+    StoreOptions options;
+    options.metrics = &metrics;
+    options.fsync = c.policy;
+    options.batch_interval = 3;
+    options.snapshot_every = 0;
+    options.snapshot_bytes = 0;
+    std::string dir = NewStoreDir(name);
+    ASSERT_TRUE(VersionStore::Init(dir, base_xml_, options).ok());
+    auto store = VersionStore::Open(dir, options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    ASSERT_TRUE(store->CreateBranch("b", "main", 0).ok());
+    std::vector<uint64_t> fsyncs;
+    auto step = [&](auto&& commit) {
+      uint64_t before = metrics.counter("store.wal.fsync.count");
+      commit();
+      fsyncs.push_back(metrics.counter("store.wal.fsync.count") - before);
+    };
+    for (size_t i = 0; i < 3; ++i) {
+      step([&] { ASSERT_TRUE(store->Commit(chain[i]).ok()); });
+    }
+    for (size_t i = 0; i < 3; ++i) {
+      step([&] { ASSERT_TRUE(store->CommitOnBranch("b", chain[i]).ok()); });
+    }
+    for (size_t i = 3; i < 7; i += 2) {
+      step([&] {
+        auto committed = store->CommitBatch({&chain[i], &chain[i + 1]},
+                                            nullptr);
+        ASSERT_TRUE(committed.ok()) << committed.status();
+        EXPECT_EQ(*committed, 2u);
+      });
+    }
+    EXPECT_EQ(fsyncs, c.fsyncs);
+    EXPECT_EQ(store->head(), 7u);
+    auto verify = store->Verify();
+    EXPECT_TRUE(verify.ok()) << verify.status();
+  }
+}
+
+TEST_F(CommitBatchTest, CreateBranchSyncsItsNewJournalOnce) {
+  Metrics metrics;
+  StoreOptions options;
+  options.metrics = &metrics;
+  std::string dir = NewStoreDir("branch");
+  ASSERT_TRUE(VersionStore::Init(dir, base_xml_, options).ok());
+  auto store = VersionStore::Open(dir, options);
+  ASSERT_TRUE(store.ok()) << store.status();
+  uint64_t before = metrics.counter("store.wal.fsync.count");
+  ASSERT_TRUE(store->CreateBranch("b", "main", 0).ok());
+  // One forced sync of the parent journal (the fork point must not
+  // outlive its base), one of the new journal's meta frame.
+  EXPECT_EQ(metrics.counter("store.wal.fsync.count") - before, 2u);
+}
+
+// A one-PUL CommitBatch and a Commit take the same path, so they leave
+// the same store files behind, checkpoints included.
+TEST_F(CommitBatchTest, OnePulBatchesLeaveTheSameFilesAsCommits) {
+  std::vector<pul::Pul> chain = Chain(10, 53);
+  StoreOptions options;
+  options.snapshot_every = 4;
+  std::string commit_dir = NewStoreDir("commit");
+  std::string batch_dir = NewStoreDir("batch");
+  for (const std::string& dir : {commit_dir, batch_dir}) {
+    ASSERT_TRUE(VersionStore::Init(dir, base_xml_, options).ok());
+    auto store = VersionStore::Open(dir, options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    for (const pul::Pul& pul : chain) {
+      if (dir == commit_dir) {
+        ASSERT_TRUE(store->Commit(pul).ok());
+      } else {
+        auto committed = store->CommitBatch({&pul}, nullptr);
+        ASSERT_TRUE(committed.ok()) << committed.status();
+        ASSERT_EQ(*committed, 1u);
+      }
+    }
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto files = [](const std::string& dir) {
+    std::map<std::string, std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      auto bytes = ReadFileToString(entry.path().string());
+      EXPECT_TRUE(bytes.ok()) << bytes.status();
+      out[entry.path().filename().string()] = *bytes;
+    }
+    return out;
+  };
+  std::map<std::string, std::string> committed = files(commit_dir);
+  EXPECT_EQ(committed.size(), 4u);  // wal.log + checkpoints 0, 4 and 8
+  EXPECT_EQ(files(batch_dir), committed);
+}
+
+// A one-PUL group is checked and applied on the resident head, after
+// its frame is durable, so every dynamic error of the apply must be
+// caught before the append: a PUL that fails at the apply leaves no
+// frame, no change to the head document, and a store that keeps
+// committing and reopens.
+TEST_F(CommitBatchTest, OnePulBatchThatCannotApplyLeavesNoTrace) {
+  label::Labeling labeling = label::Labeling::Build(doc_);
+  // Element 7 already has @position.
+  pul::Pul duplicate;
+  duplicate.BindIdSpace(doc_.max_assigned_id() + 1);
+  ASSERT_TRUE(duplicate
+                  .AddTreeOp(pul::OpKind::kInsAttributes, 7, labeling,
+                             {duplicate.NewAttributeParam("position", "01")})
+                  .ok());
+  // A parameter tree whose node id names an existing node (id 1 is the
+  // document root): materializing it would clash.
+  pul::Pul clashing;
+  auto tree = clashing.AddFragment("<x/>");
+  ASSERT_TRUE(tree.ok()) << tree.status();
+  ASSERT_TRUE(doc_.Exists(*tree));
+  ASSERT_TRUE(
+      clashing.AddTreeOp(pul::OpKind::kInsLast, 4, labeling, {*tree}).ok());
+  const std::vector<std::pair<const pul::Pul*, StatusCode>> cases = {
+      {&duplicate, StatusCode::kNotApplicable},
+      {&clashing, StatusCode::kInvalidArgument},
+  };
+  std::vector<pul::Pul> chain = Chain(1, 59);
+  for (const auto& [bad, code] : cases) {
+    SCOPED_TRACE(StatusCodeToString(code));
+    std::string dir = NewStoreDir(std::string(StatusCodeToString(code)));
+    ASSERT_TRUE(VersionStore::Init(dir, base_xml_, {}).ok());
+    auto store = VersionStore::Open(dir);
+    ASSERT_TRUE(store.ok()) << store.status();
+    auto head_xml = VersionStore::SerializeAnnotated(store->head_doc());
+    ASSERT_TRUE(head_xml.ok());
+    const uint64_t wal_bytes = store->wal_bytes();
+
+    std::vector<CommitOutcome> outcomes;
+    auto committed = store->CommitBatch({bad}, &outcomes);
+    ASSERT_TRUE(committed.ok()) << committed.status();
+    EXPECT_EQ(*committed, 0u);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].status.code(), code) << outcomes[0].status;
+    EXPECT_EQ(store->head(), 0u);
+    auto after_xml = VersionStore::SerializeAnnotated(store->head_doc());
+    ASSERT_TRUE(after_xml.ok());
+    EXPECT_EQ(*after_xml, *head_xml);
+    EXPECT_EQ(store->wal_bytes(), wal_bytes);
+    auto commit = store->Commit(*bad);
+    ASSERT_FALSE(commit.ok());
+    EXPECT_EQ(commit.status().code(), code);
+    EXPECT_EQ(store->wal_bytes(), wal_bytes);
+    auto verify = store->Verify();
+    EXPECT_TRUE(verify.ok()) << verify.status();
+
+    auto next = store->Commit(chain[0]);
+    ASSERT_TRUE(next.ok()) << next.status();
+    EXPECT_EQ(*next, 1u);
+    ASSERT_TRUE(store->Close().ok());
+    auto reopened = VersionStore::Open(dir);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    EXPECT_EQ(reopened->head(), 1u);
+    verify = reopened->Verify();
+    EXPECT_TRUE(verify.ok()) << verify.status();
+  }
 }
 
 }  // namespace

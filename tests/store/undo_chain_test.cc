@@ -11,10 +11,12 @@
 #include <vector>
 
 #include "branch/merge.h"
+#include "core/invert.h"
 #include "label/labeling.h"
 #include "pul/apply.h"
 #include "pul/pul_io.h"
 #include "store/version.h"
+#include "testing/test_docs.h"
 #include "workload/pul_generator.h"
 #include "xmark/generator.h"
 
@@ -179,6 +181,64 @@ TEST_F(UndoChainTest, ForwardPassMatchesPerVersionFormula) {
     bool crosses_merge = range.branch != "x" || range.from < x->fork;
     EXPECT_EQ(saw_merge, crosses_merge);
   }
+}
+
+// The document-grounded override drop with nested killers. Only del(4)
+// and ren(16) carry labels, so the label-based reduction sees none of
+// the other operations inside 4's subtree: del(6) (a del under a del),
+// repC(7), and repV(9) on an attribute of 7 (an attribute under a repC,
+// which O4 spares, under a del, which O3 does not). ComputeUndo must
+// drop all three and undo only del(4) and ren(16).
+TEST_F(UndoChainTest, NestedKillersAreDroppedBeforeInverting) {
+  xml::Document doc = xupdate::testing::PaperFigureDocument();
+  label::Labeling labeling = label::Labeling::Build(doc);
+  pul::Pul pul;
+  pul.BindIdSpace(doc.max_assigned_id() + 1);
+  ASSERT_TRUE(pul.AddDelete(4, labeling).ok());
+  ASSERT_TRUE(
+      pul.AddStringOp(pul::OpKind::kRename, 16, labeling, "writers").ok());
+  auto unlabeled = [&pul](pul::OpKind kind, xml::NodeId target,
+                          std::vector<xml::NodeId> trees, std::string arg) {
+    pul::UpdateOp op;
+    op.kind = kind;
+    op.target = target;
+    op.param_trees = std::move(trees);
+    op.param_string = std::move(arg);
+    return pul.AddOp(std::move(op));
+  };
+  ASSERT_TRUE(unlabeled(pul::OpKind::kDelete, 6, {}, "").ok());
+  xml::NodeId text = pul.NewTextParam("replaced");
+  ASSERT_TRUE(unlabeled(pul::OpKind::kReplaceChildren, 7, {text}, "").ok());
+  ASSERT_TRUE(unlabeled(pul::OpKind::kReplaceValue, 9, {}, "01").ok());
+
+  std::string reason;
+  std::vector<bool> overridden = core::OverriddenOps(doc, pul, &reason);
+  EXPECT_EQ(overridden,
+            (std::vector<bool>{false, false, true, true, true}));
+  EXPECT_EQ(reason, "operation under removed node 4");
+
+  auto undo = VersionStore::ComputeUndo(doc, pul, StoreOptions());
+  ASSERT_TRUE(undo.ok()) << undo.status();
+  auto bytes = pul::SerializePul(*undo);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  // Pinned from the drop-to-fixpoint implementation this one replaces.
+  constexpr char kUndo[] =
+      R"(<pul>)"
+      R"(<op kind="ren" target="16" label="e2:011101:10011:2:14:1")"
+      R"( arg="authors"/>)"
+      R"(<op kind="insAfter" target="3" label="e2:000011:00011:2:0:0">)"
+      R"(<elem><article xu:ids="4"><title xu:ids="5">)"
+      R"(<?xuid 11?>XML Processing</title><authors xu:ids="6">)"
+      R"(<author position="00" xu:ids="7;9"><?xuid 8?>B.Catania</author>)"
+      R"(</authors><initPage xu:ids="12"><?xuid 13?>23</initPage></article>)"
+      R"(</elem></op></pul>)";
+  EXPECT_EQ(*bytes, kUndo);
+  xml::Document state = doc;
+  ASSERT_TRUE(pul::ApplyPul(&state, pul).ok());
+  ASSERT_TRUE(pul::ApplyPul(&state, *undo).ok());
+  auto same = xml::Document::SameAnnotated(state, doc);
+  ASSERT_TRUE(same.ok()) << same.status();
+  EXPECT_TRUE(*same);
 }
 
 }  // namespace

@@ -64,8 +64,7 @@ TEST_F(WorkloadTest, ReducibleFractionDrivesRuleApplications) {
   auto pul = gen.Generate(options);
   ASSERT_TRUE(pul.ok()) << pul.status();
   core::ReduceStats stats;
-  auto reduced =
-      core::ReduceWithStats(*pul, core::ReduceMode::kPlain, &stats);
+  auto reduced = core::Reduce(*pul, {}, &stats);
   ASSERT_TRUE(reduced.ok()) << reduced.status();
   // Expect roughly 100 rule applications (generated pairs may interact,
   // so allow a broad band).
@@ -79,7 +78,7 @@ TEST_F(WorkloadTest, ReducibleFractionDrivesRuleApplications) {
   ASSERT_TRUE(plain.ok());
   core::ReduceStats none;
   ASSERT_TRUE(
-      core::ReduceWithStats(*plain, core::ReduceMode::kPlain, &none).ok());
+      core::Reduce(*plain, {}, &none).ok());
   EXPECT_LT(none.rule_applications, stats.rule_applications);
 }
 
@@ -109,7 +108,7 @@ TEST_F(WorkloadTest, SequenceAggregates) {
   std::vector<const Pul*> ptrs;
   for (const Pul& p : *puls) ptrs.push_back(&p);
   core::AggregateStats stats;
-  auto agg = core::Aggregate(ptrs, &stats);
+  auto agg = core::Aggregate(ptrs, {}, &stats);
   ASSERT_TRUE(agg.ok()) << agg.status();
   EXPECT_GT(stats.folded_ops, 0u);  // new-node ops were folded (D6)
   // The aggregate applies to the original document in one shot.
@@ -161,7 +160,7 @@ TEST_F(WorkloadTest, ConflictingPulsReconcile) {
   std::vector<const Pul*> ptrs;
   for (const Pul& p : *puls) ptrs.push_back(&p);
   core::ReconcileStats stats;
-  auto merged = core::Reconcile(ptrs, &stats);
+  auto merged = core::Reconcile(ptrs, {}, &stats);
   ASSERT_TRUE(merged.ok()) << merged.status();
   EXPECT_GT(stats.conflicts_total, 0u);
   EXPECT_GT(stats.operations_excluded, 0u);
