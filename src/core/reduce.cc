@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <deque>
+#include <iterator>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,17 +36,136 @@ bool IsChildInsertion(OpKind kind) {
          kind == OpKind::kInsLast;
 }
 
-// One candidate rule application: ops in their rule roles plus the merge
-// recipe (result kind, identity donor, parameter order).
-struct PairApp {
-  const char* rule;
-  int op1;
-  int op2;
-  OpKind result;
-  int shape;
-  int first;
-  int second;
+// The sixteen merge rules of Figure 2 (I5-IR20) as one table, in the
+// order each stage tries them. A rule relates two operations in the
+// roles the figure names op1 (parameters L1) and op2 (L2). One of them,
+// the anchor, locates the other through its target's label: the partner
+// targets the anchor's own target, its parent or its left sibling. Both
+// drivers read these rows: the worklist fixpoint (plain, deterministic)
+// takes the first live partner, the canonical stepper the <p-minimal
+// pair.
+using enum OpKind;
+enum Role : uint8_t { kOp1, kOp2 };
+enum Relation : uint8_t { kSameTarget, kParent, kLeftSibling };
+// Side condition on the anchor's target label.
+enum Condition : uint8_t {
+  kAnyLabel,
+  kNotAttribute,
+  kAttribute,
+  kFirstChild,
+  kLastChild,
 };
+// Parameter order of the merged operation.
+enum Order : uint8_t { kL1L2, kL2L1 };
+// I5's kind pattern: any insertion kind, shared by both roles and the
+// result.
+constexpr OpKind kAnyInsertion = static_cast<OpKind>(pul::kNumOpKinds);
+
+struct MergeRule {
+  const char* name;
+  int stage;
+  OpKind op1;
+  OpKind op2;
+  Role anchor;
+  Relation relation;
+  Condition condition;
+  OpKind result;
+  Role shape;  // gives the result its target and label
+  Order params;
+};
+
+// I10/I11 take the child op's target (v', not the figure's v), and
+// IR19/IR20 use the parameter orders reasoned out against IR8/IR9
+// (DESIGN.md, "Known transcription fixes").
+constexpr MergeRule kMergeRules[] = {
+    // name  stage op1 op2 anchor relation condition result shape params
+    {"I5", 1, kAnyInsertion, kAnyInsertion, kOp1, kSameTarget, kAnyLabel,
+     kAnyInsertion, kOp1, kL1L2},
+    {"I6", 2, kInsInto, kInsFirst, kOp1, kSameTarget, kAnyLabel, kInsFirst,
+     kOp2, kL2L1},
+    {"I7", 3, kInsInto, kInsLast, kOp1, kSameTarget, kAnyLabel, kInsLast,
+     kOp2, kL1L2},
+    {"IR8", 4, kReplaceNode, kInsBefore, kOp1, kSameTarget, kAnyLabel,
+     kReplaceNode, kOp1, kL2L1},
+    {"IR9", 4, kReplaceNode, kInsAfter, kOp1, kSameTarget, kAnyLabel,
+     kReplaceNode, kOp1, kL1L2},
+    {"I10", 5, kInsInto, kInsBefore, kOp2, kParent, kNotAttribute,
+     kInsBefore, kOp2, kL1L2},
+    {"I11", 6, kInsInto, kInsAfter, kOp2, kParent, kNotAttribute, kInsAfter,
+     kOp2, kL2L1},
+    {"IR12", 7, kReplaceNode, kInsInto, kOp1, kParent, kNotAttribute,
+     kReplaceNode, kOp1, kL1L2},
+    {"IR13", 8, kReplaceNode, kInsAttributes, kOp1, kParent, kAttribute,
+     kReplaceNode, kOp1, kL1L2},
+    {"I14", 8, kInsBefore, kInsFirst, kOp1, kParent, kFirstChild, kInsBefore,
+     kOp1, kL2L1},
+    {"I15", 8, kInsAfter, kInsLast, kOp1, kParent, kLastChild, kInsAfter,
+     kOp1, kL1L2},
+    {"IR16", 8, kReplaceNode, kInsFirst, kOp1, kParent, kFirstChild,
+     kReplaceNode, kOp1, kL2L1},
+    {"IR17", 8, kReplaceNode, kInsLast, kOp1, kParent, kLastChild,
+     kReplaceNode, kOp1, kL1L2},
+    {"I18", 9, kInsBefore, kInsAfter, kOp1, kLeftSibling, kNotAttribute,
+     kInsBefore, kOp1, kL2L1},
+    {"IR19", 9, kReplaceNode, kInsAfter, kOp1, kLeftSibling, kNotAttribute,
+     kReplaceNode, kOp1, kL2L1},
+    {"IR20", 9, kReplaceNode, kInsBefore, kOp2, kLeftSibling, kNotAttribute,
+     kReplaceNode, kOp1, kL1L2},
+};
+
+// The rows of one stage (the table is sorted by stage).
+std::span<const MergeRule> RulesOfStage(int stage) {
+  auto in_stage = [stage](const MergeRule& r) { return r.stage == stage; };
+  const MergeRule* begin =
+      std::find_if(std::begin(kMergeRules), std::end(kMergeRules), in_stage);
+  const MergeRule* end = std::find_if_not(begin, std::end(kMergeRules),
+                                          in_stage);
+  return {begin, end};
+}
+
+OpKind AnchorKind(const MergeRule& rule) {
+  return rule.anchor == kOp1 ? rule.op1 : rule.op2;
+}
+OpKind PartnerKind(const MergeRule& rule) {
+  return rule.anchor == kOp1 ? rule.op2 : rule.op1;
+}
+
+bool Fits(OpKind pattern, OpKind kind) {
+  return pattern == kAnyInsertion
+             ? pul::ClassOf(kind) == OpClass::kInsertion
+             : kind == pattern;
+}
+// The concrete kind of a role pattern, given op1's kind.
+OpKind Resolve(OpKind pattern, OpKind kind) {
+  return pattern == kAnyInsertion ? kind : pattern;
+}
+
+bool Holds(Condition condition, const NodeLabel& lab) {
+  const bool attribute = lab.type == NodeType::kAttribute;
+  switch (condition) {
+    case kAnyLabel:
+      return true;
+    case kNotAttribute:
+      return !attribute;
+    case kAttribute:
+      return attribute;
+    case kFirstChild:
+      return !attribute && lab.left_sibling == kInvalidNode;
+    case kLastChild:
+      return !attribute && lab.is_last_child;
+  }
+  return false;
+}
+
+// The node the partner of `anchor` must target under `rule`, or
+// kInvalidNode when the anchor's label fails the side condition or has
+// no such neighbour.
+NodeId PartnerTarget(const MergeRule& rule, const UpdateOp& anchor) {
+  const NodeLabel& lab = anchor.target_label;
+  if (rule.relation == kSameTarget) return anchor.target;
+  if (!lab.valid() || !Holds(rule.condition, lab)) return kInvalidNode;
+  return rule.relation == kParent ? lab.parent : lab.left_sibling;
+}
 
 // One work unit: whole components of the partition (see
 // PartitionByTargetSubtree), solved by one Reducer.
@@ -133,16 +254,8 @@ class Reducer {
     return index;
   }
 
-  // All alive ops with the given target and kind, excluding `exclude`.
-  // Chains preserve append order, so partner choice matches the order
-  // the per-target vectors used to produce.
-  void FindPartners(NodeId target, OpKind kind, int exclude,
-                    std::vector<int>* out) const {
-    for (int32_t j = by_target_.Head(target); j >= 0;
-         j = by_target_.Next(j)) {
-      if (j != exclude && Alive(j) && Op(j).kind == kind) out->push_back(j);
-    }
-  }
+  // The first alive op with the given target and kind, excluding
+  // `exclude`, in by_target_ chain (append) order.
   int FirstPartner(NodeId target, OpKind kind, int exclude) const {
     for (int32_t j = by_target_.Head(target); j >= 0;
          j = by_target_.Next(j)) {
@@ -151,11 +264,26 @@ class Reducer {
     return -1;
   }
 
-  // Builds the merged operation of an I/IR rule. `first`/`second` give
-  // the parameter concatenation order; the result op's kind/target come
-  // from `shape_from`.
-  void ApplyMerge(const char* rule, OpKind result_kind, int shape_from,
-                  int first, int second) {
+  // Calls visit(partner) for every alive partner of anchor op `a` under
+  // `rule`, in chain order, until visit returns false.
+  template <typename Visit>
+  void ForEachPartner(const MergeRule& rule, int a, Visit visit) const {
+    const UpdateOp& anchor = Op(a);
+    if (!Fits(AnchorKind(rule), anchor.kind)) return;
+    NodeId node = PartnerTarget(rule, anchor);
+    if (node == kInvalidNode) return;
+    OpKind kind = Resolve(PartnerKind(rule), anchor.kind);
+    for (int32_t p = by_target_.Head(node); p >= 0; p = by_target_.Next(p)) {
+      if (p != a && Alive(p) && Op(p).kind == kind && !visit(p)) return;
+    }
+  }
+
+  // Replaces op1 and op2 (in the rule's roles) by their merge.
+  void ApplyMerge(const MergeRule& rule, int op1, int op2) {
+    const int first = rule.params == kL1L2 ? op1 : op2;
+    const int second = rule.params == kL1L2 ? op2 : op1;
+    const int shape_from = rule.shape == kOp1 ? op1 : op2;
+    const OpKind result_kind = Resolve(rule.result, Op(op1).kind);
     UpdateOp merged;
     merged.kind = result_kind;
     merged.target = Op(shape_from).target;
@@ -167,11 +295,12 @@ class Reducer {
     size_t rank = std::min(rank_[static_cast<size_t>(first)],
                            rank_[static_cast<size_t>(second)]);
     Kill(first);
-    if (second != first) alive_[static_cast<size_t>(second)] = 0;
+    alive_[static_cast<size_t>(second)] = 0;
     int index = AddMerged(std::move(merged), rank);
     if (lane_ != nullptr && lane_->enabled()) {
-      lane_->Emit(obs::EventKind::kRuleFired, rule, {Id(first), Id(second)},
-                  Id(index), std::string(pul::OpKindName(result_kind)));
+      lane_->Emit(obs::EventKind::kRuleFired, rule.name,
+                  {Id(first), Id(second)}, Id(index),
+                  std::string(pul::OpKindName(result_kind)));
     }
     Enqueue(index);
   }
@@ -189,9 +318,10 @@ class Reducer {
     }
   }
 
-  // One merge-rule application attempt centered on op `i` for `stage`.
-  // Returns true if a rule fired (i or a partner may now be dead).
-  bool TryMergeRules(int stage, int i);
+  // Worklist step of one rule on op `i`: fires on the first partner with
+  // i as the anchor, then, for a same-target rule, with i as the
+  // partner. Returns true if the rule fired (i is then dead).
+  bool TryRule(const MergeRule& rule, int i);
   // Same-target drop rules O1/O2 centered on op `i`.
   bool TryDropRules(int i);
   // O3/O4: drops every op whose target lies strictly inside the interval
@@ -202,9 +332,6 @@ class Reducer {
   bool StageFixpoint(int stage);
   // One canonical-order application for `stage`; true if something fired.
   bool CanonicalStageStep(int stage);
-  // All applicable ordered pairs of the rule-within-stage.
-  void CollectRulePairs(int stage, int rule, std::vector<PairApp>* out);
-  static int RulesInStage(int stage);
 
   // <o sort key (document order of targets, then parameter order).
   const std::string& OpKey(int i);
@@ -274,208 +401,36 @@ bool Reducer::TryDropRules(int i) {
   return false;
 }
 
-bool Reducer::TryMergeRules(int stage, int i) {
-  const UpdateOp& op = Op(i);
-  const NodeLabel& lab = op.target_label;
-  // Helper lambdas for the two lookup directions.
-  auto merge_same_target = [&](const char* rule, OpKind mine, OpKind other,
-                               OpKind result, bool mine_first,
-                               int shape) -> bool {
-    // shape: 0 = my op gives target/kind identity, 1 = partner does.
-    if (op.kind != mine) return false;
-    int j = FirstPartner(op.target, other, i);
-    if (j < 0) return false;
-    int shape_from = shape == 0 ? i : j;
-    if (mine_first) {
-      ApplyMerge(rule, result, shape_from, i, j);
-    } else {
-      ApplyMerge(rule, result, shape_from, j, i);
+bool Reducer::TryRule(const MergeRule& rule, int i) {
+  auto fire = [&](int anchor, int partner) {
+    int op1 = rule.anchor == kOp1 ? anchor : partner;
+    int op2 = rule.anchor == kOp1 ? partner : anchor;
+    // I5's roles are interchangeable: the earlier-listed op gives L1, so
+    // chained merges keep PUL listing order (rank survives merging, as
+    // in the Table 3 worked example).
+    if (rule.op1 == rule.op2 &&
+        rank_[static_cast<size_t>(op2)] < rank_[static_cast<size_t>(op1)]) {
+      std::swap(op1, op2);
     }
+    ApplyMerge(rule, op1, op2);
     return true;
   };
-
-  switch (stage) {
-    case 1:
-      // I5: same insertion kind, same target.
-      if (pul::ClassOf(op.kind) == OpClass::kInsertion) {
-        int j = FirstPartner(op.target, op.kind, i);
-        if (j >= 0) {
-          // Keep PUL listing order: the earlier op's parameters first
-          // (rank survives merging, so chained merges stay in order —
-          // matching the Table 3 worked example).
-          bool i_first = rank_[static_cast<size_t>(i)] <
-                         rank_[static_cast<size_t>(j)];
-          int first = i_first ? i : j;
-          int second = i_first ? j : i;
-          ApplyMerge("I5", op.kind, first, first, second);
-          return true;
-        }
-      }
-      return false;
-    case 2:
-      // I6: insInto(v,L1) + insFirst(v,L2) -> insFirst(v,[L2,L1]).
-      if (merge_same_target("I6", OpKind::kInsInto, OpKind::kInsFirst,
-                            OpKind::kInsFirst, /*mine_first=*/false, 1)) {
-        return true;
-      }
-      return merge_same_target("I6", OpKind::kInsFirst, OpKind::kInsInto,
-                               OpKind::kInsFirst, /*mine_first=*/true, 0);
-    case 3:
-      // I7: insInto(v,L1) + insLast(v,L2) -> insLast(v,[L1,L2]).
-      if (merge_same_target("I7", OpKind::kInsInto, OpKind::kInsLast,
-                            OpKind::kInsLast, /*mine_first=*/true, 1)) {
-        return true;
-      }
-      return merge_same_target("I7", OpKind::kInsLast, OpKind::kInsInto,
-                               OpKind::kInsLast, /*mine_first=*/false, 0);
-    case 4:
-      // IR8: repN(v,L1) + insBefore(v,L2) -> repN(v,[L2,L1]).
-      // IR9: repN(v,L1) + insAfter(v,L2)  -> repN(v,[L1,L2]).
-      if (merge_same_target("IR8", OpKind::kReplaceNode, OpKind::kInsBefore,
-                            OpKind::kReplaceNode, /*mine_first=*/false, 0)) {
-        return true;
-      }
-      if (merge_same_target("IR8", OpKind::kInsBefore, OpKind::kReplaceNode,
-                            OpKind::kReplaceNode, /*mine_first=*/true, 1)) {
-        return true;
-      }
-      if (merge_same_target("IR9", OpKind::kReplaceNode, OpKind::kInsAfter,
-                            OpKind::kReplaceNode, /*mine_first=*/true, 0)) {
-        return true;
-      }
-      return merge_same_target("IR9", OpKind::kInsAfter, OpKind::kReplaceNode,
-                               OpKind::kReplaceNode, /*mine_first=*/false, 1);
-    case 5:
-      // I10: insInto(v,L1) + insBefore(v',L2), v' child of v
-      //      -> insBefore(v',[L1,L2]).
-      if (op.kind == OpKind::kInsBefore && lab.valid() &&
-          lab.parent != kInvalidNode &&
-          lab.type != NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsInto, i);
-        if (j >= 0) {
-          ApplyMerge("I10", OpKind::kInsBefore, i, j, i);
-          return true;
-        }
-      }
-      if (op.kind == OpKind::kInsInto) {
-        // Reverse direction: find an insBefore on one of v's children.
-        // Children are not indexed; rely on the child-side attempt above
-        // (every op passes through the worklist).
-      }
-      return false;
-    case 6:
-      // I11: insInto(v,L1) + insAfter(v',L2), v' child of v
-      //      -> insAfter(v',[L2,L1]).
-      if (op.kind == OpKind::kInsAfter && lab.valid() &&
-          lab.parent != kInvalidNode &&
-          lab.type != NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsInto, i);
-        if (j >= 0) {
-          ApplyMerge("I11", OpKind::kInsAfter, i, i, j);
-          return true;
-        }
-      }
-      return false;
-    case 7:
-      // IR12: repN(v,L1) + insInto(v',L2), v child of v'
-      //       -> repN(v,[L1,L2]).
-      if (op.kind == OpKind::kReplaceNode && lab.valid() &&
-          lab.parent != kInvalidNode &&
-          lab.type != NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsInto, i);
-        if (j >= 0) {
-          ApplyMerge("IR12", OpKind::kReplaceNode, i, i, j);
-          return true;
-        }
-      }
-      return false;
-    case 8: {
-      if (!lab.valid() || lab.parent == kInvalidNode) return false;
-      // IR13: repN(v,L1) + insA(v',L2), v attribute of v'
-      //       -> repN(v,[L1,L2]).
-      if (op.kind == OpKind::kReplaceNode &&
-          lab.type == NodeType::kAttribute) {
-        int j = FirstPartner(lab.parent, OpKind::kInsAttributes, i);
-        if (j >= 0) {
-          ApplyMerge("IR13", OpKind::kReplaceNode, i, i, j);
-          return true;
-        }
-      }
-      if (lab.type == NodeType::kAttribute) return false;
-      bool first_child = lab.left_sibling == kInvalidNode;
-      bool last_child = lab.is_last_child;
-      // I14: insBefore(v,L1) + insFirst(v',L2), v first child of v'
-      //      -> insBefore(v,[L2,L1]).
-      if (op.kind == OpKind::kInsBefore && first_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsFirst, i);
-        if (j >= 0) {
-          ApplyMerge("I14", OpKind::kInsBefore, i, j, i);
-          return true;
-        }
-      }
-      // I15: insAfter(v,L1) + insLast(v',L2), v last child of v'
-      //      -> insAfter(v,[L1,L2]).
-      if (op.kind == OpKind::kInsAfter && last_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsLast, i);
-        if (j >= 0) {
-          ApplyMerge("I15", OpKind::kInsAfter, i, i, j);
-          return true;
-        }
-      }
-      // IR16: repN(v,L1) + insFirst(v',L2), v first child -> repN(v,[L2,L1]).
-      if (op.kind == OpKind::kReplaceNode && first_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsFirst, i);
-        if (j >= 0) {
-          ApplyMerge("IR16", OpKind::kReplaceNode, i, j, i);
-          return true;
-        }
-      }
-      // IR17: repN(v,L1) + insLast(v',L2), v last child -> repN(v,[L1,L2]).
-      if (op.kind == OpKind::kReplaceNode && last_child) {
-        int j = FirstPartner(lab.parent, OpKind::kInsLast, i);
-        if (j >= 0) {
-          ApplyMerge("IR17", OpKind::kReplaceNode, i, i, j);
-          return true;
-        }
-      }
-      return false;
-    }
-    case 9: {
-      if (!lab.valid() || lab.type == NodeType::kAttribute) return false;
-      NodeId left = lab.left_sibling;
-      // I18: insBefore(v,L1) + insAfter(v',L2), v' left sibling of v
-      //      -> insBefore(v,[L2,L1]).
-      if (op.kind == OpKind::kInsBefore && left != kInvalidNode) {
-        int j = FirstPartner(left, OpKind::kInsAfter, i);
-        if (j >= 0) {
-          ApplyMerge("I18", OpKind::kInsBefore, i, j, i);
-          return true;
-        }
-      }
-      // IR19: repN(v,L1) + insAfter(v',L2), v' left sibling of v
-      //       -> repN(v,[L2,L1]). (Parameter order corrected from the
-      //       garbled figure; see DESIGN.md.)
-      if (op.kind == OpKind::kReplaceNode && left != kInvalidNode) {
-        int j = FirstPartner(left, OpKind::kInsAfter, i);
-        if (j >= 0) {
-          ApplyMerge("IR19", OpKind::kReplaceNode, i, j, i);
-          return true;
-        }
-      }
-      // IR20: repN(v,L1) + insBefore(v',L2), v left sibling of v'
-      //       -> repN(v,[L1,L2]). Looked up from the insBefore side.
-      if (op.kind == OpKind::kInsBefore && left != kInvalidNode) {
-        int j = FirstPartner(left, OpKind::kReplaceNode, i);
-        if (j >= 0) {
-          ApplyMerge("IR20", OpKind::kReplaceNode, j, j, i);
-          return true;
-        }
-      }
-      return false;
-    }
-    default:
-      return false;
+  int j = -1;
+  ForEachPartner(rule, i, [&j](int p) {
+    j = p;
+    return false;
+  });
+  if (j >= 0) return fire(i, j);
+  // The partner side of a same-target rule (I5 is symmetric: its anchor
+  // side has seen every partner). Parent and sibling rules are found
+  // from the labeled side only: children are not indexed, and every op
+  // passes through the worklist.
+  if (rule.relation == kSameTarget && rule.op1 != rule.op2 &&
+      Op(i).kind == PartnerKind(rule)) {
+    j = FirstPartner(Op(i).target, AnchorKind(rule), i);
+    if (j >= 0) return fire(j, i);
   }
+  return false;
 }
 
 void Reducer::SweepOverrides() {
@@ -549,6 +504,7 @@ void Reducer::SweepOverrides() {
 }
 
 bool Reducer::StageFixpoint(int stage) {
+  const std::span<const MergeRule> rules = RulesOfStage(stage);
   bool any = false;
   queued_.assign(NumOps(), 0);
   worklist_.clear();
@@ -570,9 +526,12 @@ bool Reducer::StageFixpoint(int stage) {
         EnqueueBucket(Op(i).target);
         continue;
       }
-      if (TryMergeRules(stage, i)) {
-        fired = true;
-        any = true;
+      for (const MergeRule& rule : rules) {
+        if (TryRule(rule, i)) {
+          fired = true;
+          any = true;
+          break;
+        }
       }
     }
   }
@@ -626,165 +585,6 @@ const std::string& Reducer::OpKey(int i) {
   return key_cache_[idx];
 }
 
-void Reducer::CollectRulePairs(int stage, int rule,
-                               std::vector<PairApp>* out) {
-  std::vector<int> partners;
-  auto emit = [&](const char* name, int op1, int op2, OpKind result,
-                  int shape, int first, int second) {
-    out->push_back({name, op1, op2, result, shape, first, second});
-  };
-  for (size_t idx = 0; idx < NumOps(); ++idx) {
-    int i = static_cast<int>(idx);
-    if (!Alive(i)) continue;
-    const UpdateOp& op = Op(i);
-    const NodeLabel& lab = op.target_label;
-    partners.clear();
-    switch (stage * 10 + rule) {
-      case 10:  // I5: op1 and op2 same insertion kind, same target.
-        if (pul::ClassOf(op.kind) != OpClass::kInsertion) break;
-        FindPartners(op.target, op.kind, i, &partners);
-        for (int j : partners) emit("I5", i, j, op.kind, i, i, j);
-        break;
-      case 20:  // I6: insInto + insFirst(v) -> insFirst(v,[L2,L1])
-        if (op.kind != OpKind::kInsInto) break;
-        FindPartners(op.target, OpKind::kInsFirst, i, &partners);
-        for (int j : partners) emit("I6", i, j, OpKind::kInsFirst, j, j, i);
-        break;
-      case 30:  // I7: insInto + insLast(v) -> insLast(v,[L1,L2])
-        if (op.kind != OpKind::kInsInto) break;
-        FindPartners(op.target, OpKind::kInsLast, i, &partners);
-        for (int j : partners) emit("I7", i, j, OpKind::kInsLast, j, i, j);
-        break;
-      case 40:  // IR8: repN + insBefore(v) -> repN(v,[L2,L1])
-        if (op.kind != OpKind::kReplaceNode) break;
-        FindPartners(op.target, OpKind::kInsBefore, i, &partners);
-        for (int j : partners) emit("IR8", i, j, OpKind::kReplaceNode, i, j, i);
-        break;
-      case 41:  // IR9: repN + insAfter(v) -> repN(v,[L1,L2])
-        if (op.kind != OpKind::kReplaceNode) break;
-        FindPartners(op.target, OpKind::kInsAfter, i, &partners);
-        for (int j : partners) emit("IR9", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 50:  // I10: insInto(v) + insBefore(v' child of v)
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsInto, i, &partners);
-        for (int j : partners) emit("I10", j, i, OpKind::kInsBefore, i, j, i);
-        break;
-      case 60:  // I11: insInto(v) + insAfter(v' child of v)
-        if (op.kind != OpKind::kInsAfter || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsInto, i, &partners);
-        for (int j : partners) emit("I11", j, i, OpKind::kInsAfter, i, i, j);
-        break;
-      case 70:  // IR12: repN(v child of v') + insInto(v')
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsInto, i, &partners);
-        for (int j : partners) emit("IR12", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 80:  // IR13: repN(attribute v of v') + insA(v')
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type != NodeType::kAttribute) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsAttributes, i, &partners);
-        for (int j : partners) emit("IR13", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 81:  // I14: insBefore(first child v of v') + insFirst(v')
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling != kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsFirst, i, &partners);
-        for (int j : partners) emit("I14", i, j, OpKind::kInsBefore, i, j, i);
-        break;
-      case 82:  // I15: insAfter(last child v of v') + insLast(v')
-        if (op.kind != OpKind::kInsAfter || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute || !lab.is_last_child) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsLast, i, &partners);
-        for (int j : partners) emit("I15", i, j, OpKind::kInsAfter, i, i, j);
-        break;
-      case 83:  // IR16: repN(first child v) + insFirst(parent)
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling != kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsFirst, i, &partners);
-        for (int j : partners) emit("IR16", i, j, OpKind::kReplaceNode, i, j, i);
-        break;
-      case 84:  // IR17: repN(last child v) + insLast(parent)
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.parent == kInvalidNode ||
-            lab.type == NodeType::kAttribute || !lab.is_last_child) {
-          break;
-        }
-        FindPartners(lab.parent, OpKind::kInsLast, i, &partners);
-        for (int j : partners) emit("IR17", i, j, OpKind::kReplaceNode, i, i, j);
-        break;
-      case 90:  // I18: insBefore(v) + insAfter(left sibling of v)
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling == kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.left_sibling, OpKind::kInsAfter, i, &partners);
-        for (int j : partners) emit("I18", i, j, OpKind::kInsBefore, i, j, i);
-        break;
-      case 91:  // IR19: repN(v) + insAfter(left sibling of v)
-        if (op.kind != OpKind::kReplaceNode || !lab.valid() ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling == kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.left_sibling, OpKind::kInsAfter, i, &partners);
-        for (int j : partners) emit("IR19", i, j, OpKind::kReplaceNode, i, j, i);
-        break;
-      case 92:  // IR20: repN(v) + insBefore(v', v left sibling of v')
-        if (op.kind != OpKind::kInsBefore || !lab.valid() ||
-            lab.type == NodeType::kAttribute ||
-            lab.left_sibling == kInvalidNode) {
-          break;
-        }
-        FindPartners(lab.left_sibling, OpKind::kReplaceNode, i, &partners);
-        for (int j : partners) emit("IR20", j, i, OpKind::kReplaceNode, j, j, i);
-        break;
-      default:
-        break;
-    }
-  }
-}
-
-int Reducer::RulesInStage(int stage) {
-  switch (stage) {
-    case 4:
-      return 2;
-    case 8:
-      return 5;
-    case 9:
-      return 3;
-    default:
-      return 1;
-  }
-}
-
 bool Reducer::CanonicalStageStep(int stage) {
   // Drops are order-insensitive: flush them first through the fast path.
   if (stage == 1) {
@@ -795,23 +595,30 @@ bool Reducer::CanonicalStageStep(int stage) {
     }
     if (dropped) return true;
   }
-  // Definition 9: per rule, fire the <p-minimal applicable ordered pair.
-  std::vector<PairApp> pairs;
-  for (int rule = 0; rule < RulesInStage(stage); ++rule) {
-    pairs.clear();
-    CollectRulePairs(stage, rule, &pairs);
-    if (pairs.empty()) continue;
-    const PairApp* best = &pairs[0];
-    for (const PairApp& cand : pairs) {
-      if (OpKey(cand.op1) < OpKey(best->op1) ||
-          (OpKey(cand.op1) == OpKey(best->op1) &&
-           OpKey(cand.op2) < OpKey(best->op2))) {
-        best = &cand;
-      }
+  // Definition 9: per rule, fire the <p-minimal applicable ordered pair
+  // (op1, op2). Among equal keys the first listed wins: anchors in index
+  // order, partners in chain order.
+  for (const MergeRule& rule : RulesOfStage(stage)) {
+    int best1 = -1;
+    int best2 = -1;
+    for (size_t idx = 0; idx < NumOps(); ++idx) {
+      const int a = static_cast<int>(idx);
+      if (!Alive(a)) continue;
+      ForEachPartner(rule, a, [&](int p) {
+        const int op1 = rule.anchor == kOp1 ? a : p;
+        const int op2 = rule.anchor == kOp1 ? p : a;
+        if (best1 < 0 || OpKey(op1) < OpKey(best1) ||
+            (OpKey(op1) == OpKey(best1) && OpKey(op2) < OpKey(best2))) {
+          best1 = op1;
+          best2 = op2;
+        }
+        return true;
+      });
     }
-    ApplyMerge(best->rule, best->result, best->shape, best->first,
-               best->second);
-    return true;
+    if (best1 >= 0) {
+      ApplyMerge(rule, best1, best2);
+      return true;
+    }
   }
   return false;
 }

@@ -225,7 +225,8 @@ Status Transformer::StartElement(std::string_view name,
           "element-content operation targets attribute " +
           std::to_string(ia.id));
     }
-    if (ta->deleted) continue;
+    // repN (stage 3) runs before del (stage 5): a replaced attribute's
+    // replacement survives a delete of the same attribute.
     if (ta->rep_node != nullptr) {
       for (NodeId root : ta->rep_node->param_trees) {
         if (pul_.forest().type(root) != NodeType::kAttribute) {
@@ -238,6 +239,7 @@ Status Transformer::StartElement(std::string_view name,
       }
       continue;
     }
+    if (ta->deleted) continue;
     std::string out_name = ta->rename != nullptr
                                ? ta->rename->param_string
                                : ia.attr->name;

@@ -1,5 +1,7 @@
 #include "label/labeling.h"
 
+#include <algorithm>
+#include <iterator>
 #include <vector>
 
 namespace xupdate::label {
@@ -109,22 +111,24 @@ Status Labeling::BoundaryFor(const Document& doc, NodeId node,
   const auto& kids = doc.children(parent);
   if (doc.type(node) == NodeType::kAttribute) {
     // Attributes live between the parent's start and the first child's
-    // start. A new attribute is slotted after the last *other* labeled
-    // attribute.
-    *left = plab->start;
-    for (NodeId a : attrs) {
-      if (a == node) continue;
-      if (const NodeLabel* alab = Find(a)) {
-        if (*left < alab->end) *left = alab->end;
+    // start, in the order of doc.attributes(parent). A new attribute is
+    // bounded by its labeled neighbours in that order: the previous
+    // one's end (else the parent's start) and the next one's start
+    // (else the first labeled child's start, else the parent's end).
+    auto at = std::find(attrs.begin(), attrs.end(), node);
+    if (at == attrs.end()) return Status::Internal("attribute not found");
+    auto first_labeled = [this](auto begin, auto end) -> const NodeLabel* {
+      for (auto it = begin; it != end; ++it) {
+        if (const NodeLabel* lab = Find(*it)) return lab;
       }
-    }
-    *right = plab->end;
-    for (NodeId c : kids) {
-      if (const NodeLabel* clab = Find(c)) {
-        *right = clab->start;
-        break;
-      }
-    }
+      return nullptr;
+    };
+    const NodeLabel* prev =
+        first_labeled(std::make_reverse_iterator(at), attrs.rend());
+    const NodeLabel* next = first_labeled(at + 1, attrs.end());
+    if (next == nullptr) next = first_labeled(kids.begin(), kids.end());
+    *left = prev != nullptr ? prev->end : plab->start;
+    *right = next != nullptr ? next->start : plab->end;
     return Status::OK();
   }
   int idx = doc.ChildIndex(node);

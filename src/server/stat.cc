@@ -4,6 +4,7 @@
 
 #include "common/json.h"
 #include "obs/exposition.h"
+#include "server/protocol.h"
 
 namespace xupdate::server {
 
@@ -36,6 +37,14 @@ void SplitSnapshot(const MetricsSnapshot& snapshot, StatSnapshot* out) {
   }
 }
 
+// Names are written back unescaped (BuildStatJson,
+// MetricsSnapshotToJson), so only names of the registry's charset may
+// enter a snapshot.
+Status CheckMetricName(const std::string& name) {
+  if (IsValidMetricName(name)) return Status::OK();
+  return Status::ParseError("invalid metric name in stat payload");
+}
+
 Status ReadMetricsObject(const json::Value& value, MetricsSnapshot* out) {
   if (!value.is_object()) {
     return Status::ParseError("metrics section is not an object");
@@ -45,6 +54,7 @@ Status ReadMetricsObject(const json::Value& value, MetricsSnapshot* out) {
       return Status::ParseError("\"counters\" is not an object");
     }
     for (const auto& [name, v] : counters->members) {
+      XUPDATE_RETURN_IF_ERROR(CheckMetricName(name));
       out->counters[name] = v.U64Or(0);
     }
   }
@@ -53,6 +63,7 @@ Status ReadMetricsObject(const json::Value& value, MetricsSnapshot* out) {
       return Status::ParseError("\"gauges\" is not an object");
     }
     for (const auto& [name, v] : gauges->members) {
+      XUPDATE_RETURN_IF_ERROR(CheckMetricName(name));
       out->gauges[name] = v.I64Or(0);
     }
   }
@@ -61,6 +72,7 @@ Status ReadMetricsObject(const json::Value& value, MetricsSnapshot* out) {
       return Status::ParseError("\"timers\" is not an object");
     }
     for (const auto& [name, v] : timers->members) {
+      XUPDATE_RETURN_IF_ERROR(CheckMetricName(name));
       if (!v.is_object()) {
         return Status::ParseError("timer \"" + name + "\" is not an object");
       }
@@ -84,6 +96,16 @@ Status ReadMetricsObject(const json::Value& value, MetricsSnapshot* out) {
         }
       }
       out->timers[name] = t;
+    }
+  }
+  return Status::OK();
+}
+
+// Tenant names are written back unescaped too (BuildStatJson).
+Status CheckTenantNames(const StatSnapshot& stat) {
+  for (const auto& [tenant, section] : stat.tenants) {
+    if (!ValidTenantName(tenant)) {
+      return Status::ParseError("invalid tenant name in stat payload");
     }
   }
   return Status::OK();
@@ -137,6 +159,7 @@ Result<StatSnapshot> ParseStatJson(std::string_view json) {
     MetricsSnapshot flat;
     XUPDATE_RETURN_IF_ERROR(ReadMetricsObject(value, &flat));
     SplitSnapshot(flat, &stat);
+    XUPDATE_RETURN_IF_ERROR(CheckTenantNames(stat));
     return stat;
   }
   stat.version = version->U64Or(0);
@@ -156,6 +179,7 @@ Result<StatSnapshot> ParseStatJson(std::string_view json) {
           ReadMetricsObject(section, &stat.tenants[tenant]));
     }
   }
+  XUPDATE_RETURN_IF_ERROR(CheckTenantNames(stat));
   return stat;
 }
 

@@ -48,7 +48,10 @@ struct StatSnapshot {
 std::string BuildStatJson(const MetricsSnapshot& snapshot, uint64_t seq,
                           uint64_t uptime_ticks);
 
-// Parses a kStat payload of any known version (see above).
+// Parses a kStat payload of any known version (see above). Metric names
+// outside the registry's charset (IsValidMetricName) and tenant names
+// ValidTenantName refuses are a ParseError: the renderers write names
+// back unescaped.
 Result<StatSnapshot> ParseStatJson(std::string_view json);
 
 // Parses one <metrics json> object (the Metrics::ToJson shape) into a

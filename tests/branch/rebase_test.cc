@@ -7,6 +7,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 
 #include "branch/merge.h"
@@ -479,21 +482,58 @@ TEST_F(BranchRebaseTest, SkipConflictingDropsAndContinues) {
   EXPECT_EQ(head.find("value round 1"), std::string::npos);
 }
 
-TEST_F(BranchRebaseTest, RefusesBranchesWithMergeCommits) {
+// Every store file, by path relative to the store directory.
+std::map<std::string, std::string> StoreFiles(const fs::path& dir) {
+  std::map<std::string, std::string> files;
+  for (const fs::directory_entry& entry :
+       fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    std::ifstream in(entry.path(), std::ios::binary);
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    files[fs::relative(entry.path(), dir).string()] = bytes.str();
+  }
+  return files;
+}
+
+// A full merge writes twin merge frames, one on each side's journal.
+// Rebase rewrites the branch's journal, and a rewritten merge frame would
+// detach from its twin on the other journal (the sync record pairing
+// them would name a frame that no longer exists), so rebase refuses the
+// branch before it touches anything.
+TEST_F(BranchRebaseTest, BranchHoldingAMergeCommitIsRefused) {
   VersionStore store = MakeStore();
   ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
   ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 1)).ok());
   auto doc = store.BranchHeadDoc("w");
   ASSERT_TRUE(store.CommitOnBranch("w", RepVPul(**doc, 2)).ok());
-  ASSERT_TRUE(Merge(&store, "main", "w").ok());
+  MergeStats stats;
+  auto merged = Merge(&store, "main", "w", {}, &stats);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  ASSERT_FALSE(stats.fast_forward);
   ASSERT_TRUE(store.Commit(InsertPul(store.head_doc(), 3)).ok());
+  auto info = store.GetBranch("w");
+  ASSERT_TRUE(info.ok()) << info.status();
+  const uint64_t merge_version = info->head;
+  const std::map<std::string, std::string> before =
+      StoreFiles(dir_ / "store");
   RebaseOptions options;
   options.onto = store.head();
   auto report = Rebase(&store, "w", options);
   ASSERT_FALSE(report.ok());
-  EXPECT_NE(report.status().message().find("merge commit"),
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(report.status().message().find(
+                "has a merge commit at version " +
+                std::to_string(merge_version)),
             std::string::npos)
       << report.status();
+  EXPECT_EQ(StoreFiles(dir_ / "store"), before);
+  auto after = store.GetBranch("w");
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->fork, info->fork);
+  EXPECT_EQ(after->head, merge_version);
+  auto verified = store.Verify();
+  ASSERT_TRUE(verified.ok()) << verified.status();
 }
 
 TEST_F(BranchRebaseTest, VoidsOlderSyncRecords) {

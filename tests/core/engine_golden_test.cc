@@ -13,14 +13,18 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/crc32c.h"
+#include "common/random.h"
 #include "core/aggregate.h"
 #include "core/integrate.h"
 #include "core/reduce.h"
 #include "label/labeling.h"
+#include "obs/sinks.h"
+#include "obs/trace.h"
 #include "pul/pul_io.h"
 #include "workload/pul_generator.h"
 #include "xmark/generator.h"
@@ -41,6 +45,12 @@ constexpr uint32_t kAggregateGolden = 0x374430b6u;
 // units, when parallelism 1 reduced the whole PUL in one Reducer.
 constexpr uint32_t kReduceMultiUnitGolden = 0xda08d9e3u;
 constexpr uint32_t kReduceOneComponentGolden = 0xaa02feaau;
+// Captured from the engine before the Figure 2 rules became one table
+// read by both drivers: the reduce decision journal (which rule fired on
+// which pair, in which order) per mode.
+constexpr uint32_t kReduceJournalPlainGolden = 0x068aaaadu;
+constexpr uint32_t kReduceJournalDeterministicGolden = 0xc6ece870u;
+constexpr uint32_t kReduceJournalCanonicalGolden = 0xed05bfcdu;
 
 class EngineGoldenTest : public ::testing::Test {
  protected:
@@ -193,6 +203,134 @@ TEST_F(EngineGoldenTest, ReduceOneComponentLargerThanAUnitStaysOneUnit) {
     }
   }
   CheckGolden("kReduceOneComponentGolden", crc, kReduceOneComponentGolden);
+}
+
+// Dense rule neighbourhoods for the journal pin: around a few elements,
+// insertions of every kind on the element and its element children,
+// repN of children and attributes, and insA on the element. Every
+// Figure 2 merge rule fires on this corpus, most with several competing
+// partners, so the order in which pairs are tried shows in the journal.
+Pul NeighbourhoodPul(const Document& doc, const label::Labeling& labeling,
+                     uint64_t seed) {
+  std::vector<xml::NodeId> parents;
+  for (xml::NodeId id : doc.AllNodesInOrder()) {
+    if (doc.type(id) != xml::NodeType::kElement) continue;
+    size_t elements = 0;
+    for (xml::NodeId c : doc.children(id)) {
+      if (doc.type(c) == xml::NodeType::kElement) ++elements;
+    }
+    if (elements >= 2) parents.push_back(id);
+  }
+  const OpKind kInsertions[] = {OpKind::kInsBefore, OpKind::kInsAfter,
+                                OpKind::kInsFirst, OpKind::kInsLast,
+                                OpKind::kInsInto};
+  Rng rng(seed);
+  Pul pul;
+  pul.BindIdSpace(doc.max_assigned_id() + 1);
+  std::set<xml::NodeId> replaced;
+  int fresh = 0;
+  auto name = [&fresh] { return "g" + std::to_string(fresh++); };
+  for (int k = 0; k < 12; ++k) {
+    xml::NodeId parent = parents[rng.Below(parents.size())];
+    std::vector<xml::NodeId> kids;
+    for (xml::NodeId c : doc.children(parent)) {
+      if (doc.type(c) == xml::NodeType::kElement) kids.push_back(c);
+    }
+    const auto& attrs = doc.attributes(parent);
+    for (int n = 0; n < 12; ++n) {
+      xml::NodeId kid = kids[rng.Below(kids.size())];
+      Status added = Status::OK();
+      switch (rng.Below(8)) {
+        case 0:
+        case 1:
+        case 2:
+        case 3: {
+          // Edge and sibling insertions on a child, child insertions on
+          // the child or (more often) on the parent.
+          OpKind kind = kInsertions[rng.Below(5)];
+          xml::NodeId target =
+              kind == OpKind::kInsBefore || kind == OpKind::kInsAfter ||
+                      rng.Chance(0.3)
+                  ? kid
+                  : parent;
+          auto frag = pul.AddFragment("<" + name() + "/>");
+          added = frag.ok() ? pul.AddTreeOp(kind, target, labeling, {*frag})
+                            : frag.status();
+          break;
+        }
+        case 4:
+        case 5: {
+          if (!replaced.insert(kid).second) break;
+          auto frag = pul.AddFragment("<" + name() + "/>");
+          added = frag.ok() ? pul.AddTreeOp(OpKind::kReplaceNode, kid,
+                                            labeling, {*frag})
+                            : frag.status();
+          break;
+        }
+        case 6:
+          added = pul.AddTreeOp(OpKind::kInsAttributes, parent, labeling,
+                                {pul.NewAttributeParam(name(), "v")});
+          break;
+        default: {
+          if (attrs.empty()) break;
+          xml::NodeId attr = attrs[rng.Below(attrs.size())];
+          if (!replaced.insert(attr).second) break;
+          added = pul.AddTreeOp(OpKind::kReplaceNode, attr, labeling,
+                                {pul.NewAttributeParam(name(), "v")});
+          break;
+        }
+      }
+      EXPECT_TRUE(added.ok()) << added;
+    }
+  }
+  return pul;
+}
+
+// The output bytes alone do not pin *which* pair fired: two drivers can
+// reach the same reduced PUL through different rule applications. The
+// JSONL journal records every firing with its operands, so these CRCs
+// fail on a change of decision order even when the outputs match.
+TEST_F(EngineGoldenTest, ReduceDecisionJournalsMatchPinnedBytes) {
+  struct ModeGolden {
+    ReduceMode mode;
+    const char* name;
+    uint32_t golden;
+  };
+  const ModeGolden kModes[] = {
+      {ReduceMode::kPlain, "kReduceJournalPlainGolden",
+       kReduceJournalPlainGolden},
+      {ReduceMode::kDeterministic, "kReduceJournalDeterministicGolden",
+       kReduceJournalDeterministicGolden},
+      {ReduceMode::kCanonical, "kReduceJournalCanonicalGolden",
+       kReduceJournalCanonicalGolden},
+  };
+  std::vector<Pul> corpus;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    PulGenerator gen(*doc_, *labeling_, seed);
+    PulGenerator::PulOptions options;
+    options.num_ops = 150;
+    options.reducible_fraction = 0.3;
+    auto pul = gen.Generate(options);
+    ASSERT_TRUE(pul.ok()) << pul.status();
+    corpus.push_back(std::move(*pul));
+    if (seed <= 5) corpus.push_back(NeighbourhoodPul(*doc_, *labeling_, seed));
+  }
+  for (const ModeGolden& m : kModes) {
+    uint32_t crc = 0;
+    for (const Pul& pul : corpus) {
+      for (int parallelism : {1, 4}) {
+        obs::Tracer tracer;
+        ReduceOptions opts;
+        opts.mode = m.mode;
+        opts.parallelism = parallelism;
+        opts.tracer = &tracer;
+        auto reduced = Reduce(pul, opts);
+        ASSERT_TRUE(reduced.ok()) << reduced.status();
+        crc = ExtendCrc32c(crc, obs::ToJournalJsonl(tracer));
+      }
+    }
+    CheckGolden(m.name, crc, m.golden);
+  }
 }
 
 TEST_F(EngineGoldenTest, IntegrateOutputsMatchPreRetrofitBytes) {

@@ -4,9 +4,11 @@
 
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "label/labeling.h"
+#include "obs/trace.h"
 #include "pul/apply.h"
 #include "pul/obtainable.h"
 #include "testing/test_docs.h"
@@ -72,8 +74,19 @@ class ReduceRuleTest : public ::testing::Test {
     return *r;
   }
 
-  std::multiset<std::string> ReducedSet(ReduceMode mode = ReduceMode::kPlain) {
-    auto reduced = Reduce(pul_, {.mode = mode});
+  // With `fired` set, also collects the names of the rules the reduction
+  // traced as fired, in journal order.
+  std::multiset<std::string> ReducedSet(
+      ReduceMode mode = ReduceMode::kPlain,
+      std::vector<std::string>* fired = nullptr) {
+    obs::Tracer tracer;
+    auto reduced = Reduce(
+        pul_, {.mode = mode, .tracer = fired != nullptr ? &tracer : nullptr});
+    if (fired != nullptr) {
+      for (const obs::TraceEvent& e : tracer.SortedEvents()) {
+        if (e.kind == obs::EventKind::kRuleFired) fired->push_back(e.name);
+      }
+    }
     EXPECT_TRUE(reduced.ok()) << reduced.status();
     if (!reduced.ok()) return {};
     // Every reduction must be substitutable to the input (Prop. 1).
@@ -83,6 +96,21 @@ class ReduceRuleTest : public ::testing::Test {
       EXPECT_TRUE(*sub);
     }
     return Fingerprints(*reduced);
+  }
+
+  // One merge-rule case: in plain, deterministic and canonical mode the
+  // input reduces to `expected` by exactly one firing of `rule`. The
+  // worklist driver serves the first two modes and the canonical stepper
+  // the third, so each case exercises its rule through both.
+  void ExpectMerge(const char* rule,
+                   const std::multiset<std::string>& expected) {
+    for (ReduceMode mode : {ReduceMode::kPlain, ReduceMode::kDeterministic,
+                            ReduceMode::kCanonical}) {
+      SCOPED_TRACE("mode " + std::to_string(static_cast<int>(mode)));
+      std::vector<std::string> fired;
+      EXPECT_EQ(ReducedSet(mode, &fired), expected);
+      EXPECT_EQ(fired, std::vector<std::string>{rule});
+    }
   }
 
   Document doc_;
@@ -158,8 +186,7 @@ TEST_F(ReduceRuleTest, I5CollapsesSameKindInsertions) {
       pul_.AddTreeOp(OpKind::kInsLast, 2, labeling_, {Frag("<n1/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsLast, 2, labeling_, {Frag("<n2/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insLast(2,<n1/>,<n2/>)"}));
+  ExpectMerge("I5", {"insLast(2,<n1/>,<n2/>)"});
 }
 
 TEST_F(ReduceRuleTest, I5CollapsesAttributeInsertions) {
@@ -169,8 +196,7 @@ TEST_F(ReduceRuleTest, I5CollapsesAttributeInsertions) {
   ASSERT_TRUE(pul_.AddTreeOp(OpKind::kInsAttributes, 2, labeling_,
                              {pul_.NewAttributeParam("k2", "2")})
                   .ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insAttr(2,@k1=1,@k2=2)"}));
+  ExpectMerge("I5", {"insAttr(2,@k1=1,@k2=2)"});
 }
 
 TEST_F(ReduceRuleTest, I6InsIntoPlusInsFirst) {
@@ -178,8 +204,7 @@ TEST_F(ReduceRuleTest, I6InsIntoPlusInsFirst) {
       pul_.AddTreeOp(OpKind::kInsInto, 2, labeling_, {Frag("<i/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsFirst, 2, labeling_, {Frag("<f/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insFirst(2,<f/>,<i/>)"}));
+  ExpectMerge("I6", {"insFirst(2,<f/>,<i/>)"});
 }
 
 TEST_F(ReduceRuleTest, I7InsIntoPlusInsLast) {
@@ -187,8 +212,7 @@ TEST_F(ReduceRuleTest, I7InsIntoPlusInsLast) {
       pul_.AddTreeOp(OpKind::kInsInto, 2, labeling_, {Frag("<i/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsLast, 2, labeling_, {Frag("<l/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insLast(2,<i/>,<l/>)"}));
+  ExpectMerge("I7", {"insLast(2,<i/>,<l/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR8RepNAbsorbsInsBefore) {
@@ -197,7 +221,7 @@ TEST_F(ReduceRuleTest, IR8RepNAbsorbsInsBefore) {
           .ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsBefore, 5, labeling_, {Frag("<b/>")}).ok());
-  EXPECT_EQ(ReducedSet(), (std::multiset<std::string>{"repN(5,<b/>,<n/>)"}));
+  ExpectMerge("IR8", {"repN(5,<b/>,<n/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR9RepNAbsorbsInsAfter) {
@@ -206,7 +230,7 @@ TEST_F(ReduceRuleTest, IR9RepNAbsorbsInsAfter) {
           .ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsAfter, 5, labeling_, {Frag("<a/>")}).ok());
-  EXPECT_EQ(ReducedSet(), (std::multiset<std::string>{"repN(5,<n/>,<a/>)"}));
+  ExpectMerge("IR9", {"repN(5,<n/>,<a/>)"});
 }
 
 TEST_F(ReduceRuleTest, I10InsIntoPlusInsBeforeChild) {
@@ -214,8 +238,7 @@ TEST_F(ReduceRuleTest, I10InsIntoPlusInsBeforeChild) {
       pul_.AddTreeOp(OpKind::kInsInto, 2, labeling_, {Frag("<i/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsBefore, 5, labeling_, {Frag("<b/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insBefore(5,<i/>,<b/>)"}));
+  ExpectMerge("I10", {"insBefore(5,<i/>,<b/>)"});
 }
 
 TEST_F(ReduceRuleTest, I11InsIntoPlusInsAfterChild) {
@@ -223,8 +246,7 @@ TEST_F(ReduceRuleTest, I11InsIntoPlusInsAfterChild) {
       pul_.AddTreeOp(OpKind::kInsInto, 2, labeling_, {Frag("<i/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsAfter, 5, labeling_, {Frag("<a/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insAfter(5,<a/>,<i/>)"}));
+  ExpectMerge("I11", {"insAfter(5,<a/>,<i/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR12RepNChildAbsorbsInsInto) {
@@ -233,7 +255,7 @@ TEST_F(ReduceRuleTest, IR12RepNChildAbsorbsInsInto) {
           .ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsInto, 2, labeling_, {Frag("<i/>")}).ok());
-  EXPECT_EQ(ReducedSet(), (std::multiset<std::string>{"repN(5,<n/>,<i/>)"}));
+  ExpectMerge("IR12", {"repN(5,<n/>,<i/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR13RepNAttributeAbsorbsInsA) {
@@ -243,8 +265,7 @@ TEST_F(ReduceRuleTest, IR13RepNAttributeAbsorbsInsA) {
   ASSERT_TRUE(pul_.AddTreeOp(OpKind::kInsAttributes, 2, labeling_,
                              {pul_.NewAttributeParam("k", "1")})
                   .ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"repN(3,@q2=7,@k=1)"}));
+  ExpectMerge("IR13", {"repN(3,@q2=7,@k=1)"});
 }
 
 TEST_F(ReduceRuleTest, I14InsBeforeFirstChildAbsorbsInsFirst) {
@@ -252,8 +273,7 @@ TEST_F(ReduceRuleTest, I14InsBeforeFirstChildAbsorbsInsFirst) {
       pul_.AddTreeOp(OpKind::kInsBefore, 4, labeling_, {Frag("<b/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsFirst, 2, labeling_, {Frag("<f/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insBefore(4,<f/>,<b/>)"}));
+  ExpectMerge("I14", {"insBefore(4,<f/>,<b/>)"});
 }
 
 TEST_F(ReduceRuleTest, I15InsAfterLastChildAbsorbsInsLast) {
@@ -261,8 +281,7 @@ TEST_F(ReduceRuleTest, I15InsAfterLastChildAbsorbsInsLast) {
       pul_.AddTreeOp(OpKind::kInsAfter, 6, labeling_, {Frag("<a/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsLast, 2, labeling_, {Frag("<l/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insAfter(6,<a/>,<l/>)"}));
+  ExpectMerge("I15", {"insAfter(6,<a/>,<l/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR16RepNFirstChildAbsorbsInsFirst) {
@@ -271,7 +290,7 @@ TEST_F(ReduceRuleTest, IR16RepNFirstChildAbsorbsInsFirst) {
           .ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsFirst, 2, labeling_, {Frag("<f/>")}).ok());
-  EXPECT_EQ(ReducedSet(), (std::multiset<std::string>{"repN(4,<f/>,<n/>)"}));
+  ExpectMerge("IR16", {"repN(4,<f/>,<n/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR17RepNLastChildAbsorbsInsLast) {
@@ -280,7 +299,7 @@ TEST_F(ReduceRuleTest, IR17RepNLastChildAbsorbsInsLast) {
           .ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsLast, 2, labeling_, {Frag("<l/>")}).ok());
-  EXPECT_EQ(ReducedSet(), (std::multiset<std::string>{"repN(6,<n/>,<l/>)"}));
+  ExpectMerge("IR17", {"repN(6,<n/>,<l/>)"});
 }
 
 TEST_F(ReduceRuleTest, I18InsBeforePlusInsAfterLeftSibling) {
@@ -288,8 +307,7 @@ TEST_F(ReduceRuleTest, I18InsBeforePlusInsAfterLeftSibling) {
       pul_.AddTreeOp(OpKind::kInsBefore, 5, labeling_, {Frag("<b/>")}).ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsAfter, 4, labeling_, {Frag("<a/>")}).ok());
-  EXPECT_EQ(ReducedSet(),
-            (std::multiset<std::string>{"insBefore(5,<a/>,<b/>)"}));
+  ExpectMerge("I18", {"insBefore(5,<a/>,<b/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR19RepNPlusInsAfterLeftSibling) {
@@ -298,7 +316,7 @@ TEST_F(ReduceRuleTest, IR19RepNPlusInsAfterLeftSibling) {
           .ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsAfter, 4, labeling_, {Frag("<a/>")}).ok());
-  EXPECT_EQ(ReducedSet(), (std::multiset<std::string>{"repN(5,<a/>,<n/>)"}));
+  ExpectMerge("IR19", {"repN(5,<a/>,<n/>)"});
 }
 
 TEST_F(ReduceRuleTest, IR20RepNPlusInsBeforeRightSibling) {
@@ -307,7 +325,7 @@ TEST_F(ReduceRuleTest, IR20RepNPlusInsBeforeRightSibling) {
           .ok());
   ASSERT_TRUE(
       pul_.AddTreeOp(OpKind::kInsBefore, 5, labeling_, {Frag("<b/>")}).ok());
-  EXPECT_EQ(ReducedSet(), (std::multiset<std::string>{"repN(4,<n/>,<b/>)"}));
+  ExpectMerge("IR20", {"repN(4,<n/>,<b/>)"});
 }
 
 TEST_F(ReduceRuleTest, UnrelatedOpsUntouched) {

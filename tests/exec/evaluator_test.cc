@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "exec/in_memory.h"
 #include "exec/streaming.h"
 #include "label/labeling.h"
+#include "pul/apply.h"
 #include "pul/obtainable.h"
 #include "testing/test_docs.h"
 #include "xml/parser.h"
@@ -254,6 +256,27 @@ TEST_P(EngineEquivalenceTest, StreamingMatchesInMemory) {
   xupdate::testing::RandomPulOptions pul_opts;
   pul_opts.max_ops = 5;
   Pul pul = xupdate::testing::RandomPul(rng, doc, labeling, pul_opts);
+  // Every PUL also replaces one attribute in place, unless RandomPul
+  // already replaces it, so the labeled application below covers
+  // attribute repN on every element position.
+  std::vector<NodeId> attributes;
+  for (NodeId id : doc.AllNodesInOrder()) {
+    if (doc.type(id) == xml::NodeType::kAttribute) attributes.push_back(id);
+  }
+  if (!attributes.empty()) {
+    NodeId attr =
+        attributes[static_cast<size_t>(rng.Below(attributes.size()))];
+    bool replaced = false;
+    for (const pul::UpdateOp& op : pul.ops()) {
+      replaced |= op.kind == OpKind::kReplaceNode && op.target == attr;
+    }
+    if (!replaced) {
+      ASSERT_TRUE(pul.AddTreeOp(OpKind::kReplaceNode, attr, labeling,
+                                {pul.NewAttributeParam(
+                                    std::string(doc.name(attr)), "w")})
+                      .ok());
+    }
+  }
 
   InMemoryEvaluator in_memory;
   StreamingEvaluator streaming;
@@ -269,6 +292,13 @@ TEST_P(EngineEquivalenceTest, StreamingMatchesInMemory) {
   auto direct_text = xml::SerializeDocument(direct, opts);
   ASSERT_TRUE(direct_text.ok());
   EXPECT_EQ(*direct_text, *mem);
+
+  // Incremental label maintenance over the same application: the labels
+  // of the updated document must validate.
+  Document labeled = doc;
+  label::Labeling labels = labeling;
+  ASSERT_TRUE(pul::ApplyPul(&labeled, pul, {.labeling = &labels}).ok());
+  EXPECT_TRUE(labels.Validate(labeled).ok()) << labels.Validate(labeled);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSweep, EngineEquivalenceTest,

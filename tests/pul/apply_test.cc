@@ -8,6 +8,7 @@
 
 #include "label/labeling.h"
 #include "testing/test_docs.h"
+#include "xml/parser.h"
 #include "xml/serializer.h"
 
 namespace xupdate::pul {
@@ -396,6 +397,28 @@ TEST_F(ApplyTest, ReplaceAttributeNode) {
   ASSERT_EQ(doc_.attributes(7).size(), 1u);
   EXPECT_EQ(doc_.name(doc_.attributes(7)[0]), "order");
   EXPECT_TRUE(labeling_.Validate(doc_).ok());
+}
+
+// The replacement of a non-last attribute takes the replaced one's place
+// in the attribute list, so its label must lie before the next
+// attribute's, not after the last one's.
+TEST_F(ApplyTest, ReplacedAttributeIsLabeledInPlace) {
+  auto doc = xml::ParseDocument("<r><f a=\"1\" c=\"3\">t</f></r>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  label::Labeling labeling = label::Labeling::Build(*doc);
+  NodeId f = doc->children(doc->root())[0];
+  NodeId a = doc->attributes(f)[0];
+  Pul p;
+  p.BindIdSpace(doc->max_assigned_id() + 1);
+  ASSERT_TRUE(p.AddTreeOp(OpKind::kReplaceNode, a, labeling,
+                          {p.NewAttributeParam("a", "w")})
+                  .ok());
+  ApplyOptions opts;
+  opts.labeling = &labeling;
+  ASSERT_TRUE(ApplyPul(&*doc, p, opts).ok());
+  ASSERT_EQ(doc->attributes(f).size(), 2u);
+  EXPECT_EQ(doc->value(doc->attributes(f)[0]), "w");
+  EXPECT_TRUE(labeling.Validate(*doc).ok()) << labeling.Validate(*doc);
 }
 
 TEST_F(ApplyTest, InsertedNodesKeepProducerIds) {

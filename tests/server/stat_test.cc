@@ -4,6 +4,7 @@
 
 #include <string>
 
+#include "common/json.h"
 #include "common/metrics.h"
 
 namespace xupdate::server {
@@ -118,6 +119,36 @@ TEST(StatJsonTest, RejectsMalformedPayloads) {
   EXPECT_FALSE(ParseStatJson("{\"v\":1,\"global\":3}").ok());
   EXPECT_FALSE(
       ParseStatJson("{\"v\":1,\"global\":{\"counters\":[]}}").ok());
+}
+
+// Names are written back unescaped, so a name outside the registry's
+// charset must not survive parsing: a timer called "a\nb" would re-render
+// as a raw newline inside a JSON string.
+TEST(StatJsonTest, RejectsNamesThatCannotRoundTrip) {
+  const char* kPayloads[] = {
+      "{\"v\":1,\"global\":{\"timers\":{\"a\\nb\":{\"count\":1}}},"
+      "\"tenants\":{}}",
+      "{\"v\":1,\"global\":{\"counters\":{\"q\\\"uote\":1}}}",
+      "{\"v\":1,\"global\":{\"gauges\":{\"\":1}}}",
+      "{\"v\":1,\"tenants\":{\"t0\":{\"counters\":{\"b c\":2}}}}",
+      "{\"v\":1,\"tenants\":{\"t\\u0000x\":{}}}",
+      "{\"v\":1,\"tenants\":{\"a.b\":{}}}",
+      "{\"counters\":{\"tenant/a.b/x\":1}}",
+      "{\"counters\":{\"back\\\\slash\":1}}",
+  };
+  for (const char* payload : kPayloads) {
+    Result<StatSnapshot> parsed = ParseStatJson(payload);
+    ASSERT_FALSE(parsed.ok()) << payload;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << payload;
+  }
+  // Valid names still round-trip through both renderers.
+  Result<StatSnapshot> parsed = ParseStatJson(
+      "{\"v\":1,\"global\":{\"timers\":{\"a.b\":{\"count\":1}}},"
+      "\"tenants\":{\"t-0\":{\"counters\":{\"c/d\":2}}}}");
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  MetricsSnapshot flat = FlattenStatSnapshot(parsed.value());
+  EXPECT_TRUE(json::Parse(MetricsSnapshotToJson(flat)).ok());
+  EXPECT_TRUE(json::Parse(BuildStatJson(flat, 1, 1)).ok());
 }
 
 TEST(StatJsonTest, ParseMetricsJsonReadsARawDump) {
