@@ -3,6 +3,8 @@
 // §4.1 claims the extended containment labeling decides every
 // relationship in constant time; this bench measures ns/op over random
 // label pairs of a real document, independent of document size.
+// BM_LabelingBuild times the initial labeling of a whole document, the
+// step that hands every node its CDBS codes.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +12,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "label/labeling.h"
 #include "label/node_label.h"
 
 namespace xupdate {
@@ -66,6 +69,19 @@ XUPDATE_PREDICATE_BENCH(IsFirstChildOf);
 XUPDATE_PREDICATE_BENCH(IsLastChildOf);
 XUPDATE_PREDICATE_BENCH(IsDescendantOf);
 XUPDATE_PREDICATE_BENCH(IsNonAttributeDescendantOf);
+
+// Labeling::Build over an XMark document of range(0) MB: one DFS that
+// assigns each node its start/end codes and stores its label.
+void BM_LabelingBuild(benchmark::State& state) {
+  const bench::BenchDocument& fixture =
+      bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    label::Labeling labeling = label::Labeling::Build(fixture.doc);
+    benchmark::DoNotOptimize(labeling.size());
+  }
+  state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
+}
+BENCHMARK(BM_LabelingBuild)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace xupdate

@@ -1,66 +1,65 @@
 #include "common/string_util.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cctype>
 #include <cstdio>
 
 namespace xupdate {
 
-std::string XmlEscape(std::string_view text, bool in_attribute) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
+void XmlEscape(std::string_view text, bool in_attribute, std::string* out) {
+  size_t run = 0;  // start of the pending unescaped run
+  for (size_t i = 0; i < text.size(); ++i) {
+    std::string_view entity;
+    switch (text[i]) {
       case '&':
-        out += "&amp;";
+        entity = "&amp;";
         break;
       case '<':
-        out += "&lt;";
+        entity = "&lt;";
         break;
       case '>':
-        out += "&gt;";
+        entity = "&gt;";
         break;
       case '"':
-        if (in_attribute) {
-          out += "&quot;";
-        } else {
-          out += c;
-        }
+        if (!in_attribute) continue;
+        entity = "&quot;";
         break;
       default:
-        out += c;
+        continue;
     }
+    out->append(text.data() + run, i - run);
+    out->append(entity);
+    run = i + 1;
   }
-  return out;
+  out->append(text.data() + run, text.size() - run);
 }
 
-std::string XmlUnescape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
+void XmlUnescape(std::string_view text, std::string* out) {
   size_t i = 0;
   while (i < text.size()) {
     if (text[i] != '&') {
       size_t amp = std::min(text.find('&', i), text.size());
-      out.append(text.substr(i, amp - i));
+      out->append(text.substr(i, amp - i));
       i = amp;
       continue;
     }
     size_t semi = text.find(';', i);
     if (semi == std::string_view::npos || semi - i > 10) {
-      out += text[i++];
+      *out += text[i++];
       continue;
     }
     std::string_view entity = text.substr(i + 1, semi - i - 1);
     if (entity == "amp") {
-      out += '&';
+      *out += '&';
     } else if (entity == "lt") {
-      out += '<';
+      *out += '<';
     } else if (entity == "gt") {
-      out += '>';
+      *out += '>';
     } else if (entity == "quot") {
-      out += '"';
+      *out += '"';
     } else if (entity == "apos") {
-      out += '\'';
+      *out += '\'';
     } else if (!entity.empty() && entity[0] == '#') {
       uint32_t cp = 0;
       bool valid = entity.size() > 1;
@@ -90,34 +89,33 @@ std::string XmlUnescape(std::string_view text) {
         }
       }
       if (!valid || cp == 0 || cp > 0x10ffff) {
-        out += text[i++];
+        *out += text[i++];
         continue;
       }
       // UTF-8 encode.
       if (cp < 0x80) {
-        out += static_cast<char>(cp);
+        *out += static_cast<char>(cp);
       } else if (cp < 0x800) {
-        out += static_cast<char>(0xc0 | (cp >> 6));
-        out += static_cast<char>(0x80 | (cp & 0x3f));
+        *out += static_cast<char>(0xc0 | (cp >> 6));
+        *out += static_cast<char>(0x80 | (cp & 0x3f));
       } else if (cp < 0x10000) {
-        out += static_cast<char>(0xe0 | (cp >> 12));
-        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-        out += static_cast<char>(0x80 | (cp & 0x3f));
+        *out += static_cast<char>(0xe0 | (cp >> 12));
+        *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        *out += static_cast<char>(0x80 | (cp & 0x3f));
       } else {
-        out += static_cast<char>(0xf0 | (cp >> 18));
-        out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-        out += static_cast<char>(0x80 | (cp & 0x3f));
+        *out += static_cast<char>(0xf0 | (cp >> 18));
+        *out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+        *out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        *out += static_cast<char>(0x80 | (cp & 0x3f));
       }
     } else {
       // Unknown entity: keep verbatim.
-      out += text[i];
+      *out += text[i];
       ++i;
       continue;
     }
     i = semi + 1;
   }
-  return out;
 }
 
 bool IsValidXmlName(std::string_view name) {
@@ -188,6 +186,12 @@ std::string_view Trim(std::string_view s) {
   while (b < e && is_space(s[b])) ++b;
   while (e > b && is_space(s[e - 1])) --e;
   return s.substr(b, e - b);
+}
+
+void AppendDecimal(std::string* out, uint64_t value) {
+  char buf[20];
+  char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
+  out->append(buf, end);
 }
 
 int64_t ParseNonNegativeInt(std::string_view s) {

@@ -1,19 +1,26 @@
 #ifndef XUPDATE_COMMON_STRING_UTIL_H_
 #define XUPDATE_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace xupdate {
 
-// Escapes &, <, > (text content) — and additionally " when `in_attribute`
-// — per XML 1.0 character escaping rules.
-std::string XmlEscape(std::string_view text, bool in_attribute = false);
+// Appends `text` to `out` with &, <, > (text content) — and additionally
+// " when `in_attribute` — escaped per XML 1.0 character escaping rules.
+// Runs without a special character are copied in one piece.
+void XmlEscape(std::string_view text, bool in_attribute, std::string* out);
 
-// Resolves the five predefined XML entities plus decimal/hex character
-// references. Unknown entities are left verbatim (non-validating).
-std::string XmlUnescape(std::string_view text);
+// Appends `text` to `out` with the five predefined XML entities plus
+// decimal/hex character references resolved. Unknown entities are left
+// verbatim (non-validating). The result never outgrows the input: every
+// reference is at least as long as the UTF-8 it stands for.
+void XmlUnescape(std::string_view text, std::string* out);
+
+// Appends the decimal digits of `value` to `out`.
+void AppendDecimal(std::string* out, uint64_t value);
 
 // True if `name` is a valid (namespace-less) XML element/attribute name
 // for our non-validating subset: [A-Za-z_:][A-Za-z0-9._:-]*.

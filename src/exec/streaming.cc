@@ -75,7 +75,7 @@ class Transformer : public xml::SaxHandler {
               std::unordered_map<NodeId, TargetOps>& index)
       : pul_(pul), index_(index) {}
 
-  std::string TakeOutput() { return out_.TakeString(); }
+  std::string TakeOutput() { return std::move(output_); }
 
   Status StartElement(std::string_view name,
                       std::span<const SaxAttribute> attributes) override;
@@ -109,11 +109,7 @@ class Transformer : public xml::SaxHandler {
       case NodeType::kElement: {
         xml::SerializeOptions options;
         options.with_ids = true;
-        XUPDATE_ASSIGN_OR_RETURN(
-            std::string tree,
-            xml::SerializeSubtree(pul_.forest(), root, options));
-        out_.Raw(tree);
-        return Status::OK();
+        return xml::AppendSubtree(pul_.forest(), root, options, out_.Raw());
       }
       case NodeType::kText:
         XUPDATE_RETURN_IF_ERROR(
@@ -144,7 +140,8 @@ class Transformer : public xml::SaxHandler {
 
   const Pul& pul_;
   std::unordered_map<NodeId, TargetOps>& index_;
-  xml::SaxWriter out_{false};
+  std::string output_;
+  xml::SaxWriter out_{&output_};
   std::vector<Frame> stack_;
   NodeId next_auto_id_ = 1;
   NodeId pending_text_id_ = kInvalidNode;
@@ -233,27 +230,24 @@ Status Transformer::StartElement(std::string_view name,
           return Status::NotApplicable(
               "attribute replaced by a non-attribute tree");
         }
-        out_attrs.push_back({std::string(pul_.forest().name(root)),
-                             pul_.forest().value(root)});
+        out_attrs.push_back(
+            {pul_.forest().name(root), pul_.forest().value(root)});
         out_attr_ids.push_back(root);
       }
       continue;
     }
     if (ta->deleted) continue;
-    std::string out_name = ta->rename != nullptr
-                               ? ta->rename->param_string
-                               : ia.attr->name;
-    std::string out_value = ta->rep_value != nullptr
-                                ? ta->rep_value->param_string
-                                : ia.attr->value;
-    out_attrs.push_back({std::move(out_name), std::move(out_value)});
+    out_attrs.push_back(
+        {ta->rename != nullptr ? ta->rename->param_string : ia.attr->name,
+         ta->rep_value != nullptr ? ta->rep_value->param_string
+                                  : ia.attr->value});
     out_attr_ids.push_back(ia.id);
   }
   if (t != nullptr) {
     for (const UpdateOp* op : t->ins_attr) {
       for (NodeId root : op->param_trees) {
-        out_attrs.push_back({std::string(pul_.forest().name(root)),
-                             pul_.forest().value(root)});
+        out_attrs.push_back(
+            {pul_.forest().name(root), pul_.forest().value(root)});
         out_attr_ids.push_back(root);
       }
     }
@@ -262,9 +256,9 @@ Status Transformer::StartElement(std::string_view name,
     for (size_t i = 0; i < out_attrs.size(); ++i) {
       for (size_t j = i + 1; j < out_attrs.size(); ++j) {
         if (out_attrs[i].name == out_attrs[j].name) {
-          return Status::NotApplicable("duplicate attribute \"" +
-                                       out_attrs[i].name + "\" on element " +
-                                       std::to_string(self));
+          return Status::NotApplicable(
+              "duplicate attribute \"" + std::string(out_attrs[i].name) +
+              "\" on element " + std::to_string(self));
         }
       }
     }
@@ -282,7 +276,7 @@ Status Transformer::StartElement(std::string_view name,
       annotation += std::to_string(out_attr_ids[i]);
     }
   }
-  out_attrs.push_back({xml::kIdsAttributeName, std::move(annotation)});
+  out_attrs.push_back({xml::kIdsAttributeName, annotation});
   XUPDATE_RETURN_IF_ERROR(out_.StartElement(out_name, out_attrs));
 
   Frame frame;

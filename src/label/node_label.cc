@@ -4,21 +4,19 @@
 
 namespace xupdate::label {
 
-std::string NodeLabel::Serialize() const {
-  std::string out;
-  out += xml::NodeTypeToChar(type);
-  out += std::to_string(level);
-  out += ':';
-  out += start.ToString();
-  out += ':';
-  out += end.ToString();
-  out += ':';
-  out += std::to_string(parent);
-  out += ':';
-  out += std::to_string(left_sibling);
-  out += ':';
-  out += is_last_child ? '1' : '0';
-  return out;
+void NodeLabel::Serialize(std::string* out) const {
+  *out += xml::NodeTypeToChar(type);
+  AppendDecimal(out, level);
+  *out += ':';
+  start.AppendTo(out);
+  *out += ':';
+  end.AppendTo(out);
+  *out += ':';
+  AppendDecimal(out, parent);
+  *out += ':';
+  AppendDecimal(out, left_sibling);
+  *out += ':';
+  *out += is_last_child ? '1' : '0';
 }
 
 Result<NodeLabel> NodeLabel::Parse(std::string_view text,
@@ -47,15 +45,11 @@ Result<NodeLabel> NodeLabel::Parse(std::string_view text,
   if (level < 0 || parent < 0 || leftsib < 0) {
     return Status::ParseError("bad label integer field");
   }
-  for (char c : parts[1]) {
-    if (c != '0' && c != '1') return Status::ParseError("bad start code");
+  if (!lab.start.Assign(parts[1])) {
+    return Status::ParseError("bad start code");
   }
-  for (char c : parts[2]) {
-    if (c != '0' && c != '1') return Status::ParseError("bad end code");
-  }
+  if (!lab.end.Assign(parts[2])) return Status::ParseError("bad end code");
   lab.level = static_cast<uint32_t>(level);
-  lab.start = BitString::FromBits(parts[1]);
-  lab.end = BitString::FromBits(parts[2]);
   lab.parent = static_cast<xml::NodeId>(parent);
   lab.left_sibling = static_cast<xml::NodeId>(leftsib);
   if (parts[5] != "0" && parts[5] != "1") {

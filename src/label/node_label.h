@@ -18,15 +18,17 @@ namespace xupdate::label {
 // relationships of Table 1 can be decided in constant time from a pair
 // of labels, without accessing the document.
 struct NodeLabel {
-  xml::NodeId self = xml::kInvalidNode;
-  xml::NodeType type = xml::NodeType::kElement;
+  // The two codes first, then the 8-byte ids, then the narrow fields:
+  // 64 bytes with no padding hole.
   BitString start;
   BitString end;
-  uint32_t level = 0;
+  xml::NodeId self = xml::kInvalidNode;
   xml::NodeId parent = xml::kInvalidNode;
   // Immediate left sibling in the child list, kInvalidNode if first (or
   // not a child).
   xml::NodeId left_sibling = xml::kInvalidNode;
+  uint32_t level = 0;
+  xml::NodeType type = xml::NodeType::kElement;
   bool is_last_child = false;
 
   bool valid() const { return self != xml::kInvalidNode; }
@@ -34,10 +36,8 @@ struct NodeLabel {
   // Order-preserving 64-bit key over the containment start code: unequal
   // keys decide document order outright; equal keys require the full
   // start.Compare fallback (see BitString::PrefixKey64). Recomputed on
-  // use — one masked 8-byte load — rather than cached in the label, so
-  // NodeLabel stays a trivially copyable aggregate that shard threads
-  // can read concurrently; hot paths cache the key in their flat op
-  // indexes (pul::PulView).
+  // use — one load of the code's first word — rather than cached in the
+  // label; the flat op index (pul::OpSlot) caches it per op.
   uint64_t OrderKey() const { return start.PrefixKey64(); }
 
   // Three-way document-order comparison of start codes, key-first with
@@ -47,13 +47,15 @@ struct NodeLabel {
     return BitString::CompareKeyed(key_a, a.start, key_b, b.start);
   }
 
-  // Compact textual form "<type><level>:<start>:<end>:<parent>:
-  // <leftsib>:<last>"; self id travels separately. Round-trips through
-  // Parse.
-  std::string Serialize() const;
+  // Appends the compact textual form "<type><level>:<start>:<end>:
+  // <parent>:<leftsib>:<last>" to `out`; self id travels separately.
+  // Round-trips through Parse.
+  void Serialize(std::string* out) const;
   static Result<NodeLabel> Parse(std::string_view text,
                                  xml::NodeId self_id);
 };
+
+static_assert(sizeof(NodeLabel) <= 64, "NodeLabel fits one cache line");
 
 // --- Table 1 predicates, all O(label length) -----------------------------
 

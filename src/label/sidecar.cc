@@ -108,7 +108,7 @@ Result<std::string> SaveSidecar(const Document& doc,
     }
     out += std::to_string(id);
     out += ' ';
-    out += label->Serialize();
+    label->Serialize(&out);
     out += '\n';
   }
   return out;

@@ -24,7 +24,16 @@ void AppendAttr(std::string* out, std::string_view name,
   *out += ' ';
   *out += name;
   *out += "=\"";
-  *out += XmlEscape(value, /*in_attribute=*/true);
+  XmlEscape(value, /*in_attribute=*/true, out);
+  *out += '"';
+}
+
+// Numbers and labels need no escaping: they are appended as they are.
+void AppendIdAttr(std::string* out, std::string_view name, NodeId id) {
+  *out += ' ';
+  *out += name;
+  *out += "=\"";
+  AppendDecimal(out, id);
   *out += '"';
 }
 
@@ -34,23 +43,22 @@ Status SerializeParam(const Document& forest, NodeId root,
     case NodeType::kElement: {
       xml::SerializeOptions options;
       options.with_ids = true;
-      XUPDATE_ASSIGN_OR_RETURN(std::string tree,
-                               xml::SerializeSubtree(forest, root, options));
       *out += "<elem>";
-      *out += tree;
+      XUPDATE_RETURN_IF_ERROR(
+          xml::AppendSubtree(forest, root, options, out));
       *out += "</elem>";
       return Status::OK();
     }
     case NodeType::kText: {
       *out += "<text";
-      AppendAttr(out, "id", std::to_string(root));
+      AppendIdAttr(out, "id", root);
       AppendAttr(out, "value", forest.value(root));
       *out += "/>";
       return Status::OK();
     }
     case NodeType::kAttribute: {
       *out += "<attr";
-      AppendAttr(out, "id", std::to_string(root));
+      AppendIdAttr(out, "id", root);
       AppendAttr(out, "name", forest.name(root));
       AppendAttr(out, "value", forest.value(root));
       *out += "/>";
@@ -61,8 +69,8 @@ Status SerializeParam(const Document& forest, NodeId root,
 }
 
 // First value of attribute `name`, or nullptr when absent.
-const std::string* FindAttr(std::span<const xml::SaxAttribute> attributes,
-                            std::string_view name) {
+const std::string_view* FindAttr(
+    std::span<const xml::SaxAttribute> attributes, std::string_view name) {
   for (const xml::SaxAttribute& a : attributes) {
     if (a.name == name) return &a.value;
   }
@@ -72,12 +80,12 @@ const std::string* FindAttr(std::span<const xml::SaxAttribute> attributes,
 Result<std::string_view> RequiredAttr(
     std::span<const xml::SaxAttribute> attributes, std::string_view name,
     std::string_view element) {
-  const std::string* value = FindAttr(attributes, name);
+  const std::string_view* value = FindAttr(attributes, name);
   if (value == nullptr) {
     return Status::ParseError("missing attribute \"" + std::string(name) +
                               "\" on <" + std::string(element) + ">");
   }
-  return std::string_view(*value);
+  return *value;
 }
 
 // Unannotated <elem> parameter nodes take fresh ids from this floor up,
@@ -206,7 +214,7 @@ class PulReader : public xml::SaxHandler {
 
   void ReadPolicies(std::span<const xml::SaxAttribute> attributes) {
     auto flag = [&](std::string_view name) {
-      const std::string* value = FindAttr(attributes, name);
+      const std::string_view* value = FindAttr(attributes, name);
       return value != nullptr && *value == "1";
     };
     Policies p;
@@ -228,12 +236,12 @@ class PulReader : public xml::SaxHandler {
     int64_t target = ParseNonNegativeInt(target_text);
     if (target <= 0) return Status::ParseError("bad op target id");
     op_.target = static_cast<NodeId>(target);
-    const std::string* label_text = FindAttr(attributes, "label");
+    const std::string_view* label_text = FindAttr(attributes, "label");
     if (label_text != nullptr && !label_text->empty()) {
       XUPDATE_ASSIGN_OR_RETURN(
           op_.target_label, label::NodeLabel::Parse(*label_text, op_.target));
     }
-    if (const std::string* arg = FindAttr(attributes, "arg")) {
+    if (const std::string_view* arg = FindAttr(attributes, "arg")) {
       op_.param_string = *arg;
     }
     return Status::OK();
@@ -311,9 +319,11 @@ Result<std::string> SerializePul(const Pul& pul) {
   for (const UpdateOp& op : pul.ops()) {
     out += "<op";
     AppendAttr(&out, "kind", OpKindName(op.kind));
-    AppendAttr(&out, "target", std::to_string(op.target));
+    AppendIdAttr(&out, "target", op.target);
     if (op.target_label.valid()) {
-      AppendAttr(&out, "label", op.target_label.Serialize());
+      out += " label=\"";
+      op.target_label.Serialize(&out);
+      out += '"';
     }
     if (op.kind == OpKind::kReplaceValue || op.kind == OpKind::kRename) {
       AppendAttr(&out, "arg", op.param_string);

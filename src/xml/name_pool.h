@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -18,7 +19,7 @@ class NamePool {
 
   // Returns the id for `name`, interning it on first use.
   uint32_t Intern(std::string_view name) {
-    auto it = index_.find(std::string(name));
+    auto it = index_.find(name);
     if (it != index_.end()) return it->second;
     uint32_t id = static_cast<uint32_t>(names_.size());
     names_.emplace_back(name);
@@ -34,7 +35,15 @@ class NamePool {
   // deque: growth never moves stored strings, so Get()'s string_views
   // stay valid for the pool's lifetime.
   std::deque<std::string> names_;
-  std::unordered_map<std::string, uint32_t> index_;
+  // Transparent hash and equality: Intern looks a string_view up
+  // without building a std::string per call.
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> index_;
 };
 
 }  // namespace xupdate::xml

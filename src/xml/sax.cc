@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "common/string_util.h"
 
@@ -53,6 +54,18 @@ class Cursor {
     AdvanceTo(found + delim.size());
     return Status::OK();
   }
+  // The text before the next `delim`, advancing past it; nullopt, with
+  // the cursor at the end of the input, when there is none.
+  std::optional<std::string_view> TakeUntil(std::string_view delim) {
+    size_t found = input_.find(delim, pos_);
+    if (found == std::string_view::npos) {
+      AdvanceTo(input_.size());
+      return std::nullopt;
+    }
+    std::string_view out = input_.substr(pos_, found - pos_);
+    AdvanceTo(found + delim.size());
+    return out;
+  }
   std::string_view TextUntil(char stop) {
     size_t found = input_.find(stop, pos_);
     if (found == std::string_view::npos) found = input_.size();
@@ -91,13 +104,19 @@ class Cursor {
   size_t line_ = 1;
 };
 
-Status ParseAttributes(Cursor& cur, std::vector<SaxAttribute>* attrs) {
+// Reads a start tag's attribute list into `attrs` as views into the
+// input. Values holding a reference are then unescaped into `scratch`,
+// reserved up front for all of them (unescaping never grows a value),
+// so the views into it stay put.
+Status ParseAttributes(Cursor& cur, std::vector<SaxAttribute>* attrs,
+                       std::string* scratch) {
   attrs->clear();
+  size_t escaped_bytes = 0;
   for (;;) {
     cur.SkipWhitespace();
     if (cur.AtEnd()) return cur.Error("unterminated start tag");
     char c = cur.Peek();
-    if (c == '>' || c == '/') return Status::OK();
+    if (c == '>' || c == '/') break;
     std::string_view name = cur.ReadName();
     if (name.empty()) return cur.Error("expected attribute name");
     cur.SkipWhitespace();
@@ -114,8 +133,20 @@ Status ParseAttributes(Cursor& cur, std::vector<SaxAttribute>* attrs) {
     std::string_view raw = cur.TextUntil(quote);
     if (cur.AtEnd()) return cur.Error("unterminated attribute value");
     cur.Advance();  // closing quote
-    attrs->push_back({std::string(name), XmlUnescape(raw)});
+    if (raw.find('&') != std::string_view::npos) escaped_bytes += raw.size();
+    attrs->push_back({name, raw});
   }
+  if (escaped_bytes == 0) return Status::OK();
+  scratch->clear();
+  scratch->reserve(escaped_bytes);
+  for (SaxAttribute& a : *attrs) {
+    if (a.value.find('&') == std::string_view::npos) continue;
+    const size_t at = scratch->size();
+    XmlUnescape(a.value, scratch);
+    a.value = std::string_view(scratch->data() + at, scratch->size() - at);
+  }
+  assert(scratch->size() <= escaped_bytes);
+  return Status::OK();
 }
 
 }  // namespace
@@ -123,8 +154,9 @@ Status ParseAttributes(Cursor& cur, std::vector<SaxAttribute>* attrs) {
 Status ParseSax(std::string_view input, SaxHandler* handler,
                 const SaxOptions& options) {
   Cursor cur(input);
-  std::vector<std::string> open_elements;
+  std::vector<std::string_view> open_elements;
   std::vector<SaxAttribute> attrs;
+  std::string scratch;  // unescaped values, reused
   bool seen_root = false;
 
   while (!cur.AtEnd()) {
@@ -137,10 +169,12 @@ Status ParseSax(std::string_view input, SaxHandler* handler,
         continue;
       }
       if (options.keep_whitespace_text || !IsWhitespaceOnly(raw)) {
-        XUPDATE_RETURN_IF_ERROR(
-            raw.find('&') == std::string_view::npos
-                ? handler->Text(raw)
-                : handler->Text(XmlUnescape(raw)));
+        if (raw.find('&') != std::string_view::npos) {
+          scratch.clear();
+          XmlUnescape(raw, &scratch);
+          raw = scratch;
+        }
+        XUPDATE_RETURN_IF_ERROR(handler->Text(raw));
       }
       continue;
     }
@@ -150,20 +184,15 @@ Status ParseSax(std::string_view input, SaxHandler* handler,
       continue;
     }
     if (cur.Consume("<![CDATA[")) {
-      // CDATA content is literal text.
-      size_t before = 0;
-      (void)before;
-      std::string text;
-      for (;;) {
-        if (cur.AtEnd()) return cur.Error("unterminated CDATA section");
-        if (cur.Consume("]]>")) break;
-        text += cur.Peek();
-        cur.Advance();
-      }
+      // CDATA content is literal text. An empty section holds no text
+      // (a text node is never empty, and an empty one would not survive
+      // a serialize -> parse round trip).
+      std::optional<std::string_view> text = cur.TakeUntil("]]>");
+      if (!text) return cur.Error("unterminated CDATA section");
       if (open_elements.empty()) {
         return cur.Error("CDATA outside the root element");
       }
-      XUPDATE_RETURN_IF_ERROR(handler->Text(text));
+      if (!text->empty()) XUPDATE_RETURN_IF_ERROR(handler->Text(*text));
       continue;
     }
     if (cur.Consume("<!")) {
@@ -175,18 +204,11 @@ Status ParseSax(std::string_view input, SaxHandler* handler,
     if (cur.Consume("<?")) {
       std::string_view target = cur.ReadName();
       cur.SkipWhitespace();
-      std::string data;
-      for (;;) {
-        if (cur.AtEnd()) {
-          return cur.Error("unterminated processing instruction");
-        }
-        if (cur.Consume("?>")) break;
-        data += cur.Peek();
-        cur.Advance();
-      }
+      std::optional<std::string_view> data = cur.TakeUntil("?>");
+      if (!data) return cur.Error("unterminated processing instruction");
       if (!target.empty() && target != "xml") {
         XUPDATE_RETURN_IF_ERROR(
-            handler->ProcessingInstruction(target, data));
+            handler->ProcessingInstruction(target, *data));
       }
       continue;
     }
@@ -199,7 +221,8 @@ Status ParseSax(std::string_view input, SaxHandler* handler,
       }
       if (open_elements.back() != name) {
         return cur.Error("end tag </" + std::string(name) +
-                         "> does not match <" + open_elements.back() + ">");
+                         "> does not match <" +
+                         std::string(open_elements.back()) + ">");
       }
       open_elements.pop_back();
       XUPDATE_RETURN_IF_ERROR(handler->EndElement(name));
@@ -211,7 +234,7 @@ Status ParseSax(std::string_view input, SaxHandler* handler,
     if (open_elements.empty() && seen_root) {
       return cur.Error("multiple root elements");
     }
-    XUPDATE_RETURN_IF_ERROR(ParseAttributes(cur, &attrs));
+    XUPDATE_RETURN_IF_ERROR(ParseAttributes(cur, &attrs, &scratch));
     bool self_close = false;
     if (cur.Peek() == '/') {
       cur.Advance();
@@ -226,11 +249,12 @@ Status ParseSax(std::string_view input, SaxHandler* handler,
     if (self_close) {
       XUPDATE_RETURN_IF_ERROR(handler->EndElement(name));
     } else {
-      open_elements.emplace_back(name);
+      open_elements.push_back(name);
     }
   }
   if (!open_elements.empty()) {
-    return Status::ParseError("unclosed element <" + open_elements.back() +
+    return Status::ParseError("unclosed element <" +
+                              std::string(open_elements.back()) +
                               "> at end of input");
   }
   if (!seen_root) return Status::ParseError("no root element");
@@ -250,22 +274,31 @@ void SaxWriter::Indent() {
   out_.append(static_cast<size_t>(depth_) * 2, ' ');
 }
 
-Status SaxWriter::StartElement(std::string_view name,
-                               std::span<const SaxAttribute> attributes) {
+void SaxWriter::OpenTag(std::string_view name) {
   CloseOpenTag(false);
-  if (!out_.empty() && !just_text_) Indent();
+  if (out_.size() > begin_ && !just_text_) Indent();
   out_ += '<';
   out_ += name;
-  for (const SaxAttribute& attr : attributes) {
-    out_ += ' ';
-    out_ += attr.name;
-    out_ += "=\"";
-    out_ += XmlEscape(attr.value, /*in_attribute=*/true);
-    out_ += '"';
-  }
   tag_open_ = true;
   just_text_ = false;
   ++depth_;
+}
+
+void SaxWriter::Attribute(std::string_view name, std::string_view value) {
+  assert(tag_open_);
+  out_ += ' ';
+  out_ += name;
+  out_ += "=\"";
+  XmlEscape(value, /*in_attribute=*/true, &out_);
+  out_ += '"';
+}
+
+Status SaxWriter::StartElement(std::string_view name,
+                               std::span<const SaxAttribute> attributes) {
+  OpenTag(name);
+  for (const SaxAttribute& attr : attributes) {
+    Attribute(attr.name, attr.value);
+  }
   return Status::OK();
 }
 
@@ -286,15 +319,15 @@ Status SaxWriter::EndElement(std::string_view name) {
 
 Status SaxWriter::Text(std::string_view text) {
   CloseOpenTag(false);
-  out_ += XmlEscape(text, /*in_attribute=*/false);
+  XmlEscape(text, /*in_attribute=*/false, &out_);
   just_text_ = true;
   return Status::OK();
 }
 
-void SaxWriter::Raw(std::string_view xml_text) {
+std::string* SaxWriter::Raw() {
   CloseOpenTag(false);
-  out_ += xml_text;
   just_text_ = true;
+  return &out_;
 }
 
 Status SaxWriter::ProcessingInstruction(std::string_view target,

@@ -11,9 +11,12 @@
 namespace xupdate::xml {
 
 // One attribute as seen by the SAX layer (value already unescaped).
+// ParseSax hands out views into its input, or into its own scratch
+// buffer for a value that held a character reference; both stay valid
+// only for the duration of the StartElement call.
 struct SaxAttribute {
-  std::string name;
-  std::string value;
+  std::string_view name;
+  std::string_view value;
 };
 
 // Receiver of SAX events. The streaming PUL evaluator (§4.3 of the
@@ -47,34 +50,43 @@ struct SaxOptions {
 // syntax, character data, CDATA, comments, processing instructions and a
 // DOCTYPE prolog are recognized; namespaces are treated as plain colons
 // in names. Stops at the first error or the first non-OK handler status.
+// Every name and every reference-free text or attribute value reaches
+// the handler as a view into `input`; the rest are unescaped into one
+// reused buffer, so a start tag allocates nothing in steady state.
 Status ParseSax(std::string_view input, SaxHandler* handler,
                 const SaxOptions& options = {});
 
-// Serializes a stream of SAX events back to XML text.
+// Serializes a stream of SAX events back to XML text, appending to a
+// caller-owned string.
 class SaxWriter : public SaxHandler {
  public:
-  explicit SaxWriter(bool pretty = false) : pretty_(pretty) {}
+  // `out` must outlive the writer.
+  explicit SaxWriter(std::string* out, bool pretty = false)
+      : out_(*out), begin_(out->size()), pretty_(pretty) {}
 
   Status StartElement(std::string_view name,
                       std::span<const SaxAttribute> attributes) override;
+  // StartElement in pieces, for writers that hold no attribute list:
+  // OpenTag writes "<name", then each Attribute call one escaped
+  // name="value" pair, until the next event closes the tag.
+  void OpenTag(std::string_view name);
+  void Attribute(std::string_view name, std::string_view value);
   Status EndElement(std::string_view name) override;
   Status Text(std::string_view text) override;
   Status ProcessingInstruction(std::string_view target,
                                std::string_view data) override;
 
-  // Appends pre-serialized XML verbatim (used by the streaming PUL
-  // evaluator to splice serialized parameter trees into the stream).
-  void Raw(std::string_view xml_text);
-
-  // The document produced so far. Call after the last EndElement.
-  const std::string& str() const { return out_; }
-  std::string TakeString() { return std::move(out_); }
+  // Closes a pending start tag and returns the output, for the caller
+  // to append pre-serialized XML verbatim (the streaming PUL evaluator
+  // splices parameter trees into the stream this way).
+  std::string* Raw();
 
  private:
   void CloseOpenTag(bool self_close);
   void Indent();
 
-  std::string out_;
+  std::string& out_;
+  size_t begin_;  // out_'s size before this writer's first byte
   bool pretty_;
   bool tag_open_ = false;      // "<name ..." emitted, '>' pending
   bool just_text_ = false;     // last event was text (suppress indent)

@@ -1,76 +1,92 @@
 #include "xml/serializer.h"
 
 #include <algorithm>
+#include <charconv>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "xml/sax.h"
 
 namespace xupdate::xml {
 
 namespace {
 
-// Builds the xu:ids annotation for `element`; `attrs` is the attribute
-// list in the order it is being serialized (the annotation is
-// positional). Text-child ids are emitted separately as <?xuid N?>
-// markers so the format can be produced by a streaming writer.
-std::string BuildIdsAnnotation(NodeId element,
-                               const std::vector<NodeId>& attrs) {
-  std::string out = std::to_string(element);
-  if (!attrs.empty()) {
-    out += ';';
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      if (i > 0) out += ',';
-      out += std::to_string(attrs[i]);
-    }
-  }
-  return out;
-}
+// One serialization pass: the writer plus the scratch it reuses across
+// elements, so emitting a tree allocates only as its output grows.
+class SubtreeEmitter {
+ public:
+  SubtreeEmitter(const Document& doc, const SerializeOptions& options,
+                 std::string* out)
+      : doc_(doc), options_(options), writer_(out, options.pretty) {}
 
-Status EmitSubtree(const Document& doc, NodeId node, SaxWriter* writer,
-                   const SerializeOptions& options) {
-  if (doc.type(node) == NodeType::kText) {
-    if (options.with_ids) {
-      XUPDATE_RETURN_IF_ERROR(
-          writer->ProcessingInstruction("xuid", std::to_string(node)));
+  Status Emit(NodeId node) {
+    if (doc_.type(node) == NodeType::kText) {
+      if (options_.with_ids) {
+        char digits[20];
+        const char* end = std::to_chars(digits, digits + 20, node).ptr;
+        XUPDATE_RETURN_IF_ERROR(writer_.ProcessingInstruction(
+            "xuid", std::string_view(digits, end - digits)));
+      }
+      return writer_.Text(doc_.value(node));
     }
-    return writer->Text(doc.value(node));
+    if (doc_.type(node) != NodeType::kElement) {
+      return Status::InvalidArgument(
+          "only element and text nodes serialize inline");
+    }
+    writer_.OpenTag(doc_.name(node));
+    std::span<const NodeId> attrs = doc_.attributes(node);
+    if (options_.canonical_attributes && attrs.size() > 1) {
+      sorted_.assign(attrs.begin(), attrs.end());
+      std::sort(sorted_.begin(), sorted_.end(), [&](NodeId a, NodeId b) {
+        return doc_.name(a) < doc_.name(b);
+      });
+      attrs = sorted_;
+    }
+    for (NodeId a : attrs) writer_.Attribute(doc_.name(a), doc_.value(a));
+    if (options_.with_ids) {
+      // xu:ids is positional over the attributes in the order written.
+      // Text-child ids are emitted separately as <?xuid N?> markers so
+      // the format can be produced by a streaming writer.
+      ids_.clear();
+      AppendDecimal(&ids_, node);
+      for (size_t i = 0; i < attrs.size(); ++i) {
+        ids_ += i == 0 ? ';' : ',';
+        AppendDecimal(&ids_, attrs[i]);
+      }
+      writer_.Attribute(kIdsAttributeName, ids_);
+    }
+    for (NodeId c : doc_.children(node)) {
+      XUPDATE_RETURN_IF_ERROR(Emit(c));
+    }
+    return writer_.EndElement(doc_.name(node));
   }
-  if (doc.type(node) != NodeType::kElement) {
-    return Status::InvalidArgument(
-        "only element and text nodes serialize inline");
-  }
-  std::vector<SaxAttribute> attrs;
-  std::vector<NodeId> attr_ids(doc.attributes(node).begin(),
-                               doc.attributes(node).end());
-  if (options.canonical_attributes) {
-    std::sort(attr_ids.begin(), attr_ids.end(),
-              [&](NodeId a, NodeId b) { return doc.name(a) < doc.name(b); });
-  }
-  for (NodeId a : attr_ids) {
-    attrs.push_back({std::string(doc.name(a)), doc.value(a)});
-  }
-  if (options.with_ids) {
-    attrs.push_back({kIdsAttributeName, BuildIdsAnnotation(node, attr_ids)});
-  }
-  XUPDATE_RETURN_IF_ERROR(writer->StartElement(doc.name(node), attrs));
-  for (NodeId c : doc.children(node)) {
-    XUPDATE_RETURN_IF_ERROR(EmitSubtree(doc, c, writer, options));
-  }
-  return writer->EndElement(doc.name(node));
-}
+
+ private:
+  const Document& doc_;
+  const SerializeOptions& options_;
+  SaxWriter writer_;
+  std::vector<NodeId> sorted_;  // canonical attribute order
+  std::string ids_;             // one xu:ids annotation
+};
 
 }  // namespace
 
-Result<std::string> SerializeSubtree(const Document& doc, NodeId root,
-                                     const SerializeOptions& options) {
+Status AppendSubtree(const Document& doc, NodeId root,
+                     const SerializeOptions& options, std::string* out) {
   if (!doc.Exists(root)) return Status::NotFound("subtree root not found");
   if (doc.type(root) != NodeType::kElement) {
     return Status::InvalidArgument("subtree root must be an element");
   }
-  SaxWriter writer(options.pretty);
-  XUPDATE_RETURN_IF_ERROR(EmitSubtree(doc, root, &writer, options));
-  return writer.TakeString();
+  return SubtreeEmitter(doc, options, out).Emit(root);
+}
+
+Result<std::string> SerializeSubtree(const Document& doc, NodeId root,
+                                     const SerializeOptions& options) {
+  std::string out;
+  XUPDATE_RETURN_IF_ERROR(AppendSubtree(doc, root, options, &out));
+  return out;
 }
 
 Result<std::string> SerializeDocument(const Document& doc,

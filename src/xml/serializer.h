@@ -23,7 +23,12 @@ struct SerializeOptions {
   bool canonical_attributes = false;
 };
 
-// Serializes the subtree rooted at `root` (must be an element).
+// Appends the serialization of the subtree rooted at `root` (must be an
+// element) to `out`.
+Status AppendSubtree(const Document& doc, NodeId root,
+                     const SerializeOptions& options, std::string* out);
+
+// AppendSubtree into a fresh string.
 Result<std::string> SerializeSubtree(const Document& doc, NodeId root,
                                      const SerializeOptions& options = {});
 

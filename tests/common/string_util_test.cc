@@ -5,34 +5,64 @@
 namespace xupdate {
 namespace {
 
+std::string Escaped(std::string_view text, bool in_attribute = false) {
+  std::string out;
+  XmlEscape(text, in_attribute, &out);
+  return out;
+}
+
+std::string Unescaped(std::string_view text) {
+  std::string out;
+  XmlUnescape(text, &out);
+  return out;
+}
+
+TEST(XmlEscapeTest, AppendsToExistingOutput) {
+  std::string out = "<a x=\"";
+  XmlEscape("1 & \"2\"", /*in_attribute=*/true, &out);
+  XmlEscape("<", /*in_attribute=*/true, &out);
+  EXPECT_EQ(out, "<a x=\"1 &amp; &quot;2&quot;&lt;");
+  std::string plain = "t:";
+  XmlUnescape("&amp;&#x41;", &plain);
+  EXPECT_EQ(plain, "t:&A");
+}
+
+TEST(AppendDecimalTest, Extremes) {
+  std::string out;
+  AppendDecimal(&out, 0);
+  out += ' ';
+  AppendDecimal(&out, UINT64_MAX);
+  EXPECT_EQ(out, "0 18446744073709551615");
+}
+
 TEST(XmlEscapeTest, EscapesMarkup) {
-  EXPECT_EQ(XmlEscape("a<b>&c"), "a&lt;b&gt;&amp;c");
+  EXPECT_EQ(Escaped("a<b>&c"), "a&lt;b&gt;&amp;c");
 }
 
 TEST(XmlEscapeTest, QuotesOnlyInAttributes) {
-  EXPECT_EQ(XmlEscape("say \"hi\""), "say \"hi\"");
-  EXPECT_EQ(XmlEscape("say \"hi\"", /*in_attribute=*/true),
+  EXPECT_EQ(Escaped("say \"hi\""), "say \"hi\"");
+  EXPECT_EQ(Escaped("say \"hi\"", /*in_attribute=*/true),
             "say &quot;hi&quot;");
 }
 
 TEST(XmlUnescapeTest, NamedEntities) {
-  EXPECT_EQ(XmlUnescape("&lt;a&gt; &amp; &quot;x&quot; &apos;y&apos;"),
+  EXPECT_EQ(Unescaped("&lt;a&gt; &amp; &quot;x&quot; &apos;y&apos;"),
             "<a> & \"x\" 'y'");
 }
 
 TEST(XmlUnescapeTest, NumericEntities) {
-  EXPECT_EQ(XmlUnescape("&#65;&#x42;"), "AB");
-  EXPECT_EQ(XmlUnescape("&#xE9;"), "\xC3\xA9");  // e-acute in UTF-8
+  EXPECT_EQ(Unescaped("&#65;&#x42;"), "AB");
+  EXPECT_EQ(Unescaped("&#xE9;"), "\xC3\xA9");  // e-acute in UTF-8
 }
 
 TEST(XmlUnescapeTest, UnknownEntityKeptVerbatim) {
-  EXPECT_EQ(XmlUnescape("&nope;"), "&nope;");
-  EXPECT_EQ(XmlUnescape("a & b"), "a & b");
+  EXPECT_EQ(Unescaped("&nope;"), "&nope;");
+  EXPECT_EQ(Unescaped("a & b"), "a & b");
 }
 
 TEST(XmlEscapeTest, RoundTrip) {
   std::string original = "x < y && z > \"q\" 'w'";
-  EXPECT_EQ(XmlUnescape(XmlEscape(original, true)), original);
+  EXPECT_EQ(Unescaped(Escaped(original, true)), original);
 }
 
 TEST(IsValidXmlNameTest, AcceptsTypicalNames) {

@@ -230,7 +230,8 @@ TEST_P(InvertPropertyTest, ApplyThenInverseIsIdentity) {
     ASSERT_EQ(op.target_label.valid(), expect != nullptr) << op.target;
     if (expect != nullptr) {
       EXPECT_EQ(op.target_label.self, expect->self);
-      EXPECT_EQ(op.target_label.Serialize(), expect->Serialize());
+      EXPECT_EQ(testing::LabelText(op.target_label),
+                testing::LabelText(*expect));
     }
   }
   std::string before = pul::CanonicalForm(doc, kAllIds);

@@ -264,5 +264,155 @@ TEST(CdbsTest, SkewedRightInsertionGrowsLinearlySlowly) {
   }
 }
 
+// --- Inline/spill boundary ---------------------------------------------
+//
+// Codes up to BitString::kInlineBits bits live in the value; longer ones
+// spill to the heap. These tests drive every operation across that
+// boundary against a naive '0'/'1' std::string model.
+
+int Sign(int v) { return v < 0 ? -1 : (v > 0 ? 1 : 0); }
+
+uint64_t ModelPrefixKey(const std::string& model) {
+  uint64_t key = 0;
+  for (size_t i = 0; i < 64; ++i) {
+    key = (key << 1) | (i < model.size() && model[i] == '1' ? 1 : 0);
+  }
+  return key;
+}
+
+void ExpectMatchesModel(const BitString& s, const std::string& model) {
+  ASSERT_EQ(s.size(), model.size());
+  ASSERT_EQ(s.empty(), model.empty());
+  ASSERT_EQ(s.ToString(), model);
+  for (size_t i = 0; i < model.size(); ++i) {
+    ASSERT_EQ(s.bit(i), model[i] == '1') << "bit " << i;
+  }
+  ASSERT_EQ(s.PrefixKey64(), ModelPrefixKey(model));
+}
+
+TEST(BitStringSpillTest, StaticLayout) {
+  static_assert(sizeof(BitString) == 16);
+  EXPECT_EQ(BitString::kInlineBits, 120u);
+}
+
+TEST(BitStringSpillTest, AppendUpAndPopDownThroughTheBoundary) {
+  BitString s;
+  std::string model;
+  for (size_t n = 0; n < 300; ++n) {
+    const bool b = (n * 5 + 3) % 7 < 3;
+    s.AppendBit(b);
+    model += b ? '1' : '0';
+    ExpectMatchesModel(s, model);
+    ASSERT_EQ(s.Compare(BitString::FromBits(model)), 0);
+  }
+  while (!model.empty()) {
+    s.PopBit();
+    model.pop_back();
+    ExpectMatchesModel(s, model);
+    ASSERT_EQ(s.Compare(BitString::FromBits(model)), 0);
+  }
+}
+
+TEST(BitStringSpillTest, RandomOperationsMatchStringModel) {
+  constexpr size_t kSlots = 4;
+  BitString value[kSlots];
+  std::string model[kSlots];
+  Rng rng(121);
+  auto random_bits = [&](size_t len) {
+    std::string bits;
+    for (size_t i = 0; i < len; ++i) bits += rng.Chance(0.5) ? '1' : '0';
+    return bits;
+  };
+  size_t up_crossings = 0;    // 120 -> 121
+  size_t down_crossings = 0;  // 121 -> 120
+  for (int step = 0; step < 20000; ++step) {
+    const size_t a = rng.Below(kSlots);
+    const size_t b = rng.Below(kSlots);
+    switch (rng.Below(10)) {
+      case 0:
+      case 1:
+      case 2: {
+        if (model[a].size() >= 300) break;
+        const bool bit = rng.Chance(0.5);
+        if (model[a].size() == BitString::kInlineBits) ++up_crossings;
+        value[a].AppendBit(bit);
+        model[a] += bit ? '1' : '0';
+        break;
+      }
+      case 3:
+      case 4: {
+        if (model[a].empty()) break;
+        if (model[a].size() == BitString::kInlineBits + 1) ++down_crossings;
+        value[a].PopBit();
+        model[a].pop_back();
+        break;
+      }
+      case 5: {
+        // Fresh lengths cluster at the boundary half of the time.
+        const size_t len = rng.Chance(0.5) ? 116 + rng.Below(10)
+                                           : rng.Below(301);
+        model[a] = random_bits(len);
+        value[a] = BitString::FromBits(model[a]);
+        break;
+      }
+      case 6:
+        ASSERT_EQ(value[a].Compare(value[b]),
+                  Sign(model[a].compare(model[b])))
+            << model[a] << " vs " << model[b];
+        ASSERT_EQ(value[a] == value[b], model[a] == model[b]);
+        ASSERT_EQ(value[a] < value[b], model[a] < model[b]);
+        break;
+      case 7:
+        value[b] = value[a];  // copy-assign, a == b is self-assignment
+        model[b] = model[a];
+        break;
+      case 8: {
+        BitString moved(std::move(value[a]));
+        value[a] = BitString::FromBits(model[a]);
+        value[b] = std::move(moved);  // move-assign
+        model[b] = model[a];
+        break;
+      }
+      case 9: {
+        BitString copy(value[a]);
+        BitString& alias = copy;
+        copy = std::move(alias);  // self move-assignment keeps the value
+        ExpectMatchesModel(copy, model[a]);
+        value[b] = std::move(copy);
+        model[b] = model[a];
+        break;
+      }
+    }
+    for (size_t i = 0; i < kSlots; ++i) {
+      ExpectMatchesModel(value[i], model[i]);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(up_crossings, 0u);
+  EXPECT_GT(down_crossings, 0u);
+}
+
+TEST(BitStringSpillTest, AssignRejectsNonBitCharacters) {
+  BitString s;
+  for (size_t len : {1u, 64u, 120u, 121u, 250u}) {
+    std::string bits(len, '1');
+    EXPECT_TRUE(s.Assign(bits));
+    EXPECT_EQ(s.ToString(), bits);
+    for (char bad : {'2', '/', 'a', ' '}) {
+      bits[len - 1] = bad;
+      EXPECT_FALSE(s.Assign(bits)) << len << " " << bad;
+      bits[len - 1] = '1';
+    }
+  }
+}
+
+TEST(BitStringSpillTest, FromWordKeepsOnlyTheLeadingBits) {
+  EXPECT_EQ(BitString::FromWord(~uint64_t{0}, 0).ToString(), "");
+  EXPECT_EQ(BitString::FromWord(~uint64_t{0}, 3).ToString(), "111");
+  EXPECT_EQ(BitString::FromWord(uint64_t{0xA} << 60, 4),
+            BitString::FromBits("1010"));
+  EXPECT_EQ(BitString::FromWord(~uint64_t{0}, 64).size(), 64u);
+}
+
 }  // namespace
 }  // namespace xupdate::label

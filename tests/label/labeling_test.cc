@@ -100,7 +100,7 @@ TEST(LabelingTest, SerializationRoundTrip) {
   for (NodeId id : doc->AllNodesInOrder()) {
     const NodeLabel* lab = labeling.Find(id);
     ASSERT_NE(lab, nullptr);
-    auto back = NodeLabel::Parse(lab->Serialize(), id);
+    auto back = NodeLabel::Parse(testing::LabelText(*lab), id);
     ASSERT_TRUE(back.ok()) << back.status();
     EXPECT_EQ(back->type, lab->type);
     EXPECT_EQ(back->level, lab->level);
@@ -251,6 +251,68 @@ TEST(LabelingTest, BuildForMatchesBuild) {
       }
     }
     CheckBuildForMatchesBuild(doc, outside, rng);
+  }
+}
+
+// Serialize -> Parse round trips of labels whose codes sit on both sides
+// of the BitString inline limit (120 bits).
+TEST(NodeLabelCodeWidthTest, SerializeParseRoundTripAcrossInlineLimit) {
+  Rng rng(7);
+  for (size_t width : {1u, 119u, 120u, 121u, 250u}) {
+    NodeLabel lab;
+    lab.self = 42;
+    lab.type = xml::NodeType::kAttribute;
+    lab.level = 3;
+    lab.parent = 17;
+    lab.left_sibling = 0;
+    lab.is_last_child = false;
+    for (size_t i = 0; i + 1 < width; ++i) {
+      lab.start.AppendBit(rng.Chance(0.5));
+      lab.end.AppendBit(rng.Chance(0.5));
+    }
+    lab.start.AppendBit(true);
+    lab.end.AppendBit(true);
+    const std::string text = testing::LabelText(lab);
+    auto back = NodeLabel::Parse(text, lab.self);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(back->start.size(), width);
+    EXPECT_EQ(back->start, lab.start);
+    EXPECT_EQ(back->end, lab.end);
+    EXPECT_EQ(back->type, lab.type);
+    EXPECT_EQ(back->level, lab.level);
+    EXPECT_EQ(back->parent, lab.parent);
+    EXPECT_EQ(testing::LabelText(*back), text);
+    // A stray character deep inside a long code is still rejected.
+    std::string bad = text;
+    bad[text.find(':') + width] = '2';
+    EXPECT_FALSE(NodeLabel::Parse(bad, lab.self).ok()) << bad;
+  }
+}
+
+// Repeated insertion at the same spot lengthens codes by a bit or two
+// per insert; the chain must cross the inline limit and keep a labeling
+// that validates against the document.
+TEST(NodeLabelCodeWidthTest, InsertionChainPastInlineLimitValidates) {
+  auto doc = xml::ParseDocument("<r><a/><b/></r>");
+  ASSERT_TRUE(doc.ok());
+  Labeling labeling = Labeling::Build(*doc);
+  NodeId b = doc->children(doc->root())[1];
+  size_t widest = 0;
+  for (int i = 0; i < 150 && widest <= 130; ++i) {
+    NodeId n = doc->NewElement("n");
+    ASSERT_TRUE(doc->InsertBefore(b, n).ok());
+    ASSERT_TRUE(labeling.AssignForInsertedSubtree(*doc, n).ok());
+    b = n;
+    widest = std::max(widest, labeling.Find(n)->end.size());
+  }
+  EXPECT_GT(widest, 121u);
+  ASSERT_TRUE(labeling.Validate(*doc).ok()) << labeling.Validate(*doc);
+  for (NodeId id : doc->AllNodesInOrder()) {
+    const NodeLabel* lab = labeling.Find(id);
+    auto back = NodeLabel::Parse(testing::LabelText(*lab), id);
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back->start, lab->start);
+    EXPECT_EQ(back->end, lab->end);
   }
 }
 

@@ -250,7 +250,8 @@ TEST_F(PulIoTest, RoundTripPreservesEverything) {
     EXPECT_EQ(a.param_string, b.param_string);
     EXPECT_EQ(a.target_label.valid(), b.target_label.valid());
     if (a.target_label.valid()) {
-      EXPECT_EQ(a.target_label.Serialize(), b.target_label.Serialize());
+      EXPECT_EQ(testing::LabelText(a.target_label),
+                testing::LabelText(b.target_label));
     }
     ASSERT_EQ(a.param_trees.size(), b.param_trees.size());
     for (size_t t = 0; t < a.param_trees.size(); ++t) {

@@ -14,6 +14,13 @@
 
 namespace xupdate::testing {
 
+// The serialized form of `label`, for comparing labels in assertions.
+inline std::string LabelText(const label::NodeLabel& label) {
+  std::string out;
+  label.Serialize(&out);
+  return out;
+}
+
 // The SigmodRecord fragment of Figure 1 of the paper, with the node ids
 // used throughout its examples:
 //   1  sigmodRecord

@@ -14,7 +14,9 @@ class Recorder : public SaxHandler {
   Status StartElement(std::string_view name,
                       std::span<const SaxAttribute> attrs) override {
     std::string e = "<" + std::string(name);
-    for (const auto& a : attrs) e += " " + a.name + "=" + a.value;
+    for (const auto& a : attrs) {
+      e += " " + std::string(a.name) + "=" + std::string(a.value);
+    }
     events.push_back(e);
     return Status::OK();
   }
@@ -57,6 +59,13 @@ TEST(SaxTest, CdataIsLiteralText) {
   Recorder rec;
   ASSERT_TRUE(ParseSax("<a><![CDATA[<raw> & stuff]]></a>", &rec).ok());
   std::vector<std::string> expected = {"<a", "T:<raw> & stuff", "</a"};
+  EXPECT_EQ(rec.events, expected);
+}
+
+TEST(SaxTest, EmptyCdataIsNoText) {
+  Recorder rec;
+  ASSERT_TRUE(ParseSax("<a><![CDATA[]]><b/><![CDATA[ ]]></a>", &rec).ok());
+  std::vector<std::string> expected = {"<a", "<b", "</b", "T: ", "</a"};
   EXPECT_EQ(rec.events, expected);
 }
 
@@ -109,8 +118,85 @@ TEST(SaxTest, ErrorsIncludeLineNumbers) {
   EXPECT_NE(s.message().find("line 3"), std::string::npos);
 }
 
+// --- Attribute slots reused across start tags ----------------------------
+//
+// ParseSax reuses one attribute list and one unescape buffer for every
+// start tag; each tag must still expose exactly its own attributes.
+
+TEST(SaxAttributeReuseTest, ShortTagAfterLongerTagSeesOnlyItsOwn) {
+  Recorder rec;
+  ASSERT_TRUE(ParseSax("<a p=\"first-long-value\" q=\"2\" r=\"3\">"
+                       "<b x=\"1\"/><c/><d y=\"&amp;\"/></a>",
+                       &rec)
+                  .ok());
+  std::vector<std::string> expected = {
+      "<a p=first-long-value q=2 r=3", "<b x=1", "</b", "<c", "</c",
+      "<d y=&", "</d", "</a"};
+  EXPECT_EQ(rec.events, expected);
+}
+
+TEST(SaxAttributeReuseTest, EscapedAndPlainValuesMixWithinAndAcrossTags) {
+  Recorder rec;
+  ASSERT_TRUE(ParseSax("<a u=\"&lt;x&gt;\" v=\"plain\" w=\"&#x41;&#66;\">"
+                       "<b v=\"plain2\" u=\"&amp;&amp;\"/>"
+                       "<c u=\"no refs\" v=\"x&quot;y\" w=\"z\"/>"
+                       "<d/><e q=\"&apos;\"/></a>",
+                       &rec)
+                  .ok());
+  std::vector<std::string> expected = {
+      "<a u=<x> v=plain w=AB", "<b v=plain2 u=&&", "</b",
+      "<c u=no refs v=x\"y w=z", "</c", "<d", "</d", "<e q='", "</e",
+      "</a"};
+  EXPECT_EQ(rec.events, expected);
+}
+
+TEST(SaxAttributeReuseTest, ManyEscapedValuesInOneTagStayIntact) {
+  // Enough unescaped values that a growing buffer would move: every
+  // view handed to the handler must still read its own value.
+  std::string input = "<a";
+  std::string expected = "<a";
+  for (int i = 0; i < 64; ++i) {
+    const std::string n = std::to_string(i);
+    input += " k" + n + "=\"&lt;" + n + "&gt;\"";
+    expected += " k" + n + "=<" + n + ">";
+  }
+  input += "/>";
+  Recorder rec;
+  ASSERT_TRUE(ParseSax(input, &rec).ok());
+  ASSERT_FALSE(rec.events.empty());
+  EXPECT_EQ(rec.events[0], expected);
+}
+
+TEST(SaxAttributeReuseTest, ErrorInAttributeListLeavesNothingStale) {
+  Recorder rec;
+  Status s = ParseSax("<a><b x=\"&amp;1\" y=\"2\" z=></b></a>", &rec);
+  EXPECT_FALSE(s.ok());
+  std::vector<std::string> before = {"<a"};
+  EXPECT_EQ(rec.events, before);
+  // The next parse starts from empty slots.
+  Recorder next;
+  ASSERT_TRUE(ParseSax("<c/>", &next).ok());
+  std::vector<std::string> expected = {"<c", "</c"};
+  EXPECT_EQ(next.events, expected);
+  Recorder again;
+  ASSERT_TRUE(ParseSax("<c k=\"&#x41;\"/>", &again).ok());
+  EXPECT_EQ(again.events[0], "<c k=A");
+}
+
+TEST(SaxAttributeReuseTest, TextReferencesDoNotLeakIntoAttributes) {
+  Recorder rec;
+  ASSERT_TRUE(ParseSax("<a>&amp;long text with a reference</a>", &rec)
+                  .ok());
+  ASSERT_TRUE(ParseSax("<a>x&lt;y<b v=\"&gt;\"/>tail&amp;</a>", &rec).ok());
+  std::vector<std::string> expected = {
+      "<a", "T:&long text with a reference", "</a", "<a", "T:x<y",
+      "<b v=>", "</b", "T:tail&", "</a"};
+  EXPECT_EQ(rec.events, expected);
+}
+
 TEST(SaxWriterTest, WritesNestedDocument) {
-  SaxWriter w;
+  std::string out;
+  SaxWriter w(&out);
   std::vector<SaxAttribute> attrs = {{"x", "a<b"}};
   ASSERT_TRUE(w.StartElement("r", attrs).ok());
   ASSERT_TRUE(w.StartElement("c", {}).ok());
@@ -119,14 +205,15 @@ TEST(SaxWriterTest, WritesNestedDocument) {
   ASSERT_TRUE(w.StartElement("d", {}).ok());
   ASSERT_TRUE(w.EndElement("d").ok());
   ASSERT_TRUE(w.EndElement("r").ok());
-  EXPECT_EQ(w.str(), "<r x=\"a&lt;b\"><c>hi &amp; bye</c><d/></r>");
+  EXPECT_EQ(out, "<r x=\"a&lt;b\"><c>hi &amp; bye</c><d/></r>");
 }
 
 TEST(SaxWriterTest, RoundTripThroughParser) {
   const std::string input = "<r a=\"1\"><b>text</b><c/><d>x<e/>y</d></r>";
-  SaxWriter w;
+  std::string out;
+  SaxWriter w(&out);
   ASSERT_TRUE(ParseSax(input, &w).ok());
-  EXPECT_EQ(w.str(), input);
+  EXPECT_EQ(out, input);
 }
 
 }  // namespace
