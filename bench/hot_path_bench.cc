@@ -5,6 +5,9 @@
 // end-to-end, so regressions in the primitives themselves would show up
 // late and diluted. Everything runs on labels of a real document, where
 // code lengths and shared prefixes match what the engines actually see.
+// The BM_Document* rows and BM_SameAnnotated time the Document layer
+// (its node table) on its own: checkout parsing, snapshot copies and
+// the store's annotated-equality walk.
 
 #include <benchmark/benchmark.h>
 
@@ -18,6 +21,8 @@
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "pul/pul_view.h"
+#include "xml/document.h"
+#include "xml/parser.h"
 
 namespace xupdate {
 namespace {
@@ -173,6 +178,55 @@ void BM_HashMapJoin(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HashMapJoin)->Arg(1024)->Arg(16384);
+
+// ParseDocument of the id-annotated exchange text of a range(0) MB
+// XMark document: what every store checkout and PUL forest pays.
+void BM_DocumentParse(benchmark::State& state) {
+  const bench::BenchDocument& fixture =
+      bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    Result<xml::Document> doc = xml::ParseDocument(fixture.annotated_text);
+    if (!doc.ok()) {
+      state.SkipWithError("parse failed");
+      break;
+    }
+    benchmark::DoNotOptimize(doc->node_count());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(fixture.annotated_text.size()));
+  state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
+}
+BENCHMARK(BM_DocumentParse)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// One Document copy: the snapshot forks, folds and D6 take.
+void BM_DocumentCopy(benchmark::State& state) {
+  const bench::BenchDocument& fixture =
+      bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    xml::Document copy(fixture.doc);
+    benchmark::DoNotOptimize(copy.node_count());
+  }
+  state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
+}
+BENCHMARK(BM_DocumentCopy)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// SameAnnotated of a document and an equal copy: the full document-
+// order walk, which never stops early.
+void BM_SameAnnotated(benchmark::State& state) {
+  const bench::BenchDocument& fixture =
+      bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  const xml::Document copy(fixture.doc);
+  for (auto _ : state) {
+    Result<bool> same = xml::Document::SameAnnotated(fixture.doc, copy);
+    if (!same.ok() || !*same) {
+      state.SkipWithError("documents differ");
+      break;
+    }
+    benchmark::DoNotOptimize(*same);
+  }
+  state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
+}
+BENCHMARK(BM_SameAnnotated)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace xupdate

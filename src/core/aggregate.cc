@@ -42,8 +42,7 @@ class Aggregator {
   Result<NodeId> Adopt(const Pul& src, NodeId root) {
     XUPDATE_ASSIGN_OR_RETURN(
         NodeId adopted,
-        forest().AdoptSubtree(src.forest(), root, /*preserve_ids=*/true,
-                              nullptr));
+        forest().AdoptSubtree(src.forest(), root, /*preserve_ids=*/true));
     forest().Visit(adopted, [&](NodeId v) {
       ever_new_.insert(v);
       return true;

@@ -59,8 +59,7 @@ class DeltaBuilder {
   // Copies a `to`-subtree into the delta forest with fresh ids (moved
   // or new content; see header).
   Result<NodeId> CopyFromTo(NodeId to_node) {
-    return out_.forest().AdoptSubtree(to_, to_node, /*preserve_ids=*/false,
-                                      nullptr);
+    return out_.forest().AdoptSubtree(to_, to_node, /*preserve_ids=*/false);
   }
 
   // A node id "survives" when both documents hold it with the same kind

@@ -32,8 +32,7 @@ class Inverter {
   // Saves a copy (original ids) of the subtree at `node` into the
   // inverse PUL's forest.
   Result<NodeId> Save(NodeId node) {
-    return out_.forest().AdoptSubtree(doc_, node, /*preserve_ids=*/true,
-                                      nullptr);
+    return out_.forest().AdoptSubtree(doc_, node, /*preserve_ids=*/true);
   }
 
   Status AddInverseOp(OpKind kind, NodeId target,

@@ -329,7 +329,7 @@ Result<Pul> Reconciler::Run() {
             xml::NodeId adopted,
             out.forest().AdoptSubtree(
                 puls_[static_cast<size_t>(r.pul)]->forest(), root,
-                /*preserve_ids=*/true, nullptr));
+                /*preserve_ids=*/true));
         gen.param_trees.push_back(adopted);
       }
     }

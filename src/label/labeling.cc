@@ -12,21 +12,31 @@ using xml::NodeId;
 using xml::NodeType;
 
 Labeling Labeling::Build(const Document& doc) {
-  return BuildInitial(doc, nullptr);
+  Labeling out;
+  out.labels_.Reserve(doc.node_count());
+  out.BuildInitial(doc, /*all=*/true);
+  return out;
 }
 
 Labeling Labeling::BuildFor(const Document& doc,
                             const std::vector<NodeId>& ids) {
-  if (ids.empty()) return Labeling();
-  std::unordered_set<NodeId> wanted(ids.begin(), ids.end());
-  return BuildInitial(doc, &wanted);
+  // Placeholders (self == kInvalidNode) mark the wanted ids; the walk
+  // fills those in the tree, and the rest are dropped again.
+  Labeling out;
+  for (NodeId id : ids) {
+    if (id != kInvalidNode) out.labels_.TryEmplace(id);
+  }
+  if (out.labels_.empty()) return out;
+  out.BuildInitial(doc, /*all=*/false);
+  for (NodeId id : ids) {
+    const NodeLabel* lab = out.Find(id);
+    if (lab != nullptr && lab->self == kInvalidNode) out.labels_.Erase(id);
+  }
+  return out;
 }
 
-Labeling Labeling::BuildInitial(const Document& doc,
-                                const std::unordered_set<NodeId>* wanted) {
-  Labeling out;
-  if (doc.root() == kInvalidNode) return out;
-  if (wanted == nullptr) out.labels_.reserve(doc.node_count());
+void Labeling::BuildInitial(const Document& doc, bool all) {
+  if (doc.root() == kInvalidNode) return;
   // One DFS in AllNodesInOrder's visit order numbers a start code on
   // entry and an end code on exit. The code width depends on the whole
   // tree's size, so the wanted nodes' codes are filled in from their
@@ -34,23 +44,22 @@ Labeling Labeling::BuildInitial(const Document& doc,
   // is threaded down (scanning the parent's child list per node would
   // be quadratic on wide elements).
   struct Pending {
-    NodeLabel* label;  // map nodes are stable across rehashing
+    NodeLabel* label;  // table records never move
     size_t start;
     size_t end;
   };
   struct Walker {
     const Document& doc;
-    const std::unordered_set<NodeId>* wanted;
-    Labeling& labeling;
+    bool all;
+    xml::IdTable<NodeLabel>& labels;
     std::vector<Pending> pending;
     size_t next_code = 0;
 
     void Visit(NodeId id, NodeId parent, uint32_t level,
                NodeId left_sibling, bool is_last_child) {
       const size_t start = ++next_code;
-      NodeLabel* lab = nullptr;
-      if (wanted == nullptr || wanted->count(id) != 0) {
-        lab = &labeling.labels_[id];
+      NodeLabel* lab = all ? labels.TryEmplace(id).first : labels.Find(id);
+      if (lab != nullptr) {
         lab->self = id;
         lab->type = doc.type(id);
         lab->level = level;
@@ -73,19 +82,18 @@ Labeling Labeling::BuildInitial(const Document& doc,
       if (lab != nullptr) pending.push_back({lab, start, end});
     }
   };
-  Walker walker{doc, wanted, out, {}};
+  Walker walker{doc, all, labels_, {}};
+  if (all) walker.pending.reserve(doc.node_count());
   walker.Visit(doc.root(), doc.parent(doc.root()), 0, kInvalidNode, false);
   const size_t width = cdbs::InitialCodeWidth(walker.next_code);
   for (const Pending& p : walker.pending) {
     p.label->start = cdbs::InitialCode(p.start, width);
     p.label->end = cdbs::InitialCode(p.end, width);
   }
-  return out;
 }
 
 const NodeLabel* Labeling::Find(NodeId id) const {
-  auto it = labels_.find(id);
-  return it == labels_.end() ? nullptr : &it->second;
+  return labels_.Find(id);
 }
 
 Result<NodeLabel> Labeling::Get(NodeId id) const {
@@ -253,15 +261,11 @@ Status Labeling::AssignForInsertedSubtree(const Document& doc,
     int idx = doc.ChildIndex(root);
     if (idx > 0) {
       NodeId prev = kids[static_cast<size_t>(idx) - 1];
-      if (auto it = labels_.find(prev); it != labels_.end()) {
-        it->second.is_last_child = false;
-      }
+      if (NodeLabel* lab = labels_.Find(prev)) lab->is_last_child = false;
     }
     if (static_cast<size_t>(idx) + 1 < kids.size()) {
       NodeId next = kids[static_cast<size_t>(idx) + 1];
-      if (auto it = labels_.find(next); it != labels_.end()) {
-        it->second.left_sibling = root;
-      }
+      if (NodeLabel* lab = labels_.Find(next)) lab->left_sibling = root;
     }
   }
   return Status::OK();
@@ -278,17 +282,13 @@ Status Labeling::OnWillDeleteSubtree(const Document& doc, NodeId root) {
                           : kInvalidNode;
     if (static_cast<size_t>(idx) + 1 < kids.size()) {
       NodeId next = kids[static_cast<size_t>(idx) + 1];
-      if (auto it = labels_.find(next); it != labels_.end()) {
-        it->second.left_sibling = prev;
-      }
+      if (NodeLabel* lab = labels_.Find(next)) lab->left_sibling = prev;
     } else if (prev != kInvalidNode) {
-      if (auto it = labels_.find(prev); it != labels_.end()) {
-        it->second.is_last_child = true;
-      }
+      if (NodeLabel* lab = labels_.Find(prev)) lab->is_last_child = true;
     }
   }
   doc.Visit(root, [&](NodeId v) {
-    labels_.erase(v);
+    labels_.Erase(v);
     return true;
   });
   return Status::OK();

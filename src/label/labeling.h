@@ -1,13 +1,12 @@
 #ifndef XUPDATE_LABEL_LABELING_H_
 #define XUPDATE_LABEL_LABELING_H_
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/result.h"
 #include "label/node_label.h"
 #include "xml/document.h"
+#include "xml/id_table.h"
 
 namespace xupdate::label {
 
@@ -37,8 +36,10 @@ class Labeling {
   // nullptr when `id` has no label.
   const NodeLabel* Find(xml::NodeId id) const;
   Result<NodeLabel> Get(xml::NodeId id) const;
-  void Set(const NodeLabel& label) { labels_[label.self] = label; }
-  void Erase(xml::NodeId id) { labels_.erase(id); }
+  void Set(const NodeLabel& label) {
+    *labels_.TryEmplace(label.self).first = label;
+  }
+  void Erase(xml::NodeId id) { labels_.Erase(id); }
   size_t size() const { return labels_.size(); }
 
   // Assigns labels to the subtree rooted at `root`, which must already
@@ -62,17 +63,16 @@ class Labeling {
   // `node` (already attached in doc).
   Status BoundaryFor(const xml::Document& doc, xml::NodeId node,
                      BitString* left, BitString* right) const;
-  // The initial labeling walk shared by Build and BuildFor: labels the
-  // nodes in `wanted` (every node when null).
-  static Labeling BuildInitial(
-      const xml::Document& doc,
-      const std::unordered_set<xml::NodeId>* wanted);
+  // The initial labeling walk shared by Build and BuildFor: labels every
+  // node of doc's rooted tree when `all`, else only the nodes that
+  // already hold a (placeholder) entry.
+  void BuildInitial(const xml::Document& doc, bool all);
   // Recursively labels `node` within (left, right).
   Status AssignRange(const xml::Document& doc, xml::NodeId node,
                      const BitString& left, const BitString& right,
                      uint32_t level);
 
-  std::unordered_map<xml::NodeId, NodeLabel> labels_;
+  xml::IdTable<NodeLabel> labels_;
 };
 
 }  // namespace xupdate::label

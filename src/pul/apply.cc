@@ -30,7 +30,7 @@ class Applier {
   // Materializes a parameter tree into the document, assigning labels.
   Result<NodeId> Materialize(NodeId forest_root) {
     return doc_.AdoptSubtree(pul_.forest(), forest_root,
-                             /*preserve_ids=*/true, nullptr);
+                             /*preserve_ids=*/true);
   }
   Status LabelNew(NodeId root) {
     if (options_.labeling == nullptr) return Status::OK();

@@ -136,8 +136,7 @@ Status Pul::AdoptOp(const xml::Document& src_forest, const UpdateOp& op) {
   for (NodeId r : op.param_trees) {
     XUPDATE_ASSIGN_OR_RETURN(
         NodeId adopted,
-        forest_.AdoptSubtree(src_forest, r, /*preserve_ids=*/true,
-                             nullptr));
+        forest_.AdoptSubtree(src_forest, r, /*preserve_ids=*/true));
     copy.param_trees.push_back(adopted);
   }
   return AddOp(std::move(copy));

@@ -493,8 +493,7 @@ Result<pul::Pul> VersionStore::ComputeUndo(const xml::Document& pre,
     for (xml::NodeId& root : op.param_trees) {
       XUPDATE_ASSIGN_OR_RETURN(
           root, filtered.forest().AdoptSubtree(reduced.forest(), root,
-                                               /*preserve_ids=*/true,
-                                               nullptr));
+                                               /*preserve_ids=*/true));
     }
     XUPDATE_RETURN_IF_ERROR(filtered.AddOp(std::move(op)));
   }

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 
 namespace xupdate::xml {
 
@@ -45,15 +48,23 @@ std::string_view NodeTypeToString(NodeType type) {
   return "unknown";
 }
 
+void Document::MissingNode(NodeId id) {
+  std::fprintf(stderr, "xml::Document: no node %" PRIu64 "\n", id);
+  std::abort();
+}
+
+void Document::Insert(NodeId id, NodeType type, std::string_view name,
+                      std::string_view value) {
+  NodeRecord* rec = nodes_.TryEmplace(id).first;
+  rec->type = type;
+  rec->name = name.empty() ? 0 : names_.Intern(name);
+  rec->value = value;
+}
+
 NodeId Document::Allocate(NodeType type, std::string_view name,
                           std::string_view value) {
   NodeId id = next_id_++;
-  NodeRecord rec;
-  rec.type = type;
-  rec.alive = true;
-  rec.name = name.empty() ? 0 : names_.Intern(name);
-  rec.value = std::string(value);
-  nodes_.emplace(id, std::move(rec));
+  Insert(id, type, name, value);
   return id;
 }
 
@@ -80,12 +91,7 @@ Status Document::CreateWithId(NodeId id, NodeType type,
     return Status::InvalidArgument("node id already in use: " +
                                    std::to_string(id));
   }
-  NodeRecord rec;
-  rec.type = type;
-  rec.alive = true;
-  rec.name = name.empty() ? 0 : names_.Intern(name);
-  rec.value = std::string(value);
-  nodes_.emplace(id, std::move(rec));
+  Insert(id, type, name, value);
   if (id >= next_id_) next_id_ = id + 1;
   return Status::OK();
 }
@@ -118,6 +124,18 @@ Status Document::AppendChild(NodeId parent, NodeId child) {
   }
   Get(parent).children.push_back(child);
   Get(child).parent = parent;
+  return Status::OK();
+}
+
+Status Document::AppendChildren(NodeId parent,
+                                std::span<const NodeId> children) {
+  if (children.empty()) return Status::OK();
+  if (!Exists(parent)) return Status::NotFound("parent not found");
+  auto& kids = Get(parent).children;
+  kids.reserve(kids.size() + children.size());
+  for (NodeId child : children) {
+    XUPDATE_RETURN_IF_ERROR(AppendChild(parent, child));
+  }
   return Status::OK();
 }
 
@@ -223,7 +241,7 @@ Status Document::DeleteSubtree(NodeId id) {
     for (NodeId a : rec.attributes) stack.push_back(a);
     for (NodeId c : rec.children) stack.push_back(c);
   }
-  for (NodeId v : order) nodes_.erase(v);
+  for (NodeId v : order) nodes_.Erase(v);
   return Status::OK();
 }
 
@@ -295,15 +313,11 @@ Status Document::ReplaceChildren(NodeId element,
   }
   std::vector<NodeId> old_children = Get(element).children;
   for (NodeId c : old_children) XUPDATE_RETURN_IF_ERROR(DeleteSubtree(c));
-  for (NodeId r : replacements) {
-    XUPDATE_RETURN_IF_ERROR(AppendChild(element, r));
-  }
-  return Status::OK();
+  return AppendChildren(element, replacements);
 }
 
-Result<NodeId> Document::AdoptSubtree(
-    const Document& src, NodeId src_root, bool preserve_ids,
-    std::unordered_map<NodeId, NodeId>* id_map) {
+Result<NodeId> Document::AdoptSubtree(const Document& src, NodeId src_root,
+                                      bool preserve_ids) {
   if (!src.Exists(src_root)) {
     return Status::NotFound("source subtree root not found");
   }
@@ -327,7 +341,6 @@ Result<NodeId> Document::AdoptSubtree(
     } else {
       dst = Allocate(rec.type, nm, rec.value);
     }
-    if (id_map != nullptr) (*id_map)[f.src] = dst;
     if (f.dst_parent != kInvalidNode) {
       if (f.as_attribute) {
         XUPDATE_RETURN_IF_ERROR(AddAttribute(f.dst_parent, dst));
@@ -451,40 +464,36 @@ std::vector<NodeId> Document::AllNodesInOrder() const {
 }
 
 Status Document::Validate() const {
-  for (const auto& [id, rec] : nodes_) {
-    if (!rec.alive) {
-      return Status::Internal("dead record retained for node " +
-                              std::to_string(id));
-    }
+  auto check = [this](NodeId id, const NodeRecord& rec) -> Status {
     if (rec.parent != kInvalidNode) {
-      auto it = nodes_.find(rec.parent);
-      if (it == nodes_.end()) {
+      const NodeRecord* parent = nodes_.Find(rec.parent);
+      if (parent == nullptr) {
         return Status::Internal("dangling parent for node " +
                                 std::to_string(id));
       }
       const auto& plist = rec.type == NodeType::kAttribute
-                              ? it->second.attributes
-                              : it->second.children;
+                              ? parent->attributes
+                              : parent->children;
       if (std::find(plist.begin(), plist.end(), id) == plist.end()) {
         return Status::Internal("parent does not list node " +
                                 std::to_string(id));
       }
     }
     for (NodeId c : rec.children) {
-      auto it = nodes_.find(c);
-      if (it == nodes_.end() || it->second.parent != id) {
+      const NodeRecord* child = nodes_.Find(c);
+      if (child == nullptr || child->parent != id) {
         return Status::Internal("child link broken at node " +
                                 std::to_string(id));
       }
-      if (it->second.type == NodeType::kAttribute) {
+      if (child->type == NodeType::kAttribute) {
         return Status::Internal("attribute stored as child of node " +
                                 std::to_string(id));
       }
     }
     for (NodeId a : rec.attributes) {
-      auto it = nodes_.find(a);
-      if (it == nodes_.end() || it->second.parent != id ||
-          it->second.type != NodeType::kAttribute) {
+      const NodeRecord* attr = nodes_.Find(a);
+      if (attr == nullptr || attr->parent != id ||
+          attr->type != NodeType::kAttribute) {
         return Status::Internal("attribute link broken at node " +
                                 std::to_string(id));
       }
@@ -493,10 +502,16 @@ Status Document::Validate() const {
         (!rec.children.empty() || !rec.attributes.empty())) {
       return Status::Internal("non-element node with children");
     }
-  }
+    return Status::OK();
+  };
+  Status status;
+  nodes_.ForEach([&](NodeId id, const NodeRecord& rec) {
+    if (status.ok()) status = check(id, rec);
+  });
+  XUPDATE_RETURN_IF_ERROR(status);
   if (root_ != kInvalidNode) {
-    auto it = nodes_.find(root_);
-    if (it == nodes_.end() || it->second.parent != kInvalidNode) {
+    const NodeRecord* root = nodes_.Find(root_);
+    if (root == nullptr || root->parent != kInvalidNode) {
       return Status::Internal("invalid document root");
     }
   }

@@ -6,11 +6,11 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "xml/id_table.h"
 #include "xml/name_pool.h"
 #include "xml/node.h"
 
@@ -59,7 +59,7 @@ class Document {
 
   // --- Accessors ----------------------------------------------------------
 
-  bool Exists(NodeId id) const { return nodes_.count(id) != 0; }
+  bool Exists(NodeId id) const { return nodes_.Contains(id); }
   NodeType type(NodeId id) const { return Get(id).type; }
   NodeId parent(NodeId id) const { return Get(id).parent; }
   std::string_view name(NodeId id) const {
@@ -79,6 +79,9 @@ class Document {
   // inserted node to be detached (no parent).
 
   Status AppendChild(NodeId parent, NodeId child);
+  // AppendChild of each of `children` in order, growing the child list
+  // once.
+  Status AppendChildren(NodeId parent, std::span<const NodeId> children);
   Status PrependChild(NodeId parent, NodeId child);
   // Inserts `node` as sibling immediately before/after `ref`.
   Status InsertBefore(NodeId ref, NodeId node);
@@ -107,11 +110,9 @@ class Document {
 
   // Deep-copies the subtree rooted at `src_root` of `src` into this
   // document. If `preserve_ids` is true the source ids are kept (fails on
-  // clash); otherwise fresh ids are assigned. `id_map`, when non-null,
-  // receives src-id -> new-id for every copied node. Returns the new root.
+  // clash); otherwise fresh ids are assigned. Returns the new root.
   Result<NodeId> AdoptSubtree(const Document& src, NodeId src_root,
-                              bool preserve_ids,
-                              std::unordered_map<NodeId, NodeId>* id_map);
+                              bool preserve_ids);
 
   // --- Order and structure queries (ground truth for label predicates) ----
 
@@ -139,8 +140,8 @@ class Document {
 
   // --- Validation / equality -----------------------------------------------
 
-  // Checks internal invariants (parent/child symmetry, liveness, root);
-  // used by tests and debug assertions.
+  // Checks internal invariants (parent/child symmetry, no dangling link,
+  // root); used by tests and debug assertions.
   Status Validate() const;
 
   // Structural equality of two subtrees, optionally also requiring node
@@ -167,8 +168,18 @@ class Document {
   void ReserveIdsBelow(NodeId floor);
 
  private:
-  const NodeRecord& Get(NodeId id) const { return nodes_.at(id); }
-  NodeRecord& Get(NodeId id) { return nodes_.at(id); }
+  // The record of `id`, which must exist: a miss stops the program.
+  const NodeRecord& Get(NodeId id) const {
+    const NodeRecord* rec = nodes_.Find(id);
+    if (rec == nullptr) MissingNode(id);
+    return *rec;
+  }
+  NodeRecord& Get(NodeId id) {
+    NodeRecord* rec = nodes_.Find(id);
+    if (rec == nullptr) MissingNode(id);
+    return *rec;
+  }
+  [[noreturn]] static void MissingNode(NodeId id);
 
   // SameAnnotated's walk below `id`, a node both sides hold in the
   // same position; sets `*error` when either side holds an attribute in
@@ -178,11 +189,14 @@ class Document {
 
   NodeId Allocate(NodeType type, std::string_view name,
                   std::string_view value);
+  // Adds the record of a fresh `id` (absent from the table).
+  void Insert(NodeId id, NodeType type, std::string_view name,
+              std::string_view value);
   Status CheckInsertable(NodeId node) const;
   // Root-to-node path (inclusive).
   std::vector<NodeId> PathToRoot(NodeId id) const;
 
-  std::unordered_map<NodeId, NodeRecord> nodes_;
+  IdTable<NodeRecord> nodes_;
   NamePool names_;
   NodeId root_ = kInvalidNode;
   NodeId next_id_ = 1;

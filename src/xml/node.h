@@ -32,7 +32,6 @@ std::string_view NodeTypeToString(NodeType type);
 // document's NamePool (0 when the node kind has no name).
 struct NodeRecord {
   NodeType type = NodeType::kElement;
-  bool alive = false;
   NodeId parent = kInvalidNode;
   uint32_t name = 0;
   std::string value;             // text / attribute value

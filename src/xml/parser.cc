@@ -73,17 +73,22 @@ Status DomBuilder::StartElement(std::string_view name,
   if (stack_.empty()) {
     root_ = element;
   } else {
-    XUPDATE_RETURN_IF_ERROR(doc_->AppendChild(stack_.back(), element));
+    children_.push_back(element);
   }
-  stack_.push_back(element);
+  stack_.push_back({element, children_.size()});
   pending_text_id_ = kInvalidNode;
   return Status::OK();
 }
 
 Status DomBuilder::EndElement(std::string_view) {
+  OpenElement open = stack_.back();
   stack_.pop_back();
   pending_text_id_ = kInvalidNode;
-  return Status::OK();
+  std::span<const NodeId> children(children_);
+  Status status =
+      doc_->AppendChildren(open.element, children.subspan(open.first_child));
+  children_.resize(open.first_child);
+  return status;
 }
 
 Status DomBuilder::ProcessingInstruction(std::string_view target,
@@ -109,7 +114,8 @@ Status DomBuilder::Text(std::string_view text) {
     doc_->ReserveIdsBelow(fresh_id_floor_);
     node = doc_->NewText(text);
   }
-  return doc_->AppendChild(stack_.back(), node);
+  children_.push_back(node);
+  return Status::OK();
 }
 
 Result<Document> ParseDocument(std::string_view input,

@@ -63,7 +63,15 @@ class DomBuilder : public SaxHandler {
   bool read_ids_;
   NodeId fresh_id_floor_;
   NodeId root_ = kInvalidNode;
-  std::vector<NodeId> stack_;
+  // Open elements. Their children gather in children_ (from
+  // first_child on) and attach at the end tag, so each child list is
+  // sized once.
+  struct OpenElement {
+    NodeId element;
+    size_t first_child;
+  };
+  std::vector<OpenElement> stack_;
+  std::vector<NodeId> children_;
   NodeId pending_text_id_ = kInvalidNode;
   std::vector<NodeId> attribute_ids_;  // reused: one xu:ids annotation
 };

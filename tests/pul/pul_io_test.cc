@@ -75,8 +75,7 @@ Status ReferenceParseOp(const Document& temp, NodeId op_node, Pul* out) {
       }
       XUPDATE_ASSIGN_OR_RETURN(
           NodeId adopted,
-          out->forest().AdoptSubtree(temp, kids[0], /*preserve_ids=*/true,
-                                     nullptr));
+          out->forest().AdoptSubtree(temp, kids[0], /*preserve_ids=*/true));
       op.param_trees.push_back(adopted);
     } else if (wrapper == "text" || wrapper == "attr") {
       XUPDATE_ASSIGN_OR_RETURN(std::string id_text,

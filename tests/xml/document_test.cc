@@ -48,6 +48,12 @@ TEST_F(DocumentTest, IdsNeverReused) {
   EXPECT_FALSE(doc_.Exists(b_));
 }
 
+TEST_F(DocumentTest, AccessToMissingNodeStopsTheProgram) {
+  ASSERT_TRUE(doc_.DeleteSubtree(b_).ok());
+  EXPECT_DEATH(doc_.type(b_), "no node");
+  EXPECT_DEATH(doc_.children(doc_.max_assigned_id() + 1000), "no node");
+}
+
 TEST_F(DocumentTest, InsertBeforeAndAfter) {
   NodeId n1 = doc_.NewElement("n1");
   NodeId n2 = doc_.NewElement("n2");
@@ -179,7 +185,7 @@ TEST_F(DocumentTest, AllNodesInOrder) {
 
 TEST_F(DocumentTest, AdoptSubtreePreservingIds) {
   Document other;
-  auto adopted = other.AdoptSubtree(doc_, a_, /*preserve_ids=*/true, nullptr);
+  auto adopted = other.AdoptSubtree(doc_, a_, /*preserve_ids=*/true);
   ASSERT_TRUE(adopted.ok());
   EXPECT_EQ(*adopted, a_);
   EXPECT_TRUE(other.Exists(text_));
@@ -189,10 +195,9 @@ TEST_F(DocumentTest, AdoptSubtreePreservingIds) {
 
 TEST_F(DocumentTest, AdoptSubtreeFreshIds) {
   Document other;
-  std::unordered_map<NodeId, NodeId> map;
-  auto adopted = other.AdoptSubtree(doc_, a_, /*preserve_ids=*/false, &map);
+  auto adopted = other.AdoptSubtree(doc_, a_, /*preserve_ids=*/false);
   ASSERT_TRUE(adopted.ok());
-  EXPECT_EQ(map.size(), 3u);
+  EXPECT_EQ(other.node_count(), 3u);
   EXPECT_TRUE(Document::SubtreeEquals(doc_, a_, other, *adopted, false));
 }
 
@@ -201,7 +206,7 @@ TEST_F(DocumentTest, AdoptClashingIdsFails) {
   ASSERT_TRUE(
       other.CreateWithId(a_, NodeType::kElement, "conflict", "").ok());
   EXPECT_FALSE(
-      other.AdoptSubtree(doc_, a_, /*preserve_ids=*/true, nullptr).ok());
+      other.AdoptSubtree(doc_, a_, /*preserve_ids=*/true).ok());
 }
 
 TEST_F(DocumentTest, SubtreeEqualsIgnoresAttributeOrder) {
