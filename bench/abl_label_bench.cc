@@ -75,10 +75,13 @@ XUPDATE_PREDICATE_BENCH(IsNonAttributeDescendantOf);
 void BM_LabelingBuild(benchmark::State& state) {
   const bench::BenchDocument& fixture =
       bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  const double faults = bench::MinorFaults();
   for (auto _ : state) {
     label::Labeling labeling = label::Labeling::Build(fixture.doc);
     benchmark::DoNotOptimize(labeling.size());
   }
+  state.counters["minor_faults"] = benchmark::Counter(
+      bench::MinorFaults() - faults, benchmark::Counter::kAvgIterations);
   state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
 }
 BENCHMARK(BM_LabelingBuild)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);

@@ -1,6 +1,8 @@
 #ifndef XUPDATE_BENCH_BENCH_UTIL_H_
 #define XUPDATE_BENCH_BENCH_UTIL_H_
 
+#include <sys/resource.h>
+
 #include <cstdlib>
 #include <map>
 #include <memory>
@@ -15,6 +17,17 @@
 #include "xml/serializer.h"
 
 namespace xupdate::bench {
+
+// Minor page faults this process has taken so far (getrusage of the
+// process itself). Benches that build or copy whole documents report
+// the per-iteration delta as the "minor_faults" counter: pages the heap
+// hands back to the kernel and takes again show up there, not in the
+// time of a warm loop alone.
+inline double MinorFaults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_minflt);
+}
 
 // A generated XMark document in every representation the benches need.
 struct BenchDocument {

@@ -6,8 +6,8 @@
 // late and diluted. Everything runs on labels of a real document, where
 // code lengths and shared prefixes match what the engines actually see.
 // The BM_Document* rows and BM_SameAnnotated time the Document layer
-// (its node table) on its own: checkout parsing, snapshot copies and
-// the store's annotated-equality walk.
+// (its flat node records and storage blocks) on its own: checkout
+// parsing, snapshot copies and the store's annotated-equality walk.
 
 #include <benchmark/benchmark.h>
 
@@ -184,6 +184,7 @@ BENCHMARK(BM_HashMapJoin)->Arg(1024)->Arg(16384);
 void BM_DocumentParse(benchmark::State& state) {
   const bench::BenchDocument& fixture =
       bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  const double faults = bench::MinorFaults();
   for (auto _ : state) {
     Result<xml::Document> doc = xml::ParseDocument(fixture.annotated_text);
     if (!doc.ok()) {
@@ -192,6 +193,8 @@ void BM_DocumentParse(benchmark::State& state) {
     }
     benchmark::DoNotOptimize(doc->node_count());
   }
+  state.counters["minor_faults"] = benchmark::Counter(
+      bench::MinorFaults() - faults, benchmark::Counter::kAvgIterations);
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(fixture.annotated_text.size()));
   state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
@@ -202,10 +205,13 @@ BENCHMARK(BM_DocumentParse)->Arg(1)->Unit(benchmark::kMillisecond);
 void BM_DocumentCopy(benchmark::State& state) {
   const bench::BenchDocument& fixture =
       bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  const double faults = bench::MinorFaults();
   for (auto _ : state) {
     xml::Document copy(fixture.doc);
     benchmark::DoNotOptimize(copy.node_count());
   }
+  state.counters["minor_faults"] = benchmark::Counter(
+      bench::MinorFaults() - faults, benchmark::Counter::kAvgIterations);
   state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
 }
 BENCHMARK(BM_DocumentCopy)->Arg(1)->Unit(benchmark::kMillisecond);

@@ -149,28 +149,40 @@ Result<store::MergeCommitResult> Merge(store::VersionStore* store,
   }
   // Full merge: fold each side, reconcile under the producers'
   // policies, canonicalize, and land both sides on base + Pm. Bases at
-  // one journal position (every fork-point merge) are checked out once;
-  // a sync point's two bases sit on two journals.
-  xml::Document base_doc_a;
-  xml::Document base_doc_b;
-  bool shared_base = false;
+  // one journal position (every fork-point merge) are read once; a sync
+  // point's two bases sit on two journals. A base that is its journal's
+  // head (a fork point main has not moved from) is the resident head,
+  // borrowed; any other base is checked out.
+  xml::Document checked_out_a;
+  xml::Document checked_out_b;
+  const xml::Document* base_a = nullptr;
+  const xml::Document* base_b = nullptr;
   {
     ScopedTimer phase(options.metrics, "branch.merge.base_checkout.seconds");
     XUPDATE_ASSIGN_OR_RETURN(auto at_a, ResolveBase(*store, a, base.base_a));
     XUPDATE_ASSIGN_OR_RETURN(auto at_b, ResolveBase(*store, b, base.base_b));
-    shared_base = at_a == at_b;
-    XUPDATE_ASSIGN_OR_RETURN(base_doc_a,
-                             store->CheckoutBranch(at_a.first, at_a.second));
-    if (!shared_base) {
-      XUPDATE_ASSIGN_OR_RETURN(
-          base_doc_b, store->CheckoutBranch(at_b.first, at_b.second));
+    uint64_t checkouts = 0;
+    auto read_base = [&](const std::pair<std::string, uint64_t>& at,
+                         xml::Document* checked_out)
+        -> Result<const xml::Document*> {
+      XUPDATE_ASSIGN_OR_RETURN(const xml::Document* resident,
+                               store->ResidentDocAt(at.first, at.second));
+      if (resident != nullptr) return resident;
+      XUPDATE_ASSIGN_OR_RETURN(*checked_out,
+                               store->CheckoutBranch(at.first, at.second));
+      ++checkouts;
+      return checked_out;
+    };
+    XUPDATE_ASSIGN_OR_RETURN(base_a, read_base(at_a, &checked_out_a));
+    if (at_a == at_b) {
+      base_b = base_a;
+    } else {
+      XUPDATE_ASSIGN_OR_RETURN(base_b, read_base(at_b, &checked_out_b));
     }
     if (options.metrics != nullptr) {
-      options.metrics->AddCounter("branch.merge.base_checkouts",
-                                  shared_base ? 1 : 2);
+      options.metrics->AddCounter("branch.merge.base_checkouts", checkouts);
     }
   }
-  const xml::Document& base_b = shared_base ? base_doc_a : base_doc_b;
   pul::Pul folded_a;
   pul::Pul folded_b;
   {
@@ -182,16 +194,16 @@ Result<store::MergeCommitResult> Merge(store::VersionStore* store,
     // Name order assigns the disjoint fallback id floors, so Merge(a, b)
     // and Merge(b, a) produce byte-identical results.
     xml::NodeId floor =
-        std::max({base_doc_a.max_assigned_id(), base_b.max_assigned_id(),
+        std::max({base_a->max_assigned_id(), base_b->max_assigned_id(),
                   head_a->max_assigned_id(), head_b->max_assigned_id()}) +
         1;
     xml::NodeId floor_a = (a < b) ? floor : floor + kFallbackIdSpan;
     xml::NodeId floor_b = (a < b) ? floor + kFallbackIdSpan : floor;
     XUPDATE_ASSIGN_OR_RETURN(
-        folded_a, FoldSuffix(suffix_a, base_doc_a, *head_a, floor_a,
+        folded_a, FoldSuffix(suffix_a, *base_a, *head_a, floor_a,
                              info_a.policies, options));
     XUPDATE_ASSIGN_OR_RETURN(
-        folded_b, FoldSuffix(suffix_b, base_b, *head_b, floor_b,
+        folded_b, FoldSuffix(suffix_b, *base_b, *head_b, floor_b,
                              info_b.policies, options));
   }
   pul::Pul canonical;
@@ -224,9 +236,9 @@ Result<store::MergeCommitResult> Merge(store::VersionStore* store,
   {
     ScopedTimer phase(options.metrics, "branch.merge.undo.seconds");
     XUPDATE_ASSIGN_OR_RETURN(plan.chain_a,
-                             store->UndoChainFrom(base_doc_a, suffix_a));
+                             store->UndoChainFrom(*base_a, suffix_a));
     XUPDATE_ASSIGN_OR_RETURN(plan.chain_b,
-                             store->UndoChainFrom(base_b, suffix_b));
+                             store->UndoChainFrom(*base_b, suffix_b));
   }
   plan.chain_a.push_back(canonical);
   plan.chain_b.push_back(std::move(canonical));

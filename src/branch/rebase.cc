@@ -96,9 +96,9 @@ Result<RebaseReport> Rebase(store::VersionStore* store,
     ScopedTimer phase(options.metrics, "branch.rebase.checkout.seconds");
     XUPDATE_ASSIGN_OR_RETURN(fork_doc,
                              store->CheckoutBranch(branch, info.fork));
-    if (options.onto == parent.head) {
-      XUPDATE_ASSIGN_OR_RETURN(const xml::Document* parent_head,
-                               store->BranchHeadDoc(info.parent));
+    XUPDATE_ASSIGN_OR_RETURN(const xml::Document* parent_head,
+                             store->ResidentDocAt(info.parent, options.onto));
+    if (parent_head != nullptr) {
       state = *parent_head;
     } else {
       XUPDATE_ASSIGN_OR_RETURN(

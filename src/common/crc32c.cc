@@ -2,6 +2,11 @@
 
 #include <array>
 #include <cstddef>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace xupdate {
 
@@ -33,9 +38,42 @@ struct Tables {
 
 constexpr Tables kTables;
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes exactly this CRC (Castagnoli,
+// reflected), eight bytes per step.
+__attribute__((target("sse4.2"))) uint32_t ExtendCrc32cSse42(
+    uint32_t crc, std::string_view data) {
+  uint64_t c = ~crc;
+  const char* p = data.data();
+  size_t n = data.size();
+  while (n >= 8) {
+    uint64_t word;
+    std::memcpy(&word, p, 8);
+    c = _mm_crc32_u64(c, word);
+    p += 8;
+    n -= 8;
+  }
+  uint32_t tail = static_cast<uint32_t>(c);
+  while (n > 0) {
+    tail = _mm_crc32_u8(tail, static_cast<unsigned char>(*p));
+    ++p;
+    --n;
+  }
+  return ~tail;
+}
+#endif
+
 }  // namespace
 
 uint32_t ExtendCrc32c(uint32_t crc, std::string_view data) {
+#if defined(__x86_64__)
+  static const bool kHasSse42 = __builtin_cpu_supports("sse4.2");
+  if (kHasSse42) return ExtendCrc32cSse42(crc, data);
+#endif
+  return ExtendCrc32cPortable(crc, data);
+}
+
+uint32_t ExtendCrc32cPortable(uint32_t crc, std::string_view data) {
   const auto& t = kTables.t;
   uint32_t c = ~crc;
   const unsigned char* p =

@@ -199,8 +199,9 @@ int64_t ParseNonNegativeInt(std::string_view s) {
   int64_t value = 0;
   for (char c : s) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return -1;
-    if (value > (INT64_MAX - 9) / 10) return -1;
-    value = value * 10 + (c - '0');
+    int digit = c - '0';
+    if (value > (INT64_MAX - digit) / 10) return -1;
+    value = value * 10 + digit;
   }
   return value;
 }

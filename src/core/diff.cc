@@ -87,7 +87,8 @@ class DeltaBuilder {
         }
         if (from_.value(attr) != to_.value(attr)) {
           XUPDATE_RETURN_IF_ERROR(
-              AddOp(OpKind::kReplaceValue, attr, {}, to_.value(attr)));
+              AddOp(OpKind::kReplaceValue, attr, {},
+                    std::string(to_.value(attr))));
         }
       }
     }
@@ -187,7 +188,8 @@ class DeltaBuilder {
     switch (from_.type(id)) {
       case NodeType::kText:
         if (from_.value(id) != to_.value(id)) {
-          return AddOp(OpKind::kReplaceValue, id, {}, to_.value(id));
+          return AddOp(OpKind::kReplaceValue, id, {},
+                       std::string(to_.value(id)));
         }
         return Status::OK();
       case NodeType::kElement:

@@ -148,7 +148,8 @@ Result<Pul> Inverter::Run() {
         break;
       case OpKind::kReplaceValue: {
         XUPDATE_RETURN_IF_ERROR(AddInverseOp(
-            OpKind::kReplaceValue, op.target, {}, doc_.value(op.target)));
+            OpKind::kReplaceValue, op.target, {},
+            std::string(doc_.value(op.target))));
         break;
       }
       case OpKind::kRename: {

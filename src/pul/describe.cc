@@ -35,7 +35,7 @@ std::string_view Glyph(OpKind kind) {
   return "?";
 }
 
-void AppendElided(std::string* out, const std::string& text,
+void AppendElided(std::string* out, std::string_view text,
                   size_t max_param) {
   if (text.size() <= max_param) {
     *out += text;

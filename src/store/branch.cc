@@ -129,6 +129,12 @@ Result<const xml::Document*> VersionStore::BranchHeadDoc(
   return &journal->doc;
 }
 
+Result<const xml::Document*> VersionStore::ResidentDocAt(
+    const std::string& branch, uint64_t v) const {
+  XUPDATE_ASSIGN_OR_RETURN(const Journal* journal, FindJournal(branch));
+  return v == journal->head ? &journal->doc : nullptr;
+}
+
 // --- Checkout -------------------------------------------------------------
 
 Result<xml::Document> VersionStore::CheckoutBranch(const std::string& branch,

@@ -282,6 +282,11 @@ class VersionStore {
 
   // Branch head document (the mainline's for "main").
   Result<const xml::Document*> BranchHeadDoc(const std::string& branch) const;
+  // The resident head document of `branch`'s journal when `v` is that
+  // journal's head, else nullptr: version `v` without a checkout. The
+  // pointer is valid until the next commit to that journal.
+  Result<const xml::Document*> ResidentDocAt(const std::string& branch,
+                                             uint64_t v) const;
 
   // Journal frames of a branch in file order (the branch's meta frame
   // included). With `with_op_counts` every payload is parsed and

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 namespace xupdate::xml {
 
@@ -53,16 +54,80 @@ void Document::MissingNode(NodeId id) {
   std::abort();
 }
 
+void Document::ReserveIds(StorageRef* list, size_t capacity) {
+  if (capacity <= list->capacity) return;
+  BlockStore::Extent extent = store_.Allocate(capacity * sizeof(NodeId));
+  if (list->size != 0) {
+    std::memcpy(store_.Words(extent.block, extent.offset),
+                store_.Words(list->block, list->offset),
+                list->size * sizeof(NodeId));
+  }
+  uint32_t size = list->size;
+  FreeRef(list, sizeof(NodeId));
+  *list = {extent.block, extent.offset, size,
+           static_cast<uint32_t>(extent.bytes / sizeof(NodeId))};
+}
+
+void Document::InsertIds(StorageRef* list, size_t pos,
+                         std::span<const NodeId> ids) {
+  if (ids.empty()) return;
+  size_t size = list->size;
+  if (size + ids.size() > list->capacity) {
+    ReserveIds(list, std::max(size + ids.size(), 2 * size_t{list->capacity}));
+  }
+  NodeId* at = store_.Words(list->block, list->offset);
+  std::memmove(at + pos + ids.size(), at + pos,
+               (size - pos) * sizeof(NodeId));
+  std::memcpy(at + pos, ids.data(), ids.size() * sizeof(NodeId));
+  list->size = static_cast<uint32_t>(size + ids.size());
+}
+
+void Document::EraseId(StorageRef* list, size_t pos) {
+  NodeId* at = store_.Words(list->block, list->offset);
+  std::memmove(at + pos, at + pos + 1, (list->size - pos - 1) * sizeof(NodeId));
+  --list->size;
+}
+
+void Document::AssignValue(StorageRef* ref, std::string_view value) {
+  if (value.size() <= ref->capacity) {
+    // memmove: `value` may be a view of this very value.
+    if (!value.empty()) {
+      std::memmove(store_.Chars(ref->block, ref->offset), value.data(),
+                   value.size());
+    }
+    ref->size = static_cast<uint32_t>(value.size());
+    return;
+  }
+  BlockStore::Extent extent = store_.Allocate(value.size());
+  std::memcpy(store_.Chars(extent.block, extent.offset), value.data(),
+              value.size());
+  FreeRef(ref, 1);
+  *ref = {extent.block, extent.offset, static_cast<uint32_t>(value.size()),
+          extent.bytes};
+}
+
+void Document::FreeRef(StorageRef* ref, size_t unit) {
+  if (ref->capacity != 0) {
+    size_t bytes = BlockStore::RoundUp(ref->capacity * unit);
+    store_.Free({ref->block, ref->offset, static_cast<uint32_t>(bytes)});
+  }
+  *ref = {};
+}
+
 void Document::Insert(NodeId id, NodeType type, std::string_view name,
                       std::string_view value) {
   NodeRecord* rec = nodes_.TryEmplace(id).first;
   rec->type = type;
   rec->name = name.empty() ? 0 : names_.Intern(name);
-  rec->value = value;
+  AssignValue(&rec->value, value);
 }
 
 NodeId Document::Allocate(NodeType type, std::string_view name,
                           std::string_view value) {
+  if (!fresh_ids_left()) {
+    std::fprintf(stderr, "xml::Document: fresh node ids exhausted\n");
+    std::abort();
+  }
   NodeId id = next_id_++;
   Insert(id, type, name, value);
   return id;
@@ -86,6 +151,10 @@ Status Document::CreateWithId(NodeId id, NodeType type,
                               std::string_view value) {
   if (id == kInvalidNode) {
     return Status::InvalidArgument("node id 0 is reserved");
+  }
+  if (id > kMaxNodeId) {
+    return Status::InvalidArgument("node id above the int64 range: " +
+                                   std::to_string(id));
   }
   if (Exists(id)) {
     return Status::InvalidArgument("node id already in use: " +
@@ -122,7 +191,8 @@ Status Document::AppendChild(NodeId parent, NodeId child) {
   if (Get(child).type == NodeType::kAttribute) {
     return Status::NotApplicable("attribute cannot be a child");
   }
-  Get(parent).children.push_back(child);
+  StorageRef& kids = Get(parent).children;
+  InsertIds(&kids, kids.size, {&child, 1});
   Get(child).parent = parent;
   return Status::OK();
 }
@@ -131,8 +201,8 @@ Status Document::AppendChildren(NodeId parent,
                                 std::span<const NodeId> children) {
   if (children.empty()) return Status::OK();
   if (!Exists(parent)) return Status::NotFound("parent not found");
-  auto& kids = Get(parent).children;
-  kids.reserve(kids.size() + children.size());
+  StorageRef& kids = Get(parent).children;
+  ReserveIds(&kids, kids.size + children.size());
   for (NodeId child : children) {
     XUPDATE_RETURN_IF_ERROR(AppendChild(parent, child));
   }
@@ -148,8 +218,7 @@ Status Document::PrependChild(NodeId parent, NodeId child) {
   if (Get(child).type == NodeType::kAttribute) {
     return Status::NotApplicable("attribute cannot be a child");
   }
-  auto& kids = Get(parent).children;
-  kids.insert(kids.begin(), child);
+  InsertIds(&Get(parent).children, 0, {&child, 1});
   Get(child).parent = parent;
   return Status::OK();
 }
@@ -167,10 +236,8 @@ Status Document::InsertBefore(NodeId ref, NodeId node) {
   if (Get(node).type == NodeType::kAttribute) {
     return Status::NotApplicable("attribute cannot be a sibling");
   }
-  auto& kids = Get(parent).children;
-  auto it = std::find(kids.begin(), kids.end(), ref);
-  assert(it != kids.end());
-  kids.insert(it, node);
+  InsertIds(&Get(parent).children, static_cast<size_t>(ChildIndex(ref)),
+            {&node, 1});
   Get(node).parent = parent;
   return Status::OK();
 }
@@ -188,10 +255,8 @@ Status Document::InsertAfter(NodeId ref, NodeId node) {
   if (Get(node).type == NodeType::kAttribute) {
     return Status::NotApplicable("attribute cannot be a sibling");
   }
-  auto& kids = Get(parent).children;
-  auto it = std::find(kids.begin(), kids.end(), ref);
-  assert(it != kids.end());
-  kids.insert(it + 1, node);
+  InsertIds(&Get(parent).children, static_cast<size_t>(ChildIndex(ref)) + 1,
+            {&node, 1});
   Get(node).parent = parent;
   return Status::OK();
 }
@@ -205,8 +270,21 @@ Status Document::AddAttribute(NodeId element, NodeId attribute) {
   if (Get(attribute).type != NodeType::kAttribute) {
     return Status::NotApplicable("node is not an attribute");
   }
-  Get(element).attributes.push_back(attribute);
+  StorageRef& attrs = Get(element).attributes;
+  InsertIds(&attrs, attrs.size, {&attribute, 1});
   Get(attribute).parent = element;
+  return Status::OK();
+}
+
+Status Document::AddAttributes(NodeId element,
+                               std::span<const NodeId> attributes) {
+  if (attributes.empty()) return Status::OK();
+  if (!Exists(element)) return Status::NotFound("element not found");
+  StorageRef& attrs = Get(element).attributes;
+  ReserveIds(&attrs, attrs.size + attributes.size());
+  for (NodeId attribute : attributes) {
+    XUPDATE_RETURN_IF_ERROR(AddAttribute(element, attribute));
+  }
   return Status::OK();
 }
 
@@ -217,12 +295,13 @@ Status Document::Detach(NodeId id) {
     if (root_ == id) root_ = kInvalidNode;
     return Status::OK();
   }
-  auto& rec = Get(parent);
-  auto& list = Get(id).type == NodeType::kAttribute ? rec.attributes
-                                                    : rec.children;
-  auto it = std::find(list.begin(), list.end(), id);
-  assert(it != list.end());
-  list.erase(it);
+  NodeRecord& rec = Get(parent);
+  StorageRef& list = Get(id).type == NodeType::kAttribute ? rec.attributes
+                                                          : rec.children;
+  std::span<const NodeId> ids = Ids(list);
+  auto it = std::find(ids.begin(), ids.end(), id);
+  assert(it != ids.end());
+  EraseId(&list, static_cast<size_t>(it - ids.begin()));
   Get(id).parent = kInvalidNode;
   return Status::OK();
 }
@@ -237,11 +316,17 @@ Status Document::DeleteSubtree(NodeId id) {
     NodeId v = stack.back();
     stack.pop_back();
     order.push_back(v);
-    const auto& rec = Get(v);
-    for (NodeId a : rec.attributes) stack.push_back(a);
-    for (NodeId c : rec.children) stack.push_back(c);
+    const NodeRecord& rec = Get(v);
+    for (NodeId a : Ids(rec.attributes)) stack.push_back(a);
+    for (NodeId c : Ids(rec.children)) stack.push_back(c);
   }
-  for (NodeId v : order) nodes_.Erase(v);
+  for (NodeId v : order) {
+    NodeRecord& rec = Get(v);
+    FreeRef(&rec.value, 1);
+    FreeRef(&rec.children, sizeof(NodeId));
+    FreeRef(&rec.attributes, sizeof(NodeId));
+    nodes_.Erase(v);
+  }
   return Status::OK();
 }
 
@@ -259,7 +344,7 @@ Status Document::SetValue(NodeId id, std::string_view value) {
   if (Get(id).type == NodeType::kElement) {
     return Status::NotApplicable("element nodes have no direct value");
   }
-  Get(id).value = std::string(value);
+  AssignValue(&Get(id).value, value);
   return Status::OK();
 }
 
@@ -286,15 +371,14 @@ Status Document::ReplaceNode(NodeId target,
     }
     return DeleteSubtree(target);
   }
-  auto& rec = Get(parent);
-  auto& list = is_attr ? rec.attributes : rec.children;
-  auto it = std::find(list.begin(), list.end(), target);
-  assert(it != list.end());
-  size_t pos = static_cast<size_t>(it - list.begin());
+  NodeRecord& rec = Get(parent);
+  StorageRef& list = is_attr ? rec.attributes : rec.children;
+  std::span<const NodeId> ids = Ids(list);
+  auto it = std::find(ids.begin(), ids.end(), target);
+  assert(it != ids.end());
+  size_t pos = static_cast<size_t>(it - ids.begin());
   XUPDATE_RETURN_IF_ERROR(DeleteSubtree(target));
-  auto& list2 = is_attr ? Get(parent).attributes : Get(parent).children;
-  list2.insert(list2.begin() + static_cast<ptrdiff_t>(pos),
-               replacements.begin(), replacements.end());
+  InsertIds(&list, pos, replacements);
   for (NodeId r : replacements) Get(r).parent = parent;
   return Status::OK();
 }
@@ -311,7 +395,8 @@ Status Document::ReplaceChildren(NodeId element,
       return Status::NotApplicable("attribute cannot be a child");
     }
   }
-  std::vector<NodeId> old_children = Get(element).children;
+  std::span<const NodeId> kids = children(element);
+  std::vector<NodeId> old_children(kids.begin(), kids.end());
   for (NodeId c : old_children) XUPDATE_RETURN_IF_ERROR(DeleteSubtree(c));
   return AppendChildren(element, replacements);
 }
@@ -334,12 +419,16 @@ Result<NodeId> Document::AdoptSubtree(const Document& src, NodeId src_root,
     stack.pop_back();
     const NodeRecord& rec = src.Get(f.src);
     std::string_view nm = src.names_.Get(rec.name);
+    std::string_view value = src.Bytes(rec.value);
     NodeId dst;
     if (preserve_ids) {
-      XUPDATE_RETURN_IF_ERROR(CreateWithId(f.src, rec.type, nm, rec.value));
+      XUPDATE_RETURN_IF_ERROR(CreateWithId(f.src, rec.type, nm, value));
       dst = f.src;
     } else {
-      dst = Allocate(rec.type, nm, rec.value);
+      if (!fresh_ids_left()) {
+        return Status::InvalidArgument("fresh node ids exhausted");
+      }
+      dst = Allocate(rec.type, nm, value);
     }
     if (f.dst_parent != kInvalidNode) {
       if (f.as_attribute) {
@@ -351,11 +440,12 @@ Result<NodeId> Document::AdoptSubtree(const Document& src, NodeId src_root,
       new_root = dst;
     }
     // Push children in reverse so they pop in order; attributes likewise.
-    for (auto it = rec.children.rbegin(); it != rec.children.rend(); ++it) {
+    std::span<const NodeId> kids = src.Ids(rec.children);
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
       stack.push_back({*it, dst, false});
     }
-    for (auto it = rec.attributes.rbegin(); it != rec.attributes.rend();
-         ++it) {
+    std::span<const NodeId> attrs = src.Ids(rec.attributes);
+    for (auto it = attrs.rbegin(); it != attrs.rend(); ++it) {
       stack.push_back({*it, dst, true});
     }
   }
@@ -414,8 +504,7 @@ int Document::Compare(NodeId a, NodeId b) const {
   bool cb_attr = Get(cb).type == NodeType::kAttribute;
   // An element's attributes precede its children in our total order.
   if (ca_attr != cb_attr) return ca_attr ? -1 : 1;
-  const auto& list = ca_attr ? rec.attributes : rec.children;
-  for (NodeId c : list) {
+  for (NodeId c : Ids(ca_attr ? rec.attributes : rec.children)) {
     if (c == ca) return -1;
     if (c == cb) return 1;
   }
@@ -427,7 +516,7 @@ int Document::ChildIndex(NodeId id) const {
   NodeId parent = Get(id).parent;
   if (parent == kInvalidNode) return -1;
   if (Get(id).type == NodeType::kAttribute) return -1;
-  const auto& kids = Get(parent).children;
+  std::span<const NodeId> kids = Ids(Get(parent).children);
   for (size_t i = 0; i < kids.size(); ++i) {
     if (kids[i] == id) return static_cast<int>(i);
   }
@@ -442,13 +531,10 @@ void Document::Visit(NodeId start,
     stack.pop_back();
     if (!visitor(v)) return;
     const NodeRecord& rec = Get(v);
-    for (auto it = rec.children.rbegin(); it != rec.children.rend(); ++it) {
-      stack.push_back(*it);
-    }
-    for (auto it = rec.attributes.rbegin(); it != rec.attributes.rend();
-         ++it) {
-      stack.push_back(*it);
-    }
+    std::span<const NodeId> kids = Ids(rec.children);
+    stack.insert(stack.end(), kids.rbegin(), kids.rend());
+    std::span<const NodeId> attrs = Ids(rec.attributes);
+    stack.insert(stack.end(), attrs.rbegin(), attrs.rend());
   }
 }
 
@@ -464,22 +550,39 @@ std::vector<NodeId> Document::AllNodesInOrder() const {
 }
 
 Status Document::Validate() const {
-  auto check = [this](NodeId id, const NodeRecord& rec) -> Status {
+  // Every reference must lie inside a live block of the store before
+  // any list is read through it.
+  auto in_bounds = [this](const StorageRef& ref, size_t unit) {
+    if (ref.capacity == 0) return ref.size == 0;
+    return ref.size <= ref.capacity &&
+           store_.Holds(ref.block, ref.offset,
+                        BlockStore::RoundUp(ref.capacity * unit));
+  };
+  auto check_bounds = [&](NodeId id, const NodeRecord& rec) -> Status {
+    if (!in_bounds(rec.value, 1) ||
+        !in_bounds(rec.children, sizeof(NodeId)) ||
+        !in_bounds(rec.attributes, sizeof(NodeId))) {
+      return Status::Internal("storage reference out of bounds at node " +
+                              std::to_string(id));
+    }
+    return Status::OK();
+  };
+  auto check_links = [this](NodeId id, const NodeRecord& rec) -> Status {
     if (rec.parent != kInvalidNode) {
       const NodeRecord* parent = nodes_.Find(rec.parent);
       if (parent == nullptr) {
         return Status::Internal("dangling parent for node " +
                                 std::to_string(id));
       }
-      const auto& plist = rec.type == NodeType::kAttribute
-                              ? parent->attributes
-                              : parent->children;
+      std::span<const NodeId> plist = Ids(rec.type == NodeType::kAttribute
+                                              ? parent->attributes
+                                              : parent->children);
       if (std::find(plist.begin(), plist.end(), id) == plist.end()) {
         return Status::Internal("parent does not list node " +
                                 std::to_string(id));
       }
     }
-    for (NodeId c : rec.children) {
+    for (NodeId c : Ids(rec.children)) {
       const NodeRecord* child = nodes_.Find(c);
       if (child == nullptr || child->parent != id) {
         return Status::Internal("child link broken at node " +
@@ -490,7 +593,7 @@ Status Document::Validate() const {
                                 std::to_string(id));
       }
     }
-    for (NodeId a : rec.attributes) {
+    for (NodeId a : Ids(rec.attributes)) {
       const NodeRecord* attr = nodes_.Find(a);
       if (attr == nullptr || attr->parent != id ||
           attr->type != NodeType::kAttribute) {
@@ -499,14 +602,18 @@ Status Document::Validate() const {
       }
     }
     if (rec.type != NodeType::kElement &&
-        (!rec.children.empty() || !rec.attributes.empty())) {
+        (rec.children.size != 0 || rec.attributes.size != 0)) {
       return Status::Internal("non-element node with children");
     }
     return Status::OK();
   };
   Status status;
   nodes_.ForEach([&](NodeId id, const NodeRecord& rec) {
-    if (status.ok()) status = check(id, rec);
+    if (status.ok()) status = check_bounds(id, rec);
+  });
+  XUPDATE_RETURN_IF_ERROR(status);
+  nodes_.ForEach([&](NodeId id, const NodeRecord& rec) {
+    if (status.ok()) status = check_links(id, rec);
   });
   XUPDATE_RETURN_IF_ERROR(status);
   if (root_ != kInvalidNode) {
@@ -527,18 +634,18 @@ bool Document::SubtreeEquals(const Document& a, NodeId ra,
   const NodeRecord& nb = b.Get(rb);
   if (na.type != nb.type) return false;
   if (a.names_.Get(na.name) != b.names_.Get(nb.name)) return false;
-  if (na.value != nb.value) return false;
-  if (na.children.size() != nb.children.size()) return false;
-  if (na.attributes.size() != nb.attributes.size()) return false;
-  for (size_t i = 0; i < na.children.size(); ++i) {
-    if (!SubtreeEquals(a, na.children[i], b, nb.children[i], compare_ids)) {
-      return false;
-    }
+  if (a.Bytes(na.value) != b.Bytes(nb.value)) return false;
+  std::span<const NodeId> ka = a.Ids(na.children);
+  std::span<const NodeId> kb = b.Ids(nb.children);
+  if (ka.size() != kb.size()) return false;
+  if (na.attributes.size != nb.attributes.size) return false;
+  for (size_t i = 0; i < ka.size(); ++i) {
+    if (!SubtreeEquals(a, ka[i], b, kb[i], compare_ids)) return false;
   }
   // Attribute order is irrelevant: match by name.
-  for (NodeId aa : na.attributes) {
+  for (NodeId aa : a.Ids(na.attributes)) {
     bool matched = false;
-    for (NodeId ba : nb.attributes) {
+    for (NodeId ba : b.Ids(nb.attributes)) {
       if (a.names_.Get(a.Get(aa).name) != b.names_.Get(b.Get(ba).name)) {
         continue;
       }
@@ -583,7 +690,7 @@ Status CheckInline(const Document& doc) {
     stack.pop_back();
     if (doc.type(id) == NodeType::kAttribute) return InlineNodeError();
     if (doc.type(id) != NodeType::kElement) continue;
-    const std::vector<NodeId>& children = doc.children(id);
+    std::span<const NodeId> children = doc.children(id);
     stack.insert(stack.end(), children.begin(), children.end());
   }
   return Status::OK();
@@ -613,22 +720,27 @@ bool Document::SameAnnotatedAt(const Document& a, const Document& b,
     return false;
   }
   if (na.type != nb.type) return false;
-  if (na.type == NodeType::kText) return na.value == nb.value;
+  if (na.type == NodeType::kText) {
+    return a.Bytes(na.value) == b.Bytes(nb.value);
+  }
   if (a.names_.Get(na.name) != b.names_.Get(nb.name)) return false;
   // Attribute and child ids are written positionally, so whole-list
   // equality is exactly the serializer's ids and order.
-  if (na.attributes != nb.attributes || na.children != nb.children) {
+  std::span<const NodeId> attrs = a.Ids(na.attributes);
+  std::span<const NodeId> kids = a.Ids(na.children);
+  if (!std::ranges::equal(attrs, b.Ids(nb.attributes)) ||
+      !std::ranges::equal(kids, b.Ids(nb.children))) {
     return false;
   }
-  for (NodeId attr : na.attributes) {
+  for (NodeId attr : attrs) {
     const NodeRecord& aa = a.Get(attr);
     const NodeRecord& ab = b.Get(attr);
-    if (aa.value != ab.value ||
+    if (a.Bytes(aa.value) != b.Bytes(ab.value) ||
         a.names_.Get(aa.name) != b.names_.Get(ab.name)) {
       return false;
     }
   }
-  for (NodeId child : na.children) {
+  for (NodeId child : kids) {
     if (!SameAnnotatedAt(a, b, child, error)) return false;
   }
   return true;

@@ -10,6 +10,7 @@
 
 #include "common/result.h"
 #include "common/status.h"
+#include "xml/block_store.h"
 #include "xml/id_table.h"
 #include "xml/name_pool.h"
 #include "xml/node.h"
@@ -29,7 +30,17 @@ namespace xupdate::xml {
 // as *the* root.
 //
 // The class is copyable: obtainable-set enumeration (Definition 2) and
-// the aggregation rule D6 both need independent snapshots.
+// the aggregation rule D6 both need independent snapshots. Node records
+// are flat (NodeRecord); child lists, attribute lists and values live in
+// the document's BlockStore, so a copy copies the record chunks, the
+// blocks and the name pool, and does no work per node.
+//
+// Lifetime of what the accessors return: the span of children(id) or
+// attributes(id) and the view of value(id) stay valid across edits of
+// other nodes. They stop being valid when that node's own list or value
+// is edited, when the node is erased, and when the document is
+// destroyed or assigned to. A loop that edits a list while walking it
+// must walk a copy.
 class Document {
  public:
   Document() = default;
@@ -41,14 +52,16 @@ class Document {
 
   // --- Node creation -----------------------------------------------------
 
-  // Creates a detached node with a fresh id.
+  // Creates a detached node with a fresh id. Fresh ids end at
+  // kMaxNodeId: past it the program stops (fresh_ids_left() tells).
   NodeId NewElement(std::string_view name);
   NodeId NewText(std::string_view value);
   NodeId NewAttribute(std::string_view name, std::string_view value);
 
   // Creates a detached node with a caller-chosen id (used when
   // materializing PUL parameter trees whose ids were assigned by a
-  // producer). Fails if the id is 0 or already present.
+  // producer). Fails if the id is 0, above kMaxNodeId or already
+  // present.
   Status CreateWithId(NodeId id, NodeType type, std::string_view name,
                       std::string_view value);
 
@@ -65,14 +78,19 @@ class Document {
   std::string_view name(NodeId id) const {
     return names_.Get(Get(id).name);
   }
-  const std::string& value(NodeId id) const { return Get(id).value; }
-  const std::vector<NodeId>& children(NodeId id) const {
-    return Get(id).children;
+  std::string_view value(NodeId id) const { return Bytes(Get(id).value); }
+  std::span<const NodeId> children(NodeId id) const {
+    return Ids(Get(id).children);
   }
-  const std::vector<NodeId>& attributes(NodeId id) const {
-    return Get(id).attributes;
+  std::span<const NodeId> attributes(NodeId id) const {
+    return Ids(Get(id).attributes);
   }
   size_t node_count() const { return nodes_.size(); }
+
+  // Bytes of the storage blocks held, and of the lists and values in
+  // them (capacities included); the rest is free or untouched space.
+  size_t reserved_storage_bytes() const { return store_.reserved_bytes(); }
+  size_t live_storage_bytes() const { return store_.live_bytes(); }
 
   // --- Structural edits ---------------------------------------------------
   // All edits require `child`/`node` to exist; insertion requires the
@@ -87,6 +105,9 @@ class Document {
   Status InsertBefore(NodeId ref, NodeId node);
   Status InsertAfter(NodeId ref, NodeId node);
   Status AddAttribute(NodeId element, NodeId attribute);
+  // AddAttribute of each of `attributes` in order, growing the
+  // attribute list once.
+  Status AddAttributes(NodeId element, std::span<const NodeId> attributes);
 
   // Unlinks `id` from its parent; the subtree stays alive and detached.
   Status Detach(NodeId id);
@@ -162,12 +183,17 @@ class Document {
 
   // Upper bound on ids handed out so far; fresh ids are > this.
   NodeId max_assigned_id() const { return next_id_ - 1; }
+  // True while a fresh id at or below kMaxNodeId remains.
+  bool fresh_ids_left() const { return next_id_ <= kMaxNodeId; }
 
   // Makes this document allocate ids starting at `floor` (if beyond the
   // current counter). Producers use disjoint id spaces (§4.1).
   void ReserveIdsBelow(NodeId floor);
 
  private:
+  // Tests corrupt records through it to exercise Validate.
+  friend struct DocumentTestAccess;
+
   // The record of `id`, which must exist: a miss stops the program.
   const NodeRecord& Get(NodeId id) const {
     const NodeRecord* rec = nodes_.Find(id);
@@ -180,6 +206,28 @@ class Document {
     return *rec;
   }
   [[noreturn]] static void MissingNode(NodeId id);
+
+  // The ids or bytes a record's StorageRef holds.
+  std::span<const NodeId> Ids(const StorageRef& ref) const {
+    if (ref.size == 0) return {};
+    return {store_.Words(ref.block, ref.offset), ref.size};
+  }
+  std::string_view Bytes(const StorageRef& ref) const {
+    if (ref.size == 0) return {};
+    return {store_.Chars(ref.block, ref.offset), ref.size};
+  }
+  // Moves `list` to an extent of `capacity` ids unless it holds that
+  // many already.
+  void ReserveIds(StorageRef* list, size_t capacity);
+  // Inserts `ids` at `pos` of `list`, moving the list to a larger
+  // extent (at least twice its capacity) when it outgrows its own.
+  void InsertIds(StorageRef* list, size_t pos, std::span<const NodeId> ids);
+  // Removes the id at `pos` of `list`; the list stays where it is.
+  void EraseId(StorageRef* list, size_t pos);
+  // Makes `ref` hold `value`, in place when it fits.
+  void AssignValue(StorageRef* ref, std::string_view value);
+  // Returns `ref`'s extent (of `unit`-byte elements) to the store.
+  void FreeRef(StorageRef* ref, size_t unit);
 
   // SameAnnotated's walk below `id`, a node both sides hold in the
   // same position; sets `*error` when either side holds an attribute in
@@ -197,6 +245,7 @@ class Document {
   std::vector<NodeId> PathToRoot(NodeId id) const;
 
   IdTable<NodeRecord> nodes_;
+  BlockStore store_;
   NamePool names_;
   NodeId root_ = kInvalidNode;
   NodeId next_id_ = 1;

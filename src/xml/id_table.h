@@ -5,6 +5,7 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -31,6 +32,8 @@ namespace xupdate::xml {
 //   (plus pages of erased ids), never by their magnitude.
 // * Erased slots are reused through a free list; erased ids' page
 //   entries just read 0 again.
+// * A copy of a table of trivially copyable records (NodeRecord)
+//   copies whole chunks; other records (NodeLabel) copy one by one.
 //
 // Lookups only read, so a const table may be read from many threads.
 // Iteration order (ForEach) is slot order, which is neither id order
@@ -231,6 +234,12 @@ class IdTable {
       size_t used = std::min(kChunkSize, other.high_water_ - c * kChunkSize);
       const Slot* from = other.chunks_[c].get();
       Slot* to = chunks_[c].get();
+      if constexpr (std::is_trivially_copyable_v<T>) {
+        // Free slots carry kInvalidNode and stale bytes; both copy as is.
+        std::memcpy(static_cast<void*>(to), from, used * sizeof(Slot));
+        high_water_ += static_cast<uint32_t>(used);
+        continue;
+      }
       for (size_t i = 0; i < used; ++i) {
         to[i].id = kInvalidNode;
         if (from[i].id == kInvalidNode) continue;

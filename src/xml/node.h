@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
+#include <type_traits>
 
 namespace xupdate::xml {
 
@@ -28,16 +28,35 @@ char NodeTypeToChar(NodeType type);
 bool NodeTypeFromChar(char c, NodeType* out);
 std::string_view NodeTypeToString(NodeType type);
 
-// Storage record for one node. `name` is an interned id into the owning
-// document's NamePool (0 when the node kind has no name).
+// Ids run from 1 to kMaxNodeId: every id a document holds must be
+// writable as a non-negative int64 in the id-annotated text forms
+// (xu:ids, <?xuid?>, the PUL codec) and read back.
+inline constexpr NodeId kMaxNodeId = 0x7fffffffffffffffull;
+
+// Where a node's list or value lives in its document's BlockStore:
+// `size` elements in use (ids or bytes) of the `capacity` that fit from
+// byte `offset` of block `block`. capacity 0: nothing is stored.
+struct StorageRef {
+  uint32_t block = 0;
+  uint32_t offset = 0;
+  uint32_t size = 0;
+  uint32_t capacity = 0;
+};
+
+// Storage record for one node: a flat, trivially copyable value. `name`
+// is an interned id into the owning document's NamePool (0 when the
+// node kind has no name); the lists and the value live in the owning
+// document's blocks.
 struct NodeRecord {
   NodeType type = NodeType::kElement;
-  NodeId parent = kInvalidNode;
   uint32_t name = 0;
-  std::string value;             // text / attribute value
-  std::vector<NodeId> children;  // ordered element+text children
-  std::vector<NodeId> attributes;
+  NodeId parent = kInvalidNode;
+  StorageRef value;       // text / attribute value (bytes)
+  StorageRef children;    // ordered element+text children (ids)
+  StorageRef attributes;  // attribute ids
 };
+static_assert(std::is_trivially_copyable_v<NodeRecord>);
+static_assert(sizeof(NodeRecord) <= 64);
 
 }  // namespace xupdate::xml
 

@@ -52,24 +52,25 @@ Status DomBuilder::StartElement(std::string_view name,
     XUPDATE_RETURN_IF_ERROR(
         doc_->CreateWithId(element, NodeType::kElement, name, ""));
   } else {
-    doc_->ReserveIdsBelow(fresh_id_floor_);
+    XUPDATE_RETURN_IF_ERROR(PrepareFreshId());
     element = doc_->NewElement(name);
   }
+  // attribute_ids_ becomes the element's attribute list: the annotated
+  // ids in order, then fresh ones.
   size_t attr_pos = 0;
   for (const SaxAttribute& a : attributes) {
     if (read_ids_ && a.name == kIdsAttributeName) continue;
-    NodeId attr;
     if (attr_pos < attribute_ids_.size()) {
-      attr = attribute_ids_[attr_pos];
-      XUPDATE_RETURN_IF_ERROR(
-          doc_->CreateWithId(attr, NodeType::kAttribute, a.name, a.value));
+      XUPDATE_RETURN_IF_ERROR(doc_->CreateWithId(
+          attribute_ids_[attr_pos], NodeType::kAttribute, a.name, a.value));
     } else {
-      doc_->ReserveIdsBelow(fresh_id_floor_);
-      attr = doc_->NewAttribute(a.name, a.value);
+      XUPDATE_RETURN_IF_ERROR(PrepareFreshId());
+      attribute_ids_.push_back(doc_->NewAttribute(a.name, a.value));
     }
-    XUPDATE_RETURN_IF_ERROR(doc_->AddAttribute(element, attr));
     ++attr_pos;
   }
+  XUPDATE_RETURN_IF_ERROR(doc_->AddAttributes(
+      element, std::span<const NodeId>(attribute_ids_).first(attr_pos)));
   if (stack_.empty()) {
     root_ = element;
   } else {
@@ -111,10 +112,18 @@ Status DomBuilder::Text(std::string_view text) {
     node = pending_text_id_;
     pending_text_id_ = kInvalidNode;
   } else {
-    doc_->ReserveIdsBelow(fresh_id_floor_);
+    XUPDATE_RETURN_IF_ERROR(PrepareFreshId());
     node = doc_->NewText(text);
   }
   children_.push_back(node);
+  return Status::OK();
+}
+
+Status DomBuilder::PrepareFreshId() {
+  doc_->ReserveIdsBelow(fresh_id_floor_);
+  if (!doc_->fresh_ids_left()) {
+    return Status::ParseError("no fresh node id left above the annotated ids");
+  }
   return Status::OK();
 }
 

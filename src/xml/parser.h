@@ -73,7 +73,12 @@ class DomBuilder : public SaxHandler {
   std::vector<OpenElement> stack_;
   std::vector<NodeId> children_;
   NodeId pending_text_id_ = kInvalidNode;
-  std::vector<NodeId> attribute_ids_;  // reused: one xu:ids annotation
+  // Reused: one element's attribute ids (its xu:ids annotation first).
+  std::vector<NodeId> attribute_ids_;
+
+  // Raises doc's id counter to the floor; fails when no fresh id is
+  // left (the annotated ids reached kMaxNodeId).
+  Status PrepareFreshId();
 };
 
 }  // namespace xupdate::xml

@@ -66,7 +66,7 @@ std::string StringValue(const Document& doc, NodeId node) {
   switch (doc.type(node)) {
     case NodeType::kText:
     case NodeType::kAttribute:
-      return doc.value(node);
+      return std::string(doc.value(node));
     case NodeType::kElement: {
       std::string out;
       doc.Visit(node, [&](NodeId v) {
@@ -197,7 +197,8 @@ Result<std::vector<NodeId>> MaterializeContent(const UpdateExpr& expr,
     std::string wrapped = "<xq-wrap>" + expr.content_xml + "</xq-wrap>";
     XUPDATE_ASSIGN_OR_RETURN(NodeId wrapper,
                              pul->AddFragment(wrapped));
-    std::vector<NodeId> children = pul->forest().children(wrapper);
+    std::span<const NodeId> kids = pul->forest().children(wrapper);
+    std::vector<NodeId> children(kids.begin(), kids.end());
     for (NodeId c : children) {
       XUPDATE_RETURN_IF_ERROR(pul->forest().Detach(c));
       roots.push_back(c);

@@ -216,6 +216,39 @@ TEST_F(BranchMergeTest, PhaseTimersAndBaseCheckouts) {
   }
 }
 
+// Two branches forked from main's head merge on a base that is main's
+// resident head: nothing is checked out. Once main has moved past the
+// fork, the same base is checked out once. The merge reads the same
+// base document either way, so both stores end byte-identical.
+TEST_F(BranchMergeTest, HeadBaseIsBorrowedNotCheckedOut) {
+  std::string merged[2];
+  for (int main_moved = 0; main_moved <= 1; ++main_moved) {
+    SCOPED_TRACE(main_moved ? "main moved" : "main at the fork");
+    VersionStore store = MakeStore("store" + std::to_string(main_moved));
+    ASSERT_TRUE(store.CreateBranch("x", "main", 0).ok());
+    ASSERT_TRUE(store.CreateBranch("y", "main", 0).ok());
+    auto x_doc = store.BranchHeadDoc("x");
+    ASSERT_TRUE(store.CommitOnBranch("x", InsertPul(**x_doc, 1)).ok());
+    auto y_doc = store.BranchHeadDoc("y");
+    ASSERT_TRUE(store.CommitOnBranch("y", RepVPul(**y_doc, 2)).ok());
+    if (main_moved) {
+      ASSERT_TRUE(store.Commit(RepVPul(store.head_doc(), 3)).ok());
+    }
+    Metrics metrics;
+    MergeOptions options;
+    options.metrics = &metrics;
+    MergeStats stats;
+    auto result = Merge(&store, "x", "y", options, &stats);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ASSERT_FALSE(stats.fast_forward);
+    EXPECT_EQ(metrics.counter("branch.merge.base_checkouts"),
+              main_moved ? 1u : 0u);
+    merged[main_moved] = HeadBytes(store, "x");
+    EXPECT_EQ(merged[main_moved], HeadBytes(store, "y"));
+  }
+  EXPECT_EQ(merged[0], merged[1]);
+}
+
 TEST_F(BranchMergeTest, RollbackAcrossAFullMergeCommitsTheUndoChain) {
   // Main's merge frame undoes main's own insert and the merge PUL
   // re-inserts the same node under the same id. Rolling main back to

@@ -71,6 +71,24 @@ TEST(Crc32cTest, ExtendMatchesOneShotOnRandomSplits) {
   }
 }
 
+// ExtendCrc32c takes the crc32 instruction where the CPU has it; it must
+// agree with the table implementation on every length and every start
+// alignment (the instruction path reads 8-byte words, then a tail).
+TEST(Crc32cTest, InstructionPathMatchesTables) {
+  Rng rng(11);
+  std::string data(4096 + 8, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next() & 0xff);
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 4096; ++len) {
+      std::string_view buffer(data.data() + align, len);
+      uint32_t seed = static_cast<uint32_t>(rng.Next());
+      ASSERT_EQ(ExtendCrc32c(seed, buffer),
+                ExtendCrc32cPortable(seed, buffer))
+          << "align " << align << " length " << len;
+    }
+  }
+}
+
 TEST(Crc32cTest, MaskRoundTripsAndDisplaces) {
   for (uint32_t crc : {0u, 1u, 0xe3069283u, 0xffffffffu, 0x8a9136aau}) {
     uint32_t masked = MaskCrc32c(crc);

@@ -114,5 +114,19 @@ TEST(ParseNonNegativeIntTest, ParsesAndRejects) {
   EXPECT_EQ(ParseNonNegativeInt("99999999999999999999999"), -1);
 }
 
+// The overflow guard is exact: every value up to INT64_MAX parses, and
+// one more is refused.
+TEST(ParseNonNegativeIntTest, AcceptsExactlyTheInt64Range) {
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775799"),
+            INT64_C(9223372036854775799));
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775800"),
+            INT64_C(9223372036854775800));
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseNonNegativeInt("09223372036854775807"), INT64_MAX);
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775808"), -1);
+  EXPECT_EQ(ParseNonNegativeInt("9223372036854775809"), -1);
+  EXPECT_EQ(ParseNonNegativeInt("10000000000000000000"), -1);
+}
+
 }  // namespace
 }  // namespace xupdate

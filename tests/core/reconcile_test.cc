@@ -78,11 +78,11 @@ class ReconcileTest : public ::testing::Test {
             break;
           }
           case xml::NodeType::kText:
-            s += "t'" + pul.forest().value(r) + "'";
+            s += "t'" + std::string(pul.forest().value(r)) + "'";
             break;
           case xml::NodeType::kAttribute:
             s += "@" + std::string(pul.forest().name(r)) + "=" +
-                 pul.forest().value(r);
+                 std::string(pul.forest().value(r));
             break;
         }
       }

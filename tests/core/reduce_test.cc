@@ -36,11 +36,11 @@ std::string Fingerprint(const Pul& pul, const UpdateOp& op) {
         break;
       }
       case xml::NodeType::kText:
-        out += "t'" + pul.forest().value(r) + "'";
+        out += "t'" + std::string(pul.forest().value(r)) + "'";
         break;
       case xml::NodeType::kAttribute:
         out += "@" + std::string(pul.forest().name(r)) + "=" +
-               pul.forest().value(r);
+               std::string(pul.forest().value(r));
         break;
     }
   }

@@ -34,7 +34,7 @@ using xml::NodeType;
 Result<std::string> ReferenceAttrValue(const Document& doc, NodeId node,
                                        std::string_view name, bool required) {
   for (NodeId a : doc.attributes(node)) {
-    if (doc.name(a) == name) return doc.value(a);
+    if (doc.name(a) == name) return std::string(doc.value(a));
   }
   if (required) {
     return Status::ParseError("missing attribute \"" + std::string(name) +
@@ -603,6 +603,35 @@ TEST(PulIoEdgeTest, UnannotatedElemDoesNotClashWithExplicitIds) {
     EXPECT_EQ(back->forest().type(1), NodeType::kText);
     EXPECT_EQ(back->forest().max_assigned_id(), kUnannotatedFloor + 1);
   }
+}
+
+// Ids up to INT64_MAX travel through the codec both ways, as targets
+// and as parameter ids; one more is refused.
+TEST(PulIoEdgeTest, MaxNodeIdRoundTrips) {
+  const std::string wire =
+      "<pul><op kind=\"insLast\" target=\"9223372036854775807\"><elem>"
+      "<a k=\"v\" xu:ids=\"9223372036854775805;9223372036854775806\">"
+      "<?xuid 9223372036854775807?>t</a></elem></op>"
+      "<op kind=\"repV\" target=\"9223372036854775806\" arg=\"w\"/></pul>";
+  auto parsed = ParsePul(wire);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  ASSERT_EQ(parsed->size(), 2u);
+  EXPECT_EQ(parsed->ops()[0].target, xml::kMaxNodeId);
+  EXPECT_EQ(parsed->forest().value(xml::kMaxNodeId), "t");
+  EXPECT_EQ(parsed->forest().value(xml::kMaxNodeId - 1), "v");
+  auto text = SerializePul(*parsed);
+  ASSERT_TRUE(text.ok()) << text.status();
+  auto back = ParsePul(*text);
+  ASSERT_TRUE(back.ok()) << back.status();
+  auto again = SerializePul(*back);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, *text);
+  EXPECT_EQ(back->ops()[0].target, xml::kMaxNodeId);
+  EXPECT_EQ(back->forest().value(xml::kMaxNodeId), "t");
+
+  EXPECT_FALSE(ParsePul("<pul><op kind=\"del\" target=\"9223372036854775808\"/>"
+                        "</pul>")
+                   .ok());
 }
 
 TEST(PulIoEdgeTest, IgnoresContentOfPoliciesTextAndAttr) {

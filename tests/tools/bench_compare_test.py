@@ -139,6 +139,29 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("BM_ParallelIntegrate/1: regressed", proc.stderr)
         self.assertNotIn("BM_ParallelReduce/2:", proc.stderr)
 
+    def test_document_layer_is_gated(self):
+        write_set(
+            self.baseline,
+            {
+                "BM_DocumentCopy/1": {"real_time": 1.0, "time_unit": "ms"},
+                "BM_SameAnnotated/1": {"real_time": 2.0, "time_unit": "ms"},
+                "BM_LabelingBuild/1": {"real_time": 10.0, "time_unit": "ms"},
+            },
+        )
+        write_set(
+            self.candidate,
+            {
+                "BM_DocumentCopy/1": {"real_time": 1.5, "time_unit": "ms"},
+                "BM_SameAnnotated/1": {"real_time": 3.0, "time_unit": "ms"},
+                "BM_LabelingBuild/1": {"real_time": 15.0, "time_unit": "ms"},
+            },
+        )
+        proc = run_compare(self.baseline, self.candidate)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("BM_DocumentCopy/1: regressed", proc.stderr)
+        self.assertIn("BM_SameAnnotated/1: regressed", proc.stderr)
+        self.assertNotIn("BM_LabelingBuild/1:", proc.stderr)
+
     def test_gated_regression_fails_by_name(self):
         write_set(
             self.baseline,

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <type_traits>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -144,6 +145,51 @@ TEST(IdTableTest, DifferentialAgainstUnorderedMap) {
     }
   }
   ASSERT_NO_FATAL_FAILURE(ExpectSame(table, model));
+}
+
+// Trivially copyable records (NodeRecord) copy chunk by chunk, free
+// slots included: the copy holds exactly the live ids, reuses the same
+// free slots and is independent of its source.
+TEST(IdTableTest, ChunkCopyOfTriviallyCopyableRecords) {
+  static_assert(std::is_trivially_copyable_v<NodeRecord>);
+  IdTable<NodeRecord> table;
+  std::unordered_map<NodeId, NodeId> model;  // id -> parent
+  for (NodeId id : IdPool()) {
+    table.TryEmplace(id).first->parent = id + 7;
+    model[id] = id + 7;
+  }
+  for (NodeId id = 1; id <= 1500; id += 3) {
+    table.Erase(id);
+    model.erase(id);
+  }
+  IdTable<NodeRecord> copy(table);
+  auto expect = [](const IdTable<NodeRecord>& t,
+                   const std::unordered_map<NodeId, NodeId>& m) {
+    ASSERT_EQ(t.size(), m.size());
+    for (const auto& [id, parent] : m) {
+      const NodeRecord* rec = t.Find(id);
+      ASSERT_NE(rec, nullptr) << id;
+      EXPECT_EQ(rec->parent, parent) << id;
+    }
+    size_t visited = 0;
+    t.ForEach([&](NodeId id, const NodeRecord&) {
+      ++visited;
+      EXPECT_EQ(m.count(id), 1u) << id;
+    });
+    EXPECT_EQ(visited, m.size());
+  };
+  ASSERT_NO_FATAL_FAILURE(expect(copy, model));
+  // Inserts into the copy reuse its free slots and leave the source as
+  // it was.
+  std::unordered_map<NodeId, NodeId> copy_model = model;
+  for (NodeId id = 1; id <= 1500; id += 3) {
+    copy.TryEmplace(id).first->parent = 1;
+    copy_model[id] = 1;
+  }
+  copy.Find(2)->parent = 99;
+  copy_model[2] = 99;
+  ASSERT_NO_FATAL_FAILURE(expect(copy, copy_model));
+  ASSERT_NO_FATAL_FAILURE(expect(table, model));
 }
 
 TEST(IdTableTest, RecordAddressSurvivesLaterInserts) {

@@ -68,10 +68,11 @@ struct Mutation {
 // An element's attribute annotation rewritten so that the attribute at
 // `index` carries a fresh id: one id changes, nothing else does.
 void ReplaceAttributeId(Document* doc, NodeId element, size_t index) {
-  std::vector<NodeId> attrs = doc->attributes(element);
+  std::span<const NodeId> held = doc->attributes(element);
+  std::vector<NodeId> attrs(held.begin(), held.end());
   std::vector<std::pair<std::string, std::string>> fields;
   for (NodeId attr : attrs) {
-    fields.emplace_back(std::string(doc->name(attr)), doc->value(attr));
+    fields.emplace_back(doc->name(attr), doc->value(attr));
     ASSERT_TRUE(doc->Detach(attr).ok());
   }
   for (size_t i = 0; i < attrs.size(); ++i) {
@@ -88,11 +89,13 @@ void ReplaceAttributeId(Document* doc, NodeId element, size_t index) {
 // children: only its own id differs.
 void ReplaceElementId(Document* doc, NodeId element) {
   NodeId fresh = doc->NewElement(doc->name(element));
-  for (NodeId attr : std::vector<NodeId>(doc->attributes(element))) {
+  std::span<const NodeId> attrs = doc->attributes(element);
+  for (NodeId attr : std::vector<NodeId>(attrs.begin(), attrs.end())) {
     ASSERT_TRUE(doc->Detach(attr).ok());
     ASSERT_TRUE(doc->AddAttribute(fresh, attr).ok());
   }
-  for (NodeId child : std::vector<NodeId>(doc->children(element))) {
+  std::span<const NodeId> kids = doc->children(element);
+  for (NodeId child : std::vector<NodeId>(kids.begin(), kids.end())) {
     ASSERT_TRUE(doc->Detach(child).ok());
     ASSERT_TRUE(doc->AppendChild(fresh, child).ok());
   }
@@ -135,7 +138,7 @@ std::vector<Mutation> Mutations() {
        },
        [](Document* d, NodeId id) {
          NodeId attr = d->attributes(id).front();
-         ASSERT_TRUE(d->SetValue(attr, d->value(attr) + "x").ok());
+         ASSERT_TRUE(d->SetValue(attr, std::string(d->value(attr)) + "x").ok());
        }},
       {"attribute id",
        [](const Document& d, NodeId id) {
@@ -154,7 +157,7 @@ std::vector<Mutation> Mutations() {
        }},
       {"text value", is_text,
        [](Document* d, NodeId id) {
-         ASSERT_TRUE(d->SetValue(id, d->value(id) + "x").ok());
+         ASSERT_TRUE(d->SetValue(id, std::string(d->value(id)) + "x").ok());
        }},
       {"text id", is_text,
        [](Document* d, NodeId id) {
@@ -180,7 +183,7 @@ std::vector<Mutation> Mutations() {
          return d.type(id) == NodeType::kText && d.value(id).size() >= 2;
        },
        [](Document* d, NodeId id) {
-         std::string value = d->value(id);
+         std::string value(d->value(id));
          size_t cut = value.size() / 2;
          ASSERT_TRUE(d->SetValue(id, value.substr(0, cut)).ok());
          ASSERT_TRUE(d->InsertAfter(id, d->NewText(value.substr(cut))).ok());

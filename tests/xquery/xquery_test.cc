@@ -40,10 +40,10 @@ class PathTest : public ::testing::Test {
     std::vector<std::string> out;
     for (NodeId id : *nodes) {
       if (doc_.type(id) == xml::NodeType::kText) {
-        out.push_back("#" + doc_.value(id));
+        out.push_back("#" + std::string(doc_.value(id)));
       } else if (doc_.type(id) == xml::NodeType::kAttribute) {
         out.push_back("@" + std::string(doc_.name(id)) + "=" +
-                      doc_.value(id));
+                      std::string(doc_.value(id)));
       } else {
         out.push_back(std::string(doc_.name(id)));
       }

@@ -10,8 +10,9 @@ prints a per-benchmark delta table for every benchmark present in both
 sets and exits non-zero when any *gated* benchmark — by default the
 engine-facing BM_Reduce*/BM_Integrate*/BM_Aggregate*/BM_Parallel*
 families plus the store checkout and branch merge/rebase families
-(BM_StoreCheckout*, BM_Merge*, BM_Rebase*) — regresses by more than the threshold (default
-10%). BM_StoreCommit* stays ungated: those families are fsync-bound, so
+(BM_StoreCheckout*, BM_Merge*, BM_Rebase*) and the Document layer
+(BM_Document*, BM_SameAnnotated) — regresses by more than the threshold
+(default 10%). BM_StoreCommit* stays ungated: those families are fsync-bound, so
 they measure the disk more than the code.
 
 Comparisons are only meaningful between artifacts of the same build
@@ -21,7 +22,7 @@ type; the script refuses to compare when the recorded bench_build_type
 Options:
     --threshold PCT   regression gate in percent (default 10)
     --gate REGEX      regex of gated benchmark names (default:
-                      ^BM_(Reduce|Integrat|Aggregat|Parallel|StoreCheckout|Merge|Rebase))
+                      ^BM_(Reduce|Integrat|Aggregat|Parallel|StoreCheckout|Merge|Rebase|Document|SameAnnotated))
     --all-gated       gate every common benchmark, not just the default
                       families
 
@@ -41,7 +42,8 @@ from pathlib import Path
 # fsync-bound on the runner's disk, so it would gate on the disk rather
 # than on the code.
 DEFAULT_GATE = (
-    r"^BM_(Reduce|Integrat|Aggregat|Parallel|StoreCheckout|Merge|Rebase)")
+    r"^BM_(Reduce|Integrat|Aggregat|Parallel|StoreCheckout|Merge|Rebase"
+    r"|Document|SameAnnotated)")
 
 # Report-only (no gate) ratios: a one-commit full merge over a
 # fast-forward, and reduce at two workers over one (the cost of the
