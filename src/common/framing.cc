@@ -41,6 +41,23 @@ std::string EncodeFrame(std::string_view body) {
   return out;
 }
 
+Status CheckBodyLength(uint32_t body_len, uint64_t max_body_bytes) {
+  if (body_len > max_body_bytes) {
+    return Status::ParseError("frame body of " + std::to_string(body_len) +
+                              " bytes exceeds the " +
+                              std::to_string(max_body_bytes) +
+                              "-byte frame limit");
+  }
+  return Status::OK();
+}
+
+Status CheckBodyCrc(uint32_t masked_crc, std::string_view body) {
+  if (MaskCrc32c(Crc32c(body)) != masked_crc) {
+    return Status::ParseError("frame CRC mismatch");
+  }
+  return Status::OK();
+}
+
 Status DecodeFrame(std::string_view data, size_t* offset,
                    std::string_view* body, uint64_t max_body_bytes) {
   size_t pos = *offset;
@@ -49,19 +66,12 @@ Status DecodeFrame(std::string_view data, size_t* offset,
   }
   uint32_t body_len = GetU32(data, pos);
   uint32_t masked_crc = GetU32(data, pos + 4);
-  if (body_len > max_body_bytes) {
-    return Status::ParseError("frame body of " + std::to_string(body_len) +
-                              " bytes exceeds the " +
-                              std::to_string(max_body_bytes) +
-                              "-byte frame limit");
-  }
+  XUPDATE_RETURN_IF_ERROR(CheckBodyLength(body_len, max_body_bytes));
   if (body_len > data.size() - pos - kHeaderSize) {
     return Status::ParseError("torn or oversized frame body");
   }
   std::string_view candidate = data.substr(pos + kHeaderSize, body_len);
-  if (MaskCrc32c(Crc32c(candidate)) != masked_crc) {
-    return Status::ParseError("frame CRC mismatch");
-  }
+  XUPDATE_RETURN_IF_ERROR(CheckBodyCrc(masked_crc, candidate));
   *body = candidate;
   *offset = pos + kHeaderSize + body_len;
   return Status::OK();

@@ -32,6 +32,14 @@ uint64_t GetU64(std::string_view data, size_t offset);
 // Frames `body` (header + copy of the body bytes).
 std::string EncodeFrame(std::string_view body);
 
+// The two checks every frame reader makes, for readers that hold the
+// header apart from the body (a socket reads the header first and only
+// then sizes the body). kParseError when `body_len` exceeds
+// `max_body_bytes` — callers make this check before allocating — resp.
+// when `body` does not match `masked_crc`.
+Status CheckBodyLength(uint32_t body_len, uint64_t max_body_bytes);
+Status CheckBodyCrc(uint32_t masked_crc, std::string_view body);
+
 // Decodes the frame starting at `data[*offset]`. On success `*body`
 // aliases the body bytes inside `data` and `*offset` advances past the
 // frame. kParseError for a torn header, torn body, a body larger than

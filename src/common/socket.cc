@@ -2,15 +2,19 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <limits.h>
 #include <poll.h>
 #include <string.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
+#include "common/crc32c.h"
 #include "common/framing.h"
 
 namespace xupdate {
@@ -82,6 +86,17 @@ Result<UnixSocket> UnixSocket::Connect(const std::string& path) {
   return sock;
 }
 
+Result<std::pair<UnixSocket, UnixSocket>> UnixSocket::Pair() {
+  int fds[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+    return Errno("socketpair");
+  }
+  std::pair<UnixSocket, UnixSocket> pair;
+  pair.first.fd_ = fds[0];
+  pair.second.fd_ = fds[1];
+  return pair;
+}
+
 Status UnixSocket::SendAll(std::string_view data) {
   if (fd_ < 0) return Status::IoError("send on closed socket");
   size_t sent = 0;
@@ -99,11 +114,65 @@ Status UnixSocket::SendAll(std::string_view data) {
   return Status::OK();
 }
 
-Status UnixSocket::SendFrame(std::string_view body) {
-  return SendAll(framing::EncodeFrame(body));
+Status UnixSocket::SendFrame(const std::vector<std::string_view>& body_parts) {
+  if (fd_ < 0) return Status::IoError("send on closed socket");
+  uint64_t body_len = 0;
+  uint32_t crc = 0;
+  for (std::string_view part : body_parts) {
+    body_len += part.size();
+    crc = ExtendCrc32c(crc, part);
+  }
+  if (body_len > UINT32_MAX) {
+    return Status::InvalidArgument("frame body of " +
+                                   std::to_string(body_len) +
+                                   " bytes exceeds the u32 length prefix");
+  }
+  std::string header;
+  header.reserve(framing::kHeaderSize);
+  framing::PutU32(&header, static_cast<uint32_t>(body_len));
+  framing::PutU32(&header, MaskCrc32c(crc));
+  std::vector<iovec> iov;
+  iov.reserve(1 + body_parts.size());
+  auto add = [&iov](std::string_view bytes) {
+    if (bytes.empty()) return;
+    iov.push_back({const_cast<char*>(bytes.data()), bytes.size()});
+  };
+  add(header);
+  for (std::string_view part : body_parts) add(part);
+  // `next` is the first entry not yet fully written; a short write
+  // trims it in place. A call passes at most IOV_MAX entries.
+  size_t next = 0;
+  while (next < iov.size()) {
+    msghdr msg{};
+    msg.msg_iov = &iov[next];
+    msg.msg_iovlen = std::min<size_t>(iov.size() - next, IOV_MAX);
+    // MSG_NOSIGNAL: a peer that disconnected mid-request must surface
+    // as EPIPE here, not kill the process with SIGPIPE.
+    ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Errno("sendmsg");
+    }
+    size_t written = static_cast<size_t>(n);
+    while (written > 0 && written >= iov[next].iov_len) {
+      written -= iov[next].iov_len;
+      ++next;
+    }
+    if (written > 0) {
+      iov[next].iov_base = static_cast<char*>(iov[next].iov_base) + written;
+      iov[next].iov_len -= written;
+    }
+  }
+  return Status::OK();
 }
 
-Result<std::string> UnixSocket::RecvFrame(uint64_t max_body_bytes) {
+Status UnixSocket::RecvFrame(uint64_t max_body_bytes, std::string* body) {
+  Status status = RecvFrameInto(max_body_bytes, body);
+  if (!status.ok()) body->clear();
+  return status;
+}
+
+Status UnixSocket::RecvFrameInto(uint64_t max_body_bytes, std::string* body) {
   if (fd_ < 0) return Status::IoError("recv on closed socket");
   // Read the 8-byte header first; EOF on the very first byte is the
   // peer closing between messages, which callers treat as a clean end
@@ -124,21 +193,16 @@ Result<std::string> UnixSocket::RecvFrame(uint64_t max_body_bytes) {
   }
   std::string_view hv(header, sizeof(header));
   uint32_t body_len = framing::GetU32(hv, 0);
-  if (body_len > max_body_bytes) {
-    // Framing is unrecoverable past an over-limit length prefix (the
-    // declared body is not going to be read), so callers drop the
-    // connection on this error.
-    return Status::ParseError(
-        "frame body of " + std::to_string(body_len) +
-        " bytes exceeds the " + std::to_string(max_body_bytes) +
-        "-byte frame limit");
-  }
-  std::string frame(hv);
-  frame.resize(framing::kHeaderSize + body_len);
+  // Framing is unrecoverable past an over-limit length prefix (the
+  // declared body is not going to be read), so callers drop the
+  // connection on this error.
+  XUPDATE_RETURN_IF_ERROR(framing::CheckBodyLength(body_len, max_body_bytes));
+  // Resizing from the previous body's size zero-fills only the growth;
+  // recv overwrites every byte below.
+  body->resize(body_len);
   got = 0;
   while (got < body_len) {
-    ssize_t n = ::recv(fd_, frame.data() + framing::kHeaderSize + got,
-                       body_len - got, 0);
+    ssize_t n = ::recv(fd_, body->data() + got, body_len - got, 0);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Errno("recv");
@@ -148,13 +212,9 @@ Result<std::string> UnixSocket::RecvFrame(uint64_t max_body_bytes) {
     }
     got += static_cast<size_t>(n);
   }
-  // CRC-check through the shared codec so wire corruption and journal
+  // The journal's frame check, so wire corruption and journal
   // corruption are caught by one code path.
-  size_t offset = 0;
-  std::string_view body;
-  XUPDATE_RETURN_IF_ERROR(
-      framing::DecodeFrame(frame, &offset, &body, max_body_bytes));
-  return std::string(body);
+  return framing::CheckBodyCrc(framing::GetU32(hv, 4), *body);
 }
 
 Status UnixSocket::ShutdownBoth() {

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "common/result.h"
 
@@ -23,6 +25,9 @@ class UnixSocket {
   // Connects to the listening socket at `path`.
   static Result<UnixSocket> Connect(const std::string& path);
 
+  // A connected pair (socketpair(2)): two in-process peers.
+  static Result<std::pair<UnixSocket, UnixSocket>> Pair();
+
   // A default-constructed socket is closed.
   UnixSocket() = default;
   UnixSocket(UnixSocket&& other) noexcept;
@@ -34,16 +39,24 @@ class UnixSocket {
   // Writes all of `data`, retrying on short writes and EINTR.
   Status SendAll(std::string_view data);
 
-  // Frames `body` (framing::EncodeFrame) and writes it.
-  Status SendFrame(std::string_view body);
+  // Writes one frame whose body is the concatenation of `body_parts`,
+  // without joining them: the header (length, and the CRC chained over
+  // the parts with ExtendCrc32c) and the parts go out through sendmsg,
+  // resumed after short writes and EINTR. The bytes on the wire equal
+  // framing::EncodeFrame(<the joined parts>).
+  Status SendFrame(const std::vector<std::string_view>& body_parts);
 
-  // Reads one complete frame and returns its CRC-verified body.
+  // Reads one complete frame into `*body`, the CRC-verified body bytes.
+  // The string's capacity is reused: a reader that passes the same
+  // string for every frame allocates only when a body outgrows it. The
+  // length is checked against `max_body_bytes` before `*body` grows.
   //   kNotFound    clean EOF before the first header byte (the peer
   //                finished and closed — the idle-disconnect case);
   //   kIoError     EOF mid-frame or a read error (torn request);
   //   kParseError  CRC mismatch or body larger than `max_body_bytes`
   //                (framing is lost; the connection must be dropped).
-  Result<std::string> RecvFrame(uint64_t max_body_bytes);
+  // On any error `*body` is left empty.
+  Status RecvFrame(uint64_t max_body_bytes, std::string* body);
 
   // Half-close / close. shutdown() wakes a peer (or own thread) blocked
   // in RecvFrame; Close() is idempotent and runs on destruction.
@@ -55,6 +68,9 @@ class UnixSocket {
 
  private:
   friend class UnixListener;
+  // RecvFrame without the clear-on-error.
+  Status RecvFrameInto(uint64_t max_body_bytes, std::string* body);
+
   int fd_ = -1;
 };
 

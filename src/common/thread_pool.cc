@@ -1,6 +1,9 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
+#include <optional>
 #include <utility>
 
 namespace xupdate {
@@ -27,10 +30,6 @@ void ThreadPool::WorkerLoop() {
       queue_.pop_front();
     }
     task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--in_flight_ == 0) all_done_.notify_all();
-    }
   }
 }
 
@@ -39,15 +38,9 @@ bool ThreadPool::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     if (stopping_) return false;
     queue_.push_back(std::move(task));
-    ++in_flight_;
   }
   task_ready_.notify_one();
   return true;
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(mu_);
-  all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
 void ThreadPool::Shutdown() {
@@ -64,10 +57,49 @@ void ThreadPool::Shutdown() {
   workers_.clear();
 }
 
-Status ParallelFor(ThreadPool* pool, size_t n,
+namespace {
+
+// One ParallelFor call's blocks. The caller and its helpers claim blocks
+// through `next`; `fn` is called only for a claimed block, and the
+// caller returns only once every block is finished, so `fn` (which
+// lives on the caller's stack) outlives every call. A helper that runs
+// late holds the state alive through its shared_ptr and touches
+// nothing else.
+struct ForState {
+  const std::function<Status(size_t)>* fn = nullptr;
+  size_t n = 0;
+  size_t per_block = 0;
+  size_t blocks = 0;
+  std::atomic<size_t> next{0};
+  std::vector<Status> results;
+  std::mutex mu;
+  std::condition_variable all_done;
+  size_t finished = 0;  // guarded by mu
+
+  void RunBlocks() {
+    for (;;) {
+      const size_t b = next.fetch_add(1);
+      if (b >= blocks) return;
+      const size_t begin = b * per_block;
+      const size_t end = std::min(n, begin + per_block);
+      Status first;
+      for (size_t i = begin; i < end; ++i) {
+        Status s = (*fn)(i);
+        if (!s.ok() && first.ok()) first = std::move(s);
+      }
+      std::lock_guard<std::mutex> lock(mu);
+      results[b] = std::move(first);
+      if (++finished == blocks) all_done.notify_all();
+    }
+  }
+};
+
+}  // namespace
+
+Status ParallelFor(ThreadPool* pool, size_t width, size_t n,
                    const std::function<Status(size_t)>& fn) {
   if (n == 0) return Status::OK();
-  if (pool == nullptr || pool->size() <= 1 || n == 1) {
+  if (width <= 1 || n == 1) {
     Status first;
     for (size_t i = 0; i < n; ++i) {
       Status s = fn(i);
@@ -75,31 +107,36 @@ Status ParallelFor(ThreadPool* pool, size_t n,
     }
     return first;
   }
-  // Contiguous index blocks, a few per worker: one queue entry per
-  // block keeps the submission cost bounded when n is in the tens of
-  // thousands (one PUL shard per index) while leaving enough slack for
-  // uneven block runtimes to balance out.
-  size_t blocks = std::min(n, pool->size() * 4);
-  size_t per_block = (n + blocks - 1) / blocks;
-  std::vector<Status> results(blocks);
-  for (size_t b = 0; b < blocks; ++b) {
-    size_t begin = b * per_block;
-    size_t end = std::min(n, begin + per_block);
-    if (begin >= end) break;
-    auto run_block = [&fn, &results, b, begin, end] {
-      Status first;
-      for (size_t i = begin; i < end; ++i) {
-        Status s = fn(i);
-        if (!s.ok() && first.ok()) first = std::move(s);
-      }
-      results[b] = std::move(first);
-    };
-    if (!pool->Submit(run_block)) {
-      run_block();  // pool shutting down: run inline
-    }
+  // Contiguous index blocks, a few per unit of width: one claim per
+  // block keeps the cost bounded when n is in the tens of thousands (one
+  // PUL shard per index) while leaving enough slack for uneven block
+  // runtimes to balance out.
+  auto state = std::make_shared<ForState>();
+  state->fn = &fn;
+  state->n = n;
+  const size_t target = std::min(n, width * 4);
+  state->per_block = (n + target - 1) / target;
+  state->blocks = (n + state->per_block - 1) / state->per_block;
+  state->results.resize(state->blocks);
+  std::optional<ThreadPool> transient;
+  if (pool == nullptr) {
+    transient.emplace(std::min(width, state->blocks) - 1);
+    pool = &*transient;
   }
-  pool->Wait();
-  for (Status& s : results) {
+  const size_t helpers =
+      std::min({width - 1, state->blocks - 1, pool->size()});
+  for (size_t h = 0; h < helpers; ++h) {
+    // A pool that is shutting down refuses the helper; the caller's own
+    // loop below still runs every block.
+    if (!pool->Submit([state] { state->RunBlocks(); })) break;
+  }
+  state->RunBlocks();
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->all_done.wait(lock,
+                         [&state] { return state->finished == state->blocks; });
+  }
+  for (Status& s : state->results) {
     if (!s.ok()) return std::move(s);
   }
   return Status::OK();

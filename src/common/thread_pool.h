@@ -21,6 +21,9 @@ namespace xupdate {
 // task already submitted — work handed to the pool is never dropped —
 // then joins the workers. Submit after shutdown is a no-op returning
 // false so racing producers fail soft instead of deadlocking.
+//
+// There is no wait for the pool to go idle: callers sharing one pool
+// would wait on each other's work. ParallelFor counts its own blocks.
 class ThreadPool {
  public:
   // Spawns max(1, num_threads) workers.
@@ -36,9 +39,6 @@ class ThreadPool {
   // shutting down.
   bool Submit(std::function<void()> task);
 
-  // Blocks until every task submitted so far has finished executing.
-  void Wait();
-
   // Drains pending tasks and joins the workers. Idempotent.
   void Shutdown();
 
@@ -47,19 +47,27 @@ class ThreadPool {
 
   std::mutex mu_;
   std::condition_variable task_ready_;
-  std::condition_variable all_done_;
   std::deque<std::function<void()>> queue_;
-  size_t in_flight_ = 0;  // queued + currently running tasks
   bool stopping_ = false;
   std::vector<std::thread> workers_;
 };
 
-// Runs fn(0..n-1) across `pool`, blocking until all calls return, and
-// returns the Status of the lowest failing index (OK if none fail).
-// Every index runs even when an earlier one fails — shards must not be
-// silently skipped. A null pool (or a pool of one worker) degrades to a
-// plain sequential loop on the calling thread.
-Status ParallelFor(ThreadPool* pool, size_t n,
+// Runs fn(0..n-1) in contiguous index blocks and returns the Status of
+// the lowest failing index (OK if none fail). Every index runs even
+// when an earlier one fails — shards must not be silently skipped.
+//
+// `width` is the call's parallelism: at most `width` blocks are in
+// flight at once, the calling thread's among them — it runs blocks too,
+// next to at most width - 1 helper tasks on `pool`. Width 1 (or n == 1)
+// is a plain loop on the calling thread that never touches the pool. A
+// null pool with width > 1 runs on a transient pool of width - 1
+// workers, joined before the call returns.
+//
+// The call completes on its own count of finished blocks, not on the
+// pool going idle: calls from different threads share one pool without
+// waiting for each other's work. A helper that starts after the
+// caller has claimed every block finds nothing left and returns.
+Status ParallelFor(ThreadPool* pool, size_t width, size_t n,
                    const std::function<Status(size_t)>& fn);
 
 }  // namespace xupdate

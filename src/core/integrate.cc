@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -475,20 +474,9 @@ Result<IntegrationResult> Integrator::Run() {
   };
   {
     ScopedTimer timer(metrics, "integrate.detect_seconds");
-    if (options_.parallelism > 1 && num_shards > 1) {
-      ThreadPool* pool = options_.pool;
-      std::unique_ptr<ThreadPool> owned;
-      if (pool == nullptr) {
-        owned = std::make_unique<ThreadPool>(
-            std::min(static_cast<size_t>(options_.parallelism), num_shards));
-        pool = owned.get();
-      }
-      XUPDATE_RETURN_IF_ERROR(ParallelFor(pool, num_shards, scan_shard));
-    } else {
-      for (size_t s = 0; s < num_shards; ++s) {
-        XUPDATE_RETURN_IF_ERROR(scan_shard(s));
-      }
-    }
+    XUPDATE_RETURN_IF_ERROR(ParallelFor(
+        options_.pool, static_cast<size_t>(std::max(1, options_.parallelism)),
+        num_shards, scan_shard));
   }
 
   // The sequential engine lists every local conflict in document order

@@ -64,8 +64,11 @@ struct IntegrateOptions {
   // the shards are scanned concurrently. Output — conflict list order
   // included — is byte-identical to the sequential path for every value.
   int parallelism = 1;
-  // Reused across calls when provided; otherwise a transient pool is
-  // spawned per call when parallelism > 1.
+  // Where the shards are scanned when parallelism > 1 (ParallelFor at
+  // width `parallelism`; the calling thread scans shards too). Reused
+  // across calls when provided; otherwise a transient pool is spawned
+  // per call when there is more than one shard. Untouched at
+  // parallelism 1.
   ThreadPool* pool = nullptr;
   // Optional counters/timers sink (shard counts, conflict tallies,
   // per-phase wall time).

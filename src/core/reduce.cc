@@ -908,16 +908,9 @@ Result<pul::Pul> Reduce(const pul::Pul& input, const ReduceOptions& options,
   }
   {
     ScopedTimer timer(metrics, "reduce.rules_seconds");
-    ThreadPool* pool = options.pool;
-    std::unique_ptr<ThreadPool> local_pool;
-    if (pool == nullptr && options.parallelism > 1 && units.size() > 1) {
-      size_t workers = std::min<size_t>(
-          static_cast<size_t>(options.parallelism), units.size());
-      local_pool = std::make_unique<ThreadPool>(workers);
-      pool = local_pool.get();
-    }
     XUPDATE_RETURN_IF_ERROR(ParallelFor(
-        pool, reducers.size(),
+        options.pool, static_cast<size_t>(std::max(1, options.parallelism)),
+        reducers.size(),
         [&reducers, &unit_lanes, tracing, metrics](size_t u) {
           obs::TraceSpan span(tracing ? &unit_lanes[u] : nullptr,
                               "unit-solve");

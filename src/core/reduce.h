@@ -43,9 +43,10 @@ struct ReduceOptions {
   // output is byte-identical for every value; 1 solves the units in turn
   // on the calling thread.
   int parallelism = 1;
-  // Reused across calls when provided; otherwise a transient pool is
-  // spawned per call when parallelism > 1 and there is more than one
-  // unit.
+  // Where the units run when parallelism > 1 (ParallelFor at width
+  // `parallelism`; the calling thread solves units too). Reused across
+  // calls when provided; otherwise a transient pool is spawned per call
+  // when there is more than one unit. Untouched at parallelism 1.
   ThreadPool* pool = nullptr;
   // Optional counters/timers sink (component and unit counts, per-phase
   // wall time).

@@ -13,13 +13,12 @@ Result<Client> Client::Connect(const std::string& socket_path,
 }
 
 Status Client::Send(const Message& request) {
-  return sock_.SendFrame(EncodeMessage(request));
+  return SendMessage(&sock_, request);
 }
 
 Result<Message> Client::Receive() {
-  XUPDATE_ASSIGN_OR_RETURN(std::string body,
-                           sock_.RecvFrame(max_message_bytes_));
-  return DecodeMessage(body, /*expect_request=*/false);
+  XUPDATE_RETURN_IF_ERROR(sock_.RecvFrame(max_message_bytes_, &recv_buf_));
+  return DecodeMessage(recv_buf_, /*expect_request=*/false);
 }
 
 Result<Message> Client::Call(const Message& request) {

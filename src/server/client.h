@@ -72,6 +72,9 @@ class Client {
 
   UnixSocket sock_;
   uint64_t max_message_bytes_ = kDefaultMaxMessageBytes;
+  // Receive()'s frame buffer, reused across responses (only the thread
+  // that receives touches it).
+  std::string recv_buf_;
 };
 
 }  // namespace xupdate::server

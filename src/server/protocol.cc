@@ -69,12 +69,52 @@ Status DecodeStringList(std::string_view data, size_t offset,
 }
 
 std::string EncodeMessage(const Message& msg) {
+  size_t size = kMessageFixedSize + 4;
+  for (const std::string& s : msg.payload) size += 4 + s.size();
   std::string body;
+  body.reserve(size);
   body.push_back(static_cast<char>(msg.type));
   PutU64(&body, msg.a);
   PutU64(&body, msg.b);
   EncodeStringList(msg.payload, &body);
   return body;
+}
+
+std::vector<std::string_view> MessageParts(const Message& msg,
+                                           std::string* scratch) {
+  scratch->clear();
+  scratch->reserve(kMessageFixedSize + 4 + 4 * msg.payload.size());
+  scratch->push_back(static_cast<char>(msg.type));
+  PutU64(scratch, msg.a);
+  PutU64(scratch, msg.b);
+  PutU32(scratch, static_cast<uint32_t>(msg.payload.size()));
+  for (const std::string& s : msg.payload) {
+    PutU32(scratch, static_cast<uint32_t>(s.size()));
+  }
+  // Scratch runs alternate with the payload strings; the run before
+  // each string ends with that string's length prefix, so an empty
+  // string merges two runs.
+  std::vector<std::string_view> parts;
+  parts.reserve(1 + 2 * msg.payload.size());
+  const std::string_view fixed(*scratch);
+  size_t run_begin = 0;
+  size_t run_end = kMessageFixedSize + 4;
+  for (const std::string& s : msg.payload) {
+    run_end += 4;
+    if (s.empty()) continue;
+    parts.push_back(fixed.substr(run_begin, run_end - run_begin));
+    parts.emplace_back(s);
+    run_begin = run_end;
+  }
+  if (run_end > run_begin) {
+    parts.push_back(fixed.substr(run_begin, run_end - run_begin));
+  }
+  return parts;
+}
+
+Status SendMessage(UnixSocket* sock, const Message& msg) {
+  std::string scratch;
+  return sock->SendFrame(MessageParts(msg, &scratch));
 }
 
 Result<Message> DecodeMessage(std::string_view body, bool expect_request) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "common/socket.h"
 #include "common/status.h"
 
 namespace xupdate::server {
@@ -84,12 +85,27 @@ struct Message {
   std::vector<std::string> payload;
 };
 
-// Body codec (the framing layer adds the length/CRC header).
+// Body codec (the framing layer adds the length/CRC header). The
+// contiguous form: tests, the fuzzer and the codec benchmark use it;
+// the wire uses SendMessage.
 std::string EncodeMessage(const Message& msg);
 // `expect_request`: decode refuses response types (server side) or
 // request types (client side) — a frame that parses but carries the
 // wrong direction is a protocol error, not a crash.
 Result<Message> DecodeMessage(std::string_view body, bool expect_request);
+
+// The body of `msg` as byte ranges whose concatenation is
+// EncodeMessage(msg): `*scratch` receives the type, a, b, the count and
+// the length prefixes, and every payload string is aliased, not
+// copied. The ranges live as long as `msg` and `*scratch` are left
+// unchanged.
+std::vector<std::string_view> MessageParts(const Message& msg,
+                                           std::string* scratch);
+
+// Sends `msg` as one frame from its parts (UnixSocket::SendFrame), so
+// no payload byte is copied on the way out. The bytes on the wire equal
+// framing::EncodeFrame(EncodeMessage(msg)).
+Status SendMessage(UnixSocket* sock, const Message& msg);
 
 // String-list payload codec, exposed for tests.
 void EncodeStringList(const std::vector<std::string>& strings,

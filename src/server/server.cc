@@ -1,5 +1,6 @@
 #include "server/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <iostream>
@@ -20,13 +21,19 @@ namespace {
 using std::chrono::milliseconds;
 using Clock = std::chrono::steady_clock;
 
-Message OkMessage(uint64_t a = 0, uint64_t b = 0,
-                  std::vector<std::string> payload = {}) {
+Message OkMessage(uint64_t a = 0, uint64_t b = 0) {
   Message msg;
   msg.type = MsgType::kOk;
   msg.a = a;
   msg.b = b;
-  msg.payload = std::move(payload);
+  return msg;
+}
+
+// A kOk response carrying one payload string, moved in: a braced
+// initializer list would copy it.
+Message OkMessage(uint64_t a, uint64_t b, std::string payload) {
+  Message msg = OkMessage(a, b);
+  msg.payload.push_back(std::move(payload));
   return msg;
 }
 
@@ -166,6 +173,8 @@ Status Server::Stop() {
   for (Session& session : sessions_) {
     if (session.worker.joinable()) session.worker.join();
   }
+  // Only sessions use the reasoning pool, and they are all joined.
+  pool_.reset();
   batcher_stop_.store(true);
   queue_cv_.notify_all();
   if (batcher_thread_.joinable()) batcher_thread_.join();
@@ -330,7 +339,7 @@ void Server::SessionLoop(Session* session) {
         pending.pop_front();
       }
       Message response = next();  // may block on a commit outcome
-      if (!session->sock.SendFrame(EncodeMessage(response)).ok()) {
+      if (!SendMessage(&session->sock, response).ok()) {
         // Peer is gone. Unblock the read loop and bail; any commits
         // still pending are fulfilled by the batcher regardless.
         (void)session->sock.ShutdownBoth();
@@ -346,33 +355,39 @@ void Server::SessionLoop(Session* session) {
     cv.notify_all();
   };
   bool shutdown = false;
+  // The session's one receive buffer: every request frame is read into
+  // it, so its capacity (at most max_message_bytes) is reused and freed
+  // when the session ends. DecodeMessage copies the payload out, so the
+  // buffer is free again as soon as the request is decoded.
+  std::string frame;
   for (;;) {
-    Result<std::string> body =
-        session->sock.RecvFrame(options_.max_message_bytes);
-    if (!body.ok()) {
+    Status received =
+        session->sock.RecvFrame(options_.max_message_bytes, &frame);
+    if (!received.ok()) {
       // kNotFound is the peer closing between requests — the normal end
       // of a session. Everything else (EOF mid-frame, CRC mismatch,
       // oversized length prefix) means the stream can no longer be
       // trusted to be frame-aligned: drop the connection, count it.
-      if (body.status().code() != StatusCode::kNotFound &&
+      if (received.code() != StatusCode::kNotFound &&
           options_.metrics != nullptr) {
         options_.metrics->AddCounter("server.recv.errors");
       }
       break;
     }
-    Result<Message> request = DecodeMessage(*body, /*expect_request=*/true);
+    Result<Message> request = DecodeMessage(frame, /*expect_request=*/true);
     if (!request.ok()) {
       // The frame itself was CRC-clean, so framing is intact; a
       // malformed message gets an error response and the session lives.
-      Message response = ErrorResponse(request.status());
-      enqueue([response] { return response; });
+      enqueue([response = ErrorResponse(request.status())] {
+        return response;
+      });
       continue;
     }
     if (request->type == MsgType::kShutdown) {
       shutdown = true;
       break;
     }
-    enqueue(Handle(*request));
+    enqueue(Handle(std::move(*request)));
   }
   {
     std::lock_guard<std::mutex> lock(mu);
@@ -383,7 +398,7 @@ void Server::SessionLoop(Session* session) {
   if (shutdown) {
     // Acknowledge only after every earlier response was flushed, so the
     // client sees a fully ordered stream, then stop the server.
-    (void)session->sock.SendFrame(EncodeMessage(OkMessage()));
+    (void)SendMessage(&session->sock, OkMessage());
     RequestStop();
   }
   {
@@ -396,7 +411,7 @@ void Server::SessionLoop(Session* session) {
   session->finished.store(true);
 }
 
-Server::ResponseThunk Server::Handle(const Message& request) {
+Server::ResponseThunk Server::Handle(Message request) {
   if (options_.metrics != nullptr) {
     options_.metrics->AddCounter("server.requests");
   }
@@ -410,9 +425,11 @@ Server::ResponseThunk Server::Handle(const Message& request) {
   if (options_.tracer == nullptr && options_.slow_request_ms < 0) {
     // Everything else evaluates lazily on the writer thread, after every
     // commit the connection queued before it.
-    return [this, request] { return HandleSync(request); };
+    return [this, request = std::move(request)] {
+      return HandleSync(request);
+    };
   }
-  return [this, request, rid] {
+  return [this, request = std::move(request), rid] {
     obs::TraceLane lane;
     const std::string_view name = RequestTypeName(request.type);
     if (options_.tracer != nullptr) {
@@ -687,7 +704,18 @@ Message Server::HandleCheckout(const Message& request) {
       request.b == 1 ? (*tenant)->store->head() : request.a;
   Result<std::string> xml = (*tenant)->store->CheckoutXml(version);
   if (!xml.ok()) return ErrorResponse(xml.status());
-  return OkMessage(version, 0, {std::move(*xml)});
+  return OkMessage(version, 0, std::move(*xml));
+}
+
+ThreadPool* Server::ReasoningPool(int parallelism) {
+  if (parallelism <= 1) return nullptr;
+  // The calling session thread runs blocks too, so max_parallelism - 1
+  // workers serve a request at the cap.
+  std::call_once(pool_once_, [this] {
+    pool_ = std::make_unique<ThreadPool>(
+        static_cast<size_t>(std::max(1, options_.max_parallelism - 1)));
+  });
+  return pool_.get();
 }
 
 int Server::ClampParallelism(uint64_t requested) const {
@@ -719,12 +747,13 @@ Message Server::HandleReduce(const Message& request) {
         "\""));
   }
   options.parallelism = ClampParallelism(request.a);
+  options.pool = ReasoningPool(options.parallelism);
   options.metrics = options_.metrics;
   Result<pul::Pul> reduced = core::Reduce(*pul, options);
   if (!reduced.ok()) return ErrorResponse(reduced.status());
   Result<std::string> xml = pul::SerializePul(*reduced);
   if (!xml.ok()) return ErrorResponse(xml.status());
-  return OkMessage(0, 0, {std::move(*xml)});
+  return OkMessage(0, 0, std::move(*xml));
 }
 
 Message Server::HandleIntegrate(const Message& request) {
@@ -743,12 +772,13 @@ Message Server::HandleIntegrate(const Message& request) {
   for (const pul::Pul& pul : puls) ptrs.push_back(&pul);
   core::IntegrateOptions options;
   options.parallelism = ClampParallelism(request.a);
+  options.pool = ReasoningPool(options.parallelism);
   options.metrics = options_.metrics;
   Result<core::IntegrationResult> result = core::Integrate(ptrs, options);
   if (!result.ok()) return ErrorResponse(result.status());
   Result<std::string> xml = pul::SerializePul(result->merged);
   if (!xml.ok()) return ErrorResponse(xml.status());
-  return OkMessage(result->conflicts.size(), 0, {std::move(*xml)});
+  return OkMessage(result->conflicts.size(), 0, std::move(*xml));
 }
 
 Message Server::HandleAggregate(const Message& request) {
@@ -771,7 +801,7 @@ Message Server::HandleAggregate(const Message& request) {
   if (!aggregate.ok()) return ErrorResponse(aggregate.status());
   Result<std::string> xml = pul::SerializePul(*aggregate);
   if (!xml.ok()) return ErrorResponse(xml.status());
-  return OkMessage(0, 0, {std::move(*xml)});
+  return OkMessage(0, 0, std::move(*xml));
 }
 
 Message Server::HandleStat(const Message& request) {
@@ -780,7 +810,7 @@ Message Server::HandleStat(const Message& request) {
   if (options_.metrics != nullptr) snapshot = options_.metrics->Snapshot();
   std::string json = BuildStatJson(snapshot, seq, uptime_ms());
   if (request.payload.empty()) {
-    return OkMessage(0, kStatVersion, {std::move(json)});
+    return OkMessage(0, kStatVersion, std::move(json));
   }
   if (request.payload.size() != 1) {
     return ErrorResponse(
@@ -793,7 +823,7 @@ Message Server::HandleStat(const Message& request) {
     return ErrorResponse(
         Status::NotFound("tenant is not open: " + request.payload[0]));
   }
-  return OkMessage((*tenant)->store->head(), kStatVersion, {std::move(json)});
+  return OkMessage((*tenant)->store->head(), kStatVersion, std::move(json));
 }
 
 void Server::BatcherLoop() {

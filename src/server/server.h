@@ -20,6 +20,7 @@
 #include "common/metrics.h"
 #include "common/result.h"
 #include "common/socket.h"
+#include "common/thread_pool.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "pul/pul.h"
@@ -47,6 +48,14 @@ namespace xupdate::server {
 //            observes all commits that preceded it on its connection.
 //            (Corollary: pipeline commits only after the tenant's kOpen
 //            acknowledged — commit admission happens at read time.)
+//            The read loop receives every frame into one reused buffer
+//            and moves each decoded request into its thunk; the writer
+//            sends each response from its parts (SendMessage), so the
+//            payload strings are never joined into a frame.
+//   pool     reduce and integrate at parallelism > 1 run on one
+//            server-owned ThreadPool of max_parallelism - 1 workers,
+//            created on the first such request; the writer thread that
+//            evaluates the request runs work units too.
 //   batcher  the group-commit engine. Session threads enqueue commit
 //            jobs (bounded queue; a full queue is refused and the
 //            client told kBusy — explicit load shedding, never an
@@ -238,7 +247,7 @@ class Server {
   // admitted to the batcher right away and return a thunk waiting on
   // the outcome; other requests return a thunk that evaluates
   // HandleSync later.
-  ResponseThunk Handle(const Message& request);
+  ResponseThunk Handle(Message request);
   Message HandleSync(const Message& request);
   ResponseThunk HandleCommitDeferred(const Message& request);
   Message HandleOpen(const Message& request);
@@ -252,6 +261,9 @@ class Server {
   Result<Tenant*> GetTenant(const std::string& name, bool create);
 
   int ClampParallelism(uint64_t requested) const;
+  // The pool reduce and integrate run on at `parallelism` > 1, created
+  // on the first such request; null at parallelism 1.
+  ThreadPool* ReasoningPool(int parallelism);
 
   // Null-safe flight-recorder append.
   void RecordFlight(obs::FlightEventKind kind, std::string_view tenant,
@@ -300,6 +312,11 @@ class Server {
   std::atomic<uint64_t> stat_seq_{0};
 
   std::unique_ptr<obs::FlightRecorder> flight_;
+
+  // Shared by every session's parallel reduce and integrate requests
+  // (ReasoningPool); reset by Stop() once the sessions are joined.
+  std::once_flag pool_once_;
+  std::unique_ptr<ThreadPool> pool_;
 
   // Slow-request log sink + token bucket; all guarded by slow_mu_.
   std::mutex slow_mu_;

@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
@@ -131,6 +135,49 @@ TEST_F(ParallelDeterminismTest, ReduceWithSharedPoolAndMetrics) {
   EXPECT_EQ(metrics.counter("reduce.input_ops"), 300u);
   EXPECT_EQ(metrics.counter("reduce.shards"), stats.shards);
   EXPECT_GT(stats.shards, 1u);
+}
+
+// A pool handed in at parallelism 1 must not be waited on: with every
+// worker blocked on a latch, the reduce still finishes, with the bytes
+// of a reduce that was given no pool. (Reduce passes its parallelism as
+// ParallelFor's width; ParallelForTest checks that width 1 runs every
+// index on the calling thread.)
+TEST_F(ParallelDeterminismTest, ReduceAtParallelismOneLeavesGivenPoolAlone) {
+  PulGenerator gen(*doc_, *labeling_, 5150);
+  PulGenerator::PulOptions options;
+  options.num_ops = 3000;
+  options.reducible_fraction = 0.2;
+  auto pul = gen.Generate(options);
+  ASSERT_TRUE(pul.ok()) << pul.status();
+  auto base = Reduce(*pul, ReduceOptions{});
+  ASSERT_TRUE(base.ok()) << base.status();
+
+  ThreadPool pool(2);
+  std::promise<void> release;
+  std::shared_future<void> latch = release.get_future().share();
+  std::atomic<size_t> blocked{0};
+  for (size_t w = 0; w < pool.size(); ++w) {
+    ASSERT_TRUE(pool.Submit([latch, &blocked] {
+      ++blocked;
+      latch.wait();
+    }));
+  }
+  while (blocked.load() < pool.size()) std::this_thread::yield();
+  ReduceStats stats;
+  auto call = std::async(std::launch::async, [&] {
+    ReduceOptions opts;
+    opts.parallelism = 1;
+    opts.pool = &pool;
+    return Reduce(*pul, opts, &stats);
+  });
+  const bool finished =
+      call.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  release.set_value();
+  ASSERT_TRUE(finished) << "parallelism 1 waited for the blocked pool";
+  auto reduced = call.get();
+  ASSERT_TRUE(reduced.ok()) << reduced.status();
+  EXPECT_GT(stats.units, 1u);  // ParallelFor had more than one index
+  EXPECT_EQ(Serialized(*reduced), Serialized(*base));
 }
 
 TEST_F(ParallelDeterminismTest, IntegrateMatchesSequentialOnConflictSweeps) {

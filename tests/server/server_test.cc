@@ -11,6 +11,7 @@
 #include "common/framing.h"
 #include "common/metrics.h"
 #include "common/socket.h"
+#include "core/integrate.h"
 #include "core/reduce.h"
 #include "label/labeling.h"
 #include "pul/apply.h"
@@ -19,6 +20,7 @@
 #include "store/version.h"
 #include "testing/test_docs.h"
 #include "workload/pul_generator.h"
+#include "xmark/generator.h"
 
 namespace xupdate::server {
 namespace {
@@ -172,6 +174,78 @@ TEST_F(ServerTest, ReduceMatchesLocalEngine) {
   auto local_xml = pul::SerializePul(*local);
   ASSERT_TRUE(local_xml.ok());
   EXPECT_EQ(*remote, *local_xml);
+}
+
+// Two connections send reduce and integrate at parallelism 2 at the
+// same time, so both run on the server's one reasoning pool at once.
+// Every response must be byte-identical to the local parallelism-1
+// result.
+TEST_F(ServerTest, ConcurrentParallelReasoningSharesOnePool) {
+  StartServer();
+  xmark::Config config;
+  config.target_bytes = 128 << 10;
+  auto doc = xmark::GenerateDocument(config);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  label::Labeling labeling = label::Labeling::Build(*doc);
+  workload::PulGenerator gen(*doc, labeling, 2024);
+  workload::PulGenerator::PulOptions popts;
+  popts.num_ops = 3000;
+  popts.reducible_fraction = 0.2;
+  auto pul = gen.Generate(popts);
+  ASSERT_TRUE(pul.ok()) << pul.status();
+  workload::PulGenerator::ConflictOptions copts;
+  copts.num_puls = 4;
+  copts.ops_per_pul = 300;
+  copts.conflicting_fraction = 0.4;
+  copts.ops_per_conflict = 3;
+  auto puls = gen.GenerateConflicting(copts);
+  ASSERT_TRUE(puls.ok()) << puls.status();
+
+  // The local parallelism-1 results, and proof that both requests have
+  // more than one unit resp. shard to spread.
+  core::ReduceOptions ropts;
+  ropts.mode = core::ReduceMode::kDeterministic;
+  core::ReduceStats rstats;
+  auto reduced = core::Reduce(*pul, ropts, &rstats);
+  ASSERT_TRUE(reduced.ok()) << reduced.status();
+  EXPECT_GT(rstats.units, 1u);
+  auto reduce_expected = pul::SerializePul(*reduced);
+  ASSERT_TRUE(reduce_expected.ok());
+  std::vector<const pul::Pul*> refs;
+  std::vector<std::string> integrate_request;
+  for (const pul::Pul& p : *puls) {
+    refs.push_back(&p);
+    auto xml = pul::SerializePul(p);
+    ASSERT_TRUE(xml.ok());
+    integrate_request.push_back(*xml);
+  }
+  Metrics local_metrics;
+  core::IntegrateOptions iopts;
+  iopts.metrics = &local_metrics;
+  auto merged = core::Integrate(refs, iopts);
+  ASSERT_TRUE(merged.ok()) << merged.status();
+  EXPECT_GT(local_metrics.counter("integrate.shards"), 1u);
+  auto integrate_expected = pul::SerializePul(merged->merged);
+  ASSERT_TRUE(integrate_expected.ok());
+  auto reduce_request = pul::SerializePul(*pul);
+  ASSERT_TRUE(reduce_request.ok());
+
+  auto session = [&] {
+    Client client = Connect();
+    for (int round = 0; round < 3; ++round) {
+      auto r = client.Reduce(*reduce_request, "deterministic", 2);
+      ASSERT_TRUE(r.ok()) << r.status();
+      EXPECT_EQ(*r, *reduce_expected);
+      auto i = client.Integrate(integrate_request, 2);
+      ASSERT_TRUE(i.ok()) << i.status();
+      EXPECT_EQ(i->merged_xml, *integrate_expected);
+      EXPECT_EQ(i->conflicts, merged->conflicts.size());
+    }
+  };
+  std::thread first(session);
+  std::thread second(session);
+  first.join();
+  second.join();
 }
 
 TEST_F(ServerTest, GroupCommitCoalescesFsyncs) {
@@ -387,8 +461,8 @@ TEST_F(ServerTest, GarbageFrameDropsConnectionOnly) {
     ASSERT_TRUE(raw->SendAll(bad).ok());
     // The server drops the unframeable connection; our next read sees
     // EOF rather than a response.
-    auto response = raw->RecvFrame(kDefaultMaxMessageBytes);
-    EXPECT_FALSE(response.ok());
+    std::string response;
+    EXPECT_FALSE(raw->RecvFrame(kDefaultMaxMessageBytes, &response).ok());
     (void)raw->Close();
   }
   Client client = Connect();
@@ -400,18 +474,19 @@ TEST_F(ServerTest, MalformedMessageGetsErrorResponseSessionSurvives) {
   auto raw = UnixSocket::Connect(socket_path_);
   ASSERT_TRUE(raw.ok());
   // CRC-clean frame whose body is garbage for the message layer.
-  ASSERT_TRUE(raw->SendFrame("not a message").ok());
-  auto response = raw->RecvFrame(kDefaultMaxMessageBytes);
-  ASSERT_TRUE(response.ok()) << response.status();
-  auto msg = DecodeMessage(*response, /*expect_request=*/false);
+  ASSERT_TRUE(raw->SendFrame({"not a message"}).ok());
+  std::string response;
+  Status received = raw->RecvFrame(kDefaultMaxMessageBytes, &response);
+  ASSERT_TRUE(received.ok()) << received;
+  auto msg = DecodeMessage(response, /*expect_request=*/false);
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg->type, MsgType::kError);
   // Same connection still answers a well-formed request.
   Message ping;
   ping.type = MsgType::kPing;
-  ASSERT_TRUE(raw->SendFrame(EncodeMessage(ping)).ok());
-  auto pong = raw->RecvFrame(kDefaultMaxMessageBytes);
-  ASSERT_TRUE(pong.ok());
+  ASSERT_TRUE(SendMessage(&*raw, ping).ok());
+  std::string pong;
+  ASSERT_TRUE(raw->RecvFrame(kDefaultMaxMessageBytes, &pong).ok());
 }
 
 TEST_F(ServerTest, CommitAfterWalPoisonErrorsWithoutWedging) {
