@@ -6,8 +6,9 @@
 // late and diluted. Everything runs on labels of a real document, where
 // code lengths and shared prefixes match what the engines actually see.
 // The BM_Document* rows and BM_SameAnnotated time the Document layer
-// (its flat node records and storage blocks) on its own: checkout
-// parsing, snapshot copies and the store's annotated-equality walk.
+// (its flat node records and storage blocks) on its own: parsing the
+// annotated text, encoding and decoding the checkpoint image, snapshot
+// copies and the store's annotated-equality walk.
 
 #include <benchmark/benchmark.h>
 
@@ -22,6 +23,7 @@
 #include "label/node_label.h"
 #include "pul/pul_view.h"
 #include "xml/document.h"
+#include "xml/document_image.h"
 #include "xml/parser.h"
 
 namespace xupdate {
@@ -200,6 +202,55 @@ void BM_DocumentParse(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
 }
 BENCHMARK(BM_DocumentParse)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// EncodeImage of a range(0) MB XMark document: what every store
+// checkpoint writes.
+void BM_DocumentImageEncode(benchmark::State& state) {
+  const bench::BenchDocument& fixture =
+      bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  std::string image;
+  for (auto _ : state) {
+    image.clear();
+    if (!xml::EncodeImage(fixture.doc, &image).ok()) {
+      state.SkipWithError("encode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(image.data());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(image.size()));
+  state.counters["image_bytes"] = static_cast<double>(image.size());
+  state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
+}
+BENCHMARK(BM_DocumentImageEncode)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// DecodeImage of the same document's image: what every store checkout
+// pays for its checkpoint (BM_DocumentParse reads the same content as
+// annotated text).
+void BM_DocumentImageDecode(benchmark::State& state) {
+  const bench::BenchDocument& fixture =
+      bench::XmarkFixture(static_cast<size_t>(state.range(0)));
+  std::string image;
+  if (!xml::EncodeImage(fixture.doc, &image).ok()) {
+    state.SkipWithError("encode failed");
+    return;
+  }
+  const double faults = bench::MinorFaults();
+  for (auto _ : state) {
+    Result<xml::Document> doc = xml::DecodeImage(image);
+    if (!doc.ok()) {
+      state.SkipWithError("decode failed");
+      break;
+    }
+    benchmark::DoNotOptimize(doc->node_count());
+  }
+  state.counters["minor_faults"] = benchmark::Counter(
+      bench::MinorFaults() - faults, benchmark::Counter::kAvgIterations);
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(image.size()));
+  state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
+}
+BENCHMARK(BM_DocumentImageDecode)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // One Document copy: the snapshot forks, folds and D6 take.
 void BM_DocumentCopy(benchmark::State& state) {

@@ -41,6 +41,10 @@ Result<std::string> ReadFileToString(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return Errno("open", path);
   std::string out;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    out.reserve(static_cast<size_t>(st.st_size));
+  }
   char buffer[1 << 16];
   for (;;) {
     ssize_t n = ::read(fd, buffer, sizeof(buffer));

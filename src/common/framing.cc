@@ -41,6 +41,15 @@ std::string EncodeFrame(std::string_view body) {
   return out;
 }
 
+void SealFrame(std::string* out, size_t frame_start) {
+  std::string_view body =
+      std::string_view(*out).substr(frame_start + kHeaderSize);
+  std::string header;
+  PutU32(&header, static_cast<uint32_t>(body.size()));
+  PutU32(&header, MaskCrc32c(Crc32c(body)));
+  out->replace(frame_start, kHeaderSize, header);
+}
+
 Status CheckBodyLength(uint32_t body_len, uint64_t max_body_bytes) {
   if (body_len > max_body_bytes) {
     return Status::ParseError("frame body of " + std::to_string(body_len) +

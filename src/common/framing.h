@@ -32,6 +32,12 @@ uint64_t GetU64(std::string_view data, size_t offset);
 // Frames `body` (header + copy of the body bytes).
 std::string EncodeFrame(std::string_view body);
 
+// EncodeFrame in place: fills in the header of the frame whose
+// kHeaderSize-byte placeholder starts at `(*out)[frame_start]` and
+// whose body runs from there to the end of `*out`. The body must fit
+// the u32 length prefix.
+void SealFrame(std::string* out, size_t frame_start);
+
 // The two checks every frame reader makes, for readers that hold the
 // header apart from the body (a socket reads the header first and only
 // then sizes the body). kParseError when `body_len` exceeds

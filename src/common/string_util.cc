@@ -1,6 +1,7 @@
 #include "common/string_util.h"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cctype>
 #include <cstdio>
@@ -33,6 +34,27 @@ void XmlEscape(std::string_view text, bool in_attribute, std::string* out) {
     run = i + 1;
   }
   out->append(text.data() + run, text.size() - run);
+}
+
+size_t XmlEscapedSize(std::string_view text, bool in_attribute) {
+  size_t size = text.size();
+  for (char c : text) {
+    switch (c) {
+      case '&':
+        size += 4;  // &amp;
+        break;
+      case '<':
+      case '>':
+        size += 3;  // &lt; &gt;
+        break;
+      case '"':
+        if (in_attribute) size += 5;  // &quot;
+        break;
+      default:
+        break;
+    }
+  }
+  return size;
 }
 
 void XmlUnescape(std::string_view text, std::string* out) {
@@ -192,6 +214,35 @@ void AppendDecimal(std::string* out, uint64_t value) {
   char buf[20];
   char* end = std::to_chars(buf, buf + sizeof(buf), value).ptr;
   out->append(buf, end);
+}
+
+size_t DecimalDigits(uint64_t value) {
+  static constexpr uint64_t kPowers[20] = {
+      1ull,
+      10ull,
+      100ull,
+      1000ull,
+      10000ull,
+      100000ull,
+      1000000ull,
+      10000000ull,
+      100000000ull,
+      1000000000ull,
+      10000000000ull,
+      100000000000ull,
+      1000000000000ull,
+      10000000000000ull,
+      100000000000000ull,
+      1000000000000000ull,
+      10000000000000000ull,
+      100000000000000000ull,
+      1000000000000000000ull,
+      10000000000000000000ull};
+  // From the bit width (1233 / 4096 ~ log10(2)): the digit count or
+  // one less, which the power table decides. 0 counts as 1.
+  value |= 1;
+  const size_t estimate = (std::bit_width(value) * 1233) >> 12;
+  return estimate + (value >= kPowers[estimate] ? 1 : 0);
 }
 
 int64_t ParseNonNegativeInt(std::string_view s) {

@@ -13,6 +13,9 @@ namespace xupdate {
 // Runs without a special character are copied in one piece.
 void XmlEscape(std::string_view text, bool in_attribute, std::string* out);
 
+// The number of bytes XmlEscape appends for `text`.
+size_t XmlEscapedSize(std::string_view text, bool in_attribute);
+
 // Appends `text` to `out` with the five predefined XML entities plus
 // decimal/hex character references resolved. Unknown entities are left
 // verbatim (non-validating). The result never outgrows the input: every
@@ -21,6 +24,9 @@ void XmlUnescape(std::string_view text, std::string* out);
 
 // Appends the decimal digits of `value` to `out`.
 void AppendDecimal(std::string* out, uint64_t value);
+
+// The number of digits AppendDecimal appends for `value`.
+size_t DecimalDigits(uint64_t value);
 
 // True if `name` is a valid (namespace-less) XML element/attribute name
 // for our non-validating subset: [A-Za-z_:][A-Za-z0-9._:-]*.

@@ -68,6 +68,32 @@ Status SerializeParam(const Document& forest, NodeId root,
   return Status::Internal("unknown parameter node type");
 }
 
+// What SerializePul reserves: an upper bound on each op's own record
+// (its kind, target, label and argument) from the op's fields, plus
+// kParamBytes per parameter tree. Only a parameter tree larger than
+// that can still grow the string: walking the forest to size the
+// trees costs more than the growth it would save.
+constexpr size_t kParamBytes = 64;
+
+size_t SerializedSizeBound(const Pul& pul) {
+  size_t size = 96;  // <pul>, the <policies/> record, </pul>
+  for (const UpdateOp& op : pul.ops()) {
+    // <op kind="K" target="N"></op>, K at most 13 characters
+    size += 40 + DecimalDigits(op.target);
+    if (op.target_label.valid()) {
+      //  label="tL:S:E:P:L:1"
+      const label::NodeLabel& l = op.target_label;
+      size += 16 + DecimalDigits(l.level) + l.start.size() + l.end.size() +
+              DecimalDigits(l.parent) + DecimalDigits(l.left_sibling);
+    }
+    if (op.kind == OpKind::kReplaceValue || op.kind == OpKind::kRename) {
+      size += 7 + XmlEscapedSize(op.param_string, true);  //  arg="V"
+    }
+    size += op.param_trees.size() * kParamBytes;
+  }
+  return size;
+}
+
 // First value of attribute `name`, or nullptr when absent.
 const std::string_view* FindAttr(
     std::span<const xml::SaxAttribute> attributes, std::string_view name) {
@@ -298,10 +324,7 @@ size_t CountOpTags(std::string_view text) {
 
 Result<std::string> SerializePul(const Pul& pul) {
   std::string out;
-  // ~96 bytes covers a typical <op .../> record (kind + target + label
-  // attributes); parameter payloads still grow the string, but the bulk
-  // of the doubling-reallocation churn comes from the per-op framing.
-  out.reserve(16 + pul.size() * 96);
+  out.reserve(SerializedSizeBound(pul));
   out += "<pul>";
   // Build first, scan once at the end: a NUL anywhere in the output can
   // only come from an operation argument or parameter value, and NUL is

@@ -1,8 +1,8 @@
 #include "store/snapshot.h"
 
 #include <algorithm>
-#include <cstring>
-#include <utility>
+
+#include "xml/document_image.h"
 
 namespace xupdate::store {
 
@@ -48,15 +48,17 @@ Result<SnapshotStore> SnapshotStore::Open(const std::string& dir,
   store.metrics_ = metrics;
   XUPDATE_ASSIGN_OR_RETURN(std::vector<std::string> names,
                            ListDirectory(dir));
+  std::string data;
+  std::string_view payload;
   for (const std::string& name : names) {
     uint64_t version = 0;
     if (!ParseName(name, &version)) continue;
-    // Probe the file now so a torn checkpoint is ignored up front
-    // instead of failing a later Checkout.
-    SnapshotStore probe;
-    probe.dir_ = dir;
-    probe.versions_.push_back(version);
-    if (!probe.Read(version).ok()) {
+    // Check the file now so a torn checkpoint is ignored up front
+    // instead of failing a later Checkout; one of the retired format
+    // fails Open.
+    Status checked = store.ReadFile(version, &data, &payload);
+    if (checked.code() == StatusCode::kInvalidArgument) return checked;
+    if (!checked.ok()) {
       ++store.skipped_files_;
       continue;
     }
@@ -72,20 +74,12 @@ Result<SnapshotStore> SnapshotStore::Open(const std::string& dir,
   return store;
 }
 
-Status SnapshotStore::Write(uint64_t version,
-                            std::string_view annotated_xml) {
+Status SnapshotStore::Write(uint64_t version, const xml::Document& doc) {
   ScopedTimer timer(metrics_, "store.snapshot.write.seconds");
-  if (annotated_xml.size() > Wal::kMaxPayloadBytes) {
-    return Status::InvalidArgument(
-        "snapshot of " + std::to_string(annotated_xml.size()) +
-        " bytes exceeds the frame limit");
-  }
-  WalFrame frame;
-  frame.type = FrameType::kSnapshot;
-  frame.version = version;
-  frame.payload = std::string(annotated_xml);
   std::string content(kSnapshotMagic, kSnapshotMagicSize);
-  content += Wal::EncodeFrame(frame);
+  size_t frame = Wal::BeginFrame(&content, FrameType::kSnapshot, version, 0);
+  XUPDATE_RETURN_IF_ERROR(xml::EncodeImage(doc, &content));
+  XUPDATE_RETURN_IF_ERROR(Wal::EndFrame(&content, frame));
   XUPDATE_RETURN_IF_ERROR(
       WriteFileAtomic(dir_ + "/" + FileName(version), content));
   if (!Has(version)) {
@@ -117,20 +111,51 @@ Result<size_t> SnapshotStore::RemoveAbove(uint64_t version) {
   return removed;
 }
 
-Result<std::string> SnapshotStore::Read(uint64_t version) const {
+Status SnapshotStore::ReadFile(uint64_t version, std::string* data,
+                               std::string_view* payload) const {
   std::string path = dir_ + "/" + FileName(version);
-  XUPDATE_ASSIGN_OR_RETURN(std::string data, ReadFileToString(path));
-  if (data.size() < kSnapshotMagicSize ||
-      std::memcmp(data.data(), kSnapshotMagic, kSnapshotMagicSize) != 0) {
+  XUPDATE_ASSIGN_OR_RETURN(*data, ReadFileToString(path));
+  std::string_view magic = std::string_view(*data).substr(
+      0, std::min(data->size(), kSnapshotMagicSize));
+  const bool retired = magic == kRetiredSnapshotMagic;
+  if (!retired && magic != kSnapshotMagic) {
     return Status::ParseError("bad snapshot magic in " + path);
   }
   size_t offset = kSnapshotMagicSize;
-  XUPDATE_ASSIGN_OR_RETURN(WalFrame frame, Wal::DecodeFrame(data, &offset));
-  if (frame.type != FrameType::kSnapshot || frame.version != version ||
-      offset != data.size()) {
+  Result<WalFrameView> frame = Wal::DecodeFrameView(*data, &offset);
+  if (!frame.ok()) {
+    return Status::ParseError("torn or corrupt snapshot file " + path +
+                              ": " + frame.status().message());
+  }
+  if (retired) {
+    return Status::InvalidArgument(
+        "snapshot file " + path + " is a checkpoint of the retired " +
+        kRetiredSnapshotMagic +
+        " format (id-annotated XML); this store reads " + kSnapshotMagic +
+        " document images only");
+  }
+  if (frame->type != FrameType::kSnapshot || frame->version != version ||
+      offset != data->size()) {
     return Status::ParseError("malformed snapshot file " + path);
   }
-  return std::move(frame.payload);
+  *payload = frame->payload;
+  return Status::OK();
+}
+
+Result<std::string> SnapshotStore::Read(uint64_t version) const {
+  std::string data;
+  std::string_view payload;
+  XUPDATE_RETURN_IF_ERROR(ReadFile(version, &data, &payload));
+  // The payload runs to the end of the file's bytes.
+  data.erase(0, data.size() - payload.size());
+  return data;
+}
+
+Result<xml::Document> SnapshotStore::Load(uint64_t version) const {
+  std::string data;
+  std::string_view payload;
+  XUPDATE_RETURN_IF_ERROR(ReadFile(version, &data, &payload));
+  return xml::DecodeImage(payload);
 }
 
 bool SnapshotStore::NearestAtOrBelow(uint64_t v, uint64_t* out) const {

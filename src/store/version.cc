@@ -9,6 +9,7 @@
 #include "core/reduce.h"
 #include "pul/apply.h"
 #include "pul/pul_io.h"
+#include "xml/document_image.h"
 #include "xml/parser.h"
 #include "xml/serializer.h"
 
@@ -40,10 +41,9 @@ Status VersionStore::Init(const std::string& dir,
   }
   XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
                            xml::ParseDocument(initial_xml));
-  XUPDATE_ASSIGN_OR_RETURN(std::string annotated, SerializeAnnotated(doc));
   XUPDATE_ASSIGN_OR_RETURN(SnapshotStore snapshots,
                            SnapshotStore::Open(dir, options.metrics));
-  XUPDATE_RETURN_IF_ERROR(snapshots.Write(0, annotated));
+  XUPDATE_RETURN_IF_ERROR(snapshots.Write(0, doc));
   XUPDATE_ASSIGN_OR_RETURN(Wal wal,
                            Wal::Create(journal, ToWalOptions(options)));
   return wal.Close();
@@ -273,9 +273,7 @@ Result<xml::Document> VersionStore::CheckoutJournal(const Journal& journal,
     return Status::ParseError("no checkpoint at or below version " +
                               std::to_string(v));
   }
-  XUPDATE_ASSIGN_OR_RETURN(std::string annotated, snapshots_.Read(base));
-  XUPDATE_ASSIGN_OR_RETURN(xml::Document doc,
-                           xml::ParseDocument(annotated));
+  XUPDATE_ASSIGN_OR_RETURN(xml::Document doc, snapshots_.Load(base));
   XUPDATE_RETURN_IF_ERROR(ReplayForward(journal, base, v, &doc));
   if (options_.metrics != nullptr) {
     options_.metrics->AddCounter("store.checkout.count");
@@ -442,9 +440,7 @@ void VersionStore::MaybeCheckpoint() {
       main_.wal.size_bytes() - wal_bytes_at_checkpoint_ >=
           options_.snapshot_bytes;
   if (!version_trigger && !byte_trigger) return;
-  Result<std::string> annotated = SerializeAnnotated(main_.doc);
-  Status written = annotated.ok() ? snapshots_.Write(main_.head, *annotated)
-                                  : annotated.status();
+  Status written = snapshots_.Write(main_.head, main_.doc);
   if (!written.ok()) {
     if (options_.metrics != nullptr) {
       options_.metrics->AddCounter("store.checkpoint.failures");
@@ -596,7 +592,7 @@ Result<BranchVerifyResult> VersionStore::VerifyJournal(
   }
   size_t offset = Wal::kMagicSize;
   while (offset < data.size()) {
-    XUPDATE_RETURN_IF_ERROR(Wal::DecodeFrame(data, &offset).status());
+    XUPDATE_RETURN_IF_ERROR(Wal::DecodeFrameView(data, &offset).status());
     ++result.frames;
   }
   if (result.frames != journal.wal.frames().size()) {
@@ -608,8 +604,7 @@ Result<BranchVerifyResult> VersionStore::VerifyJournal(
   const bool root = IsRoot(journal);
   xml::Document doc;
   if (root) {
-    XUPDATE_ASSIGN_OR_RETURN(std::string base_xml, snapshots_.Read(0));
-    XUPDATE_ASSIGN_OR_RETURN(doc, xml::ParseDocument(base_xml));
+    XUPDATE_ASSIGN_OR_RETURN(doc, snapshots_.Load(0));
     ++*snapshots_checked;
   } else {
     XUPDATE_ASSIGN_OR_RETURN(const Journal* parent,
@@ -636,7 +631,8 @@ Result<BranchVerifyResult> VersionStore::VerifyJournal(
     // the mainline replay is compared against them.
     if (root && snapshots_.Has(v)) {
       XUPDATE_ASSIGN_OR_RETURN(std::string expect, snapshots_.Read(v));
-      XUPDATE_ASSIGN_OR_RETURN(std::string got, SerializeAnnotated(doc));
+      std::string got;
+      XUPDATE_RETURN_IF_ERROR(xml::EncodeImage(doc, &got));
       if (got != expect) {
         return Status::ParseError(
             "checkpoint for version " + std::to_string(v) +

@@ -346,8 +346,9 @@ class VersionStore {
   // Flushes and closes the journal handle.
   Status Close();
 
-  // Serialization shared by checkpoints, verification and the CLI: the
-  // id-annotated non-pretty form (the store's canonical bytes).
+  // The id-annotated non-pretty form (the store's canonical bytes), in
+  // which CheckoutXml and the CLI export a version. Checkpoints hold
+  // the document image instead (store/snapshot.h).
   static Result<std::string> SerializeAnnotated(const xml::Document& doc);
 
   // The store's one undo formula, used for every PUL a rollback or
@@ -443,7 +444,8 @@ class VersionStore {
   // Verify's pass over one journal: structural re-scan, forward replay
   // to the resident head document, merge-frame resolution. The root
   // journal replays from the version-0 checkpoint and byte-compares
-  // every checkpoint on the way (counted in *snapshots_checked).
+  // every checkpoint on the way against the image of the replayed
+  // document (counted in *snapshots_checked).
   Result<BranchVerifyResult> VerifyJournal(const Journal& journal,
                                            size_t* snapshots_checked) const;
 

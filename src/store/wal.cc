@@ -51,16 +51,48 @@ std::string_view FsyncPolicyName(FsyncPolicy policy) {
 }
 
 std::string Wal::EncodeFrame(const WalFrame& frame) {
-  std::string body;
-  body.reserve(kFrameBodyFixedSize + frame.payload.size());
-  body.push_back(static_cast<char>(frame.type));
-  PutU64(&body, frame.version);
-  PutU64(&body, frame.aux);
-  body += frame.payload;
-  return framing::EncodeFrame(body);
+  std::string out;
+  out.reserve(kFrameHeaderSize + kFrameBodyFixedSize + frame.payload.size());
+  size_t start = BeginFrame(&out, frame.type, frame.version, frame.aux);
+  out += frame.payload;
+  framing::SealFrame(&out, start);
+  return out;
+}
+
+size_t Wal::BeginFrame(std::string* out, FrameType type, uint64_t version,
+                       uint64_t aux) {
+  size_t start = out->size();
+  out->append(kFrameHeaderSize, '\0');
+  out->push_back(static_cast<char>(type));
+  PutU64(out, version);
+  PutU64(out, aux);
+  return start;
+}
+
+Status Wal::EndFrame(std::string* out, size_t frame_start) {
+  size_t payload =
+      out->size() - frame_start - kFrameHeaderSize - kFrameBodyFixedSize;
+  if (payload > kMaxPayloadBytes) {
+    return Status::InvalidArgument("frame payload of " +
+                                   std::to_string(payload) +
+                                   " bytes exceeds the frame limit");
+  }
+  framing::SealFrame(out, frame_start);
+  return Status::OK();
 }
 
 Result<WalFrame> Wal::DecodeFrame(std::string_view data, size_t* offset) {
+  XUPDATE_ASSIGN_OR_RETURN(WalFrameView view, DecodeFrameView(data, offset));
+  WalFrame frame;
+  frame.type = view.type;
+  frame.version = view.version;
+  frame.aux = view.aux;
+  frame.payload = std::string(view.payload);
+  return frame;
+}
+
+Result<WalFrameView> Wal::DecodeFrameView(std::string_view data,
+                                          size_t* offset) {
   size_t pos = *offset;
   std::string_view body;
   XUPDATE_RETURN_IF_ERROR(framing::DecodeFrame(data, offset, &body));
@@ -80,11 +112,11 @@ Result<WalFrame> Wal::DecodeFrame(std::string_view data, size_t* offset) {
                                    std::to_string(pos) +
                                    " (CRC-valid frame; not corruption)");
   }
-  WalFrame frame;
+  WalFrameView frame;
   frame.type = static_cast<FrameType>(type);
   frame.version = GetU64(body, 1);
   frame.aux = GetU64(body, 9);
-  frame.payload = std::string(body.substr(kFrameBodyFixedSize));
+  frame.payload = body.substr(kFrameBodyFixedSize);
   return frame;
 }
 
@@ -123,7 +155,7 @@ Result<Wal> Wal::Open(const std::string& path, const WalOptions& options,
   size_t offset = kMagicSize;
   while (offset < data.size()) {
     size_t frame_start = offset;
-    Result<WalFrame> frame = DecodeFrame(data, &offset);
+    Result<WalFrameView> frame = DecodeFrameView(data, &offset);
     if (!frame.ok()) {
       if (frame.status().code() == StatusCode::kInvalidArgument) {
         return Status::InvalidArgument("journal " + path + ": " +

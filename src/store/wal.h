@@ -94,6 +94,14 @@ struct WalFrame {
   std::string payload;
 };
 
+// A decoded frame whose payload aliases the bytes it was decoded from.
+struct WalFrameView {
+  FrameType type = FrameType::kPul;
+  uint64_t version = 0;
+  uint64_t aux = 0;
+  std::string_view payload;
+};
+
 // Where a frame sits in the file; enough to re-read it lazily.
 struct WalFrameInfo {
   FrameType type = FrameType::kPul;
@@ -170,9 +178,22 @@ class Wal {
   // files, which are a magic header plus a single frame).
   static std::string EncodeFrame(const WalFrame& frame);
 
+  // EncodeFrame in place, for a writer that appends a large payload
+  // itself: BeginFrame appends the frame's header placeholder and fixed
+  // body fields to `out` and returns where the frame starts; the caller
+  // appends the payload; EndFrame fails (kInvalidArgument) if the
+  // payload exceeds kMaxPayloadBytes, else fills in the header.
+  static size_t BeginFrame(std::string* out, FrameType type,
+                           uint64_t version, uint64_t aux);
+  static Status EndFrame(std::string* out, size_t frame_start);
+
   // Decodes the frame starting at `data[offset]`; advances `offset` past
-  // it. Returns kParseError for a torn or corrupt frame.
+  // it. Returns kParseError for a torn or corrupt frame, and a named
+  // kInvalidArgument for a CRC-valid frame of an unknown type.
   static Result<WalFrame> DecodeFrame(std::string_view data, size_t* offset);
+  // DecodeFrame without the payload copy: the view aliases `data`.
+  static Result<WalFrameView> DecodeFrameView(std::string_view data,
+                                              size_t* offset);
 
   static constexpr char kMagic[] = "XUWAL001";  // 8 bytes, no NUL on disk
   static constexpr size_t kMagicSize = 8;

@@ -193,6 +193,10 @@ class Document {
  private:
   // Tests corrupt records through it to exercise Validate.
   friend struct DocumentTestAccess;
+  // The binary image codec (xml/document_image.h) reads and fills the
+  // records, blocks and name pool directly.
+  friend Status EncodeImage(const Document& doc, std::string* out);
+  friend Result<Document> DecodeImage(std::string_view image);
 
   // The record of `id`, which must exist: a miss stops the program.
   const NodeRecord& Get(NodeId id) const {

@@ -86,92 +86,105 @@ class MergeGoldenTest : public ::testing::Test {
     return out;
   }
 
+  static store::StoreOptions Options() {
+    store::StoreOptions options;
+    options.fsync = store::FsyncPolicy::kNever;
+    options.snapshot_every = 3;
+    return options;
+  }
+
+  // The scenario both tests pin: three merges, a five-version rollback
+  // across both mainline merge frames and a rebase. Leaves the store at
+  // `path` verified and closed.
+  void RunScenario(const std::string& path) {
+    xmark::Config config;
+    config.target_bytes = 8192;
+    auto xml = xmark::GenerateDocumentText(config);
+    ASSERT_TRUE(xml.ok()) << xml.status();
+    ASSERT_TRUE(VersionStore::Init(path, *xml, Options()).ok());
+    auto opened = VersionStore::Open(path, Options());
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    VersionStore& store = *opened;
+    next_id_base_ =
+        ((store.head_doc().max_assigned_id() / kIdBlock) + 1) * kIdBlock;
+    ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
+    ASSERT_TRUE(store.CreateBranch("x", "main", 0).ok());
+
+    // 1. Fork-point merge, four commits on the main side.
+    CommitEdits(&store, "main", 4, 101);
+    CommitEdits(&store, "w", 1, 201);
+    MergeStats stats;
+    auto merged = Merge(&store, "main", "w", {}, &stats);
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    EXPECT_EQ(stats.suffix_a, 4u);
+    EXPECT_FALSE(stats.fast_forward);
+
+    // 2. Branch-branch merge at their fork point; w's suffix holds the
+    //    merge frame of step 1.
+    CommitEdits(&store, "x", 1, 301);
+    merged = Merge(&store, "w", "x", {}, &stats);
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    EXPECT_EQ(stats.base_a, 0u);
+    EXPECT_FALSE(stats.fast_forward);
+
+    // 3. A second main-w merge, through their step-1 sync point.
+    CommitEdits(&store, "main", 1, 401);
+    CommitEdits(&store, "w", 1, 501);
+    merged = Merge(&store, "main", "w", {}, &stats);
+    ASSERT_TRUE(merged.ok()) << merged.status();
+    EXPECT_NE(stats.base_a, 0u);
+    EXPECT_FALSE(stats.fast_forward);
+
+    // 4. Five-version rollback across both mainline merge frames.
+    uint64_t head = store.head();
+    ASSERT_EQ(head, 7u);
+    auto rolled = store.Rollback(head - 5);
+    ASSERT_TRUE(rolled.ok()) << rolled.status();
+    auto rolled_xml = store.CheckoutXml(*rolled);
+    auto target_xml = store.CheckoutXml(head - 5);
+    ASSERT_TRUE(rolled_xml.ok() && target_xml.ok());
+    EXPECT_EQ(*rolled_xml, *target_xml);
+
+    // 5. Rebase of a fresh branch onto a newer mainline head.
+    ASSERT_TRUE(store.CreateBranch("r", "main", store.head()).ok());
+    CommitEdits(&store, "r", 2, 601);
+    CommitEdits(&store, "main", 1, 701);
+    RebaseOptions rebase_options;
+    rebase_options.onto = store.head();
+    rebase_options.skip_conflicting = true;
+    auto rebased = Rebase(&store, "r", rebase_options);
+    ASSERT_TRUE(rebased.ok()) << rebased.status();
+    EXPECT_TRUE(rebased->applied);
+
+    auto verified = store.Verify();
+    ASSERT_TRUE(verified.ok()) << verified.status();
+    ASSERT_TRUE(store.Close().ok());
+  }
+
   fs::path dir_;
   uint64_t next_id_base_ = 0;
 };
 
 TEST_F(MergeGoldenTest, StoreFilesArePinnedAfterMergesRollbackAndRebase) {
-  xmark::Config config;
-  config.target_bytes = 8192;
-  auto xml = xmark::GenerateDocumentText(config);
-  ASSERT_TRUE(xml.ok()) << xml.status();
   std::string path = (dir_ / "store").string();
-  store::StoreOptions options;
-  options.fsync = store::FsyncPolicy::kNever;
-  options.snapshot_every = 3;
-  ASSERT_TRUE(VersionStore::Init(path, *xml, options).ok());
-  auto opened = VersionStore::Open(path, options);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  VersionStore& store = *opened;
-  next_id_base_ =
-      ((store.head_doc().max_assigned_id() / kIdBlock) + 1) * kIdBlock;
-  ASSERT_TRUE(store.CreateBranch("w", "main", 0).ok());
-  ASSERT_TRUE(store.CreateBranch("x", "main", 0).ok());
-
-  // 1. Fork-point merge, four commits on the main side.
-  CommitEdits(&store, "main", 4, 101);
-  CommitEdits(&store, "w", 1, 201);
-  MergeStats stats;
-  auto merged = Merge(&store, "main", "w", {}, &stats);
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  EXPECT_EQ(stats.suffix_a, 4u);
-  EXPECT_FALSE(stats.fast_forward);
-
-  // 2. Branch-branch merge at their fork point; w's suffix holds the
-  //    merge frame of step 1.
-  CommitEdits(&store, "x", 1, 301);
-  merged = Merge(&store, "w", "x", {}, &stats);
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  EXPECT_EQ(stats.base_a, 0u);
-  EXPECT_FALSE(stats.fast_forward);
-
-  // 3. A second main-w merge, through their step-1 sync point.
-  CommitEdits(&store, "main", 1, 401);
-  CommitEdits(&store, "w", 1, 501);
-  merged = Merge(&store, "main", "w", {}, &stats);
-  ASSERT_TRUE(merged.ok()) << merged.status();
-  EXPECT_NE(stats.base_a, 0u);
-  EXPECT_FALSE(stats.fast_forward);
-
-  // 4. Five-version rollback across both mainline merge frames.
-  uint64_t head = store.head();
-  ASSERT_EQ(head, 7u);
-  auto rolled = store.Rollback(head - 5);
-  ASSERT_TRUE(rolled.ok()) << rolled.status();
-  auto rolled_xml = store.CheckoutXml(*rolled);
-  auto target_xml = store.CheckoutXml(head - 5);
-  ASSERT_TRUE(rolled_xml.ok() && target_xml.ok());
-  EXPECT_EQ(*rolled_xml, *target_xml);
-
-  // 5. Rebase of a fresh branch onto a newer mainline head.
-  ASSERT_TRUE(store.CreateBranch("r", "main", store.head()).ok());
-  CommitEdits(&store, "r", 2, 601);
-  CommitEdits(&store, "main", 1, 701);
-  RebaseOptions rebase_options;
-  rebase_options.onto = store.head();
-  rebase_options.skip_conflicting = true;
-  auto rebased = Rebase(&store, "r", rebase_options);
-  ASSERT_TRUE(rebased.ok()) << rebased.status();
-  EXPECT_TRUE(rebased->applied);
-
-  auto verified = store.Verify();
-  ASSERT_TRUE(verified.ok()) << verified.status();
-  ASSERT_TRUE(store.Close().ok());
+  ASSERT_NO_FATAL_FAILURE(RunScenario(path));
 
   // Recorded from the store this scenario produced before the merge
-  // path reused base checkouts and computed undo chains in one pass.
+  // path reused base checkouts and computed undo chains in one pass;
+  // the snap-* rows since checkpoints became document images (the
+  // checkout bytes of every version, pinned below, did not change).
   const std::vector<FileDigest> expected = {
       {"branch-r.log", 1016, 0x79c374cfu},
       {"branch-w.log", 18754, 0xf3d13279u},
       {"branch-x.log", 3960, 0x568ac762u},
       {"branches.log", 220, 0xc025674cu},
-      {"snap-00000000000000000000.snap", 12498, 0xe54eb0b5u},
-      {"snap-00000000000000000003.snap", 12940, 0x8b640473u},
-      {"snap-00000000000000000006.snap", 13172, 0x3ce3e052u},
-      {"snap-00000000000000000009.snap", 13172, 0xd77353afu},
-      {"snap-00000000000000000012.snap", 12662, 0xb52b5c7au},
-      {"snap-00000000000000000015.snap", 12950, 0xfffd9337u},
-      {"snap-00000000000000000018.snap", 12948, 0xf269943du},
+      {"snap-00000000000000000000.snap", 5652, 0xfe2342a3u},
+      {"snap-00000000000000000003.snap", 5829, 0x298a38cfu},
+      {"snap-00000000000000000006.snap", 5907, 0x6bb6cfecu},
+      {"snap-00000000000000000009.snap", 5907, 0x006cc069u},
+      {"snap-00000000000000000012.snap", 5724, 0x5c3cf7bdu},
+      {"snap-00000000000000000015.snap", 5830, 0xe887bc86u},
+      {"snap-00000000000000000018.snap", 5832, 0x169a0b92u},
       {"wal.log", 20088, 0xf26a8aafu},
   };
   std::vector<FileDigest> got = Digests(path);
@@ -190,6 +203,88 @@ TEST_F(MergeGoldenTest, StoreFilesArePinnedAfterMergesRollbackAndRebase) {
     EXPECT_EQ(got[i].size, expected[i].size);
     EXPECT_EQ(got[i].crc, expected[i].crc) << table;
   }
+}
+
+// The bytes CheckoutXml gives at every version of every journal of the
+// scenario's store, reopened from disk, so every mainline version is
+// read through a checkpoint. Pinned independently of the checkpoint
+// format: the snap-* rows above change with it, these must not.
+TEST_F(MergeGoldenTest, CheckoutBytesArePinnedAtEveryVersion) {
+  std::string path = (dir_ / "store").string();
+  ASSERT_NO_FATAL_FAILURE(RunScenario(path));
+  auto opened = VersionStore::Open(path, Options());
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  struct VersionDigest {
+    std::string branch;
+    uint64_t version;
+    uint64_t size;
+    uint32_t crc;
+  };
+  // Recorded with the XUSNP001 (annotated XML) checkpoints.
+  const std::vector<VersionDigest> expected = {
+      {"main", 0, 12465, 0xad04a6bdu},
+      {"main", 1, 12629, 0xe2ff9da1u},
+      {"main", 2, 12772, 0x23c6708fu},
+      {"main", 3, 12907, 0x9ec9ed91u},
+      {"main", 4, 12917, 0xa441dc82u},
+      {"main", 5, 13056, 0xadd8374eu},
+      {"main", 6, 13139, 0xdac83712u},
+      {"main", 7, 13095, 0x2bd7a36fu},
+      {"main", 8, 13056, 0xadd8374eu},
+      {"main", 9, 13139, 0xdac83712u},
+      {"main", 10, 13056, 0xadd8374eu},
+      {"main", 11, 12465, 0xad04a6bdu},
+      {"main", 12, 12629, 0xe2ff9da1u},
+      {"main", 13, 12772, 0x23c6708fu},
+      {"main", 14, 12907, 0x9ec9ed91u},
+      {"main", 15, 12917, 0xa441dc82u},
+      {"main", 16, 12907, 0x9ec9ed91u},
+      {"main", 17, 12772, 0x23c6708fu},
+      {"main", 18, 12915, 0x26845b92u},
+      {"r", 18, 12915, 0x26845b92u},
+      {"r", 19, 12701, 0x10d4650fu},
+      {"r", 20, 12654, 0x9c54490cu},
+      {"w", 0, 12465, 0xad04a6bdu},
+      {"w", 1, 12604, 0xc61113e3u},
+      {"w", 2, 13056, 0xadd8374eu},
+      {"w", 3, 13097, 0x3f6f0daau},
+      {"w", 4, 12975, 0xc1843d5cu},
+      {"w", 5, 13095, 0x2bd7a36fu},
+      {"x", 0, 12465, 0xad04a6bdu},
+      {"x", 1, 12498, 0x4d145888u},
+      {"x", 2, 13097, 0x3f6f0daau},
+  };
+  std::vector<VersionDigest> got;
+  std::vector<std::string> names = {"main"};
+  for (const std::string& name : opened->BranchNames()) {
+    names.push_back(name);
+  }
+  for (const std::string& name : names) {
+    auto info = opened->GetBranch(name);
+    ASSERT_TRUE(info.ok()) << info.status();
+    for (uint64_t v = info->fork; v <= info->head; ++v) {
+      auto xml = opened->CheckoutXmlBranch(name, v);
+      ASSERT_TRUE(xml.ok()) << name << "@" << v << ": " << xml.status();
+      got.push_back({name, v, xml->size(), Crc32c(*xml)});
+    }
+  }
+  std::string table;
+  for (const VersionDigest& d : got) {
+    char line[160];
+    std::snprintf(line, sizeof(line), "      {\"%s\", %llu, %llu, 0x%08xu},\n",
+                  d.branch.c_str(), static_cast<unsigned long long>(d.version),
+                  static_cast<unsigned long long>(d.size), d.crc);
+    table += line;
+  }
+  ASSERT_EQ(got.size(), expected.size()) << table;
+  for (size_t i = 0; i < got.size(); ++i) {
+    SCOPED_TRACE(got[i].branch + "@" + std::to_string(got[i].version));
+    EXPECT_EQ(got[i].branch, expected[i].branch);
+    EXPECT_EQ(got[i].version, expected[i].version);
+    EXPECT_EQ(got[i].size, expected[i].size);
+    EXPECT_EQ(got[i].crc, expected[i].crc) << table;
+  }
+  ASSERT_TRUE(opened->Close().ok());
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace xupdate {
 namespace {
 
@@ -33,6 +36,30 @@ TEST(AppendDecimalTest, Extremes) {
   out += ' ';
   AppendDecimal(&out, UINT64_MAX);
   EXPECT_EQ(out, "0 18446744073709551615");
+}
+
+// DecimalDigits and XmlEscapedSize give exactly the sizes AppendDecimal
+// and XmlEscape append.
+TEST(AppendDecimalTest, DigitsMatchTheAppendedText) {
+  std::vector<uint64_t> values = {0, UINT64_MAX};
+  for (uint64_t power = 1; power <= UINT64_MAX / 10; power *= 10) {
+    values.insert(values.end(), {power - 1, power, power + 1, power * 10 - 1});
+  }
+  for (uint64_t value : values) {
+    std::string text;
+    AppendDecimal(&text, value);
+    EXPECT_EQ(DecimalDigits(value), text.size()) << value;
+  }
+}
+
+TEST(XmlEscapeTest, EscapedSizeMatchesTheAppendedText) {
+  for (std::string_view text : {"", "plain", "a<b>&c", "say \"hi\"", "&&<<>>\"\""}) {
+    for (bool in_attribute : {false, true}) {
+      EXPECT_EQ(XmlEscapedSize(text, in_attribute),
+                Escaped(text, in_attribute).size())
+          << text << " in_attribute=" << in_attribute;
+    }
+  }
 }
 
 TEST(XmlEscapeTest, EscapesMarkup) {

@@ -291,6 +291,32 @@ TEST_F(PulIoTest, SerializedFormIsStable) {
             std::string::npos);
 }
 
+// SerializePul sizes its output from its ops before writing it, so the
+// string is allocated once: never grown by doubling past its bound.
+TEST_F(PulIoTest, SerializeSizesItsOutputOnce) {
+  auto expect_sized = [](const Pul& pul, const std::string& what) {
+    auto text = SerializePul(pul);
+    ASSERT_TRUE(text.ok()) << what << ": " << text.status();
+    EXPECT_GE(text->capacity(), text->size()) << what;
+    EXPECT_LE(text->capacity(), text->size() + text->size() / 4 + 128)
+        << what;
+  };
+  expect_sized(MakeRichPul(), "rich PUL");
+  xmark::Config config;
+  config.target_bytes = 64 << 10;
+  auto doc = xmark::GenerateDocument(config);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  label::Labeling labeling = label::Labeling::Build(*doc);
+  for (size_t num_ops : {1, 100, 4000}) {
+    workload::PulGenerator gen(*doc, labeling, num_ops);
+    workload::PulGenerator::PulOptions options;
+    options.num_ops = num_ops;
+    auto pul = gen.Generate(options);
+    ASSERT_TRUE(pul.ok()) << pul.status();
+    expect_sized(*pul, std::to_string(num_ops) + " generated ops");
+  }
+}
+
 TEST_F(PulIoTest, ParseRejectsGarbage) {
   EXPECT_FALSE(ParsePul("<notpul/>").ok());
   EXPECT_FALSE(ParsePul("<pul><op/></pul>").ok());

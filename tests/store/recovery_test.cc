@@ -360,5 +360,80 @@ TEST_F(RecoveryTest, FaultInjectionBudgetSweep) {
   }
 }
 
+// A checkpoint cut at any byte, or with any one byte flipped, is
+// skipped and counted at Open, and the version it held still checks
+// out byte-identically by replay from the checkpoint below it.
+TEST_F(RecoveryTest, TornOrFlippedCheckpointIsIgnored) {
+  std::string clone = CloneTruncated(journal_.size(), "damaged_snapshot");
+  std::string snap_path = clone + "/" + SnapshotStore::FileName(3);
+  auto snap = ReadFileToString(snap_path);
+  ASSERT_TRUE(snap.ok()) << snap.status();
+  const std::string good = *snap;
+  auto expect_ignored = [&](const std::string& damaged,
+                            const std::string& what) {
+    ASSERT_TRUE(WriteFileAtomic(snap_path, damaged).ok());
+    OpenReport report;
+    auto store = VersionStore::Open(clone, {}, &report);
+    ASSERT_TRUE(store.ok()) << what << ": " << store.status();
+    EXPECT_EQ(report.snapshots_ignored, 1u) << what;
+    EXPECT_FALSE(store->snapshots().Has(3)) << what;
+    auto xml = store->CheckoutXml(3);
+    ASSERT_TRUE(xml.ok()) << what << ": " << xml.status();
+    EXPECT_EQ(*xml, expected_[3]) << what;
+    ASSERT_TRUE(store->Close().ok());
+  };
+  for (size_t cut = 0; cut < good.size(); ++cut) {
+    ASSERT_NO_FATAL_FAILURE(expect_ignored(good.substr(0, cut),
+                                           "cut at " + std::to_string(cut)));
+  }
+  for (size_t at = 0; at < good.size(); ++at) {
+    std::string flipped = good;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0xff);
+    ASSERT_NO_FATAL_FAILURE(
+        expect_ignored(flipped, "byte " + std::to_string(at) + " flipped"));
+  }
+  // Restored, the checkpoint serves again.
+  ASSERT_TRUE(WriteFileAtomic(snap_path, good).ok());
+  OpenReport report;
+  auto store = VersionStore::Open(clone, {}, &report);
+  ASSERT_TRUE(store.ok()) << store.status();
+  EXPECT_EQ(report.snapshots_ignored, 0u);
+  EXPECT_TRUE(store->snapshots().Has(3));
+}
+
+// A complete checkpoint of the retired XUSNP001 format (id-annotated
+// XML) fails Open with an error naming the file and the format; a torn
+// one is skipped like any torn file.
+TEST_F(RecoveryTest, RetiredXmlCheckpointFailsOpen) {
+  std::string clone = CloneTruncated(journal_.size(), "retired_snapshot");
+  std::string snap_path = clone + "/" + SnapshotStore::FileName(3);
+  WalFrame frame;
+  frame.type = FrameType::kSnapshot;
+  frame.version = 3;
+  frame.payload = expected_[3];
+  std::string retired =
+      std::string(kRetiredSnapshotMagic, kSnapshotMagicSize) +
+      Wal::EncodeFrame(frame);
+  ASSERT_TRUE(WriteFileAtomic(snap_path, retired).ok());
+  auto store = VersionStore::Open(clone);
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(store.status().message().find(SnapshotStore::FileName(3)),
+            std::string::npos)
+      << store.status();
+  EXPECT_NE(store.status().message().find("XUSNP001"), std::string::npos)
+      << store.status();
+
+  ASSERT_TRUE(
+      WriteFileAtomic(snap_path, retired.substr(0, retired.size() - 1)).ok());
+  OpenReport report;
+  auto reopened = VersionStore::Open(clone, {}, &report);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(report.snapshots_ignored, 1u);
+  auto xml = reopened->CheckoutXml(3);
+  ASSERT_TRUE(xml.ok()) << xml.status();
+  EXPECT_EQ(*xml, expected_[3]);
+}
+
 }  // namespace
 }  // namespace xupdate::store

@@ -348,5 +348,48 @@ TEST_F(VersionStoreTest, MetricsAndTracerObserveLifecycle) {
   EXPECT_TRUE(saw_checkpoint);
 }
 
+// A whitespace-only text node is content like any other: a checkpoint
+// must keep it, so the checkpointed version, a reopened head and Verify
+// all agree with the resident head. (The XML parser drops such text by
+// default, so a checkpoint read back as parsed XML lost it.)
+TEST_F(VersionStoreTest, WhitespaceOnlyTextSurvivesCheckpoint) {
+  auto base = xml::ParseDocument("<a><b>x</b></a>");
+  ASSERT_TRUE(base.ok()) << base.status();
+  auto base_xml = VersionStore::SerializeAnnotated(*base);
+  ASSERT_TRUE(base_xml.ok());
+  StoreOptions options;
+  options.snapshot_every = 1;
+  ASSERT_TRUE(VersionStore::Init(StoreDir(), *base_xml, options).ok());
+  std::string head_xml;
+  {
+    auto store = VersionStore::Open(StoreDir(), options);
+    ASSERT_TRUE(store.ok()) << store.status();
+    label::Labeling labeling = label::Labeling::Build(store->head_doc());
+    pul::Pul pul;
+    pul.BindIdSpace(store->head_doc().max_assigned_id() + 1);
+    ASSERT_TRUE(
+        pul.AddStringOp(pul::OpKind::kReplaceValue, 3, labeling, "   ").ok());
+    auto version = store->Commit(pul);
+    ASSERT_TRUE(version.ok()) << version.status();
+    ASSERT_EQ(store->snapshots().versions(), (std::vector<uint64_t>{0, 1}));
+    auto xml = VersionStore::SerializeAnnotated(store->head_doc());
+    ASSERT_TRUE(xml.ok());
+    head_xml = *xml;
+    EXPECT_EQ(head_xml, "<a xu:ids=\"1\"><b xu:ids=\"2\"><?xuid 3?>   </b></a>");
+    auto checkout = store->CheckoutXml(*version);
+    ASSERT_TRUE(checkout.ok()) << checkout.status();
+    EXPECT_EQ(*checkout, head_xml);
+    ASSERT_TRUE(store->Close().ok());
+  }
+  auto reopened = VersionStore::Open(StoreDir(), options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_TRUE(reopened->head_doc().Exists(3));
+  auto xml = VersionStore::SerializeAnnotated(reopened->head_doc());
+  ASSERT_TRUE(xml.ok());
+  EXPECT_EQ(*xml, head_xml);
+  auto verify = reopened->Verify();
+  EXPECT_TRUE(verify.ok()) << verify.status();
+}
+
 }  // namespace
 }  // namespace xupdate::store

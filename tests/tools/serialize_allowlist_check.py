@@ -28,10 +28,7 @@ CALL = "SerializeAnnotated("
 ALLOWED = {
     ("store/version.h", "SerializeAnnotated"): "the declaration",
     ("store/version.cc", "SerializeAnnotated"): "the definition",
-    ("store/version.cc", "Init"): "writes the base snapshot",
-    ("store/version.cc", "MaybeCheckpoint"): "writes a snapshot",
     ("store/version.cc", "CheckoutXml"): "returns the bytes",
-    ("store/version.cc", "VerifyJournal"): "compares against a snapshot on disk",
     ("store/branch.cc", "CheckoutXmlBranch"): "returns the bytes",
 }
 
