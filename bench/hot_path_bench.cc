@@ -8,7 +8,8 @@
 // The BM_Document* rows and BM_SameAnnotated time the Document layer
 // (its flat node records and storage blocks) on its own: parsing the
 // annotated text, encoding and decoding the checkpoint image, snapshot
-// copies and the store's annotated-equality walk.
+// copies and the store's annotated-equality walk. BM_Invert times the
+// undo that merge, rebase and rollback compute per PUL.
 
 #include <benchmark/benchmark.h>
 
@@ -19,9 +20,12 @@
 
 #include "bench_util.h"
 #include "common/random.h"
+#include "core/invert.h"
+#include "core/reduce.h"
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "pul/pul_view.h"
+#include "workload/pul_generator.h"
 #include "xml/document.h"
 #include "xml/document_image.h"
 #include "xml/parser.h"
@@ -284,6 +288,59 @@ void BM_SameAnnotated(benchmark::State& state) {
   state.counters["nodes"] = static_cast<double>(fixture.doc.node_count());
 }
 BENCHMARK(BM_SameAnnotated)->Arg(1)->Unit(benchmark::kMillisecond);
+
+// A seeded 2000-op PUL on the 1 MB fixture (reducible fraction 0.2),
+// reduced in deterministic mode: O-irreducible, as Invert requires, and
+// so is every prefix of it.
+const pul::Pul& ReducedPulFixture() {
+  static const pul::Pul* reduced = [] {
+    const bench::BenchDocument& fixture = bench::XmarkFixture(1);
+    workload::PulGenerator gen(fixture.doc, fixture.labeling, 11);
+    workload::PulGenerator::PulOptions options;
+    options.num_ops = 2000;
+    options.reducible_fraction = 0.2;
+    auto pul = gen.Generate(options);
+    if (!pul.ok()) abort();
+    auto out = core::Reduce(*pul, {.mode = core::ReduceMode::kDeterministic});
+    if (!out.ok()) abort();
+    return new pul::Pul(std::move(*out));
+  }();
+  return *reduced;
+}
+
+// Invert of the first range(0) operations of that PUL: its O-rule check
+// (OverriddenOps) plus the inverse ops and the labels of their targets.
+// Each 4x step in operations should cost no more than ~4x time.
+void BM_Invert(benchmark::State& state) {
+  const bench::BenchDocument& fixture = bench::XmarkFixture(1);
+  const pul::Pul& reduced = ReducedPulFixture();
+  const size_t n = static_cast<size_t>(state.range(0));
+  if (reduced.size() < n) {
+    state.SkipWithError("reduced PUL has too few operations");
+    return;
+  }
+  pul::Pul prefix;
+  prefix.BindIdSpace(1);
+  for (size_t i = 0; i < n; ++i) {
+    if (!prefix.AdoptOp(reduced.forest(), reduced.ops()[i]).ok()) abort();
+  }
+  for (auto _ : state) {
+    Result<pul::Pul> inverse = core::Invert(fixture.doc, prefix);
+    if (!inverse.ok()) {
+      state.SkipWithError(inverse.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(inverse->size());
+  }
+  state.counters["ops"] = static_cast<double>(n);
+}
+BENCHMARK(BM_Invert)
+    ->Arg(20)
+    ->Arg(100)
+    ->Arg(400)
+    ->Arg(1000)
+    ->Arg(1787)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace xupdate

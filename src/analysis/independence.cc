@@ -1,12 +1,10 @@
 #include "analysis/independence.h"
 
-#include <algorithm>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "label/bitstring.h"
-#include "label/node_label.h"
+#include "pul/override.h"
 #include "pul/pul_view.h"
 #include "pul/update_op.h"
 
@@ -14,50 +12,13 @@ namespace xupdate::analysis {
 
 namespace {
 
-using label::NodeLabel;
 using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
 using xml::NodeId;
-using xml::NodeType;
 
-// repN with an empty replacement list behaves exactly like del
-// (footnote 3 of the paper); Algorithm 1 treats it as del and so does
-// the static mirror.
-OpKind EffectiveKind(const UpdateOp& op) {
-  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
-    return OpKind::kDelete;
-  }
-  return op.kind;
-}
-
-bool IsType1Kind(OpKind kind) {
-  return kind == OpKind::kRename || kind == OpKind::kReplaceNode ||
-         kind == OpKind::kReplaceChildren || kind == OpKind::kReplaceValue;
-}
-
-bool IsType3Kind(OpKind kind) {
-  return kind == OpKind::kInsBefore || kind == OpKind::kInsAfter ||
-         kind == OpKind::kInsFirst || kind == OpKind::kInsLast;
-}
-
-// Operations a same-target repN/del overrides (type-4 conflicts), as in
-// integrate.cc.
-bool IsLocallyOverridable(OpKind effective) {
-  switch (effective) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsAttributes:
-    case OpKind::kInsInto:
-    case OpKind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
+constexpr pul::OverrideRelation kAcrossPuls =
+    pul::OverrideRelation::kAcrossPuls;
 
 std::set<std::string_view> InsertedAttributeNames(const Pul& pul,
                                                   const UpdateOp& op) {
@@ -72,10 +33,14 @@ std::set<std::string_view> InsertedAttributeNames(const Pul& pul,
 // conflict iff some cross-PUL pair passes one of these tests.
 const char* SameTargetConflict(const Pul& pul_a, const UpdateOp& a,
                                const Pul& pul_b, const UpdateOp& b) {
-  OpKind ea = EffectiveKind(a);
-  OpKind eb = EffectiveKind(b);
-  if (ea == eb && IsType1Kind(ea)) return "repeated-modification";
-  if (ea == eb && IsType3Kind(ea)) return "insertion-order";
+  OpKind ea = pul::EffectiveKind(a);
+  OpKind eb = pul::EffectiveKind(b);
+  if (ea == eb && pul::HasKind(pul::kRepeatedModificationKinds, ea)) {
+    return "repeated-modification";
+  }
+  if (ea == eb && pul::HasKind(pul::kInsertionOrderKinds, ea)) {
+    return "insertion-order";
+  }
   if (ea == OpKind::kInsAttributes && eb == OpKind::kInsAttributes) {
     std::set<std::string_view> names_a = InsertedAttributeNames(pul_a, a);
     for (std::string_view name : InsertedAttributeNames(pul_b, b)) {
@@ -83,64 +48,13 @@ const char* SameTargetConflict(const Pul& pul_a, const UpdateOp& a,
     }
   }
   auto local_override = [](OpKind overrider, OpKind other) {
-    bool full =
-        overrider == OpKind::kReplaceNode || overrider == OpKind::kDelete;
-    if (full) {
-      return IsLocallyOverridable(other) &&
-             !(overrider == OpKind::kDelete && other == OpKind::kDelete);
-    }
-    if (overrider == OpKind::kReplaceChildren) {
-      return other == OpKind::kInsFirst || other == OpKind::kInsInto ||
-             other == OpKind::kInsLast;
-    }
-    return false;
+    const pul::OverrideRule* rule = pul::SameTargetRule(overrider);
+    return rule != nullptr && pul::Overrides(*rule, other, kAcrossPuls);
   };
   if (local_override(ea, eb) || local_override(eb, ea)) {
     return "local-override";
   }
   return nullptr;
-}
-
-// The type-5 rule: `over` (an effective repN/del/repC) against an op of
-// the other PUL whose target lies strictly inside its subtree.
-bool NonLocalOverride(const UpdateOp& over, const UpdateOp& inner) {
-  OpKind ok = EffectiveKind(over);
-  bool full = ok == OpKind::kReplaceNode || ok == OpKind::kDelete;
-  bool children_only = ok == OpKind::kReplaceChildren;
-  if (!full && !children_only) return false;
-  if (EffectiveKind(inner) == OpKind::kDelete) return false;
-  if (children_only && inner.target_label.parent == over.target &&
-      inner.target_label.type == NodeType::kAttribute) {
-    return false;  // attributes of the repC target survive
-  }
-  return true;
-}
-
-// Labeled ops of one PUL sorted by document order of the targets, for
-// the containment sweep. `key` caches the start code's order-preserving
-// 64-bit prefix (label::BitString::PrefixKey64): the sort and the sweep
-// compare keys first and fall back to the full code only on ties.
-struct ByStart {
-  uint64_t key;
-  const UpdateOp* op;
-  int index;
-};
-
-std::vector<ByStart> SortByStart(const Pul& pul) {
-  std::vector<ByStart> out;
-  const auto& ops = pul.ops();
-  out.reserve(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    out.push_back({ops[i].target_label.start.PrefixKey64(), &ops[i],
-                   static_cast<int>(i)});
-  }
-  std::sort(out.begin(), out.end(), [](const ByStart& x, const ByStart& y) {
-    int c = label::BitString::CompareKeyed(x.key, x.op->target_label.start,
-                                           y.key, y.op->target_label.start);
-    if (c != 0) return c < 0;
-    return x.index < y.index;
-  });
-  return out;
 }
 
 }  // namespace
@@ -197,63 +111,26 @@ IndependenceReport AnalyzeIndependence(const Pul& a, const Pul& b) {
   }
 
   // Conflict class 5 needs a target of one PUL strictly inside the
-  // subtree of an overriding op of the other. Sweep each PUL's overrider
-  // intervals over the other's targets in document order.
-  std::vector<ByStart> a_sorted = SortByStart(a);
-  std::vector<ByStart> b_sorted = SortByStart(b);
-  auto scan_overriders = [](const std::vector<ByStart>& overs,
-                            const std::vector<ByStart>& inners, int* over_out,
-                            int* inner_out) {
-    for (const ByStart& over : overs) {
-      OpKind ok = EffectiveKind(*over.op);
-      if (ok != OpKind::kReplaceNode && ok != OpKind::kDelete &&
-          ok != OpKind::kReplaceChildren) {
-        continue;
-      }
-      const NodeLabel& lab = over.op->target_label;
-      const uint64_t end_key = lab.end.PrefixKey64();
-      // First inner whose start lies after the overrider's start; walk
-      // while still inside the [start, end] interval. The binary search
-      // and the walk both run on the cached keys.
-      auto first = std::upper_bound(
-          inners.begin(), inners.end(), over,
-          [](const ByStart& s, const ByStart& x) {
-            return label::BitString::CompareKeyed(
-                       s.key, s.op->target_label.start, x.key,
-                       x.op->target_label.start) < 0;
-          });
-      for (auto it = first; it != inners.end(); ++it) {
-        if (label::BitString::CompareKeyed(it->key,
-                                           it->op->target_label.start,
-                                           end_key, lab.end) >= 0) {
-          break;
-        }
-        if (!label::IsDescendantOf(it->op->target_label, lab)) continue;
-        if (NonLocalOverride(*over.op, *it->op)) {
-          *over_out = over.index;
-          *inner_out = it->index;
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-  int x = -1;
-  int y = -1;
-  if (scan_overriders(a_sorted, b_sorted, &x, &y)) {
-    report.verdict = IndependenceVerdict::kMustConflict;
-    report.op_a = x;
-    report.op_b = y;
-    report.reason = "non-local-override";
-    return report;
-  }
-  if (scan_overriders(b_sorted, a_sorted, &x, &y)) {
-    report.verdict = IndependenceVerdict::kMustConflict;
-    report.op_a = y;
-    report.op_b = x;
-    report.reason = "non-local-override";
-    return report;
-  }
+  // subtree of an overriding op of the other: the first such pair of
+  // the shared containment sweep over both PULs.
+  const std::vector<pul::SweepOp> ops =
+      pul::LabeledInSweepOrder({&a.ops(), &b.ops()}, kAcrossPuls);
+  pul::SweepOverrides(ops, kAcrossPuls,
+                      [&report](const pul::SweepOp& op,
+                                const pul::OpenOverriders& open) {
+                        if (report.verdict ==
+                            IndependenceVerdict::kMustConflict) {
+                          return;
+                        }
+                        const pul::OpenOverrider* over = open.Outermost();
+                        if (over == nullptr) return;
+                        report.verdict = IndependenceVerdict::kMustConflict;
+                        report.reason = "non-local-override";
+                        const bool a_over = over->op->pul == 0;
+                        report.op_a = a_over ? over->op->index : op.index;
+                        report.op_b = a_over ? op.index : over->op->index;
+                      });
+  if (report.verdict == IndependenceVerdict::kMustConflict) return report;
 
   // Fully labeled and no rule can fire on any related pair: the label
   // sets are disjoint per conflict class — provably no conflict.

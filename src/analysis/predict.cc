@@ -6,85 +6,32 @@
 #include <unordered_set>
 #include <vector>
 
-#include "label/bitstring.h"
 #include "label/node_label.h"
+#include "pul/override.h"
 #include "pul/update_op.h"
 
 namespace xupdate::analysis {
 
 namespace {
 
-using label::BitString;
 using label::NodeLabel;
 using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
 using xml::kInvalidNode;
 using xml::NodeId;
-using xml::NodeType;
-
-bool IsKillerKind(OpKind kind) {
-  return kind == OpKind::kReplaceNode || kind == OpKind::kDelete ||
-         kind == OpKind::kReplaceChildren;
-}
 
 // Marks the ops the first override sweep (rules O3/O4) is guaranteed to
-// drop: target strictly inside the subtree interval of another op's
-// repN/del target, or of a repC target (attributes of the repC target
-// itself excepted). Mirrors Reducer::SweepOverrides.
+// drop: the shared containment sweep finds an overrider above them.
 std::vector<char> SweptOps(const std::vector<UpdateOp>& ops) {
+  const std::vector<pul::SweepOp> labeled = pul::LabeledInSweepOrder(
+      {&ops}, pul::OverrideRelation::kWithinPul);
   std::vector<char> swept(ops.size(), 0);
-  struct Event {
-    const BitString* code;
-    int type;  // 0 = query, 1 = killer-interval open
-    int op_index;
-  };
-  std::vector<Event> events;
-  events.reserve(ops.size() * 2);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    if (!op.target_label.valid()) continue;
-    events.push_back({&op.target_label.start, 0, static_cast<int>(i)});
-    if (IsKillerKind(op.kind)) {
-      events.push_back({&op.target_label.start, 1, static_cast<int>(i)});
-    }
-  }
-  std::sort(events.begin(), events.end(),
-            [](const Event& a, const Event& b) {
-              int c = a.code->Compare(*b.code);
-              if (c != 0) return c < 0;
-              return a.type < b.type;
-            });
-  struct OpenKiller {
-    int op_index;
-    bool children_only;
-  };
-  std::vector<OpenKiller> open;
-  for (const Event& ev : events) {
-    const UpdateOp& op = ops[static_cast<size_t>(ev.op_index)];
-    while (!open.empty()) {
-      const UpdateOp& killer = ops[static_cast<size_t>(open.back().op_index)];
-      if (killer.target_label.end < *ev.code) {
-        open.pop_back();
-      } else {
-        break;
-      }
-    }
-    if (ev.type == 1) {
-      open.push_back({ev.op_index, op.kind == OpKind::kReplaceChildren});
-      continue;
-    }
-    for (const OpenKiller& k : open) {
-      const UpdateOp& killer = ops[static_cast<size_t>(k.op_index)];
-      if (killer.target == op.target) continue;
-      if (k.children_only && op.target_label.parent == killer.target &&
-          op.target_label.type == NodeType::kAttribute) {
-        continue;
-      }
-      swept[static_cast<size_t>(ev.op_index)] = 1;
-      break;
-    }
-  }
+  pul::SweepOverrides(labeled, pul::OverrideRelation::kWithinPul,
+                      [&swept](const pul::SweepOp& op,
+                               const pul::OpenOverriders& open) {
+                        if (open.Outermost() != nullptr) swept[op.index] = 1;
+                      });
   return swept;
 }
 
@@ -117,11 +64,11 @@ size_t GroupUpperBound(const std::array<size_t, pul::kNumOpKinds>& c) {
   return total + before + after;
 }
 
-// True if any pair of ops is related by a rule relation: same target,
-// parent / left-sibling link (the I10-I20 neighbor rules), or interval
-// containment (the O3/O4 sweep). Without such a pair the fixpoint is
-// empty and Reduce cannot change the operation list.
-bool AnyRelatedPair(const std::vector<UpdateOp>& ops) {
+// True if any pair of ops shares a target or a parent / left-sibling
+// link (the I10-I20 neighbor rules). Without such a pair, and with no
+// op under a subtree overrider, the fixpoint is empty and Reduce cannot
+// change the operation list.
+bool AnyNeighborPair(const std::vector<UpdateOp>& ops) {
   std::unordered_set<NodeId> targets;
   for (const UpdateOp& op : ops) {
     if (!targets.insert(op.target).second) return true;  // shared target
@@ -136,22 +83,6 @@ bool AnyRelatedPair(const std::vector<UpdateOp>& ops) {
         targets.count(lab.left_sibling) != 0) {
       return true;
     }
-  }
-  // Containment: sweep the labeled target intervals in document order;
-  // any interval opening inside another means a nested pair.
-  std::vector<const NodeLabel*> labeled;
-  labeled.reserve(ops.size());
-  for (const UpdateOp& op : ops) {
-    if (op.target_label.valid()) labeled.push_back(&op.target_label);
-  }
-  std::sort(labeled.begin(), labeled.end(),
-            [](const NodeLabel* a, const NodeLabel* b) {
-              return a->start < b->start;
-            });
-  const NodeLabel* open = nullptr;
-  for (const NodeLabel* lab : labeled) {
-    if (open != nullptr && lab->start < open->end) return true;
-    if (open == nullptr || open->end < lab->start) open = lab;
   }
   return false;
 }
@@ -172,13 +103,15 @@ ReductionPrediction PredictReduction(const Pul& pul) {
     p.no_rule_can_fire = true;
     return p;
   }
-  p.no_rule_can_fire = !AnyRelatedPair(ops);
+  std::vector<char> swept = SweptOps(ops);
+  p.no_rule_can_fire =
+      !AnyNeighborPair(ops) &&
+      std::find(swept.begin(), swept.end(), 1) == swept.end();
   if (p.no_rule_can_fire) {
     p.surviving_upper_bound = ops.size();
     return p;
   }
 
-  std::vector<char> swept = SweptOps(ops);
   std::unordered_map<NodeId, std::array<size_t, pul::kNumOpKinds>> groups;
   for (size_t i = 0; i < ops.size(); ++i) {
     if (swept[i] != 0) continue;

@@ -22,7 +22,8 @@ struct ReductionPrediction {
   // guaranteed to happen (each removes at least one op).
   size_t guaranteed_kills = 0;
   // No pair of operations is related by any Figure 2 rule relation
-  // (same target, parent / left-sibling link, subtree containment):
+  // (same target, parent / left-sibling link, a target inside the
+  // subtree of a repN/del/repC):
   // the rule fixpoint is a no-op. Reduce is then the identity in kPlain
   // mode; in kDeterministic mode it additionally requires
   // !has_ins_into (stage 10 rewrites insInto to insFirst); kCanonical

@@ -10,6 +10,7 @@
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "obs/trace.h"
+#include "pul/override.h"
 #include "pul/pul_view.h"
 #include "pul/update_op.h"
 
@@ -21,43 +22,9 @@ using pul::OpKind;
 using pul::Pul;
 using pul::UpdateOp;
 using xml::NodeId;
-using xml::NodeType;
 
-// repN with an empty replacement list behaves exactly like del
-// (footnote 3 of the paper); the conflict rules treat it as del.
-OpKind EffectiveKind(const UpdateOp& op) {
-  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
-    return OpKind::kDelete;
-  }
-  return op.kind;
-}
-
-bool IsType1Kind(OpKind kind) {
-  return kind == OpKind::kRename || kind == OpKind::kReplaceNode ||
-         kind == OpKind::kReplaceChildren || kind == OpKind::kReplaceValue;
-}
-
-bool IsType3Kind(OpKind kind) {
-  return kind == OpKind::kInsBefore || kind == OpKind::kInsAfter ||
-         kind == OpKind::kInsFirst || kind == OpKind::kInsLast;
-}
-
-// Operations a same-target repN/del overrides (local override, rule 4).
-bool IsLocallyOverridable(OpKind effective) {
-  switch (effective) {
-    case OpKind::kRename:
-    case OpKind::kReplaceValue:
-    case OpKind::kReplaceChildren:
-    case OpKind::kInsFirst:
-    case OpKind::kInsLast:
-    case OpKind::kInsAttributes:
-    case OpKind::kInsInto:
-    case OpKind::kDelete:
-      return true;
-    default:
-      return false;
-  }
-}
+constexpr pul::OverrideRelation kAcrossPuls =
+    pul::OverrideRelation::kAcrossPuls;
 
 // Stable trace id of an input operation: PUL index + listing index.
 std::string RefId(const OpRef& ref) {
@@ -82,7 +49,6 @@ struct Group {
   uint64_t start_key = 0;
   uint64_t end_key = 0;
   std::vector<TaggedOp*> ops;
-  std::vector<int> children;  // indices into the group vector (type-5 tree)
 };
 
 // Per-shard scratch for DetectLocalConflicts: one bucket per op kind,
@@ -154,12 +120,16 @@ void Integrator::DetectLocalConflicts(Group& group, LocalScratch* scratch,
   // Types 1 and 3: same effective kind, same target.
   for (int k = 0; k < pul::kNumOpKinds; ++k) {
     OpKind kind = static_cast<OpKind>(k);
-    if (!IsType1Kind(kind) && !IsType3Kind(kind)) continue;
+    const bool repeated =
+        pul::HasKind(pul::kRepeatedModificationKinds, kind);
+    if (!repeated && !pul::HasKind(pul::kInsertionOrderKinds, kind)) {
+      continue;
+    }
     const std::vector<TaggedOp*>& same_kind = scratch->by_kind[k];
     if (same_kind.size() < 2 || !distinct_puls(same_kind)) continue;
     Conflict c;
-    c.type = IsType1Kind(kind) ? ConflictType::kRepeatedModification
-                               : ConflictType::kInsertionOrder;
+    c.type = repeated ? ConflictType::kRepeatedModification
+                      : ConflictType::kInsertionOrder;
     for (TaggedOp* t : same_kind) {
       c.ops.push_back(t->ref);
       t->conflicted = true;
@@ -231,29 +201,16 @@ void Integrator::DetectLocalConflicts(Group& group, LocalScratch* scratch,
     }
   }
 
-  // Type 4: local overrides.
+  // Type 4: local overrides, the same-target rows read across PULs.
   for (TaggedOp* overrider : group.ops) {
-    OpKind ok = overrider->effective;
-    bool full = ok == OpKind::kReplaceNode || ok == OpKind::kDelete;
-    bool children_only = ok == OpKind::kReplaceChildren;
-    if (!full && !children_only) continue;
+    const pul::OverrideRule* rule = pul::SameTargetRule(overrider->effective);
+    if (rule == nullptr) continue;
     Conflict c;
     c.type = ConflictType::kLocalOverride;
     c.overrider = overrider->ref;
     for (TaggedOp* other : group.ops) {
-      if (other == overrider || other->ref.pul == overrider->ref.pul) {
-        continue;
-      }
-      OpKind o2 = other->effective;
-      bool hit = false;
-      if (full) {
-        hit = IsLocallyOverridable(o2) &&
-              !(ok == OpKind::kDelete && o2 == OpKind::kDelete);
-      } else {
-        hit = o2 == OpKind::kInsFirst || o2 == OpKind::kInsInto ||
-              o2 == OpKind::kInsLast;
-      }
-      if (hit) {
+      if (other->ref.pul != overrider->ref.pul &&
+          pul::Overrides(*rule, other->effective, kAcrossPuls)) {
         c.ops.push_back(other->ref);
         other->conflicted = true;
       }
@@ -267,47 +224,70 @@ void Integrator::DetectLocalConflicts(Group& group, LocalScratch* scratch,
 
 void Integrator::DetectNonLocalConflicts(size_t begin, size_t end,
                                          std::vector<Conflict>* out) {
-  // Postorder over the target tree built in Run(); every node passes the
-  // list of operations in its subtree up to its parent, where the
-  // ancestor's repN/del/repC operations are matched against them.
-  std::vector<std::vector<TaggedOp*>> subtree(end - begin);
-  // groups_ is in document order, so children always follow parents;
-  // iterate in reverse for a valid postorder.
-  for (size_t gi = end; gi-- > begin;) {
-    Group& g = groups_[gi];
-    std::vector<TaggedOp*> below;
-    for (int child : g.children) {
-      auto& sub = subtree[static_cast<size_t>(child) - begin];
-      below.insert(below.end(), sub.begin(), sub.end());
-      sub.clear();
-      sub.shrink_to_fit();
+  if (end - begin < 2) return;  // one target: nothing lies inside another
+  // The shard's ops in document order (group by group), swept once: each
+  // op joins the conflict of every open overrider of another PUL whose
+  // subtree row reaches it. An op's sweep index is its TaggedOp's.
+  std::vector<pul::SweepOp> ops;
+  std::vector<size_t> group_begin;  // first sweep op of each group
+  group_begin.reserve(end - begin + 1);
+  bool any_overrider = false;
+  for (size_t gi = begin; gi < end; ++gi) {
+    // The group's position, with its cached keys and one label's codes.
+    const Group& g = groups_[gi];
+    pul::SweepOp op;
+    op.start_key = g.start_key;
+    op.end_key = g.end_key;
+    op.start = &g.label->start;
+    op.end = &g.label->end;
+    op.target = g.target;
+    op.parent = g.label->parent;
+    op.attribute = g.label->type == xml::NodeType::kAttribute;
+    group_begin.push_back(ops.size());
+    for (const TaggedOp* t : g.ops) {
+      op.index = static_cast<int32_t>(t - tagged_.data());
+      op.pul = t->ref.pul;
+      op.kind = t->effective;
+      ops.push_back(op);
+      any_overrider |= pul::SubtreeRule(op.kind) != nullptr;
     }
-    for (TaggedOp* overrider : g.ops) {
-      OpKind ok = overrider->effective;
-      bool full = ok == OpKind::kReplaceNode || ok == OpKind::kDelete;
-      bool children_only = ok == OpKind::kReplaceChildren;
-      if (!full && !children_only) continue;
+  }
+  if (!any_overrider) return;
+  group_begin.push_back(ops.size());
+  std::vector<std::vector<const pul::SweepOp*>> victims(ops.size());
+  pul::SweepOverrides(ops, kAcrossPuls,
+                      [&](const pul::SweepOp& op,
+                          const pul::OpenOverriders& open) {
+                        open.ForEach([&](const pul::OpenOverrider& frame) {
+                          victims[static_cast<size_t>(frame.op - ops.data())]
+                              .push_back(&op);
+                        });
+                      });
+  // Innermost overriding targets first (reverse document order of the
+  // groups); each conflict lists its ops in postorder of their targets,
+  // which on nested intervals is the order of their ends.
+  for (size_t g = end - begin; g-- > 0;) {
+    for (size_t o = group_begin[g]; o < group_begin[g + 1]; ++o) {
+      std::vector<const pul::SweepOp*>& below = victims[o];
+      if (below.empty()) continue;
+      std::stable_sort(below.begin(), below.end(),
+                       [](const pul::SweepOp* a, const pul::SweepOp* b) {
+                         return pul::ComparePositions(a->end_key, a->end,
+                                                      b->end_key,
+                                                      b->end) < 0;
+                       });
+      TaggedOp& overrider = tagged_[static_cast<size_t>(ops[o].index)];
       Conflict c;
       c.type = ConflictType::kNonLocalOverride;
-      c.overrider = overrider->ref;
-      for (TaggedOp* other : below) {
-        if (other->ref.pul == overrider->ref.pul) continue;
-        if (other->effective == OpKind::kDelete) continue;
-        if (children_only &&
-            other->op->target_label.parent == g.target &&
-            other->op->target_label.type == NodeType::kAttribute) {
-          continue;  // attributes of the repC target survive
-        }
-        c.ops.push_back(other->ref);
-        other->conflicted = true;
+      c.overrider = overrider.ref;
+      for (const pul::SweepOp* v : below) {
+        TaggedOp& other = tagged_[static_cast<size_t>(v->index)];
+        c.ops.push_back(other.ref);
+        other.conflicted = true;
       }
-      if (!c.ops.empty()) {
-        overrider->conflicted = true;
-        out->push_back(std::move(c));
-      }
+      overrider.conflicted = true;
+      out->push_back(std::move(c));
     }
-    below.insert(below.end(), g.ops.begin(), g.ops.end());
-    subtree[gi - begin] = std::move(below);
   }
 }
 
@@ -328,7 +308,7 @@ Result<IntegrationResult> Integrator::Run() {
       t.ref = {static_cast<int>(p), static_cast<int>(o)};
       t.op = &ops[o];
       t.owner = puls_[p];
-      t.effective = EffectiveKind(ops[o]);
+      t.effective = pul::EffectiveKind(ops[o]);
       tagged_.push_back(t);
     }
   }
@@ -389,9 +369,9 @@ Result<IntegrationResult> Integrator::Run() {
                            b.label->start) < 0;
               });
 
-    // Containment tree over the sorted targets: the parent of a group is
-    // the closest enclosing target (paper's tree T; a virtual root covers
-    // forests). Stack sweep over document order, on the cached keys.
+    // Containment forest over the sorted targets (paper's tree T): a
+    // group with no enclosing target starts a shard. Stack sweep over
+    // document order, on the cached keys.
     std::vector<int> stack;
     for (size_t gi = 0; gi < groups_.size(); ++gi) {
       const Group& g = groups_[gi];
@@ -405,12 +385,7 @@ Result<IntegrationResult> Integrator::Run() {
           break;
         }
       }
-      if (stack.empty()) {
-        roots.push_back(gi);
-      } else {
-        groups_[static_cast<size_t>(stack.back())].children.push_back(
-            static_cast<int>(gi));
-      }
+      if (stack.empty()) roots.push_back(gi);
       stack.push_back(static_cast<int>(gi));
     }
   }

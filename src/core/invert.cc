@@ -8,6 +8,8 @@
 
 #include "label/labeling.h"
 #include "pul/apply.h"
+#include "pul/override.h"
+#include "pul/pul_view.h"
 
 namespace xupdate::core {
 
@@ -21,6 +23,8 @@ using xml::Document;
 using xml::kInvalidNode;
 using xml::NodeId;
 using xml::NodeType;
+
+constexpr pul::OverrideRelation kWithinPul = pul::OverrideRelation::kWithinPul;
 
 class Inverter {
  public:
@@ -238,87 +242,160 @@ Result<Pul> Inverter::Run() {
   return std::move(out_);
 }
 
+// The ops whose targets exist in `doc`, as the containment sweep sees
+// them, positioned by a depth-first walk of the tree of their targets
+// and the targets' ancestors alone: one counter numbers the enter and
+// the leave step of each node, so a strict descendant's interval nests
+// strictly inside. Siblings come in no particular order, which the sweep
+// does not need: only ancestry decides what it finds. The cost follows
+// the ops and their depth; the rest of the document is never visited.
+// `by_target` chains the ops of each target in listing order.
+std::vector<pul::SweepOp> DocumentOrdered(const Document& doc,
+                                          const std::vector<UpdateOp>& ops,
+                                          const pul::TargetIndex& by_target) {
+  struct TreeNode {
+    NodeId id;
+    int32_t first_child = -1;
+    int32_t next_sibling = -1;
+  };
+  std::vector<TreeNode> tree;
+  std::vector<int32_t> stack;  // the roots, then the walk
+  pul::TargetIndex node_of;    // NodeId -> its TreeNode, a one-entry chain
+  node_of.Reset(ops.size());
+  for (const UpdateOp& op : ops) {
+    if (!doc.Exists(op.target) || node_of.Head(op.target) >= 0) continue;
+    int32_t child = -1;
+    for (NodeId v = op.target;; v = doc.parent(v)) {
+      if (v == kInvalidNode) {
+        stack.push_back(child);
+        break;
+      }
+      int32_t at = node_of.Head(v);
+      const bool known = at >= 0;
+      if (!known) {
+        at = static_cast<int32_t>(tree.size());
+        tree.push_back({v});
+        node_of.Append(v, at);
+      }
+      if (child >= 0) {
+        tree[child].next_sibling = tree[at].first_child;
+        tree[at].first_child = child;
+      }
+      if (known) break;
+      child = at;
+    }
+  }
+
+  std::vector<pul::SweepOp> out;
+  out.reserve(ops.size());
+  std::vector<size_t> first_op(tree.size());  // per node, in `out`
+  uint64_t counter = 0;
+  while (!stack.empty()) {  // a negative entry leaves node ~entry
+    const int32_t entry = stack.back();
+    stack.pop_back();
+    if (entry < 0) {
+      for (size_t o = first_op[~entry]; o < out.size(); ++o) {
+        if (out[o].target != tree[~entry].id) break;
+        out[o].end_key = counter;
+      }
+      ++counter;
+      continue;
+    }
+    const TreeNode& node = tree[entry];
+    first_op[entry] = out.size();
+    for (int32_t i = by_target.Head(node.id); i >= 0; i = by_target.Next(i)) {
+      pul::SweepOp op;
+      op.start_key = counter;
+      op.target = node.id;
+      op.parent = doc.parent(node.id);
+      op.index = i;
+      op.kind = ops[i].kind;
+      op.attribute = doc.type(node.id) == NodeType::kAttribute;
+      out.push_back(op);
+    }
+    ++counter;
+    stack.push_back(~entry);
+    for (int32_t c = node.first_child; c >= 0; c = tree[c].next_sibling) {
+      stack.push_back(c);
+    }
+  }
+  return out;
+}
+
+std::string DescribeOverride(const pul::OverrideRule& rule, NodeId at) {
+  const std::string node = std::to_string(at);
+  switch (rule.scope) {
+    case pul::OverrideScope::kSameTarget:
+      return rule.overrider == OpKind::kReplaceChildren
+                 ? "repC overrides insertion on node " + node
+                 : "same-target override on node " + node;
+    case pul::OverrideScope::kStrictSubtree:
+      return "operation under removed node " + node;
+    case pul::OverrideScope::kStrictSubtreeButOwnAttributes:
+      return "operation under repC target " + node;
+  }
+  return {};
+}
+
 }  // namespace
 
 std::vector<bool> OverriddenOps(const Document& doc, const Pul& pul,
                                 std::string* reason) {
   const std::vector<UpdateOp>& ops = pul.ops();
-  std::vector<bool> overridden(ops.size(), false);
-  bool found = false;
-  // Describes only the first override, in the order Invert reports it.
-  auto mark = [&](size_t i, const auto& describe) {
-    if (reason != nullptr && !found) *reason = describe();
-    found = true;
-    overridden[i] = true;
+  const int32_t n = static_cast<int32_t>(ops.size());
+  // Per op: its lowest-listed overrider (-1: none) and the row it
+  // overrides under.
+  std::vector<int32_t> overrider(ops.size(), -1);
+  std::vector<const pul::OverrideRule*> rule_of(ops.size(), nullptr);
+  auto offer = [&](int32_t i, int32_t k, const pul::OverrideRule* rule) {
+    if (overrider[i] < 0 || k < overrider[i]) {
+      overrider[i] = k;
+      rule_of[i] = rule;
+    }
   };
-  auto kills_subtree = [&ops](size_t i) {
-    return ops[i].kind == OpKind::kDelete ||
-           ops[i].kind == OpKind::kReplaceNode;
-  };
-  // Same-target overrides. O1: anything but a sibling insertion next to
-  // a same-target repN/del (a second del counts too); O2: child
-  // insertions next to a same-target repC.
-  std::unordered_map<NodeId, std::vector<size_t>> by_target;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    by_target[ops[i].target].push_back(i);
-  }
-  for (const auto& [target, indexes] : by_target) {
-    size_t killer = ops.size();
-    bool has_repc = false;
-    for (size_t i : indexes) {
-      if (kills_subtree(i)) killer = i;
-      if (ops[i].kind == OpKind::kReplaceChildren) has_repc = true;
-    }
-    for (size_t i : indexes) {
-      if (killer != ops.size() && i != killer &&
-          pul::IsO1Overridable(ops[i].kind)) {
-        mark(i, [&] {
-          return "same-target override on node " + std::to_string(target);
-        });
-      }
-      if (has_repc && (ops[i].kind == OpKind::kInsFirst ||
-                       ops[i].kind == OpKind::kInsInto ||
-                       ops[i].kind == OpKind::kInsLast)) {
-        mark(i, [&] {
-          return "repC overrides insertion on node " + std::to_string(target);
-        });
+
+  // Same-target rows (O1, O2), over the ops on each overrider's target.
+  // Two dels override each other, so the last one listed stays (as in
+  // Reduce): a del is overridden by a later del only.
+  pul::TargetIndex by_target;
+  by_target.Reset(ops.size());
+  for (int32_t i = 0; i < n; ++i) by_target.Append(ops[i].target, i);
+  for (int32_t k = 0; k < n; ++k) {
+    const pul::OverrideRule* rule = pul::SameTargetRule(ops[k].kind);
+    if (rule == nullptr) continue;
+    for (int32_t i = by_target.Head(ops[k].target); i >= 0;
+         i = by_target.Next(i)) {
+      if (i != k && pul::Overrides(*rule, ops[i].kind, kWithinPul) &&
+          (ops[i].kind != ops[k].kind || i < k)) {
+        offer(i, k, rule);
       }
     }
   }
-  // Nested overrides, with ancestry read from the document. O3: no op
-  // may target a node inside a removed (del/repN) subtree.
-  std::vector<size_t> killers;
-  for (size_t k = 0; k < ops.size(); ++k) {
-    if (kills_subtree(k)) killers.push_back(k);
-  }
-  for (size_t i = 0; i < ops.size(); ++i) {
-    for (size_t k : killers) {
-      if (!doc.IsAncestor(ops[k].target, ops[i].target)) continue;
-      mark(i, [&] {
-        return "operation under removed node " +
-               std::to_string(ops[k].target);
-      });
-      break;
-    }
-  }
-  // O4: nor under a repC target, attributes of the target itself
-  // excepted.
-  for (size_t k = 0; k < ops.size(); ++k) {
-    if (ops[k].kind != OpKind::kReplaceChildren) continue;
-    for (size_t i = 0; i < ops.size(); ++i) {
-      if (!doc.IsAncestor(ops[k].target, ops[i].target)) continue;
-      if (doc.parent(ops[i].target) == ops[k].target &&
-          doc.type(ops[i].target) == NodeType::kAttribute) {
-        continue;
-      }
-      mark(i, [&] {
-        return "operation under repC target " + std::to_string(ops[k].target);
-      });
-    }
-  }
+
+  // Subtree rows (O3, O4), swept in the document's own order.
+  std::vector<pul::SweepOp> swept = DocumentOrdered(doc, ops, by_target);
+  pul::SweepOverrides(swept, kWithinPul,
+                      [&](const pul::SweepOp& op,
+                          const pul::OpenOverriders& open) {
+                        if (const pul::OpenOverrider* k =
+                                open.LowestIndexed()) {
+                          offer(op.index, k->op->index, k->rule);
+                        }
+                      });
   // One pass reaches the set a drop-to-fixpoint loop would: whatever
   // overrides an overridden repN/del/repC sits at or above its target,
   // so it already overrides every operation that one does.
+
+  std::vector<bool> overridden(ops.size(), false);
+  bool any = false;
+  for (int32_t i = 0; i < n; ++i) {
+    if (overrider[i] < 0) continue;
+    if (reason != nullptr && !any) {
+      *reason = DescribeOverride(*rule_of[i], ops[overrider[i]].target);
+    }
+    any = true;
+    overridden[i] = true;
+  }
   return overridden;
 }
 

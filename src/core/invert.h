@@ -34,7 +34,7 @@ namespace xupdate::core {
 // must flag no operation. Overridden operations have no effect on the
 // document, so their inverses would wrongly "undo" nothing into
 // something; run Reduce() first, or drop them. Violations yield
-// kInvalidArgument naming the first override found.
+// kInvalidArgument carrying OverriddenOps' reason.
 //
 // Every inverse op whose target is a node of `doc` carries that node's
 // label from label::Labeling::Build(doc), so the inverse can itself be
@@ -46,13 +46,21 @@ namespace xupdate::core {
 // The operations of `pul` that the O-rules of Figure 2 override, one
 // flag per operation, judged against the pre-state document `doc`
 // rather than the operation labels (labels inside an aggregated PUL can
-// predate `doc` and miss ancestor relations it exhibits): a same-target
-// repN/del overrides the O1 kinds (pul::IsO1Overridable), a same-target
-// repC the child insertions (O2), a del/repN every operation inside its
-// subtree (O3), a repC every operation under its target except the
-// target's own attributes (O4). Overridden operations have no effect on
-// Apply. When `reason` is non-null and some operation is flagged, it
-// receives a description of the first override found.
+// predate `doc` and miss ancestor relations it exhibits). The rules are
+// the within-PUL rows of pul::kOverrideRules: a same-target repN/del
+// overrides the O1 kinds (of two same-target dels, the last one listed
+// stays), a same-target repC the child insertions (O2), a del/repN every
+// operation inside its subtree (O3), a repC every operation under its
+// target except the target's own attributes (O4). Overridden operations
+// have no effect on Apply. When `reason` is non-null and some operation
+// is flagged, it receives a description of the lowest-listed flagged
+// operation's lowest-listed overrider, e.g. "operation under removed
+// node 4".
+//
+// Cost: O(ops × depth) to position the targets on the document (the
+// parent walks stop at the first node already seen; the rest of the
+// document is never visited), the shared containment sweep over them,
+// and one pass over the ops on each same-target overrider's target.
 std::vector<bool> OverriddenOps(const xml::Document& doc,
                                 const pul::Pul& pul,
                                 std::string* reason = nullptr);

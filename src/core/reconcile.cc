@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "label/node_label.h"
+#include "pul/override.h"
 
 namespace xupdate::core {
 
@@ -15,13 +16,6 @@ using pul::OpKind;
 using pul::Policies;
 using pul::Pul;
 using pul::UpdateOp;
-
-OpKind EffectiveKind(const UpdateOp& op) {
-  if (op.kind == OpKind::kReplaceNode && op.param_trees.empty()) {
-    return OpKind::kDelete;
-  }
-  return op.kind;
-}
 
 // "Inserted data" in the sense of the §4.2 policies: repN, repC, repV or
 // ins operations that put new content into the document.
@@ -113,7 +107,9 @@ class Reconciler {
 };
 
 int Reconciler::Rank(const Conflict& c) const {
-  auto kind_of_members = [&]() { return EffectiveKind(OpOf(c.ops[0])); };
+  auto kind_of_members = [&]() {
+    return pul::EffectiveKind(OpOf(c.ops[0]));
+  };
   switch (c.type) {
     case ConflictType::kRepeatedModification: {
       OpKind k = kind_of_members();
@@ -123,7 +119,7 @@ int Reconciler::Rank(const Conflict& c) const {
       return 6;  // ren / repV
     }
     case ConflictType::kLocalOverride: {
-      OpKind k = EffectiveKind(OpOf(c.overrider));
+      OpKind k = pul::EffectiveKind(OpOf(c.overrider));
       if (k == OpKind::kReplaceNode) return 1;
       if (k == OpKind::kDelete) return 3;
       return 5;  // repC

@@ -12,6 +12,7 @@
 #include "label/bitstring.h"
 #include "label/node_label.h"
 #include "obs/trace.h"
+#include "pul/override.h"
 #include "pul/pul_view.h"
 #include "pul/update_op.h"
 #include "xml/serializer.h"
@@ -22,7 +23,6 @@ namespace {
 
 using label::BitString;
 using label::NodeLabel;
-using pul::IsO1Overridable;
 using pul::OpClass;
 using pul::OpKind;
 using pul::Pul;
@@ -31,10 +31,7 @@ using xml::kInvalidNode;
 using xml::NodeId;
 using xml::NodeType;
 
-bool IsChildInsertion(OpKind kind) {
-  return kind == OpKind::kInsFirst || kind == OpKind::kInsInto ||
-         kind == OpKind::kInsLast;
-}
+constexpr pul::OverrideRelation kWithinPul = pul::OverrideRelation::kWithinPul;
 
 // The sixteen merge rules of Figure 2 (I5-IR20) as one table, in the
 // order each stage tries them. A rule relates two operations in the
@@ -322,10 +319,10 @@ class Reducer {
   // i as the anchor, then, for a same-target rule, with i as the
   // partner. Returns true if the rule fired (i is then dead).
   bool TryRule(const MergeRule& rule, int i);
-  // Same-target drop rules O1/O2 centered on op `i`.
+  // Same-target override rows (O1/O2) centered on op `i`.
   bool TryDropRules(int i);
-  // O3/O4: drops every op whose target lies strictly inside the interval
-  // of a repN/del (or non-attribute-inside a repC) target.
+  // Subtree override rows (O3/O4): drops every op the shared containment
+  // sweep finds under an overrider.
   void SweepOverrides();
 
   // Worklist fixpoint of the rules of `stage` (plain/deterministic).
@@ -358,47 +355,36 @@ class Reducer {
 
 bool Reducer::TryDropRules(int i) {
   const UpdateOp& op = Op(i);
-  // O1, as the overridden side.
-  if (IsO1Overridable(op.kind)) {
-    int killer = FirstPartner(op.target, OpKind::kReplaceNode, i);
-    if (killer < 0) killer = FirstPartner(op.target, OpKind::kDelete, i);
+  // As the overridden side, the first row with a live overrider fires;
+  // else, as the overrider, the row of i's kind drops its first
+  // overridden partner.
+  const pul::OverrideRule* fired = nullptr;
+  int killer = -1;
+  int victim = i;
+  for (const pul::OverrideRule& rule : pul::kSameTargetRules) {
+    if (!pul::Overrides(rule, op.kind, kWithinPul)) continue;
+    killer = FirstPartner(op.target, rule.overrider, i);
     if (killer >= 0) {
-      EmitKill("O1", killer, i);
-      Kill(i);
-      return true;
+      fired = &rule;
+      break;
     }
   }
-  // O1, as the overriding side: drop overridable partners.
-  if (op.kind == OpKind::kReplaceNode || op.kind == OpKind::kDelete) {
-    for (int32_t j = by_target_.Head(op.target); j >= 0;
-         j = by_target_.Next(j)) {
-      if (j != i && Alive(j) && IsO1Overridable(Op(j).kind)) {
-        EmitKill("O1", i, j);
-        Kill(j);
-        return true;
+  if (fired == nullptr) {
+    fired = pul::SameTargetRule(op.kind);
+    if (fired == nullptr) return false;
+    killer = i;
+    for (victim = by_target_.Head(op.target); victim >= 0;
+         victim = by_target_.Next(victim)) {
+      if (victim != i && Alive(victim) &&
+          pul::Overrides(*fired, Op(victim).kind, kWithinPul)) {
+        break;
       }
     }
+    if (victim < 0) return false;
   }
-  // O2: child insertions overridden by a same-target repC.
-  if (IsChildInsertion(op.kind)) {
-    int killer = FirstPartner(op.target, OpKind::kReplaceChildren, i);
-    if (killer >= 0) {
-      EmitKill("O2", killer, i);
-      Kill(i);
-      return true;
-    }
-  }
-  if (op.kind == OpKind::kReplaceChildren) {
-    for (int32_t j = by_target_.Head(op.target); j >= 0;
-         j = by_target_.Next(j)) {
-      if (j != i && Alive(j) && IsChildInsertion(Op(j).kind)) {
-        EmitKill("O2", i, j);
-        Kill(j);
-        return true;
-      }
-    }
-  }
-  return false;
+  EmitKill(fired->name, killer, victim);
+  Kill(victim);
+  return true;
 }
 
 bool Reducer::TryRule(const MergeRule& rule, int i) {
@@ -435,72 +421,23 @@ bool Reducer::TryRule(const MergeRule& rule, int i) {
 
 void Reducer::SweepOverrides() {
   // The unit's labeled ops in document order (ties by listing order),
-  // all live: the order the partition sorted them in.
-  const std::vector<int>& order = unit_->doc_order;
-  auto start_key = [this](int i) {
-    return Op(i).target_label.start.PrefixKey64();
-  };
-  // Stack of open killer intervals (op indices), innermost on top.
-  struct OpenKiller {
-    uint64_t end_key;
-    const BitString* end;
-    int op_index;
-    bool children_only;  // repC: attributes of the target survive
-  };
-  std::vector<OpenKiller> open;
-  // One step per node: pop the intervals that ended before it, kill the
-  // node's ops that lie inside an open killer, then open the node's own
-  // killers (a node's killer kills nothing at its own node: O1/O2 turf).
-  for (size_t g = 0; g < order.size();) {
-    const int first = order[g];
-    const uint64_t key = start_key(first);
-    const BitString& code = Op(first).target_label.start;
-    size_t end = g + 1;
-    while (end < order.size() &&
-           BitString::CompareKeyed(start_key(order[end]),
-                                   Op(order[end]).target_label.start, key,
-                                   code) == 0) {
-      ++end;
-    }
-    while (!open.empty() && BitString::CompareKeyed(open.back().end_key,
-                                                    *open.back().end, key,
-                                                    code) < 0) {
-      open.pop_back();
-    }
-    for (size_t q = g; q < end && !open.empty(); ++q) {
-      int victim = order[q];
-      const UpdateOp& op = Op(victim);
-      int killer_index = -1;
-      for (const OpenKiller& k : open) {
-        const UpdateOp& killer = Op(k.op_index);
-        if (killer.target == op.target) continue;  // same node: O1/O2 turf
-        if (k.children_only &&
-            op.target_label.parent == killer.target &&
-            op.target_label.type == NodeType::kAttribute) {
-          continue;  // attribute of the repC target survives
-        }
-        killer_index = k.op_index;
-        break;
-      }
-      if (killer_index >= 0) {
-        const UpdateOp& killer = Op(killer_index);
-        EmitKill(killer.kind == OpKind::kReplaceChildren ? "O4" : "O3",
-                 killer_index, victim);
-        Kill(victim);
-      }
-    }
-    for (size_t k = g; k < end; ++k) {
-      const UpdateOp& killer = Op(order[k]);
-      if (killer.kind == OpKind::kReplaceNode ||
-          killer.kind == OpKind::kDelete ||
-          killer.kind == OpKind::kReplaceChildren) {
-        const BitString& killer_end = killer.target_label.end;
-        open.push_back({killer_end.PrefixKey64(), &killer_end, order[k],
-                        killer.kind == OpKind::kReplaceChildren});
-      }
-    }
-    g = end;
+  // all live: the order the partition sorted them in. The outermost
+  // overrider kills, which is what the decision journals pin.
+  std::vector<pul::SweepOp> ops;
+  ops.reserve(unit_->doc_order.size());
+  for (int i : unit_->doc_order) {
+    ops.push_back(pul::LabeledSweepOp(Op(i), i, 0, kWithinPul));
   }
+  pul::SweepOverrides(ops, kWithinPul,
+                      [this](const pul::SweepOp& op,
+                             const pul::OpenOverriders& open) {
+                        if (const pul::OpenOverrider* killer =
+                                open.Outermost()) {
+                          EmitKill(killer->rule->name, killer->op->index,
+                                   op.index);
+                          Kill(op.index);
+                        }
+                      });
 }
 
 bool Reducer::StageFixpoint(int stage) {

@@ -80,7 +80,7 @@ class BitString {
   // so unequal keys decide the comparison outright; equal keys need the
   // full Compare (the strings may still differ past bit 63, or one may
   // be a zero-extension-coinciding prefix of the other). Cheap enough
-  // to recompute; the flat op index (pul::OpSlot) caches it next to the
+  // to recompute; the sweep view (pul::SweepOp) caches it next to the
   // op anyway.
   uint64_t PrefixKey64() const { return words()[0]; }
 

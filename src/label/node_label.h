@@ -37,7 +37,7 @@ struct NodeLabel {
   // keys decide document order outright; equal keys require the full
   // start.Compare fallback (see BitString::PrefixKey64). Recomputed on
   // use — one load of the code's first word — rather than cached in the
-  // label; the flat op index (pul::OpSlot) caches it per op.
+  // label; the sweep view (pul::SweepOp) caches it per op.
   uint64_t OrderKey() const { return start.PrefixKey64(); }
 
   // Three-way document-order comparison of start codes, key-first with

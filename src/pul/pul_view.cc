@@ -2,23 +2,6 @@
 
 namespace xupdate::pul {
 
-std::vector<OpSlot> BuildOpSlots(const std::vector<UpdateOp>& ops,
-                                 int32_t first_index) {
-  std::vector<OpSlot> slots;
-  slots.reserve(ops.size());
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    OpSlot slot;
-    slot.order_key = op.target_label.start.PrefixKey64();
-    slot.target = op.target;
-    slot.op = &op;
-    slot.op_index = first_index + static_cast<int32_t>(i);
-    slot.kind = op.kind;
-    slots.push_back(slot);
-  }
-  return slots;
-}
-
 void TargetIndex::Reset(size_t expected_ops) {
   size_t want = 16;
   while (want < expected_ops * 2) want <<= 1;

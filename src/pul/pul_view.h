@@ -4,37 +4,14 @@
 #include <cstdint>
 #include <vector>
 
-#include "label/bitstring.h"
-#include "pul/update_op.h"
 #include "xml/node.h"
 
-// Flat-index layer for the reasoning operators (reduce / integrate /
-// aggregate / independence). The engines' hot loops are sorts, interval
-// sweeps and shared-target hash joins over operations; what those loops
-// actually touch is tiny — an order key, a kind, a target id — while the
-// operations themselves carry labels, parameter trees and strings. This
-// header provides contiguous POD views of exactly the hot fields, built
-// once per operator invocation, so the loops scan cache-dense arrays and
-// the param strings/labels stay in the owning Pul (no per-phase copies).
+// Flat shared-target join for the reasoning operators (reduce /
+// integrate / aggregate / independence / invert). The interval sweeps
+// have their own flat view of the hot fields, pul::SweepOp
+// (pul/override.h).
 
 namespace xupdate::pul {
-
-// One operation's hot fields. `order_key` is the order-preserving 64-bit
-// prefix of the containment start code (label::BitString::PrefixKey64):
-// unequal keys decide document order outright, equal keys fall back to
-// the full code compare through `op->target_label`.
-struct OpSlot {
-  uint64_t order_key = 0;
-  xml::NodeId target = xml::kInvalidNode;
-  const UpdateOp* op = nullptr;
-  int32_t op_index = 0;
-  OpKind kind = OpKind::kDelete;
-};
-
-// Builds slots for a span of operations, with op_index numbering from
-// `first_index`. Slots alias `ops` — the span must outlive the view.
-std::vector<OpSlot> BuildOpSlots(const std::vector<UpdateOp>& ops,
-                                 int32_t first_index = 0);
 
 // Insertion-ordered shared-target join: target node id -> chain of op
 // indices, in append order. Replaces unordered_map<NodeId, vector<int>>

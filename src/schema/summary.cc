@@ -1,5 +1,7 @@
 #include "schema/summary.h"
 
+#include "pul/override.h"
+
 namespace xupdate::schema {
 
 std::string_view SchemaVerdictName(SchemaVerdict verdict) {
@@ -100,16 +102,15 @@ TypeSummary InferTouchedTypes(const Schema& schema, const pul::Pul& pul) {
     // Deletion/replacement effect closure: everything strictly inside
     // the overridden subtree may be a type-5 victim. Only element
     // targets have strict descendants.
-    bool overrides_subtree = op.kind == pul::OpKind::kDelete ||
-                             op.kind == pul::OpKind::kReplaceNode ||
-                             op.kind == pul::OpKind::kReplaceChildren;
-    if (overrides_subtree && is_element) {
+    const pul::OverrideRule* rule = pul::SubtreeRule(op.kind);
+    if (rule != nullptr && is_element) {
       TypeSet below = schema.ProperDescendantTypes(candidates);
       AddAtoms(schema, below, true, true, true, &summary.killed);
       // The target's own attributes and text children are strict
-      // descendants too — except that repC leaves the attributes in
-      // place (the dynamic non-local-override rule exempts them).
-      bool keeps_attributes = op.kind == pul::OpKind::kReplaceChildren;
+      // descendants too — except where the row's scope leaves the
+      // attributes in place (repC; type 5 exempts them).
+      bool keeps_attributes =
+          rule->scope == pul::OverrideScope::kStrictSubtreeButOwnAttributes;
       AddAtoms(schema, candidates, false, !keeps_attributes, true,
                &summary.killed);
     }

@@ -189,6 +189,36 @@ TEST_F(InvertTest, RejectsOReduciblePuls) {
   }
 }
 
+// The reason names the lowest-listed overridden op and its lowest-listed
+// overrider, whatever order the targets hash in.
+TEST_F(InvertTest, ReasonNamesLowestListedOverride) {
+  Pul p = MakePul();
+  ASSERT_TRUE(p.AddStringOp(OpKind::kRename, 5, labeling_, "x").ok());
+  ASSERT_TRUE(p.AddDelete(5, labeling_).ok());
+  ASSERT_TRUE(p.AddStringOp(OpKind::kRename, 16, labeling_, "y").ok());
+  ASSERT_TRUE(p.AddDelete(16, labeling_).ok());
+  std::string reason;
+  EXPECT_EQ(OverriddenOps(doc_, p, &reason),
+            (std::vector<bool>{true, false, true, false}));
+  EXPECT_EQ(reason, "same-target override on node 5");
+  auto inverse = Invert(doc_, p);
+  EXPECT_EQ(inverse.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(inverse.status().message().find("same-target override on node 5"),
+            std::string::npos)
+      << inverse.status();
+}
+
+// A repN overrides a del of its own target whichever of the two is
+// listed first (rule O1), as Reduce drops the del either way.
+TEST_F(InvertTest, ReplaceNodeOverridesSameTargetDeleteListedAfterIt) {
+  Pul p = MakePul();
+  auto t = p.AddFragment("<x/>");
+  ASSERT_TRUE(p.AddTreeOp(OpKind::kReplaceNode, 5, labeling_, {*t}).ok());
+  ASSERT_TRUE(p.AddDelete(5, labeling_).ok());
+  EXPECT_EQ(OverriddenOps(doc_, p), (std::vector<bool>{false, true}));
+  EXPECT_EQ(Invert(doc_, p).status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST_F(InvertTest, RejectsRootRemoval) {
   Pul p = MakePul();
   ASSERT_TRUE(p.AddDelete(1, labeling_).ok());

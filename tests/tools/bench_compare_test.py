@@ -162,6 +162,19 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("BM_SameAnnotated/1: regressed", proc.stderr)
         self.assertNotIn("BM_LabelingBuild/1:", proc.stderr)
 
+    def test_invert_is_gated(self):
+        write_set(
+            self.baseline,
+            {"BM_Invert/20": {"real_time": 1.00, "time_unit": "ms"}},
+        )
+        write_set(
+            self.candidate,
+            {"BM_Invert/20": {"real_time": 1.15, "time_unit": "ms"}},
+        )
+        proc = run_compare(self.baseline, self.candidate)
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("BM_Invert/20: regressed", proc.stderr)
+
     def test_gated_regression_fails_by_name(self):
         write_set(
             self.baseline,
